@@ -261,16 +261,14 @@ def cmd_stats(args: argparse.Namespace) -> int:
     print(stats.align_table(table), end="")
     if len(algorithms) >= 2 and len(complete) >= 2:
         matrix = [[stats.mean_sd(costs[(name, alg)])[0] for alg in algorithms] for name in complete]
-        fried = stats.friedman(matrix)
-        control = min(range(len(algorithms)), key=fried.average_ranks.__getitem__)
-        holm_result = stats.holm(fried.average_ranks, len(complete), control, labels=algorithms)
+        fried, holm_result = stats.rank_tests(matrix, algorithms)
         print()
         for alg, rank in zip(algorithms, fried.average_ranks):
             print(f"{alg}: average rank {rank:.4f}")
         print(
             f"Friedman statistic {fried.statistic:.4f} (df={fried.dof}, p={fried.p_value:.6g})"
         )
-        print(f"Holm post-hoc, control {algorithms[control]}:")
+        print(f"Holm post-hoc, control {holm_result.control_label}:")
         for c in holm_result.comparisons:
             print(
                 f"  {c.label}: z={c.z:.4f} p={c.p_unadjusted:.6f} "
@@ -286,19 +284,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
                         "dof": fried.dof,
                         "p_value": fried.p_value,
                     },
-                    "holm": {
-                        "control": algorithms[control],
-                        "comparisons": [
-                            {
-                                "algorithm": c.label,
-                                "z": c.z,
-                                "p_unadjusted": c.p_unadjusted,
-                                "p_adjusted": c.p_adjusted,
-                                "reject_at_0.05": c.reject_at_05,
-                            }
-                            for c in holm_result.comparisons
-                        ],
-                    },
+                    "holm": holm_result.to_dict(),
                 },
             )
     else:

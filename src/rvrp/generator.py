@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .instance import Instance, Node, _hamiltonian_path_exists, validate_instance
+from .instance import Instance, Node, cluster_order, validate_instance
 from .operators import random_solution
 
 BOX_W = 20000.0
@@ -72,13 +72,16 @@ class Skeleton:
     nodes: tuple[Node, ...]
 
 
-def generate_base(seed: int) -> Skeleton:
-    rng = np.random.default_rng(seed)
+def _skeleton_nodes(rng: np.random.Generator, cluster_sizes: Sequence[int]) -> list[Node]:
+    """Depot plus customers drawn cluster by cluster: centres uniform over the
+    box, members uniform in a disc around their centre, redrawn until all
+    points are MIN_SEPARATION apart. Ids run 1..n in cluster order (cluster
+    labels start at 1) and demands follow :func:`demand_for`."""
     while True:
-        centers = rng.uniform((0.0, 0.0), (BOX_W, BOX_H), size=(BASE_CLUSTERS, 2))
+        centers = rng.uniform((0.0, 0.0), (BOX_W, BOX_H), size=(len(cluster_sizes), 2))
         points = [np.array(DEPOT_XY)]
-        for c in range(BASE_CLUSTERS):
-            for _ in range(NODES_PER_CLUSTER):
+        for c, size in enumerate(cluster_sizes):
+            for _ in range(size):
                 while True:
                     # uniform in the disc via rejection from the bounding square
                     offset = rng.uniform(-CLUSTER_RADIUS, CLUSTER_RADIUS, size=2)
@@ -91,12 +94,24 @@ def generate_base(seed: int) -> Skeleton:
         np.fill_diagonal(dists, np.inf)
         if dists.min() >= MIN_SEPARATION:
             break
+    labels = [c for c, size in enumerate(cluster_sizes, start=1) for _ in range(size)]
     nodes = [Node(0, float(coords[0, 0]), float(coords[0, 1]), 0, 0, 0)]
-    for cid in range(1, BASE_CLUSTERS * NODES_PER_CLUSTER + 1):
-        cluster = (cid - 1) // NODES_PER_CLUSTER + 1
+    for cid, label in enumerate(labels, start=1):
         d, p = demand_for(cid)
-        nodes.append(Node(cid, float(coords[cid, 0]), float(coords[cid, 1]), d, p, cluster))
-    return Skeleton(nodes=tuple(nodes))
+        nodes.append(Node(cid, float(coords[cid, 0]), float(coords[cid, 1]), d, p, label))
+    return nodes
+
+
+def _cluster_members(nodes: Sequence[Node]) -> dict[int, tuple[int, ...]]:
+    clusters: dict[int, list[int]] = {}
+    for n in nodes[1:]:
+        clusters.setdefault(n.cluster, []).append(n.id)
+    return {label: tuple(ids) for label, ids in clusters.items()}
+
+
+def generate_base(seed: int) -> Skeleton:
+    rng = np.random.default_rng(seed)
+    return Skeleton(nodes=tuple(_skeleton_nodes(rng, [NODES_PER_CLUSTER] * BASE_CLUSTERS)))
 
 
 # --------------------------------------------------------------------- costs
@@ -143,12 +158,6 @@ def assign_costs(nodes: Sequence[Node]) -> tuple[list[list[float]], list[list[fl
 # ----------------------------------------------------------------- forbidden
 
 
-def cluster_path_exists(members: Sequence[int], forbidden: Iterable[tuple[int, int]]) -> bool:
-    """True iff some visiting order of ``members`` avoids every forbidden arc
-    (exact backtracking; entry/exit arcs are unconstrained)."""
-    return _hamiltonian_path_exists(members, frozenset(forbidden))
-
-
 def select_forbidden(
     clusters: dict[int, tuple[int, ...]], per_cluster: int, rng: np.random.Generator
 ) -> frozenset[tuple[int, int]]:
@@ -165,7 +174,7 @@ def select_forbidden(
         for attempt in range(FORBIDDEN_RESAMPLE_LIMIT):
             picks = rng.choice(len(arcs), size=per_cluster, replace=False)
             subset = [arcs[int(p)] for p in sorted(int(p) for p in picks)]
-            if cluster_path_exists(members, subset):
+            if cluster_order(members, frozenset(subset)) is not None:
                 chosen.update(subset)
                 break
         else:
@@ -243,14 +252,10 @@ def derive_instance(base: Skeleton, row: SuiteRow, seed: int) -> Instance:
     if len(nodes) - 1 != row.nodes:
         raise GenerationError(f"{row.name}: selected {len(nodes) - 1} nodes, expected {row.nodes}")
     off, peak = assign_costs(nodes)
-    clusters: dict[int, list[int]] = {}
-    for n in nodes[1:]:
-        clusters.setdefault(n.cluster, []).append(n.id)
+    clusters = _cluster_members(nodes)
     if len(clusters) != row.clusters:
         raise GenerationError(f"{row.name}: got {len(clusters)} clusters, expected {row.clusters}")
-    forbidden = select_forbidden(
-        {k: tuple(v) for k, v in clusters.items()}, row.forbidden_per_cluster, rng
-    )
+    forbidden = select_forbidden(clusters, row.forbidden_per_cluster, rng)
     inst = Instance(
         name=row.name,
         nodes=nodes,
@@ -327,40 +332,15 @@ def small_instance(
     handy for exact-enumeration oracles. Capacity defaults to a value that
     forces every cluster onto its own route."""
     rng = np.random.default_rng(seed)
-    while True:
-        centers = rng.uniform((0.0, 0.0), (BOX_W, BOX_H), size=(len(cluster_sizes), 2))
-        points = [np.array(DEPOT_XY)]
-        for c, size in enumerate(cluster_sizes):
-            for _ in range(size):
-                while True:
-                    offset = rng.uniform(-CLUSTER_RADIUS, CLUSTER_RADIUS, size=2)
-                    if offset[0] ** 2 + offset[1] ** 2 <= CLUSTER_RADIUS**2:
-                        break
-                points.append(centers[c] + offset)
-        coords = np.array(points)
-        deltas = coords[:, None, :] - coords[None, :, :]
-        dists = np.sqrt((deltas**2).sum(axis=2))
-        np.fill_diagonal(dists, np.inf)
-        if dists.min() >= MIN_SEPARATION:
-            break
-    nodes = [Node(0, float(coords[0, 0]), float(coords[0, 1]), 0, 0, 0)]
-    cid = 0
-    clusters: dict[int, list[int]] = {}
-    for c, size in enumerate(cluster_sizes, start=1):
-        for _ in range(size):
-            cid += 1
-            d, p = demand_for(cid)
-            nodes.append(Node(cid, float(coords[cid, 0]), float(coords[cid, 1]), d, p, c))
-            clusters.setdefault(c, []).append(cid)
+    nodes = _skeleton_nodes(rng, cluster_sizes)
+    clusters = _cluster_members(nodes)
     if capacity is None:
-        per_cluster = [sum(demand_for(m)[0] for m in members) for members in clusters.values()]
-        capacity = max(per_cluster) + max(sum(demand_for(m)[1] for m in members) for members in clusters.values())
+        demands = [[demand_for(m) for m in members] for members in clusters.values()]
+        capacity = max(sum(d for d, _ in ds) for ds in demands) + max(sum(p for _, p in ds) for ds in demands)
     off, peak = assign_costs(nodes)
     forbidden: frozenset[tuple[int, int]] = frozenset()
     if forbidden_per_cluster:
-        forbidden = select_forbidden(
-            {k: tuple(v) for k, v in clusters.items()}, forbidden_per_cluster, rng
-        )
+        forbidden = select_forbidden(clusters, forbidden_per_cluster, rng)
     inst = Instance(
         name=name or f"small_{seed}",
         nodes=tuple(nodes),

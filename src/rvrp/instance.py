@@ -17,9 +17,12 @@ no leading/trailing zeros, so empty routes are unrepresentable.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 DAY_START_S = 0
 PEAK_START_S = 7200
@@ -266,54 +269,59 @@ class ValidationReport:
         return [v.name for v in self.violations]
 
 
-def _hamiltonian_path_exists(
-    members: Sequence[int], forbidden: frozenset[tuple[int, int]] | set[tuple[int, int]]
-) -> bool:
-    """Exact backtracking search for an order of ``members`` avoiding every
-    forbidden arc (entry and exit arcs are unconstrained)."""
-    members = list(members)
-    if len(members) <= 1:
-        return True
-    blocked = {(i, j) for i, j in forbidden if i in set(members) and j in set(members)}
-    if not blocked:
-        return True
-    remaining = set(members)
-
-    def extend(last: int) -> bool:
-        if not remaining:
-            return True
-        for nxt in list(remaining):
-            if (last, nxt) in blocked:
-                continue
-            remaining.discard(nxt)
-            if extend(nxt):
-                return True
-            remaining.add(nxt)
+def route_load_ok(route: Sequence[int], inst: Instance) -> bool:
+    """Exact load check of one route: the vehicle leaves the depot with every
+    delivery on board and each visit applies ``-delivery +pickup``; False as
+    soon as the load exceeds the capacity."""
+    delivery, pickup, capacity = inst.delivery, inst.pickup, inst.capacity
+    load = sum(map(delivery.__getitem__, route))
+    if load > capacity:
         return False
-
-    for first in members:
-        remaining.discard(first)
-        if extend(first):
-            return True
-        remaining.add(first)
-    return False
+    for c in route:
+        load += pickup[c] - delivery[c]
+        if load > capacity:
+            return False
+    return True
 
 
-def _min_max_load(members: Sequence[int], inst: Instance) -> int:
-    """Smallest achievable peak load when a vehicle serves ``members`` alone.
+def cluster_order(
+    members: Sequence[int],
+    forbidden: Collection[tuple[int, int]],
+    rng: np.random.Generator | None = None,
+    inst: Instance | None = None,
+) -> list[int] | None:
+    """Exact depth-first search for a visiting order of ``members`` that uses
+    no forbidden arc (entry and exit arcs are unconstrained); None when no
+    order exists.
 
-    Visiting customers in descending (delivery - pickup) order keeps every
-    prefix sum maximal, which minimises the running load simultaneously at
-    every position, so a single simulation suffices.
+    With ``rng`` the candidates are shuffled at every step, so the order found
+    is random. With ``inst`` the order must also keep the load of a fresh
+    route that serves ``members`` alone within the capacity.
     """
-    deltas = sorted((inst.delivery[m] - inst.pickup[m] for m in members), reverse=True)
-    total = sum(inst.delivery[m] for m in members)
-    load = total
-    peak = total
-    for delta in deltas:
-        load -= delta
-        peak = max(peak, load)
-    return peak
+    if inst is None:
+        load, capacity, change = 0, math.inf, dict.fromkeys(members, 0)
+    else:
+        load, capacity = sum(inst.delivery[m] for m in members), inst.capacity
+        change = {m: inst.pickup[m] - inst.delivery[m] for m in members}
+    if load > capacity:
+        return None
+
+    def extend(path: list[int], remaining: list[int], load: int) -> list[int] | None:
+        if not remaining:
+            return path
+        order = list(remaining)
+        if rng is not None:
+            rng.shuffle(order)
+        for nxt in order:
+            if (path and (path[-1], nxt) in forbidden) or load + change[nxt] > capacity:
+                continue
+            rest = [m for m in remaining if m != nxt]
+            found = extend(path + [nxt], rest, load + change[nxt])
+            if found is not None:
+                return found
+        return None
+
+    return extend([], list(members), load)
 
 
 def validate_instance(inst: Instance) -> ValidationReport:
@@ -356,6 +364,10 @@ def validate_instance(inst: Instance) -> ValidationReport:
     if stray:
         add("cluster-member-unknown", str(sorted(stray)))
 
+    lo, hi = inst.peak_window_s
+    if not inst.day_start_s <= lo < hi <= inst.day_end_s:
+        add("peak-window-invalid", f"[{lo}, {hi}) not inside [{inst.day_start_s}, {inst.day_end_s}]")
+
     size = len(inst.nodes)
     for tag, matrix in ((OFFPEAK, inst.cost_offpeak), (PEAK, inst.cost_peak)):
         if len(matrix) != size or any(len(row) != size for row in matrix):
@@ -364,8 +376,12 @@ def validate_instance(inst: Instance) -> ValidationReport:
         for a in range(size):
             row = matrix[a]
             for b in range(size):
-                if a != b and row[b] < 0:
-                    add("negative-cost", f"{tag}[{ids[a]}][{ids[b]}]")
+                # one comparison per entry; it is False for NaN too
+                if not 0.0 <= row[b] < math.inf:
+                    if not math.isfinite(row[b]):
+                        add("non-finite-cost", f"{tag}[{ids[a]}][{ids[b]}]")
+                    elif a != b:
+                        add("negative-cost", f"{tag}[{ids[a]}][{ids[b]}]")
             for b in range(a + 1, size):
                 if row[b] == matrix[b][a]:
                     add("asymmetry-violated", f"{tag} arc ({ids[a]},{ids[b]})")
@@ -382,9 +398,12 @@ def validate_instance(inst: Instance) -> ValidationReport:
     for label, members in inst.clusters.items():
         if not members or any(m not in known for m in members):
             continue
-        if not _hamiltonian_path_exists(members, inst.forbidden):
+        if cluster_order(members, inst.forbidden) is None:
             add("cluster-path-infeasible", f"cluster {label}")
-        if _min_max_load(members, inst) > inst.capacity:
+        # descending (delivery - pickup) keeps every prefix load minimal, so
+        # this one order fits the capacity iff some order does
+        by_net_drop = sorted(members, key=lambda m: inst.delivery[m] - inst.pickup[m], reverse=True)
+        if not route_load_ok(by_net_drop, inst):
             add("cluster-load-exceeds-capacity", f"cluster {label}")
 
     return ValidationReport(ok=not issues, violations=issues)

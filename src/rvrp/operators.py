@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .evaluation import route_cost
-from .instance import Instance, Solution
+from .instance import Instance, Solution, cluster_order, route_load_ok
 
 MAX_RESAMPLES = 50
 
@@ -77,25 +77,6 @@ def movement_length(r: int, params: MoveParams, rng: np.random.Generator) -> int
 # ---------------------------------------------------------------- feasibility helpers
 
 
-def _block_order_ok(block: Sequence[int], forbidden) -> bool:
-    for i in range(len(block) - 1):
-        if (block[i], block[i + 1]) in forbidden:
-            return False
-    return True
-
-
-def _route_load_ok(route: Sequence[int], inst: Instance) -> bool:
-    delivery, pickup = inst.delivery, inst.pickup
-    load = sum(delivery[c] for c in route)
-    if load > inst.capacity:
-        return False
-    for c in route:
-        load += pickup[c] - delivery[c]
-        if load > inst.capacity:
-            return False
-    return True
-
-
 def _find_block(routes: Sequence[Sequence[int]], customer: int, inst: Instance):
     """Locate (route_index, start, end) of the customer's cluster block."""
     label = inst.cluster_of[customer]
@@ -137,10 +118,10 @@ def _insertion_routes(
         if slot == at:
             return None  # reinserted where it was extracted
         new_block = rest[:slot] + [customer] + rest[slot:]
-        if forbidden and not _block_order_ok(new_block, forbidden):
+        if not forbidden.isdisjoint(zip(new_block, new_block[1:])):
             continue
         new_route = (*route[:start], *new_block, *route[end:])
-        if not _route_load_ok(new_route, inst):
+        if not route_load_ok(new_route, inst):
             continue
         new_routes = list(sol.routes)
         new_routes[r] = new_route
@@ -167,14 +148,11 @@ def move_firefly(
     rng: np.random.Generator,
     on_candidate: Callable[[Solution, float], None] | None = None,
     relocation_rate: float = 0.0,
-    chained: bool = False,
 ) -> tuple[Solution, float]:
-    """Generate ``n`` one-insertion candidates of ``sol`` and keep the
-    cheapest (first generated wins ties).
+    """Generate a pool of ``n`` one-insertion candidates, each drawn
+    independently from ``sol``, and keep the cheapest (first generated wins
+    ties).
 
-    By default the candidates form a pool, each drawn independently from
-    ``sol``; with ``chained=True`` each insertion instead starts from the
-    previous candidate and the best link of the chain is returned.
     ``on_candidate`` is invoked once per candidate with its cost, which is how
     solvers account one objective evaluation per candidate. When
     ``relocation_rate`` > 0, a candidate is drawn from ``cluster_relocation``
@@ -182,18 +160,17 @@ def move_firefly(
     """
     if n < 2:
         raise ValueError("movement length must be at least 2")
-    base = sol
     base_costs = [route_cost(route, inst) for route in sol.routes]
     best: Solution | None = None
     best_cost = math.inf
     for _ in range(n):
         if relocation_rate > 0.0 and rng.random() < relocation_rate:
-            cand = cluster_relocation(base, inst, rng)
+            cand = cluster_relocation(sol, inst, rng)
             cand_costs = [route_cost(route, inst) for route in cand.routes]
         else:
-            out = _insertion_routes(base, inst, rng)
+            out = _insertion_routes(sol, inst, rng)
             if out is None:
-                cand, cand_costs = base, base_costs
+                cand, cand_costs = sol, base_costs
             else:
                 new_routes, r = out
                 cand_costs = list(base_costs)
@@ -204,8 +181,6 @@ def move_firefly(
             on_candidate(cand, cand_cost)
         if cand_cost < best_cost:
             best, best_cost = cand, cand_cost
-        if chained:
-            base, base_costs = cand, cand_costs
     assert best is not None
     return best, best_cost
 
@@ -249,85 +224,31 @@ def cluster_relocation(
 
     for _ in range(max_resamples):
         r, b = options[int(rng.integers(len(options)))]
+        new_routes = list(remaining)
         if r < 0:
-            if not _route_load_ok(block, inst):
-                continue
-            new_routes = [*remaining, block]
+            new_routes.append(block)  # a new route, so index r = -1 finds it
         else:
-            target = (*remaining[r][:b], *block, *remaining[r][b:])
-            if not _route_load_ok(target, inst):
-                continue
-            new_routes = list(remaining)
-            new_routes[r] = target
-        return Solution(tuple(new_routes))
+            new_routes[r] = (*remaining[r][:b], *block, *remaining[r][b:])
+        if route_load_ok(new_routes[r], inst):
+            return Solution(tuple(new_routes))
     return sol
 
 
 # ---------------------------------------------------------------- random construction
 
 
-def _feasible_cluster_order(
-    members: Sequence[int], inst: Instance, rng: np.random.Generator
+def _shuffled_block(
+    members: Sequence[int], prefix: list[int], inst: Instance, rng: np.random.Generator
 ) -> list[int] | None:
-    """Randomized exact search for an order of ``members`` that avoids all
-    forbidden arcs and fits the capacity when served alone on a fresh route."""
-    members = list(members)
+    """Up to MAX_RESAMPLES random orders of ``members``; the first that uses
+    no forbidden arc and fits the capacity when appended to ``prefix``."""
     forbidden = inst.forbidden
-    delivery, pickup = inst.delivery, inst.pickup
-    total_delivery = sum(delivery[m] for m in members)
-    if total_delivery > inst.capacity:
-        return None
-
-    def extend(path: list[int], remaining: list[int], load: int) -> list[int] | None:
-        if not remaining:
-            return path
-        order = list(remaining)
-        rng.shuffle(order)
-        for nxt in order:
-            if path and (path[-1], nxt) in forbidden:
-                continue
-            new_load = load + pickup[nxt] - delivery[nxt]
-            if new_load > inst.capacity:
-                continue
-            rest = [m for m in remaining if m != nxt]
-            found = extend(path + [nxt], rest, new_load)
-            if found is not None:
-                return found
-        return None
-
-    return extend([], members, total_delivery)
-
-
-class _RouteState:
-    """Incremental load bookkeeping for greedy construction.
-
-    Tracks the running prefix sums of (delivery - pickup); the peak load of a
-    route equals total deliveries minus the minimum prefix sum (the empty
-    prefix included), so appends are O(block).
-    """
-
-    __slots__ = ("total_delivery", "prefix", "min_prefix")
-
-    def __init__(self) -> None:
-        self.total_delivery = 0
-        self.prefix = 0
-        self.min_prefix = 0
-
-    def fits_with(self, block: Sequence[int], inst: Instance) -> tuple[int, int, int] | None:
-        delivery, pickup = inst.delivery, inst.pickup
-        td = self.total_delivery + sum(delivery[c] for c in block)
-        prefix = self.prefix
-        min_prefix = self.min_prefix
-        for c in block:
-            prefix += delivery[c] - pickup[c]
-            if prefix < min_prefix:
-                min_prefix = prefix
-        if td - min(0, min_prefix) > inst.capacity:
-            return None
-        return td, prefix, min_prefix
-
-    def commit(self, state: tuple[int, int, int]) -> None:
-        self.total_delivery, self.prefix, self.min_prefix = state
+    for _ in range(MAX_RESAMPLES):
+        block = list(members)
+        rng.shuffle(block)
+        if forbidden.isdisjoint(zip(block, block[1:])) and route_load_ok(prefix + block, inst):
+            return block
+    return None
 
 
 def random_solution(inst: Instance, rng: np.random.Generator) -> Solution:
@@ -335,53 +256,26 @@ def random_solution(inst: Instance, rng: np.random.Generator) -> Solution:
 
     Clusters are shuffled and greedily appended to the current route whenever
     a random intra-cluster order passes the exact load simulation and avoids
-    forbidden arcs (up to 50 order resamples); otherwise a new route is opened.
+    forbidden arcs (up to 50 order resamples); otherwise a new route is opened,
+    falling back to a randomized exact order search when resampling fails.
     """
     labels = sorted(inst.clusters)
     order = [labels[i] for i in rng.permutation(len(labels))]
-    forbidden = inst.forbidden
     routes: list[list[int]] = []
     current: list[int] = []
-    state = _RouteState()
     for label in order:
-        members = list(inst.clusters[label])
-        placed = False
+        members = inst.clusters[label]
         if current:
-            for _ in range(MAX_RESAMPLES):
-                block = list(members)
-                rng.shuffle(block)
-                if forbidden and not _block_order_ok(block, forbidden):
-                    continue
-                fit = state.fits_with(block, inst)
-                if fit is not None:
-                    current.extend(block)
-                    state.commit(fit)
-                    placed = True
-                    break
-        if not placed:
-            if current:
-                routes.append(current)
-            block = None
-            fresh = _RouteState()
-            for _ in range(MAX_RESAMPLES):
-                attempt = list(members)
-                rng.shuffle(attempt)
-                if forbidden and not _block_order_ok(attempt, forbidden):
-                    continue
-                fit = fresh.fits_with(attempt, inst)
-                if fit is not None:
-                    block = attempt
-                    fresh.commit(fit)
-                    break
+            block = _shuffled_block(members, current, inst, rng)
+            if block is not None:
+                current.extend(block)
+                continue
+            routes.append(current)
+        block = _shuffled_block(members, [], inst, rng)
+        if block is None:
+            block = cluster_order(members, inst.forbidden, rng=rng, inst=inst)
             if block is None:
-                block = _feasible_cluster_order(members, inst, rng)
-                if block is None:
-                    raise InfeasibleClusterError(f"cluster {label} admits no feasible order")
-                fresh = _RouteState()
-                fit = fresh.fits_with(block, inst)
-                assert fit is not None  # the exact search already enforced capacity
-                fresh.commit(fit)
-            current = block
-            state = fresh
+                raise InfeasibleClusterError(f"cluster {label} admits no feasible order")
+        current = block
     routes.append(current)
     return Solution.from_routes(routes)

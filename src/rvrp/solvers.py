@@ -63,8 +63,6 @@ class SolverConfig:
     acceptance_p: float = 0.95
     seed: int = 0
     enable_cluster_relocation: bool = False
-    # chain the firefly's insertion candidates instead of pooling them
-    chained_moves: bool = False
 
     def validate(self) -> None:
         if self.algorithm not in ALGORITHMS:
@@ -234,7 +232,6 @@ def dfa_solve(inst: Instance, cfg: SolverConfig) -> SolveResult:
                             streams[i],
                             on_candidate=tracker.record,
                             relocation_rate=relocation,
-                            chained=cfg.chained_moves,
                         )
                         tracker.end_proposal()
                         moved += 1

@@ -151,6 +151,21 @@ class HolmResult:
     control_label: str
     comparisons: list[HolmComparison]  # ordered by ascending unadjusted p
 
+    def to_dict(self) -> dict:
+        return {
+            "control": self.control_label,
+            "comparisons": [
+                {
+                    "algorithm": c.label,
+                    "z": c.z,
+                    "p_unadjusted": c.p_unadjusted,
+                    "p_adjusted": c.p_adjusted,
+                    "reject_at_0.05": c.reject_at_05,
+                }
+                for c in self.comparisons
+            ],
+        }
+
 
 def holm(
     avg_ranks: Sequence[float],
@@ -190,6 +205,16 @@ def holm(
             )
         )
     return HolmResult(control=control, control_label=labels[control], comparisons=comparisons)
+
+
+def rank_tests(
+    matrix: Sequence[Sequence[float]], labels: Sequence[str]
+) -> tuple[FriedmanResult, HolmResult]:
+    """Friedman over an instances x algorithms matrix of mean results, then
+    Holm against the control with the best (lowest) average rank."""
+    fried = friedman(matrix)
+    control = min(range(len(labels)), key=fried.average_ranks.__getitem__)
+    return fried, holm(fried.average_ranks, len(matrix), control, labels=list(labels))
 
 
 # ------------------------------------------------------------------- harness
@@ -284,19 +309,7 @@ class ExperimentReport:
                 "instances_ranked": self.ranked_instances,
             }
         if self.holm:
-            data["holm"] = {
-                "control": self.holm.control_label,
-                "comparisons": [
-                    {
-                        "algorithm": c.label,
-                        "z": c.z,
-                        "p_unadjusted": c.p_unadjusted,
-                        "p_adjusted": c.p_adjusted,
-                        "reject_at_0.05": c.reject_at_05,
-                    }
-                    for c in self.holm.comparisons
-                ],
-            }
+            data["holm"] = self.holm.to_dict()
         return data
 
     def timing_dict(self) -> dict:
@@ -420,9 +433,7 @@ def run_experiment(
         matrix = [
             [mean_sd(cells[(name, alg)].costs)[0] for alg in algorithms] for name in ranked
         ]
-        fried = friedman(matrix)
-        control = min(range(len(algorithms)), key=fried.average_ranks.__getitem__)
-        holm_result = holm(fried.average_ranks, len(ranked), control, labels=list(algorithms))
+        fried, holm_result = rank_tests(matrix, algorithms)
 
     return ExperimentReport(
         instance_names=names,

@@ -10,12 +10,12 @@ from rvrp.generator import (
     SUITE,
     GenerationError,
     assign_costs,
-    cluster_path_exists,
     demand_for,
     generate_base,
     row_seed,
     select_forbidden,
 )
+from rvrp.instance import Instance, Node, cluster_order
 from rvrp.operators import random_solution
 
 from conftest import SUITE_SEED
@@ -177,23 +177,56 @@ def test_forbidden_arcs_are_intra_cluster(benchmark_suite):
             assert inst.cluster_of[i] == inst.cluster_of[j]
 
 
-def test_cluster_path_exists_trivial_cases():
-    assert cluster_path_exists([1, 2, 3], set())
-    assert not cluster_path_exists([1, 2], {(1, 2), (2, 1)})
+def test_cluster_order_trivial_cases():
+    assert cluster_order([1, 2, 3], set()) == [1, 2, 3]
+    assert cluster_order([1, 2], {(1, 2), (2, 1)}) is None
+    assert cluster_order([4], {(4, 4)}) == [4]
 
 
-def test_cluster_path_exists_agrees_with_enumeration():
+def _avoids(order, forbidden):
+    return all((a, b) not in forbidden for a, b in zip(order, order[1:]))
+
+
+def _fits(order, inst):
+    load = sum(inst.delivery[c] for c in order)
+    loads = [load]
+    for c in order:
+        load += inst.pickup[c] - inst.delivery[c]
+        loads.append(load)
+    return max(loads) <= inst.capacity
+
+
+def test_cluster_order_agrees_with_enumeration():
     rng = np.random.default_rng(8)
     members = [1, 2, 3, 4, 5]
     arcs = [(i, j) for i in members for j in members if i != j]
-    for _ in range(60):
-        picks = rng.choice(len(arcs), size=10, replace=False)
-        forbidden = {arcs[int(p)] for p in picks}
-        brute = any(
-            all((a, b) not in forbidden for a, b in zip(p, p[1:]))
-            for p in itertools.permutations(members)
-        )
-        assert cluster_path_exists(members, forbidden) == brute
+    # pickups exceed deliveries at 2, 3 and 5, so the peak load (31 to 46)
+    # depends on the order
+    demands = {1: (10, 2), 2: (2, 12), 3: (5, 9), 4: (8, 1), 5: (3, 7)}
+    nodes = [Node(0, 0.0, 0.0, 0, 0, 0)]
+    nodes += [Node(m, float(m), 0.0, d, p, 1) for m, (d, p) in demands.items()]
+    costs = [[float(a != b) for b in range(6)] for a in range(6)]
+    load_only_failures = 0
+    for capacity in (30, 31, 34, 38, 46):
+        load_inst = Instance("loads", nodes, capacity, costs, costs)
+        for _ in range(30):
+            picks = rng.choice(len(arcs), size=10, replace=False)
+            forbidden = {arcs[int(p)] for p in picks}
+            perms = list(itertools.permutations(members))
+            brute = any(_avoids(p, forbidden) for p in perms)
+            order = cluster_order(members, forbidden)
+            assert (order is not None) == brute
+            if order is not None:
+                assert sorted(order) == members and _avoids(order, forbidden)
+            brute_load = any(_avoids(p, forbidden) and _fits(p, load_inst) for p in perms)
+            load_only_failures += brute and not brute_load
+            for search_rng in (None, np.random.default_rng(capacity)):
+                order = cluster_order(members, forbidden, rng=search_rng, inst=load_inst)
+                assert (order is not None) == brute_load
+                if order is not None:
+                    assert sorted(order) == members
+                    assert _avoids(order, forbidden) and _fits(order, load_inst)
+    assert load_only_failures > 0  # the load check decides some cases on its own
 
 
 def test_select_forbidden_counts_and_feasibility():
@@ -204,7 +237,7 @@ def test_select_forbidden_counts_and_feasibility():
     for label, members in clusters.items():
         arcs = {(i, j) for i, j in forbidden if i in members}
         assert len(arcs) == 10
-        assert cluster_path_exists(members, arcs)
+        assert cluster_order(members, arcs) is not None
 
 
 def test_select_forbidden_rejects_impossible_count():

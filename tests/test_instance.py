@@ -123,6 +123,60 @@ def test_validate_rejects_symmetric_matrix(tiny_instance):
     assert "asymmetry-violated" in validate_instance(broken).names
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_validate_rejects_non_finite_cost(tiny_instance, bad):
+    off = [list(row) for row in tiny_instance.cost_offpeak]
+    off[2][1] = bad
+    broken = Instance(
+        name="broken",
+        nodes=tiny_instance.nodes,
+        capacity=tiny_instance.capacity,
+        cost_offpeak=off,
+        cost_peak=tiny_instance.cost_peak,
+    )
+    report = validate_instance(broken)
+    assert report.names == ["non-finite-cost"]
+    assert report.violations[0].detail == "offpeak[2][1]"
+
+
+def test_validate_rejects_all_nan_instance(tiny_instance):
+    nan = [[float("nan")] * 4 for _ in range(4)]
+    broken = Instance(
+        name="broken",
+        nodes=tiny_instance.nodes,
+        capacity=tiny_instance.capacity,
+        cost_offpeak=nan,
+        cost_peak=nan,
+    )
+    report = validate_instance(broken)
+    assert not report.ok
+    assert set(report.names) == {"non-finite-cost"}
+    assert len(report.names) == 2 * 16
+
+
+@pytest.mark.parametrize(
+    "window, names",
+    [
+        ((14400, 7200), ["peak-window-invalid"]),
+        ((7200, 7200), ["peak-window-invalid"]),
+        ((-1, 7200), ["peak-window-invalid"]),
+        ((7200, 32401), ["peak-window-invalid"]),
+        ((40000, 50000), ["peak-window-invalid"]),
+        ((0, 32400), []),  # the whole day is a valid window
+    ],
+)
+def test_validate_rejects_invalid_peak_window(tiny_instance, window, names):
+    broken = Instance(
+        name="broken",
+        nodes=tiny_instance.nodes,
+        capacity=tiny_instance.capacity,
+        cost_offpeak=tiny_instance.cost_offpeak,
+        cost_peak=tiny_instance.cost_peak,
+        peak_window_s=window,
+    )
+    assert validate_instance(broken).names == names
+
+
 def test_validate_rejects_blocked_cluster(tiny_instance):
     # forbid every arc between the three customers: no visiting order remains
     arcs = {(i, j) for i in (1, 2, 3) for j in (1, 2, 3) if i != j}

@@ -284,17 +284,3 @@ def test_random_solution_survives_dense_forbidden_sets():
     rng = np.random.default_rng(1)
     for _ in range(200):
         assert check_feasible(random_solution(inst, rng), inst).feasible
-
-
-def test_move_firefly_chain_variant(two_cluster_instance):
-    inst = two_cluster_instance
-    sol = random_solution(inst, np.random.default_rng(20))
-    seen = []
-    best, best_cost = move_firefly(
-        sol, 6, inst, np.random.default_rng(21), on_candidate=lambda s, c: seen.append(c),
-        chained=True,
-    )
-    assert len(seen) == 6
-    assert best_cost == min(seen)
-    assert best_cost == pytest.approx(solution_cost(best, inst), abs=1e-9)
-    assert check_feasible(best, inst).feasible

@@ -182,13 +182,3 @@ def test_result_dict_shape(oracle_instances):
     assert data["evaluations"] == result.evaluations_total
     assert len(data["cost_history"]) <= 4
     assert data["cost_history"][-1][1] == result.best_cost
-
-
-def test_dfa_chained_moves_variant(oracle_instances):
-    inst = oracle_instances[0]
-    pooled = dfa_solve(inst, SolverConfig(algorithm="dfa", seed=6, population_size=10))
-    chained = dfa_solve(
-        inst, SolverConfig(algorithm="dfa", seed=6, population_size=10, chained_moves=True)
-    )
-    assert check_feasible(chained.best_solution, inst).feasible
-    assert chained.best_cost <= pooled.best_cost * 1.5  # sane, not equal by construction

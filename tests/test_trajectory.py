@@ -1,0 +1,44 @@
+"""Pinned search trajectory: a digest of random constructions and short
+solves for fixed seeds. Any change to the RNG draw order of construction,
+instance generation or the solvers changes the digest; a change that is meant
+to alter the trajectory must update the expected value and say why."""
+
+import hashlib
+import json
+
+import numpy as np
+
+from rvrp import generator
+from rvrp.operators import random_solution
+from rvrp.solvers import SolverConfig, solve
+
+from conftest import SUITE_SEED
+
+# Osaba_50_1_4 and Osaba_50_2_4 need the exact-search fallback of
+# random_solution within these draws
+PINNED_INSTANCES = ["Osaba_50_1_4", "Osaba_50_2_4", "Osaba_80_3", "Osaba_100_1"]
+EXPECTED_DIGEST = "3ab064559487f841684feca9b320da750348f934f7bd1b6b1661e376f1ba9013"
+
+
+def trajectory_digest() -> str:
+    digest = hashlib.sha256()
+    suite = generator.generate_suite(SUITE_SEED, only=PINNED_INSTANCES)
+    for inst in suite:
+        digest.update(json.dumps(inst.to_dict(), sort_keys=True).encode())
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            digest.update(repr(random_solution(inst, rng).routes).encode())
+    small = generator.small_instance(77, cluster_sizes=(5, 5), forbidden_per_cluster=10)
+    runs = [
+        (small, SolverConfig(algorithm="dfa", seed=3, population_size=10)),
+        (suite[1], SolverConfig(algorithm="dfa", seed=4, population_size=4)),
+        (suite[0], SolverConfig(algorithm="esa", seed=5, population_size=10)),
+    ]
+    for inst, cfg in runs:
+        result = solve(inst, cfg)
+        digest.update(repr((result.evaluations_total, repr(result.best_cost))).encode())
+    return digest.hexdigest()
+
+
+def test_pinned_trajectory():
+    assert trajectory_digest() == EXPECTED_DIGEST
