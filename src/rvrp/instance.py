@@ -53,9 +53,20 @@ class Node:
 
 @dataclass(frozen=True)
 class Solution:
-    """Ordered routes over customer ids; the depot is implicit at both ends."""
+    """Ordered routes over customer ids; the depot is implicit at both ends.
+
+    ``blocks`` (cluster label -> ``(route, start, end)``) and ``costs`` (the
+    cost of each route) are derived search state that the operators carry
+    from a solution to its candidates, valid for the instance they were made
+    on. They are ignored by equality, hashing, ``repr`` and every output, and
+    are None on a solution built from routes alone.
+    """
 
     routes: tuple[tuple[int, ...], ...]
+    blocks: Mapping[int, tuple[int, int, int]] | None = field(
+        default=None, compare=False, repr=False
+    )
+    costs: tuple[float, ...] | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def from_routes(cls, routes: Iterable[Iterable[int]]) -> "Solution":
@@ -269,19 +280,35 @@ class ValidationReport:
         return [v.name for v in self.violations]
 
 
-def route_load_ok(route: Sequence[int], inst: Instance) -> bool:
+LoadSummary = tuple[int, int, int]  # total delivery, net change, peak net change
+EMPTY_LOAD: LoadSummary = (0, 0, 0)
+
+
+def route_load_ok(
+    route: Sequence[int], inst: Instance, prefix: LoadSummary = EMPTY_LOAD
+) -> LoadSummary | None:
     """Exact load check of one route: the vehicle leaves the depot with every
-    delivery on board and each visit applies ``-delivery +pickup``; False as
-    soon as the load exceeds the capacity."""
+    delivery on board and each visit applies ``-delivery +pickup``; None as
+    soon as the load exceeds the capacity.
+
+    ``prefix`` summarises the customers the vehicle serves before ``route``:
+    their total delivery, their net change ``pickup - delivery`` and the peak
+    of that net change over every prefix (0 for none). A route that fits
+    returns the same summary of the whole visit sequence.
+    """
     delivery, pickup, capacity = inst.delivery, inst.pickup, inst.capacity
-    load = sum(map(delivery.__getitem__, route))
-    if load > capacity:
-        return False
+    total, net, peak = prefix
+    total += sum(map(delivery.__getitem__, route))
+    # the load at a position is total + net; it only needs checking at a new peak
+    if total + peak > capacity:
+        return None
     for c in route:
-        load += pickup[c] - delivery[c]
-        if load > capacity:
-            return False
-    return True
+        net += pickup[c] - delivery[c]
+        if net > peak:
+            if total + net > capacity:
+                return None
+            peak = net
+    return total, net, peak
 
 
 def cluster_order(
@@ -368,23 +395,34 @@ def validate_instance(inst: Instance) -> ValidationReport:
     if not inst.day_start_s <= lo < hi <= inst.day_end_s:
         add("peak-window-invalid", f"[{lo}, {hi}) not inside [{inst.day_start_s}, {inst.day_end_s}]")
 
+    if inst.capacity <= 0:
+        add("capacity-invalid", str(inst.capacity))
+
     size = len(inst.nodes)
     for tag, matrix in ((OFFPEAK, inst.cost_offpeak), (PEAK, inst.cost_peak)):
         if len(matrix) != size or any(len(row) != size for row in matrix):
             add("matrix-shape-invalid", tag)
             continue
+        # one issue per matrix and name: name -> [count, first entry]
+        bad: dict[str, list] = {}
+
+        def flag(name: str, entry: str) -> None:
+            bad.setdefault(name, [0, entry])[0] += 1
+
         for a in range(size):
             row = matrix[a]
             for b in range(size):
                 # one comparison per entry; it is False for NaN too
                 if not 0.0 <= row[b] < math.inf:
                     if not math.isfinite(row[b]):
-                        add("non-finite-cost", f"{tag}[{ids[a]}][{ids[b]}]")
+                        flag("non-finite-cost", f"{tag}[{ids[a]}][{ids[b]}]")
                     elif a != b:
-                        add("negative-cost", f"{tag}[{ids[a]}][{ids[b]}]")
+                        flag("negative-cost", f"{tag}[{ids[a]}][{ids[b]}]")
             for b in range(a + 1, size):
                 if row[b] == matrix[b][a]:
-                    add("asymmetry-violated", f"{tag} arc ({ids[a]},{ids[b]})")
+                    flag("asymmetry-violated", f"{tag} arc ({ids[a]},{ids[b]})")
+        for name, (count, first) in bad.items():
+            add(name, first if count == 1 else f"{count} entries, first {first}")
 
     known = set(inst.customers)
     for i, j in sorted(inst.forbidden):
@@ -403,7 +441,7 @@ def validate_instance(inst: Instance) -> ValidationReport:
         # descending (delivery - pickup) keeps every prefix load minimal, so
         # this one order fits the capacity iff some order does
         by_net_drop = sorted(members, key=lambda m: inst.delivery[m] - inst.pickup[m], reverse=True)
-        if not route_load_ok(by_net_drop, inst):
+        if inst.capacity > 0 and not route_load_ok(by_net_drop, inst):
             add("cluster-load-exceeds-capacity", f"cluster {label}")
 
     return ValidationReport(ok=not issues, violations=issues)

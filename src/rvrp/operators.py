@@ -6,19 +6,30 @@ generations through the light-absorption factor gamma, and a movement samples
 a pool of single-insertion candidates and keeps the cheapest. Insertions stay
 inside a customer's own cluster block, so cluster contiguity is preserved by
 construction and only the load profile and intra-cluster forbidden arcs need
-re-checking.
+re-checking. The same fact makes the moves incremental: a candidate shares its
+parent's block index and re-prices only the route it changed, copying the
+other route costs (``Solution.blocks`` and ``Solution.costs``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
+from operator import ne
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .evaluation import route_cost
-from .instance import Instance, Solution, cluster_order, route_load_ok
+from .instance import (
+    EMPTY_LOAD,
+    Instance,
+    LoadSummary,
+    Solution,
+    cluster_order,
+    route_load_ok,
+)
 
 MAX_RESAMPLES = 50
 
@@ -41,30 +52,52 @@ class MoveParams:
             raise ValueError("generation starts at 1")
 
 
+# ---------------------------------------------------------------- search state
+
+
+Block = tuple[int, int, int]  # route index, start, end
+
+
+def _block_index(routes: Sequence[Sequence[int]], inst: Instance) -> dict[int, Block]:
+    """Cluster label -> (route_index, start, end) of the label's first block."""
+    blocks: dict[int, Block] = {}
+    try:
+        for r, route in enumerate(routes):
+            start = 0
+            for label, run in groupby(map(inst.cluster_of.__getitem__, route)):
+                end = start + len(list(run))
+                blocks.setdefault(label, (r, start, end))
+                start = end
+    except KeyError as exc:
+        raise ValueError(f"solution visits unknown customer {exc.args[0]}") from None
+    return blocks
+
+
+def _with_search_state(sol: Solution, inst: Instance) -> Solution:
+    """``sol`` carrying its block index and route costs; derived from its
+    routes unless it already carries them."""
+    if sol.costs is not None:
+        return sol
+    costs = tuple(route_cost(route, inst) for route in sol.routes)
+    return Solution(sol.routes, _block_index(sol.routes, inst), costs)
+
+
 # ---------------------------------------------------------------- distance
 
 
-def _cluster_sequences(sol: Solution, inst: Instance) -> dict[int, list[int]]:
-    cluster_of = inst.cluster_of
-    seqs: dict[int, list[int]] = {label: [] for label in inst.clusters}
-    for c in sol.customers():
-        try:
-            seqs[cluster_of[c]].append(c)
-        except KeyError:
-            raise ValueError(f"solution visits unknown customer {c}") from None
-    return seqs
-
-
 def hamming_distance(a: Solution, b: Solution, inst: Instance) -> int:
-    """Positional mismatches between the two visit orders, cluster by cluster."""
-    seq_a = _cluster_sequences(a, inst)
-    seq_b = _cluster_sequences(b, inst)
+    """Positional mismatches between the two visit orders, cluster by cluster:
+    each cluster's block in ``a`` against its block in ``b``."""
+    blocks_a = a.blocks if a.blocks is not None else _block_index(a.routes, inst)
+    blocks_b = b.blocks if b.blocks is not None else _block_index(b.routes, inst)
     total = 0
-    for label, sa in seq_a.items():
-        sb = seq_b[label]
-        if len(sa) != len(sb) or len(sa) != len(inst.clusters[label]):
+    for label, members in inst.clusters.items():
+        # a cluster without a block counts as an empty one
+        ra, sa, ea = blocks_a.get(label, (0, 0, 0))
+        rb, sb, eb = blocks_b.get(label, (0, 0, 0))
+        if ea - sa != len(members) or eb - sb != len(members):
             raise ValueError("solutions do not cover the same instance")
-        total += sum(1 for x, y in zip(sa, sb) if x != y)
+        total += sum(map(ne, a.routes[ra][sa:ea], b.routes[rb][sb:eb]))
     return total
 
 
@@ -74,37 +107,21 @@ def movement_length(r: int, params: MoveParams, rng: np.random.Generator) -> int
     return int(rng.integers(2, upper + 1))
 
 
-# ---------------------------------------------------------------- feasibility helpers
-
-
-def _find_block(routes: Sequence[Sequence[int]], customer: int, inst: Instance):
-    """Locate (route_index, start, end) of the customer's cluster block."""
-    label = inst.cluster_of[customer]
-    cluster_of = inst.cluster_of
-    for r, route in enumerate(routes):
-        for pos, c in enumerate(route):
-            if cluster_of[c] == label:
-                end = pos
-                while end < len(route) and cluster_of[route[end]] == label:
-                    end += 1
-                return r, pos, end
-    raise ValueError(f"customer {customer} not present in solution")
-
-
 # ---------------------------------------------------------------- insertion move
 
 
-def _insertion_routes(
+def _insertion(
     sol: Solution, inst: Instance, rng: np.random.Generator, max_resamples: int = MAX_RESAMPLES
-):
-    """One random intra-cluster reinsertion on ``sol``.
+) -> Solution | None:
+    """One random intra-cluster reinsertion on ``sol``, which carries its
+    search state.
 
-    Returns (new_routes, changed_route_index) or None when the draw degenerates
+    Returns the candidate, carrying its own, or None when the draw degenerates
     to the identity (single-member block or resampling exhausted).
     """
     customers = inst.customers
     customer = customers[int(rng.integers(len(customers)))]
-    r, start, end = _find_block(sol.routes, customer, inst)
+    r, start, end = sol.blocks[inst.cluster_of[customer]]
     route = sol.routes[r]
     block = list(route[start:end])
     m = len(block)
@@ -125,7 +142,10 @@ def _insertion_routes(
             continue
         new_routes = list(sol.routes)
         new_routes[r] = new_route
-        return new_routes, r
+        costs = list(sol.costs)
+        costs[r] = route_cost(new_route, inst)
+        # the reinsertion leaves every block in place
+        return Solution(tuple(new_routes), sol.blocks, tuple(costs))
     return None
 
 
@@ -134,11 +154,8 @@ def insertion_move(
 ) -> Solution:
     """Extract one random customer and reinsert it at a random position inside
     its own cluster block; breaches are resampled, then the identity is kept."""
-    out = _insertion_routes(sol, inst, rng, max_resamples)
-    if out is None:
-        return sol
-    new_routes, _ = out
-    return Solution(tuple(new_routes))
+    cand = _insertion(_with_search_state(sol, inst), inst, rng, max_resamples)
+    return sol if cand is None else cand
 
 
 def move_firefly(
@@ -160,23 +177,15 @@ def move_firefly(
     """
     if n < 2:
         raise ValueError("movement length must be at least 2")
-    base_costs = [route_cost(route, inst) for route in sol.routes]
+    sol = _with_search_state(sol, inst)
     best: Solution | None = None
     best_cost = math.inf
     for _ in range(n):
         if relocation_rate > 0.0 and rng.random() < relocation_rate:
             cand = cluster_relocation(sol, inst, rng)
-            cand_costs = [route_cost(route, inst) for route in cand.routes]
         else:
-            out = _insertion_routes(sol, inst, rng)
-            if out is None:
-                cand, cand_costs = sol, base_costs
-            else:
-                new_routes, r = out
-                cand_costs = list(base_costs)
-                cand_costs[r] = route_cost(new_routes[r], inst)
-                cand = Solution(tuple(new_routes))
-        cand_cost = sum(cand_costs)
+            cand = _insertion(sol, inst, rng) or sol
+        cand_cost = sum(cand.costs)
         if on_candidate is not None:
             on_candidate(cand, cand_cost)
         if cand_cost < best_cost:
@@ -197,19 +206,21 @@ def cluster_relocation(
     with the exact load simulation and infeasible draws are resampled. This
     operator is an extension: it is only used when explicitly enabled.
     """
+    state = _with_search_state(sol, inst)
     labels = sorted(inst.clusters)
     label = labels[int(rng.integers(len(labels)))]
-    member = inst.clusters[label][0]
-    src, start, end = _find_block(sol.routes, member, inst)
-    block = sol.routes[src][start:end]
+    src, start, end = state.blocks[label]
+    block = state.routes[src][start:end]
     remaining: list[tuple[int, ...]] = []
-    for r, route in enumerate(sol.routes):
+    remaining_costs: list[float] = []
+    for r, (route, cost) in enumerate(zip(state.routes, state.costs)):
         if r == src:
-            shrunk = (*route[:start], *route[end:])
-            if shrunk:
-                remaining.append(shrunk)
-        else:
-            remaining.append(route)
+            route = (*route[:start], *route[end:])
+            if not route:
+                continue
+            cost = route_cost(route, inst)
+        remaining.append(route)
+        remaining_costs.append(cost)
 
     # insertion slots: between blocks of every other route, plus a new route
     cluster_of = inst.cluster_of
@@ -225,12 +236,15 @@ def cluster_relocation(
     for _ in range(max_resamples):
         r, b = options[int(rng.integers(len(options)))]
         new_routes = list(remaining)
+        costs = list(remaining_costs)
         if r < 0:
             new_routes.append(block)  # a new route, so index r = -1 finds it
+            costs.append(0.0)  # priced below once the route fits
         else:
             new_routes[r] = (*remaining[r][:b], *block, *remaining[r][b:])
         if route_load_ok(new_routes[r], inst):
-            return Solution(tuple(new_routes))
+            costs[r] = route_cost(new_routes[r], inst)
+            return Solution(tuple(new_routes), _block_index(new_routes, inst), tuple(costs))
     return sol
 
 
@@ -238,16 +252,19 @@ def cluster_relocation(
 
 
 def _shuffled_block(
-    members: Sequence[int], prefix: list[int], inst: Instance, rng: np.random.Generator
-) -> list[int] | None:
+    members: Sequence[int], prefix: LoadSummary, inst: Instance, rng: np.random.Generator
+) -> tuple[list[int], LoadSummary] | None:
     """Up to MAX_RESAMPLES random orders of ``members``; the first that uses
-    no forbidden arc and fits the capacity when appended to ``prefix``."""
+    no forbidden arc and fits the capacity when appended to a route whose
+    load summary is ``prefix``, with the summary of the extended route."""
     forbidden = inst.forbidden
     for _ in range(MAX_RESAMPLES):
         block = list(members)
         rng.shuffle(block)
-        if forbidden.isdisjoint(zip(block, block[1:])) and route_load_ok(prefix + block, inst):
-            return block
+        if forbidden.isdisjoint(zip(block, block[1:])):
+            summary = route_load_ok(block, inst, prefix)
+            if summary is not None:
+                return block, summary
     return None
 
 
@@ -258,24 +275,31 @@ def random_solution(inst: Instance, rng: np.random.Generator) -> Solution:
     a random intra-cluster order passes the exact load simulation and avoids
     forbidden arcs (up to 50 order resamples); otherwise a new route is opened,
     falling back to a randomized exact order search when resampling fails.
+    The solution carries its search state.
     """
     labels = sorted(inst.clusters)
     order = [labels[i] for i in rng.permutation(len(labels))]
-    routes: list[list[int]] = []
+    routes: list[tuple[int, ...]] = []
+    blocks: dict[int, Block] = {}
     current: list[int] = []
+    load = EMPTY_LOAD  # the load summary of ``current``
     for label in order:
         members = inst.clusters[label]
         if current:
-            block = _shuffled_block(members, current, inst, rng)
-            if block is not None:
+            found = _shuffled_block(members, load, inst, rng)
+            if found is not None:
+                block, load = found
+                blocks[label] = (len(routes), len(current), len(current) + len(block))
                 current.extend(block)
                 continue
-            routes.append(current)
-        block = _shuffled_block(members, [], inst, rng)
-        if block is None:
+            routes.append(tuple(current))
+        found = _shuffled_block(members, EMPTY_LOAD, inst, rng)
+        if found is None:
             block = cluster_order(members, inst.forbidden, rng=rng, inst=inst)
             if block is None:
                 raise InfeasibleClusterError(f"cluster {label} admits no feasible order")
-        current = block
-    routes.append(current)
-    return Solution.from_routes(routes)
+            found = block, route_load_ok(block, inst)
+        current, load = found
+        blocks[label] = (len(routes), 0, len(current))
+    routes.append(tuple(current))
+    return Solution(tuple(routes), blocks, tuple(route_cost(route, inst) for route in routes))

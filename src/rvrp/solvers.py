@@ -157,13 +157,16 @@ class _Tracker:
             if self.stall >= self.budget:
                 raise BudgetExhausted
 
-    def evaluate(self, sol: Solution) -> float:
+    def propose(self, sol: Solution, cost: float) -> float:
         """Record one single-candidate proposal (initialization, EA offspring,
-        annealing proposal)."""
-        cost = solution_cost(sol, self.inst)
+        annealing proposal) of the given cost."""
         self.record(sol, cost)
         self.end_proposal()
         return cost
+
+    def evaluate(self, sol: Solution) -> float:
+        """Price one initial individual from its routes and record it."""
+        return self.propose(sol, solution_cost(sol, self.inst))
 
     def result(self, algorithm: str, seed: int) -> SolveResult:
         assert self.best_solution is not None, "no evaluation was recorded"
@@ -188,6 +191,7 @@ def _streams(seed: int, count: int) -> list[np.random.Generator]:
 def _propose(
     sol: Solution, inst: Instance, rng: np.random.Generator, relocation_rate: float
 ) -> Solution:
+    """One EA offspring or annealing proposal; it carries its route costs."""
     if relocation_rate > 0.0 and rng.random() < relocation_rate:
         return cluster_relocation(sol, inst, rng)
     return insertion_move(sol, inst, rng)
@@ -279,7 +283,7 @@ def ea_solve(inst: Instance, cfg: SolverConfig) -> SolveResult:
                 else:
                     child = pop[i]
                 offspring.append(child)
-                off_costs.append(tracker.evaluate(child))
+                off_costs.append(tracker.propose(child, sum(child.costs)))
             pool = pop + offspring
             pool_costs = costs + off_costs
             order = sorted(range(len(pool)), key=pool_costs.__getitem__)
@@ -333,7 +337,7 @@ def esa_solve(inst: Instance, cfg: SolverConfig) -> SolveResult:
         while True:
             for i in range(pop_n):
                 cand = _propose(pop[i], inst, streams[i], relocation)
-                cost = tracker.evaluate(cand)
+                cost = tracker.propose(cand, sum(cand.costs))
                 if metropolis_accept(cost - costs[i], temperature, streams[i]):
                     pop[i], costs[i] = cand, cost
             temperature *= cfg.cooling_constant

@@ -13,6 +13,8 @@ from rvrp import (
     validate_instance,
 )
 from rvrp import generator
+from rvrp.evaluation import load_profile
+from rvrp.instance import EMPTY_LOAD, route_load_ok
 from rvrp.operators import random_solution
 
 from conftest import make_tiny_instance
@@ -150,8 +152,12 @@ def test_validate_rejects_all_nan_instance(tiny_instance):
     )
     report = validate_instance(broken)
     assert not report.ok
-    assert set(report.names) == {"non-finite-cost"}
-    assert len(report.names) == 2 * 16
+    # one issue per matrix, with the count and the first entry
+    assert report.names == ["non-finite-cost"] * 2
+    assert [v.detail for v in report.violations] == [
+        "16 entries, first offpeak[0][0]",
+        "16 entries, first peak[0][0]",
+    ]
 
 
 @pytest.mark.parametrize(
@@ -200,6 +206,39 @@ def test_validate_rejects_undersized_capacity(tiny_instance):
         cost_peak=tiny_instance.cost_peak,
     )
     assert "cluster-load-exceeds-capacity" in validate_instance(broken).names
+
+
+@pytest.mark.parametrize("capacity", [0, -5])
+def test_validate_rejects_non_positive_capacity(tiny_instance, capacity):
+    broken = Instance(
+        name="broken",
+        nodes=tiny_instance.nodes,
+        capacity=capacity,
+        cost_offpeak=tiny_instance.cost_offpeak,
+        cost_peak=tiny_instance.cost_peak,
+    )
+    report = validate_instance(broken)
+    assert report.names == ["capacity-invalid"]
+    assert report.violations[0].detail == str(capacity)
+
+
+def test_validate_reports_one_issue_per_matrix_and_name(tiny_instance):
+    off = [row[:] for row in tiny_instance.cost_offpeak]
+    off[1][2] = off[1][3] = -1.0
+    off[2][1] = off[1][2]  # also makes the pair (1, 2) symmetric
+    broken = Instance(
+        name="broken",
+        nodes=tiny_instance.nodes,
+        capacity=tiny_instance.capacity,
+        cost_offpeak=off,
+        cost_peak=tiny_instance.cost_peak,
+    )
+    report = validate_instance(broken)
+    assert report.names == ["negative-cost", "asymmetry-violated"]
+    assert [v.detail for v in report.violations] == [
+        "3 entries, first offpeak[1][2]",
+        "offpeak arc (1,2)",
+    ]
 
 
 def test_validate_rejects_bad_depot_demands():
@@ -268,3 +307,36 @@ def test_matrix_recompute_preserves_parity_on_derived_instance(benchmark_by_name
                 inst.cost_offpeak[a][b], rel=1e-12
             )
             assert rebuilt.cost_peak[a][b] == pytest.approx(inst.cost_peak[a][b], rel=1e-12)
+
+
+LOAD_NODES = generator.small_instance(83, cluster_sizes=(3, 3, 2)).nodes
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    capacity=st.integers(1, 400),
+    cuts=st.lists(st.integers(0, 8), max_size=3),
+)
+@settings(max_examples=200, deadline=None)
+def test_route_load_ok_chains_summaries_exactly(seed, capacity, cuts):
+    # reference verdict: the per-position load simulation of check_feasible;
+    # checking the pieces of a route one after another from the previous
+    # piece's summary must give the verdict and summary of the whole route
+    inst = Instance(
+        name="load",
+        nodes=LOAD_NODES,
+        capacity=capacity,
+        cost_offpeak=[[1.0] * len(LOAD_NODES)] * len(LOAD_NODES),
+        cost_peak=[[2.0] * len(LOAD_NODES)] * len(LOAD_NODES),
+    )
+    route = [int(c) for c in np.random.default_rng(seed).permutation(inst.customers)]
+    fits = load_profile(route, inst).max_load <= capacity
+    whole = route_load_ok(route, inst)
+    assert (whole is not None) == fits
+    summary, start = EMPTY_LOAD, 0
+    for cut in sorted(cuts) + [len(route)]:
+        summary = route_load_ok(route[start:cut], inst, summary)
+        if summary is None:
+            break
+        start = cut
+    assert summary == whole

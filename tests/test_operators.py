@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from rvrp import Solution, check_feasible, solution_cost
 from rvrp import generator
+from rvrp.evaluation import route_cost
 from rvrp.operators import (
     MoveParams,
     cluster_relocation,
@@ -284,3 +285,97 @@ def test_random_solution_survives_dense_forbidden_sets():
     rng = np.random.default_rng(1)
     for _ in range(200):
         assert check_feasible(random_solution(inst, rng), inst).feasible
+
+
+# ------------------------------------------------ carried search state
+
+
+def _scan_block(routes, customer, inst):
+    """Reference for the block index: scan the routes for the first visit of
+    the customer's cluster and extend over its run."""
+    label = inst.cluster_of[customer]
+    cluster_of = inst.cluster_of
+    for r, route in enumerate(routes):
+        for pos, c in enumerate(route):
+            if cluster_of[c] == label:
+                end = pos
+                while end < len(route) and cluster_of[route[end]] == label:
+                    end += 1
+                return r, pos, end
+    raise ValueError(f"customer {customer} not present in solution")
+
+
+def _reference_hamming(a, b, inst):
+    """Reference distance: each cluster's members in visiting order over the
+    whole solution, compared position by position."""
+
+    def sequences(sol):
+        seqs = {label: [] for label in inst.clusters}
+        for c in sol.customers():
+            seqs[inst.cluster_of[c]].append(c)
+        return seqs
+
+    seq_a, seq_b = sequences(a), sequences(b)
+    return sum(sum(1 for x, y in zip(seq_a[k], seq_b[k]) if x != y) for k in inst.clusters)
+
+
+CLUSTER_RULES = {"visit-count", "cluster-split", "cluster-noncontiguous"}
+
+STATE_INSTANCES = [
+    generator.small_instance(80, cluster_sizes=(3, 4, 2, 5), capacity=1000),
+    generator.small_instance(81, cluster_sizes=(4, 3, 3), forbidden_per_cluster=2),
+    generator.small_instance(82, cluster_sizes=(1, 2, 1, 3), capacity=1000),
+]
+
+
+def _blocked_solution(inst, rng):
+    """Random routes that keep every cluster in one block, with no regard to
+    the capacity or the forbidden arcs."""
+    labels = sorted(inst.clusters)
+    blocks = [list(inst.clusters[labels[i]]) for i in rng.permutation(len(labels))]
+    for block in blocks:
+        rng.shuffle(block)
+    routes = [blocks[0]]
+    for block in blocks[1:]:
+        if rng.random() < 0.5:
+            routes.append([])
+        routes[-1].extend(block)
+    return Solution.from_routes(routes)
+
+
+@given(
+    which=st.integers(0, len(STATE_INSTANCES) - 1),
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.lists(st.sampled_from(["insert", "firefly", "relocate"]), min_size=1, max_size=12),
+)
+@settings(max_examples=60, deadline=None)
+def test_carried_state_matches_references(which, seed, steps):
+    inst = STATE_INSTANCES[which]
+    rng = np.random.default_rng(seed)
+    chain = [random_solution(inst, rng)]
+    for step in steps:
+        sol = chain[-1]
+        if step == "insert":
+            sol = insertion_move(sol, inst, rng)
+        elif step == "firefly":
+            sol, cost = move_firefly(sol, 3, inst, rng, relocation_rate=0.3)
+            assert cost == sum(sol.costs)
+        else:
+            sol = cluster_relocation(sol, inst, rng)
+        chain.append(sol)
+
+    for sol in chain:
+        assert sol.blocks == {
+            label: _scan_block(sol.routes, members[0], inst)
+            for label, members in inst.clusters.items()
+        }
+        carried = [c.hex() for c in sol.costs]
+        assert carried == [route_cost(route, inst).hex() for route in sol.routes]
+
+    others = [_blocked_solution(inst, rng) for _ in range(3)]
+    pool = chain + others + [Solution.from_routes(sol.routes) for sol in chain]
+    for a in pool:
+        assert not CLUSTER_RULES & set(check_feasible(a, inst).violation_tags)
+    for a in pool:
+        for b in pool:
+            assert hamming_distance(a, b, inst) == _reference_hamming(a, b, inst)

@@ -18,6 +18,8 @@ from conftest import SUITE_SEED
 # random_solution within these draws
 PINNED_INSTANCES = ["Osaba_50_1_4", "Osaba_50_2_4", "Osaba_80_3", "Osaba_100_1"]
 EXPECTED_DIGEST = "3ab064559487f841684feca9b320da750348f934f7bd1b6b1661e376f1ba9013"
+# the EA and the cluster-relocation extension, which trajectory_digest leaves out
+EXPECTED_EXTENSIONS_DIGEST = "921d983228d339617990bae65cd222878278ef46c0b4aa1789b1d5c3d2631ede"
 
 
 def trajectory_digest() -> str:
@@ -42,3 +44,26 @@ def trajectory_digest() -> str:
 
 def test_pinned_trajectory():
     assert trajectory_digest() == EXPECTED_DIGEST
+
+
+def extensions_digest() -> str:
+    digest = hashlib.sha256()
+    suite = generator.generate_suite(SUITE_SEED, only=["Osaba_50_1_1", "Osaba_80_3"])
+    runs = [
+        (suite[0], SolverConfig(algorithm="ea", seed=6, population_size=10)),
+        (
+            suite[1],
+            SolverConfig(
+                algorithm="dfa", seed=8, population_size=4, enable_cluster_relocation=True
+            ),
+        ),
+    ]
+    for inst, cfg in runs:
+        result = solve(inst, cfg)
+        digest.update(repr((result.evaluations_total, repr(result.best_cost))).encode())
+        digest.update(repr(result.best_solution.routes).encode())
+    return digest.hexdigest()
+
+
+def test_pinned_extensions_trajectory():
+    assert extensions_digest() == EXPECTED_EXTENSIONS_DIGEST
