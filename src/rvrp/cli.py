@@ -72,6 +72,15 @@ class CommandError(Exception):
         super().__init__(message)
 
 
+def _solver_config(**settings) -> SolverConfig:
+    cfg = SolverConfig(**settings)
+    try:
+        cfg.validate()
+    except ValueError as exc:
+        raise CommandError(EXIT_IO, f"invalid solver settings: {exc}")
+    return cfg
+
+
 def _load_instance(path: str) -> Instance:
     try:
         return Instance.load(path)
@@ -120,17 +129,17 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
-    inst = _load_instance(args.instance)
-    report = validate_instance(inst)
-    if not report.ok:
-        print(f"invalid instance {inst.name}: {report.names}", file=sys.stderr)
-        return EXIT_IO
-    cfg = SolverConfig(
+    cfg = _solver_config(
         algorithm=args.algorithm,
         seed=seed,
         population_size=args.population,
         enable_cluster_relocation=args.enable_cluster_relocation,
     )
+    inst = _load_instance(args.instance)
+    report = validate_instance(inst)
+    if not report.ok:
+        print(f"invalid instance {inst.name}: {report.names}", file=sys.stderr)
+        return EXIT_IO
     out_path = Path(args.out) if args.out else Path(args.instance).with_suffix(f".{args.algorithm}.solution.json")
     _print_header(
         "solve",
@@ -173,10 +182,17 @@ def _load_solution(path: str, inst: Instance) -> Solution:
 def cmd_experiment(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
+    overrides: dict = {}
+    if args.population is not None:
+        overrides["population_size"] = args.population
+    if args.enable_cluster_relocation:
+        overrides["enable_cluster_relocation"] = True
     for alg in algorithms:
-        if alg not in ALGORITHMS:
-            print(f"unknown algorithm {alg!r}", file=sys.stderr)
-            return EXIT_IO
+        _solver_config(algorithm=alg, **overrides)
+    if not algorithms:
+        raise CommandError(EXIT_IO, "invalid experiment settings: no algorithm given")
+    if args.runs < 1:
+        raise CommandError(EXIT_IO, f"invalid experiment settings: runs must be positive, not {args.runs}")
     out_dir = Path(args.out)
     _print_header(
         "experiment",
@@ -193,11 +209,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     except (OSError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
         print(f"cannot load suite: {exc}", file=sys.stderr)
         return EXIT_IO
-    overrides: dict = {}
-    if args.population:
-        overrides["population_size"] = args.population
-    if args.enable_cluster_relocation:
-        overrides["enable_cluster_relocation"] = True
     report = stats.run_experiment(
         instances,
         algorithms=algorithms,

@@ -256,7 +256,15 @@ def _shuffled_block(
 ) -> tuple[list[int], LoadSummary] | None:
     """Up to MAX_RESAMPLES random orders of ``members``; the first that uses
     no forbidden arc and fits the capacity when appended to a route whose
-    load summary is ``prefix``, with the summary of the extended route."""
+    load summary is ``prefix``, with the summary of the extended route.
+
+    When the deliveries alone overflow (the order-free first test of
+    ``route_load_ok``), no order can fit: the shuffles are drawn in one call
+    that leaves ``rng`` as the loop would, and none is checked."""
+    total, _, peak = prefix
+    if total + sum(map(inst.delivery.__getitem__, members)) + peak > inst.capacity:
+        rng.permuted(np.empty((MAX_RESAMPLES, len(members))), axis=1)
+        return None
     forbidden = inst.forbidden
     for _ in range(MAX_RESAMPLES):
         block = list(members)

@@ -147,6 +147,39 @@ def test_experiment_missing_manifest(tmp_path):
     assert main(["experiment", "--suite", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_solve_rejects_invalid_population(tmp_path, toy_instance_file, capsys):
+    out = tmp_path / "sol.json"
+    assert main(["solve", str(toy_instance_file), "--population", "0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "population_size" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "settings, named",
+    [
+        (["--population", "0"], "population_size"),
+        (["--population", "-3"], "population_size"),
+        (["--runs", "0"], "runs"),
+        (["--runs", "-1"], "runs"),
+        (["--algorithms", "dfa,nope"], "nope"),
+        (["--algorithms", ","], "algorithm"),
+    ],
+    ids=[
+        "population-0", "population-negative", "runs-0", "runs-negative", "unknown-algorithm",
+        "no-algorithm",
+    ],
+)
+def test_experiment_rejects_invalid_settings(tmp_path, small_suite_dir, capsys, settings, named):
+    out = tmp_path / "exp"
+    argv = ["experiment", "--suite", str(small_suite_dir), "--runs", "1", "--seed", "5",
+            "--jobs", "1", "--out", str(out)]
+    assert main(argv + settings) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and named in err[0]
+    assert not out.exists()
+
+
 def test_stats_recomputes_from_csv(tmp_path, small_suite_dir, capsys):
     out = tmp_path / "exp"
     main(

@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from rvrp import Solution, check_feasible, solution_cost
+from rvrp import Instance, Solution, check_feasible, solution_cost
 from rvrp import generator
 from rvrp.evaluation import route_cost
+from rvrp.instance import route_load_ok
 from rvrp.operators import (
+    MAX_RESAMPLES,
     MoveParams,
+    _shuffled_block,
     cluster_relocation,
     hamming_distance,
     insertion_move,
@@ -379,3 +382,109 @@ def test_carried_state_matches_references(which, seed, steps):
     for a in pool:
         for b in pool:
             assert hamming_distance(a, b, inst) == _reference_hamming(a, b, inst)
+
+
+# ------------------------------------------------ construction shuffles
+
+
+@pytest.mark.parametrize("pending", [False, True], ids=["aligned", "pending-half"])
+@pytest.mark.parametrize("m", range(1, 13))
+def test_doomed_block_draws_the_loops_shuffles(m, pending):
+    # a prefix whose total alone overflows takes the bulk draw; it must leave
+    # the generator where MAX_RESAMPLES shuffles of a list would, or a numpy
+    # release that changes either scheme would shift every later draw
+    inst = generator.small_instance(5, cluster_sizes=(m,))
+    members = inst.clusters[1]
+    for seed in range(8):
+        fast, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+        if pending:  # leaves half of a 64-bit draw buffered in the generator
+            fast.integers(7)
+            loop.integers(7)
+            assert fast.bit_generator.state["has_uint32"] == 1
+        assert _shuffled_block(members, (inst.capacity + 1, 0, 0), inst, fast) is None
+        for _ in range(MAX_RESAMPLES):
+            loop.shuffle(list(members))
+        assert fast.bit_generator.state == loop.bit_generator.state
+
+
+def _reference_shuffled_block(members, prefix, inst, rng):
+    """Reference: the MAX_RESAMPLES-shuffle loop, every order checked."""
+    for _ in range(MAX_RESAMPLES):
+        block = list(members)
+        rng.shuffle(block)
+        if inst.forbidden.isdisjoint(zip(block, block[1:])):
+            summary = route_load_ok(block, inst, prefix)
+            if summary is not None:
+                return block, summary
+    return None
+
+
+def _rising_loads(inst):
+    """``inst`` with pickups above deliveries at every odd customer, so that
+    a route's load rises en route and can fail at a later peak (generated
+    instances never pick up more than they deliver)."""
+    data = inst.to_dict()
+    for node in data["nodes"][1:]:
+        if node["id"] % 2:
+            node["pickup"] = node["delivery"] + 7
+    return Instance.from_dict(data)
+
+
+SHUFFLE_INSTANCES = [
+    *STATE_INSTANCES,
+    *generator.generate_suite(7, only=["Osaba_50_1_4", "Osaba_100_1"]),
+    _rising_loads(STATE_INSTANCES[1]),
+    _rising_loads(generator.small_instance(84, cluster_sizes=(1, 5, 3), capacity=60)),
+]
+
+
+@given(
+    which=st.integers(0, len(SHUFFLE_INSTANCES) - 1),
+    pick=st.integers(0, 2**16),
+    peak=st.integers(0, 60),
+    drop=st.integers(0, 10),
+    shift=st.integers(-12, 12),
+    beyond=st.sampled_from([False, False, True]),
+    seed=st.integers(0, 2**32 - 1),
+    pending=st.booleans(),
+)
+# a single member after an overflowing total, a 5-member cluster with 10
+# forbidden arcs whose deliveries overflow, and a prefix under which every
+# order fails at a later peak
+@example(which=2, pick=0, peak=0, drop=0, shift=3, beyond=True, seed=1, pending=False)
+@example(which=3, pick=0, peak=10, drop=4, shift=2, beyond=False, seed=2, pending=True)
+@example(which=5, pick=1, peak=10, drop=0, shift=0, beyond=False, seed=3, pending=False)
+@settings(max_examples=300, deadline=None)
+def test_shuffled_block_matches_the_shuffle_loop(
+    which, pick, peak, drop, shift, beyond, seed, pending
+):
+    inst = SHUFFLE_INSTANCES[which]
+    labels = sorted(inst.clusters)
+    members = inst.clusters[labels[pick % len(labels)]]
+    deliveries = sum(inst.delivery[c] for c in members)
+    # the prefix's total either overflows alone or leaves the members within
+    # a few units of the capacity at the prefix's peak, where the verdict
+    # turns on the order-free test or on a later peak
+    peak = min(peak, inst.capacity)
+    if beyond:
+        total = inst.capacity + 1 + abs(shift)
+    else:
+        total = max(0, inst.capacity - deliveries - peak + shift)
+    prefix = (total, peak - drop, peak)
+    fast, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+    if pending:
+        fast.integers(7)
+        loop.integers(7)
+    found = _shuffled_block(members, prefix, inst, fast)
+    expected = _reference_shuffled_block(members, prefix, inst, loop)
+    assert found == expected
+    assert fast.bit_generator.state == loop.bit_generator.state
+    if len(members) == 1:
+        event("single member")
+    if total > inst.capacity:
+        event("total overflows alone")
+    elif total + deliveries + peak > inst.capacity:
+        event("deliveries overflow")
+    elif found is None and route_load_ok(members, inst, prefix) is None:
+        event("fails at a later peak")
+    event("fits" if found is not None else "no order")
