@@ -84,7 +84,7 @@ def _solver_config(**settings) -> SolverConfig:
 def _load_instance(path: str) -> Instance:
     try:
         return Instance.load(path)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise CommandError(EXIT_IO, f"cannot read instance {path}: {exc}")
 
 
@@ -175,7 +175,7 @@ def _load_solution(path: str, inst: Instance) -> Solution:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
         return decode([int(v) for v in data["encoding"]], inst)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise CommandError(EXIT_IO, f"cannot read solution {path}: {exc}")
 
 
@@ -206,8 +206,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     )
     try:
         instances = generator.load_suite(args.suite)
-    except (OSError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
-        print(f"cannot load suite: {exc}", file=sys.stderr)
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        print(f"cannot load suite {args.suite}: {exc}", file=sys.stderr)
         return EXIT_IO
     report = stats.run_experiment(
         instances,
@@ -241,22 +241,32 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_stats(args: argparse.Namespace) -> int:
-    _print_header("stats", runs=args.runs_csv)
+def _load_runs(path: str) -> dict[tuple[str, str], list[float]]:
+    """(instance, algorithm) -> run costs, in the order of the rows of a
+    runs.csv."""
     try:
-        with open(args.runs_csv, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8", newline="") as fh:
             rows = list(csv.DictReader(fh))
     except OSError as exc:
-        print(f"cannot read {args.runs_csv}: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise CommandError(EXIT_IO, f"cannot read {path}: {exc}")
     if not rows:
-        print("no runs in CSV", file=sys.stderr)
-        return EXIT_IO
-    instances = list(dict.fromkeys(r["instance"] for r in rows))
-    algorithms = list(dict.fromkeys(r["algorithm"] for r in rows))
+        raise CommandError(EXIT_IO, "no runs in CSV")
     costs: dict[tuple[str, str], list[float]] = {}
-    for r in rows:
-        costs.setdefault((r["instance"], r["algorithm"]), []).append(float(r["cost"]))
+    try:
+        for r in rows:
+            costs.setdefault((r["instance"], r["algorithm"]), []).append(float(r["cost"]))
+    except KeyError as exc:
+        raise CommandError(EXIT_IO, f"cannot read {path}: no {exc} column")
+    except (TypeError, ValueError) as exc:
+        raise CommandError(EXIT_IO, f"cannot read {path}: {exc}")
+    return costs
+
+
+def cmd_stats(args: argparse.Namespace) -> int:
+    _print_header("stats", runs=args.runs_csv)
+    costs = _load_runs(args.runs_csv)
+    instances = list(dict.fromkeys(name for name, _ in costs))
+    algorithms = list(dict.fromkeys(alg for _, alg in costs))
     complete = [
         name for name in instances if all(costs.get((name, alg)) for alg in algorithms)
     ]

@@ -21,6 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .draws import Rng
 from .evaluation import route_cost
 from .instance import (
     EMPTY_LOAD,
@@ -101,7 +102,7 @@ def hamming_distance(a: Solution, b: Solution, inst: Instance) -> int:
     return total
 
 
-def movement_length(r: int, params: MoveParams, rng: np.random.Generator) -> int:
+def movement_length(r: int, params: MoveParams, rng: Rng) -> int:
     """Uniform integer in [2, max(2, floor(r * gamma**generation))]."""
     upper = max(2, math.floor(r * params.gamma**params.generation))
     return int(rng.integers(2, upper + 1))
@@ -111,7 +112,7 @@ def movement_length(r: int, params: MoveParams, rng: np.random.Generator) -> int
 
 
 def _insertion(
-    sol: Solution, inst: Instance, rng: np.random.Generator, max_resamples: int = MAX_RESAMPLES
+    sol: Solution, inst: Instance, rng: Rng, max_resamples: int = MAX_RESAMPLES
 ) -> Solution | None:
     """One random intra-cluster reinsertion on ``sol``, which carries its
     search state.
@@ -150,7 +151,7 @@ def _insertion(
 
 
 def insertion_move(
-    sol: Solution, inst: Instance, rng: np.random.Generator, max_resamples: int = MAX_RESAMPLES
+    sol: Solution, inst: Instance, rng: Rng, max_resamples: int = MAX_RESAMPLES
 ) -> Solution:
     """Extract one random customer and reinsert it at a random position inside
     its own cluster block; breaches are resampled, then the identity is kept."""
@@ -162,7 +163,7 @@ def move_firefly(
     sol: Solution,
     n: int,
     inst: Instance,
-    rng: np.random.Generator,
+    rng: Rng,
     on_candidate: Callable[[Solution, float], None] | None = None,
     relocation_rate: float = 0.0,
 ) -> tuple[Solution, float]:
@@ -198,7 +199,7 @@ def move_firefly(
 
 
 def cluster_relocation(
-    sol: Solution, inst: Instance, rng: np.random.Generator, max_resamples: int = MAX_RESAMPLES
+    sol: Solution, inst: Instance, rng: Rng, max_resamples: int = MAX_RESAMPLES
 ) -> Solution:
     """Move one whole cluster block between routes (or into a new route).
 

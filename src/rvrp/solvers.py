@@ -13,7 +13,9 @@ every objective call, pool candidates included.
 
 Runs are fully reproducible: the config seed spawns one child RNG stream per
 population slot (plus one selection stream for the EA), so results do not
-depend on evaluation scheduling.
+depend on evaluation scheduling. Once the initial population is built, each
+slot's stream is read through ``draws.Draws``, which returns the values the
+``Generator`` would, at a fraction of its per-call cost.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .draws import Draws, Rng
 from .evaluation import solution_cost
 from .instance import Instance, Solution
 from .operators import (
@@ -94,6 +97,8 @@ class SolveResult:
     cost_history: list[tuple[int, float]] = field(default_factory=list)
 
     def to_dict(self, include_history: bool = False, max_history_points: int | None = None) -> dict:
+        if max_history_points is not None and max_history_points < 1:
+            raise ValueError("max_history_points must be at least 1")
         data = {
             "algorithm": self.algorithm,
             "seed": self.seed,
@@ -105,7 +110,9 @@ class SolveResult:
         }
         if include_history:
             history = self.cost_history
-            if max_history_points is not None and len(history) > max_history_points > 1:
+            if max_history_points == 1:
+                history = history[-1:]  # the best
+            elif max_history_points is not None and len(history) > max_history_points:
                 step = (len(history) - 1) / (max_history_points - 1)
                 keep = sorted({round(i * step) for i in range(max_history_points)})
                 history = [history[i] for i in keep]
@@ -188,9 +195,7 @@ def _streams(seed: int, count: int) -> list[np.random.Generator]:
     return [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(count)]
 
 
-def _propose(
-    sol: Solution, inst: Instance, rng: np.random.Generator, relocation_rate: float
-) -> Solution:
+def _propose(sol: Solution, inst: Instance, rng: Rng, relocation_rate: float) -> Solution:
     """One EA offspring or annealing proposal; it carries its route costs."""
     if relocation_rate > 0.0 and rng.random() < relocation_rate:
         return cluster_relocation(sol, inst, rng)
@@ -219,6 +224,7 @@ def dfa_solve(inst: Instance, cfg: SolverConfig) -> SolveResult:
     try:
         pop = [random_solution(inst, streams[i]) for i in range(pop_n)]
         costs = [tracker.evaluate(s) for s in pop]
+        draws = [Draws(streams[i]) for i in range(pop_n)]
         g = 0
         while True:
             g += 1
@@ -228,12 +234,12 @@ def dfa_solve(inst: Instance, cfg: SolverConfig) -> SolveResult:
                 for j in range(pop_n):
                     if costs[j] < costs[i]:
                         r = hamming_distance(pop[i], pop[j], inst)
-                        n = movement_length(r, params, streams[i])
+                        n = movement_length(r, params, draws[i])
                         pop[i], costs[i] = move_firefly(
                             pop[i],
                             n,
                             inst,
-                            streams[i],
+                            draws[i],
                             on_candidate=tracker.record,
                             relocation_rate=relocation,
                         )
@@ -274,12 +280,13 @@ def ea_solve(inst: Instance, cfg: SolverConfig) -> SolveResult:
     try:
         pop = [random_solution(inst, streams[i]) for i in range(pop_n)]
         costs = [tracker.evaluate(s) for s in pop]
+        draws = [Draws(streams[i]) for i in range(pop_n)]
         while True:
             offspring: list[Solution] = []
             off_costs: list[float] = []
             for i in range(pop_n):
-                if cfg.mutation_probability >= 1.0 or streams[i].random() < cfg.mutation_probability:
-                    child = _propose(pop[i], inst, streams[i], relocation)
+                if cfg.mutation_probability >= 1.0 or draws[i].random() < cfg.mutation_probability:
+                    child = _propose(pop[i], inst, draws[i], relocation)
                 else:
                     child = pop[i]
                 offspring.append(child)
@@ -313,7 +320,7 @@ def esa_initial_temperature(costs: Sequence[float], p: float = 0.95) -> float:
     return -spread / math.log(p)
 
 
-def metropolis_accept(delta: float, temperature: float, rng: np.random.Generator) -> bool:
+def metropolis_accept(delta: float, temperature: float, rng: Rng) -> bool:
     """Accept a proposal worse by ``delta`` (>0) with probability
     exp(-delta/temperature); improvements and ties are always accepted."""
     if delta <= 0:
@@ -333,12 +340,13 @@ def esa_solve(inst: Instance, cfg: SolverConfig) -> SolveResult:
     try:
         pop = [random_solution(inst, streams[i]) for i in range(pop_n)]
         costs = [tracker.evaluate(s) for s in pop]
+        draws = [Draws(streams[i]) for i in range(pop_n)]
         temperature = esa_initial_temperature(costs, cfg.acceptance_p)
         while True:
             for i in range(pop_n):
-                cand = _propose(pop[i], inst, streams[i], relocation)
+                cand = _propose(pop[i], inst, draws[i], relocation)
                 cost = tracker.propose(cand, sum(cand.costs))
-                if metropolis_accept(cost - costs[i], temperature, streams[i]):
+                if metropolis_accept(cost - costs[i], temperature, draws[i]):
                     pop[i], costs[i] = cand, cost
             temperature *= cfg.cooling_constant
     except BudgetExhausted:

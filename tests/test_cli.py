@@ -232,6 +232,46 @@ def test_export_geojson_rejects_mismatched_solution(tmp_path, toy_instance_file)
     ) == 2
 
 
+def _assert_one_io_error(code, capsys, path) -> None:
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and str(path) in err
+
+
+def test_validate_rejects_non_object_json(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]\n")
+    _assert_one_io_error(main(["validate", str(path)]), capsys, path)
+
+
+@pytest.mark.parametrize("content", ['{"encoding": 5}', "[1, 2]"], ids=["encoding-int", "list"])
+def test_export_geojson_rejects_malformed_solution(tmp_path, toy_instance_file, capsys, content):
+    sol_path = tmp_path / "sol.json"
+    sol_path.write_text(content + "\n")
+    code = main(
+        ["export-geojson", str(toy_instance_file), str(sol_path), "--out", str(tmp_path / "x.json")]
+    )
+    _assert_one_io_error(code, capsys, sol_path)
+
+
+@pytest.mark.parametrize(
+    "content",
+    ["instance,algorithm\nt,dfa\n", "instance,algorithm,cost\nt,dfa,abc\n"],
+    ids=["no-cost-column", "cost-not-a-number"],
+)
+def test_stats_rejects_malformed_csv(tmp_path, capsys, content):
+    path = tmp_path / "runs.csv"
+    path.write_text(content)
+    _assert_one_io_error(main(["stats", str(path)]), capsys, path)
+
+
+def test_experiment_rejects_malformed_instance_file(tmp_path, small_suite_dir, capsys):
+    (small_suite_dir / "toy_a.json").write_text("[1, 2]\n")
+    code = main(["experiment", "--suite", str(small_suite_dir), "--out", str(tmp_path / "o")])
+    _assert_one_io_error(code, capsys, small_suite_dir)
+
+
 def test_header_prints_resolved_seed(tmp_path, toy_instance_file, capsys):
     main(["solve", str(toy_instance_file), "--population", "10", "--out", str(tmp_path / "s.json")])
     captured = capsys.readouterr().out

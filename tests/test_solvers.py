@@ -182,3 +182,17 @@ def test_result_dict_shape(oracle_instances):
     assert data["evaluations"] == result.evaluations_total
     assert len(data["cost_history"]) <= 4
     assert data["cost_history"][-1][1] == result.best_cost
+
+
+def test_result_dict_keeps_the_best_point_for_one(oracle_instances):
+    result = solve(oracle_instances[0], SolverConfig(algorithm="dfa", seed=1, population_size=8))
+    assert len(result.cost_history) > 1
+    data = result.to_dict(include_history=True, max_history_points=1)
+    assert data["cost_history"] == [list(result.cost_history[-1])]
+
+
+@pytest.mark.parametrize("points", [0, -3])
+def test_result_dict_rejects_fewer_than_one_point(oracle_instances, points):
+    result = solve(oracle_instances[0], SolverConfig(algorithm="dfa", seed=1, population_size=8))
+    with pytest.raises(ValueError):
+        result.to_dict(include_history=True, max_history_points=points)

@@ -20,6 +20,9 @@ PINNED_INSTANCES = ["Osaba_50_1_4", "Osaba_50_2_4", "Osaba_80_3", "Osaba_100_1"]
 EXPECTED_DIGEST = "3ab064559487f841684feca9b320da750348f934f7bd1b6b1661e376f1ba9013"
 # the EA and the cluster-relocation extension, which trajectory_digest leaves out
 EXPECTED_EXTENSIONS_DIGEST = "921d983228d339617990bae65cd222878278ef46c0b4aa1789b1d5c3d2631ede"
+# the EA's mutation test and relocation inside the EA and ESA, which neither
+# digest above reaches
+EXPECTED_DRAW_PATHS_DIGEST = "59769edfaabe8f751968f180864e0b72c57a1422c01fd9cb2e91d33e8bead1db"
 
 
 def trajectory_digest() -> str:
@@ -67,3 +70,43 @@ def extensions_digest() -> str:
 
 def test_pinned_extensions_trajectory():
     assert extensions_digest() == EXPECTED_EXTENSIONS_DIGEST
+
+
+def draw_paths_digest() -> str:
+    """The solver draws neither digest above reaches: the EA's per-individual
+    mutation test (``mutation_probability`` < 1) and ESA with cluster
+    relocation, where the relocation test, both operators and the Metropolis
+    test draw from one stream."""
+    digest = hashlib.sha256()
+    suite = generator.generate_suite(SUITE_SEED, only=["Osaba_50_1_1", "Osaba_50_2_4"])
+    runs = [
+        (
+            suite[0],
+            SolverConfig(algorithm="ea", seed=9, population_size=10, mutation_probability=0.5),
+        ),
+        (
+            suite[1],
+            SolverConfig(
+                algorithm="ea",
+                seed=10,
+                population_size=8,
+                mutation_probability=0.7,
+                enable_cluster_relocation=True,
+            ),
+        ),
+        (
+            suite[0],
+            SolverConfig(
+                algorithm="esa", seed=11, population_size=10, enable_cluster_relocation=True
+            ),
+        ),
+    ]
+    for inst, cfg in runs:
+        result = solve(inst, cfg)
+        digest.update(repr((result.evaluations_total, repr(result.best_cost))).encode())
+        digest.update(repr(result.best_solution.routes).encode())
+    return digest.hexdigest()
+
+
+def test_pinned_draw_paths_trajectory():
+    assert draw_paths_digest() == EXPECTED_DRAW_PATHS_DIGEST
