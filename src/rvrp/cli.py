@@ -193,6 +193,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         raise CommandError(EXIT_IO, "invalid experiment settings: no algorithm given")
     if args.runs < 1:
         raise CommandError(EXIT_IO, f"invalid experiment settings: runs must be positive, not {args.runs}")
+    if args.jobs < 1:
+        raise CommandError(EXIT_IO, f"invalid experiment settings: jobs must be positive, not {args.jobs}")
     out_dir = Path(args.out)
     _print_header(
         "experiment",

@@ -115,6 +115,7 @@ class Instance:
     customers: tuple[int, ...] = field(init=False, repr=False)
     delivery: dict[int, int] = field(init=False, repr=False)
     pickup: dict[int, int] = field(init=False, repr=False)
+    load_change: dict[int, int] = field(init=False, repr=False)  # pickup - delivery
     cluster_of: dict[int, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -124,6 +125,7 @@ class Instance:
         self.customers = tuple(node.id for node in self.nodes if node.id != 0)
         self.delivery = {node.id: node.delivery for node in self.nodes}
         self.pickup = {node.id: node.pickup for node in self.nodes}
+        self.load_change = {node.id: node.pickup - node.delivery for node in self.nodes}
         self.cluster_of = {node.id: node.cluster for node in self.nodes}
         if self.clusters is None:
             groups: dict[int, list[int]] = {}
@@ -296,14 +298,14 @@ def route_load_ok(
     of that net change over every prefix (0 for none). A route that fits
     returns the same summary of the whole visit sequence.
     """
-    delivery, pickup, capacity = inst.delivery, inst.pickup, inst.capacity
+    delivery, change, capacity = inst.delivery, inst.load_change, inst.capacity
     total, net, peak = prefix
     total += sum(map(delivery.__getitem__, route))
     # the load at a position is total + net; it only needs checking at a new peak
     if total + peak > capacity:
         return None
     for c in route:
-        net += pickup[c] - delivery[c]
+        net += change[c]
         if net > peak:
             if total + net > capacity:
                 return None
@@ -329,7 +331,7 @@ def cluster_order(
         load, capacity, change = 0, math.inf, dict.fromkeys(members, 0)
     else:
         load, capacity = sum(inst.delivery[m] for m in members), inst.capacity
-        change = {m: inst.pickup[m] - inst.delivery[m] for m in members}
+        change = inst.load_change
     if load > capacity:
         return None
 
@@ -436,12 +438,22 @@ def validate_instance(inst: Instance) -> ValidationReport:
     for label, members in inst.clusters.items():
         if not members or any(m not in known for m in members):
             continue
-        if cluster_order(members, inst.forbidden) is None:
+        path = cluster_order(members, inst.forbidden)
+        if path is None:
             add("cluster-path-infeasible", f"cluster {label}")
+        if inst.capacity <= 0:
+            continue
         # descending (delivery - pickup) keeps every prefix load minimal, so
         # this one order fits the capacity iff some order does
         by_net_drop = sorted(members, key=lambda m: inst.delivery[m] - inst.pickup[m], reverse=True)
-        if inst.capacity > 0 and not route_load_ok(by_net_drop, inst):
+        if not route_load_ok(by_net_drop, inst):
             add("cluster-load-exceeds-capacity", f"cluster {label}")
+        elif (
+            path is not None
+            and not route_load_ok(path, inst)  # a path that fits proves both
+            and cluster_order(members, inst.forbidden, inst=inst) is None
+        ):
+            # each rule admits an order on its own, but no order keeps both
+            add("cluster-order-infeasible", f"cluster {label}")
 
     return ValidationReport(ok=not issues, violations=issues)

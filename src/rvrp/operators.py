@@ -6,9 +6,10 @@ generations through the light-absorption factor gamma, and a movement samples
 a pool of single-insertion candidates and keeps the cheapest. Insertions stay
 inside a customer's own cluster block, so cluster contiguity is preserved by
 construction and only the load profile and intra-cluster forbidden arcs need
-re-checking. The same fact makes the moves incremental: a candidate shares its
-parent's block index and re-prices only the route it changed, copying the
-other route costs (``Solution.blocks`` and ``Solution.costs``).
+re-checking, and only inside the block. The same fact makes the moves
+incremental: a candidate shares its parent's block index and re-prices only
+the route it changed, copying the other route costs (``Solution.blocks`` and
+``Solution.costs``).
 """
 
 from __future__ import annotations
@@ -111,52 +112,81 @@ def movement_length(r: int, params: MoveParams, rng: Rng) -> int:
 # ---------------------------------------------------------------- insertion move
 
 
+Insertion = tuple[int, tuple[int, ...], float]  # route index, new route, its cost
+
+
 def _insertion(
     sol: Solution, inst: Instance, rng: Rng, max_resamples: int = MAX_RESAMPLES
-) -> Solution | None:
+) -> Insertion | None:
     """One random intra-cluster reinsertion on ``sol``, which carries its
-    search state.
+    search state and must be feasible.
 
-    Returns the candidate, carrying its own, or None when the draw degenerates
-    to the identity (single-member block or resampling exhausted).
+    Returns the changed route with its index and cost, or None when the draw
+    degenerates to the identity (single-member block or resampling
+    exhausted). Only what the move changes is checked: the parent's block
+    uses no forbidden arc, so only the arcs the move adds can, and only the
+    block's positions change the load on board.
     """
     customers = inst.customers
     customer = customers[int(rng.integers(len(customers)))]
     r, start, end = sol.blocks[inst.cluster_of[customer]]
     route = sol.routes[r]
-    block = list(route[start:end])
+    block = route[start:end]
     m = len(block)
     if m == 1:
         return None
     at = block.index(customer)
     rest = block[:at] + block[at + 1 :]
     forbidden = inst.forbidden
+    # the arc that closes the gap at ``at`` is in every candidate but the identity
+    gap_forbidden = 0 < at < m - 1 and (rest[at - 1], rest[at]) in forbidden
+    change, capacity = inst.load_change, inst.capacity
+    load = None  # on board when the block starts; summed once a candidate needs it
     for _ in range(max_resamples):
         slot = int(rng.integers(m))
         if slot == at:
             return None  # reinserted where it was extracted
-        new_block = rest[:slot] + [customer] + rest[slot:]
-        if not forbidden.isdisjoint(zip(new_block, new_block[1:])):
+        if (
+            gap_forbidden
+            or (slot > 0 and (rest[slot - 1], customer) in forbidden)
+            or (slot < m - 1 and (customer, rest[slot]) in forbidden)
+        ):
             continue
-        new_route = (*route[:start], *new_block, *route[end:])
-        if not route_load_ok(new_route, inst):
-            continue
-        new_routes = list(sol.routes)
-        new_routes[r] = new_route
-        costs = list(sol.costs)
-        costs[r] = route_cost(new_route, inst)
-        # the reinsertion leaves every block in place
-        return Solution(tuple(new_routes), sol.blocks, tuple(costs))
+        new_block = rest[:slot] + (customer,) + rest[slot:]
+        if load is None:
+            load = sum(map(inst.delivery.__getitem__, route))
+            load += sum(map(change.__getitem__, route[:start]))
+        on_board = load
+        for c in new_block:
+            on_board += change[c]
+            if on_board > capacity:
+                break
+        else:  # the new block fits
+            new_route = route[:start] + new_block + route[end:]
+            return r, new_route, route_cost(new_route, inst)
     return None
+
+
+def _with_route(sol: Solution, r: int, route: tuple[int, ...], cost: float) -> Solution:
+    """``sol`` with route ``r`` and its cost replaced; every block stays in
+    place."""
+    routes = list(sol.routes)
+    routes[r] = route
+    costs = list(sol.costs)
+    costs[r] = cost
+    return Solution(tuple(routes), sol.blocks, tuple(costs))
 
 
 def insertion_move(
     sol: Solution, inst: Instance, rng: Rng, max_resamples: int = MAX_RESAMPLES
 ) -> Solution:
     """Extract one random customer and reinsert it at a random position inside
-    its own cluster block; breaches are resampled, then the identity is kept."""
-    cand = _insertion(_with_search_state(sol, inst), inst, rng, max_resamples)
-    return sol if cand is None else cand
+    its own cluster block; breaches are resampled, then the identity is kept.
+
+    ``sol`` must be feasible, as every solver state is."""
+    state = _with_search_state(sol, inst)
+    found = _insertion(state, inst, rng, max_resamples)
+    return sol if found is None else _with_route(state, *found)
 
 
 def move_firefly(
@@ -164,34 +194,48 @@ def move_firefly(
     n: int,
     inst: Instance,
     rng: Rng,
-    on_candidate: Callable[[Solution, float], None] | None = None,
+    on_candidate: Callable[[float], None] | None = None,
     relocation_rate: float = 0.0,
 ) -> tuple[Solution, float]:
     """Generate a pool of ``n`` one-insertion candidates, each drawn
     independently from ``sol``, and keep the cheapest (first generated wins
     ties).
 
-    ``on_candidate`` is invoked once per candidate with its cost, which is how
-    solvers account one objective evaluation per candidate. When
-    ``relocation_rate`` > 0, a candidate is drawn from ``cluster_relocation``
-    with that probability instead of an insertion.
+    ``sol`` must be feasible, as every solver state is. ``on_candidate`` is
+    invoked once per candidate with its cost, which is how solvers account
+    one objective evaluation per candidate. A candidate is priced from the
+    parent's route costs with the changed one replaced, and only the pool's
+    winner is built as a ``Solution``. When ``relocation_rate`` > 0, a
+    candidate is drawn from ``cluster_relocation`` with that probability
+    instead of an insertion.
     """
     if n < 2:
         raise ValueError("movement length must be at least 2")
     sol = _with_search_state(sol, inst)
-    best: Solution | None = None
+    sol_cost = sum(sol.costs)
+    costs = list(sol.costs)
+    best: Solution | Insertion = sol
     best_cost = math.inf
     for _ in range(n):
         if relocation_rate > 0.0 and rng.random() < relocation_rate:
             cand = cluster_relocation(sol, inst, rng)
+            cand_cost = sum(cand.costs)
         else:
-            cand = _insertion(sol, inst, rng) or sol
-        cand_cost = sum(cand.costs)
+            found = _insertion(sol, inst, rng)
+            if found is None:
+                cand, cand_cost = sol, sol_cost
+            else:
+                r, _, cost = found
+                costs[r] = cost
+                # the floats a built candidate would sum, in the same order
+                cand, cand_cost = found, sum(costs)
+                costs[r] = sol.costs[r]
         if on_candidate is not None:
-            on_candidate(cand, cand_cost)
+            on_candidate(cand_cost)
         if cand_cost < best_cost:
             best, best_cost = cand, cand_cost
-    assert best is not None
+    if not isinstance(best, Solution):
+        best = _with_route(sol, *best)
     return best, best_cost
 
 

@@ -76,6 +76,8 @@ class SolverConfig:
             raise ValueError("gamma must lie in (0, 1)")
         if not 0.0 <= self.mutation_probability <= 1.0:
             raise ValueError("mutation_probability must lie in [0, 1]")
+        if not (0.0 <= self.elitist_fraction <= 1.0 and 0.0 <= self.random_fraction <= 1.0):
+            raise ValueError("survivor fractions must each lie in [0, 1]")
         if abs(self.elitist_fraction + self.random_fraction - 1.0) > 1e-9:
             raise ValueError("survivor fractions must sum to 1")
         if not 0.0 < self.cooling_constant < 1.0:
@@ -127,9 +129,10 @@ class BudgetExhausted(Exception):
 class _Tracker:
     """Counts objective evaluations, tracks the global best and stops the run.
 
-    ``record`` accounts a single objective call; ``end_proposal`` closes one
-    proposal (which may have recorded several pool candidates) and advances or
-    resets the stall counter.
+    ``record`` accounts a single objective call of the given cost;
+    ``end_proposal`` closes one proposal (which may have recorded several
+    pool candidates), stores its winner when the proposal improved the global
+    best, and advances or resets the stall counter.
     """
 
     def __init__(self, inst: Instance, budget: int):
@@ -145,18 +148,21 @@ class _Tracker:
         self.convergence_time_s = 0.0
         self.convergence_evaluations = 0
 
-    def record(self, sol: Solution, cost: float) -> None:
+    def record(self, cost: float) -> None:
         self.evaluations += 1
         if cost < self.best_cost:
-            self.best_solution = sol
             self.best_cost = cost
             self._improved = True
             self.history.append((self.evaluations, cost))
             self.convergence_time_s = time.monotonic() - self.started
             self.convergence_evaluations = self.evaluations
 
-    def end_proposal(self) -> None:
+    def end_proposal(self, winner: Solution) -> None:
+        """Close a proposal whose cheapest candidate (the first, on ties) is
+        ``winner``: when it improved the global best, it is the candidate
+        that did."""
         if self._improved:
+            self.best_solution = winner
             self.stall = 0
             self._improved = False
         else:
@@ -167,8 +173,8 @@ class _Tracker:
     def propose(self, sol: Solution, cost: float) -> float:
         """Record one single-candidate proposal (initialization, EA offspring,
         annealing proposal) of the given cost."""
-        self.record(sol, cost)
-        self.end_proposal()
+        self.record(cost)
+        self.end_proposal(sol)
         return cost
 
     def evaluate(self, sol: Solution) -> float:
@@ -243,7 +249,7 @@ def dfa_solve(inst: Instance, cfg: SolverConfig) -> SolveResult:
                             on_candidate=tracker.record,
                             relocation_rate=relocation,
                         )
-                        tracker.end_proposal()
+                        tracker.end_proposal(pop[i])
                         moved += 1
             if moved == 0:
                 # no brighter pairs remain (e.g. population of one, or all

@@ -54,6 +54,25 @@ def make_tiny_instance(first_arc: float = 3000.0) -> Instance:
     )
 
 
+def make_joint_infeasible_instance() -> Instance:
+    """The tiny instance with deliveries 5/5/1, pickups 0/0/9, capacity 11 and
+    arcs (1,3) and (2,3) forbidden: customer 3 must come first to avoid them,
+    and then its pickup overflows the vehicle."""
+    tiny = make_tiny_instance()
+    demands = {1: (5, 0), 2: (5, 0), 3: (1, 9)}
+    nodes = tuple(
+        Node(n.id, n.x, n.y, *demands[n.id], n.cluster) if n.id else n for n in tiny.nodes
+    )
+    return Instance(
+        name="joint",
+        nodes=nodes,
+        capacity=11,
+        cost_offpeak=tiny.cost_offpeak,
+        cost_peak=tiny.cost_peak,
+        forbidden=frozenset({(1, 3), (2, 3)}),
+    )
+
+
 def enumerate_two_cluster_optimum(inst: Instance) -> tuple[Solution, float, int]:
     """Exhaustive oracle over a 2-cluster instance: every intra-cluster order
     in every route structure. Returns (best, best_cost, feasible_count)."""

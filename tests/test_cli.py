@@ -6,6 +6,8 @@ from rvrp import Instance, check_feasible, decode
 from rvrp import generator
 from rvrp.cli import main
 
+from conftest import make_joint_infeasible_instance
+
 
 @pytest.fixture()
 def small_suite_dir(tmp_path):
@@ -65,6 +67,17 @@ def test_validate_flags_violations(tmp_path, toy_instance_file, capsys):
     broken.write_text(json.dumps(data))
     assert main(["validate", str(broken)]) == 1
     assert "violation" in capsys.readouterr().out
+
+
+def test_cluster_without_a_joint_order_is_invalid(tmp_path, capsys):
+    # each rule alone admits an order of the cluster, but no order keeps both
+    path = make_joint_infeasible_instance().save(tmp_path / "joint.json")
+    assert main(["validate", str(path)]) == 1
+    assert "violation cluster-order-infeasible" in capsys.readouterr().out
+    out = tmp_path / "sol.json"
+    assert main(["solve", str(path), "--out", str(out)]) == 2
+    assert "cluster-order-infeasible" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_solve_writes_feasible_solution(tmp_path, toy_instance_file, capsys):
@@ -164,10 +177,12 @@ def test_solve_rejects_invalid_population(tmp_path, toy_instance_file, capsys):
         (["--runs", "-1"], "runs"),
         (["--algorithms", "dfa,nope"], "nope"),
         (["--algorithms", ","], "algorithm"),
+        (["--jobs", "0"], "jobs"),
+        (["--jobs", "-2"], "jobs"),
     ],
     ids=[
         "population-0", "population-negative", "runs-0", "runs-negative", "unknown-algorithm",
-        "no-algorithm",
+        "no-algorithm", "jobs-0", "jobs-negative",
     ],
 )
 def test_experiment_rejects_invalid_settings(tmp_path, small_suite_dir, capsys, settings, named):

@@ -14,10 +14,10 @@ from rvrp import (
 )
 from rvrp import generator
 from rvrp.evaluation import load_profile
-from rvrp.instance import EMPTY_LOAD, route_load_ok
-from rvrp.operators import random_solution
+from rvrp.instance import EMPTY_LOAD, cluster_order, route_load_ok
+from rvrp.operators import InfeasibleClusterError, random_solution
 
-from conftest import make_tiny_instance
+from conftest import make_joint_infeasible_instance, make_tiny_instance
 
 def test_encode_two_routes():
     sol = Solution.from_routes([[1, 2, 3], [4, 5]])
@@ -206,6 +206,17 @@ def test_validate_rejects_undersized_capacity(tiny_instance):
         cost_peak=tiny_instance.cost_peak,
     )
     assert "cluster-load-exceeds-capacity" in validate_instance(broken).names
+
+
+def test_validate_rejects_cluster_whose_rules_admit_no_common_order():
+    inst = make_joint_infeasible_instance()
+    members = inst.clusters[1]
+    # each rule alone admits an order, so only the joint check can flag it
+    assert cluster_order(members, inst.forbidden) is not None
+    assert route_load_ok((1, 2, 3), inst) is not None
+    assert validate_instance(inst).names == ["cluster-order-infeasible"]
+    with pytest.raises(InfeasibleClusterError):
+        random_solution(inst, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("capacity", [0, -5])

@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 from rvrp import Instance, Solution, check_feasible, solution_cost
 from rvrp import generator
 from rvrp.evaluation import route_cost
+from rvrp.draws import Draws
 from rvrp.instance import route_load_ok
 from rvrp.operators import (
     MAX_RESAMPLES,
     MoveParams,
+    _insertion,
     _shuffled_block,
+    _with_search_state,
     cluster_relocation,
     hamming_distance,
     insertion_move,
@@ -167,7 +170,7 @@ def test_move_firefly_returns_pool_minimum(two_cluster_instance):
     sol = random_solution(inst, np.random.default_rng(11))
     seen = []
     best, best_cost = move_firefly(
-        sol, 8, inst, np.random.default_rng(12), on_candidate=lambda s, c: seen.append(c)
+        sol, 8, inst, np.random.default_rng(12), on_candidate=seen.append
     )
     assert len(seen) == 8
     assert best_cost == min(seen)
@@ -488,3 +491,182 @@ def test_shuffled_block_matches_the_shuffle_loop(
     elif found is None and route_load_ok(members, inst, prefix) is None:
         event("fails at a later peak")
     event("fits" if found is not None else "no order")
+
+
+# ------------------------------------------------ move-local checks
+
+
+def _reference_insertion(sol, inst, rng, rejected=None, max_resamples=MAX_RESAMPLES):
+    """Reference reinsertion: every arc of the new block against the
+    forbidden set and the load along the whole new route. The reason of each
+    rejected candidate goes into ``rejected``."""
+    rejected = [] if rejected is None else rejected
+    customer = inst.customers[int(rng.integers(len(inst.customers)))]
+    r, start, end = sol.blocks[inst.cluster_of[customer]]
+    route = sol.routes[r]
+    block = list(route[start:end])
+    m = len(block)
+    if m == 1:
+        return None
+    at = block.index(customer)
+    rest = block[:at] + block[at + 1 :]
+    for _ in range(max_resamples):
+        slot = int(rng.integers(m))
+        if slot == at:
+            return None
+        new_block = rest[:slot] + [customer] + rest[slot:]
+        if not inst.forbidden.isdisjoint(zip(new_block, new_block[1:])):
+            rejected.append("forbidden arc")
+            continue
+        new_route = (*route[:start], *new_block, *route[end:])
+        if not route_load_ok(new_route, inst):
+            rejected.append("over capacity")
+            continue
+        return r, new_route, route_cost(new_route, inst)
+    return None
+
+
+def _reference_candidate(sol, found):
+    if found is None:
+        return sol
+    r, route, cost = found
+    routes, costs = list(sol.routes), list(sol.costs)
+    routes[r], costs[r] = route, cost
+    return Solution(tuple(routes), sol.blocks, tuple(costs))
+
+
+def _reference_pool(sol, n, inst, rng, on_candidate, relocation_rate, rejected):
+    """Reference firefly pool: every candidate built and priced in full."""
+    best, best_cost = None, math.inf
+    for _ in range(n):
+        if relocation_rate > 0.0 and rng.random() < relocation_rate:
+            cand = cluster_relocation(sol, inst, rng)
+        else:
+            cand = _reference_candidate(sol, _reference_insertion(sol, inst, rng, rejected))
+        cost = sum(cand.costs)
+        on_candidate(cost)
+        if cost < best_cost:
+            best, best_cost = cand, cost
+    return best, best_cost
+
+
+def _same_solution(a, b):
+    assert a.routes == b.routes
+    assert a.blocks == b.blocks
+    assert [c.hex() for c in a.costs] == [c.hex() for c in b.costs]
+
+
+def _twin_streams(seed, replay):
+    """Two identical draw streams, optionally through ``Draws``."""
+    pair = [np.random.default_rng(seed) for _ in range(2)]
+    return [Draws(g) for g in pair] if replay else pair
+
+
+# dense forbidden arcs (2 per cluster of 3-4 members, 8 per cluster of 4-6,
+# 10 per cluster of 5 on Osaba_50_1_4) and loads that rise en route to a
+# tight capacity, so that both checks reject candidates
+EXACT_INSTANCES = [
+    STATE_INSTANCES[1],
+    generator.small_instance(86, cluster_sizes=(5, 6, 4), forbidden_per_cluster=8),
+    next(inst for inst in SHUFFLE_INSTANCES if inst.name == "Osaba_50_1_4"),
+    _rising_loads(STATE_INSTANCES[1]),
+    SHUFFLE_INSTANCES[-1],
+]
+
+
+@given(
+    which=st.integers(0, len(EXACT_INSTANCES) - 1),
+    seed=st.integers(0, 2**32 - 1),
+    pools=st.lists(st.integers(2, 12), min_size=1, max_size=8),
+    relocation_rate=st.sampled_from([0.0, 0.0, 0.3]),
+    replay=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_move_local_checks_match_full_route_checks(which, seed, pools, relocation_rate, replay):
+    inst = EXACT_INSTANCES[which]
+    sol = random_solution(inst, np.random.default_rng(seed))
+    rejected = []
+    for step, n in enumerate(pools):
+        assert check_feasible(sol, inst).feasible
+        fast, ref = _twin_streams([seed, step, 0], replay)
+        found = _insertion(sol, inst, fast)
+        expected = _reference_insertion(sol, inst, ref, rejected)
+        if found is not None:
+            found = found[0], found[1], found[2].hex()
+        if expected is not None:
+            expected = expected[0], expected[1], expected[2].hex()
+        assert found == expected
+        assert fast.random() == ref.random()
+
+        fast, ref = _twin_streams([seed, step, 1], replay)
+        moved = insertion_move(sol, inst, fast)
+        expected = _reference_candidate(sol, _reference_insertion(sol, inst, ref, rejected))
+        _same_solution(moved, expected)
+        assert fast.random() == ref.random()
+
+        fast, ref = _twin_streams([seed, step, 2], replay)
+        seen, seen_ref = [], []
+        best, cost = move_firefly(sol, n, inst, fast, seen.append, relocation_rate)
+        best_ref, cost_ref = _reference_pool(
+            sol, n, inst, ref, seen_ref.append, relocation_rate, rejected
+        )
+        assert [c.hex() for c in seen] == [c.hex() for c in seen_ref]
+        assert cost.hex() == cost_ref.hex()
+        _same_solution(best, best_ref)
+        assert fast.random() == ref.random()
+        sol = best if step % 2 else moved
+    for reason in sorted(set(rejected)):
+        event(f"{reason} rejected")
+
+
+class _Script:
+    """Duck-typed draw stream that returns fixed values and counts them."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.used = 0
+
+    def integers(self, *bounds):
+        self.used += 1
+        return self.values[self.used - 1]
+
+
+@pytest.mark.parametrize(
+    "customer, slots, forbidden, expected",
+    [
+        # extracting 3 closes the gap with the forbidden (2, 4): every slot
+        # fails until the draw hits the extraction point or runs out
+        (3, [0, 1, 4, 3, 2], {(2, 4)}, None),
+        (3, [0, 4] * 25, {(2, 4)}, None),
+        # ends of the block: extraction at either end, insertion at either end
+        (1, [4, 3], {(5, 1)}, (2, 3, 4, 1, 5)),
+        (5, [0, 1], {(5, 1)}, (1, 5, 2, 3, 4)),
+        (1, [0], {(5, 1)}, None),
+        (5, [4], {(5, 1)}, None),
+        (3, [0, 4], {(3, 1)}, (1, 2, 4, 5, 3)),
+        (3, [4, 0], {(5, 3)}, (3, 1, 2, 4, 5)),
+        (2, [4, 0], {(3, 1), (5, 2)}, (2, 1, 3, 4, 5)),
+    ],
+    ids=[
+        "gap-arc-until-identity", "gap-arc-until-exhausted", "first-to-last", "last-to-first",
+        "first-stays", "last-stays", "middle-to-first-blocked", "middle-to-last-blocked",
+        "reversed-gap-arc",
+    ],
+)
+def test_insertion_pinned_cases_match_full_route_checks(customer, slots, forbidden, expected):
+    base = generator.small_instance(74, cluster_sizes=(5,), capacity=1000)
+    inst = Instance(
+        name="pinned",
+        nodes=base.nodes,
+        capacity=base.capacity,
+        cost_offpeak=base.cost_offpeak,
+        cost_peak=base.cost_peak,
+        forbidden=frozenset(forbidden),
+    )
+    sol = _with_search_state(Solution.from_routes([[1, 2, 3, 4, 5]]), inst)
+    script = [inst.customers.index(customer), *slots]
+    fast, ref = _Script(script), _Script(script)
+    found = _insertion(sol, inst, fast)
+    assert found == _reference_insertion(sol, inst, ref)
+    assert fast.used == ref.used
+    assert (found and found[1]) == expected

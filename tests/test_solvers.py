@@ -41,6 +41,14 @@ def test_config_validation():
         SolverConfig(gamma=1.0).validate()
 
 
+@pytest.mark.parametrize("elitist, rest", [(-0.5, 1.5), (1.5, -0.5)])
+def test_config_rejects_survivor_fraction_outside_unit_interval(elitist, rest):
+    # the pair sums to 1, yet the EA would ask for more random survivors
+    # than the pool holds
+    with pytest.raises(ValueError, match="survivor fractions"):
+        SolverConfig(elitist_fraction=elitist, random_fraction=rest).validate()
+
+
 @pytest.mark.parametrize("pop, expected", [(100, (70, 30)), (7, (5, 2)), (3, (3, 0)), (1, (1, 0))])
 def test_survivor_counts(pop, expected):
     assert survivor_counts(pop, 0.7) == expected
