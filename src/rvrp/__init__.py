@@ -23,7 +23,6 @@ from .instance import (
 )
 from .operators import (
     InfeasibleClusterError,
-    MoveParams,
     cluster_relocation,
     hamming_distance,
     insertion_move,
@@ -34,10 +33,7 @@ from .operators import (
 from .solvers import (
     SolveResult,
     SolverConfig,
-    dfa_solve,
-    ea_solve,
     esa_initial_temperature,
-    esa_solve,
     metropolis_accept,
     solve,
     termination_budget,
@@ -51,7 +47,6 @@ __all__ = [
     "InfeasibleClusterError",
     "Instance",
     "LoadProfile",
-    "MoveParams",
     "Node",
     "Solution",
     "SolveResult",
@@ -61,11 +56,8 @@ __all__ = [
     "check_feasible",
     "cluster_relocation",
     "decode",
-    "dfa_solve",
-    "ea_solve",
     "encode",
     "esa_initial_temperature",
-    "esa_solve",
     "hamming_distance",
     "insertion_move",
     "load_profile",

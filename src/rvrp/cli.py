@@ -211,14 +211,17 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         print(f"cannot load suite {args.suite}: {exc}", file=sys.stderr)
         return EXIT_IO
-    report = stats.run_experiment(
-        instances,
-        algorithms=algorithms,
-        runs_per_cell=args.runs,
-        base_seed=seed,
-        jobs=args.jobs,
-        config_overrides=overrides,
-    )
+    try:
+        report = stats.run_experiment(
+            instances,
+            algorithms=algorithms,
+            runs_per_cell=args.runs,
+            base_seed=seed,
+            jobs=args.jobs,
+            config_overrides=overrides,
+        )
+    except ValueError as exc:  # raised before any solve: the grid is not well formed
+        raise CommandError(EXIT_IO, f"invalid experiment settings: {exc}")
     failures = sum(len(cell.errors) for cell in report.cells.values())
     successes = sum(len(cell.costs) for cell in report.cells.values())
     for (name, alg), cell in sorted(report.cells.items()):
@@ -282,6 +285,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         row += [f"{m:.1f}" for m, _ in cell_stats] + [f"{s:.1f}" for _, s in cell_stats]
         table.append(row)
     print(stats.align_table(table), end="")
+    tests = {"average_ranks": None, "friedman": None, "holm": None}
     if len(algorithms) >= 2 and len(complete) >= 2:
         matrix = [[stats.mean_sd(costs[(name, alg)])[0] for alg in algorithms] for name in complete]
         fried, holm_result = stats.rank_tests(matrix, algorithms)
@@ -297,21 +301,15 @@ def cmd_stats(args: argparse.Namespace) -> int:
                 f"  {c.label}: z={c.z:.4f} p={c.p_unadjusted:.6f} "
                 f"adjusted={c.p_adjusted:.6f} reject@0.05={c.reject_at_05}"
             )
-        if args.out:
-            _write_json(
-                Path(args.out),
-                {
-                    "average_ranks": dict(zip(algorithms, fried.average_ranks)),
-                    "friedman": {
-                        "statistic": fried.statistic,
-                        "dof": fried.dof,
-                        "p_value": fried.p_value,
-                    },
-                    "holm": holm_result.to_dict(),
-                },
-            )
+        tests = {
+            "average_ranks": dict(zip(algorithms, fried.average_ranks)),
+            "friedman": {"statistic": fried.statistic, "dof": fried.dof, "p_value": fried.p_value},
+            "holm": holm_result.to_dict(),
+        }
     else:
         print("\nNo statistical tests (need at least two algorithms and two instances).")
+    if args.out:
+        _write_json(Path(args.out), tests)
     return EXIT_OK
 
 

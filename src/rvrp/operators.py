@@ -15,7 +15,6 @@ the route it changed, copying the other route costs (``Solution.blocks`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import groupby
 from operator import ne
 from typing import Callable, Sequence
@@ -38,20 +37,6 @@ MAX_RESAMPLES = 50
 
 class InfeasibleClusterError(RuntimeError):
     """A cluster admits no feasible intra-cluster order."""
-
-
-@dataclass(frozen=True)
-class MoveParams:
-    """Movement-length controls: light absorption gamma and generation count."""
-
-    gamma: float = 0.95
-    generation: int = 1
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma must lie in (0, 1)")
-        if self.generation < 1:
-            raise ValueError("generation starts at 1")
 
 
 # ---------------------------------------------------------------- search state
@@ -103,9 +88,9 @@ def hamming_distance(a: Solution, b: Solution, inst: Instance) -> int:
     return total
 
 
-def movement_length(r: int, params: MoveParams, rng: Rng) -> int:
+def movement_length(r: int, gamma: float, generation: int, rng: Rng) -> int:
     """Uniform integer in [2, max(2, floor(r * gamma**generation))]."""
-    upper = max(2, math.floor(r * params.gamma**params.generation))
+    upper = max(2, math.floor(r * gamma**generation))
     return int(rng.integers(2, upper + 1))
 
 
@@ -115,9 +100,7 @@ def movement_length(r: int, params: MoveParams, rng: Rng) -> int:
 Insertion = tuple[int, tuple[int, ...], float]  # route index, new route, its cost
 
 
-def _insertion(
-    sol: Solution, inst: Instance, rng: Rng, max_resamples: int = MAX_RESAMPLES
-) -> Insertion | None:
+def _insertion(sol: Solution, inst: Instance, rng: Rng) -> Insertion | None:
     """One random intra-cluster reinsertion on ``sol``, which carries its
     search state and must be feasible.
 
@@ -142,7 +125,7 @@ def _insertion(
     gap_forbidden = 0 < at < m - 1 and (rest[at - 1], rest[at]) in forbidden
     change, capacity = inst.load_change, inst.capacity
     load = None  # on board when the block starts; summed once a candidate needs it
-    for _ in range(max_resamples):
+    for _ in range(MAX_RESAMPLES):
         slot = int(rng.integers(m))
         if slot == at:
             return None  # reinserted where it was extracted
@@ -177,15 +160,13 @@ def _with_route(sol: Solution, r: int, route: tuple[int, ...], cost: float) -> S
     return Solution(tuple(routes), sol.blocks, tuple(costs))
 
 
-def insertion_move(
-    sol: Solution, inst: Instance, rng: Rng, max_resamples: int = MAX_RESAMPLES
-) -> Solution:
+def insertion_move(sol: Solution, inst: Instance, rng: Rng) -> Solution:
     """Extract one random customer and reinsert it at a random position inside
     its own cluster block; breaches are resampled, then the identity is kept.
 
     ``sol`` must be feasible, as every solver state is."""
     state = _with_search_state(sol, inst)
-    found = _insertion(state, inst, rng, max_resamples)
+    found = _insertion(state, inst, rng)
     return sol if found is None else _with_route(state, *found)
 
 
@@ -242,9 +223,7 @@ def move_firefly(
 # ---------------------------------------------------------------- cluster relocation
 
 
-def cluster_relocation(
-    sol: Solution, inst: Instance, rng: Rng, max_resamples: int = MAX_RESAMPLES
-) -> Solution:
+def cluster_relocation(sol: Solution, inst: Instance, rng: Rng) -> Solution:
     """Move one whole cluster block between routes (or into a new route).
 
     The block's internal order is preserved; the target route is re-checked
@@ -278,7 +257,7 @@ def cluster_relocation(
         boundaries.append(len(route))
         options.extend((r, b) for b in boundaries)
 
-    for _ in range(max_resamples):
+    for _ in range(MAX_RESAMPLES):
         r, b = options[int(rng.integers(len(options)))]
         new_routes = list(remaining)
         costs = list(remaining_costs)

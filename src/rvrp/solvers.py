@@ -12,10 +12,11 @@ so a run can stop mid-generation. ``evaluations_total`` nevertheless reports
 every objective call, pool candidates included.
 
 Runs are fully reproducible: the config seed spawns one child RNG stream per
-population slot (plus one selection stream for the EA), so results do not
-depend on evaluation scheduling. Once the initial population is built, each
-slot's stream is read through ``draws.Draws``, which returns the values the
-``Generator`` would, at a fraction of its per-call cost.
+population slot plus the EA's selection stream, which DFA and ESA spawn too
+and leave unused (a spawned child does not depend on the count), so results
+do not depend on evaluation scheduling. Once the initial population is
+built, each slot's stream is read through ``draws.Draws``, which returns the
+values the ``Generator`` would, at a fraction of its per-call cost.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .draws import Draws, Rng
 from .evaluation import solution_cost
 from .instance import Instance, Solution
 from .operators import (
-    MoveParams,
     cluster_relocation,
     hamming_distance,
     insertion_move,
@@ -61,7 +61,6 @@ class SolverConfig:
     gamma: float = 0.95
     mutation_probability: float = 1.0
     elitist_fraction: float = 0.7
-    random_fraction: float = 0.3
     cooling_constant: float = 0.95
     acceptance_p: float = 0.95
     seed: int = 0
@@ -76,10 +75,8 @@ class SolverConfig:
             raise ValueError("gamma must lie in (0, 1)")
         if not 0.0 <= self.mutation_probability <= 1.0:
             raise ValueError("mutation_probability must lie in [0, 1]")
-        if not (0.0 <= self.elitist_fraction <= 1.0 and 0.0 <= self.random_fraction <= 1.0):
-            raise ValueError("survivor fractions must each lie in [0, 1]")
-        if abs(self.elitist_fraction + self.random_fraction - 1.0) > 1e-9:
-            raise ValueError("survivor fractions must sum to 1")
+        if not 0.0 <= self.elitist_fraction <= 1.0:
+            raise ValueError("elitist_fraction must lie in [0, 1]")
         if not 0.0 < self.cooling_constant < 1.0:
             raise ValueError("cooling_constant must lie in (0, 1)")
         if not 0.0 < self.acceptance_p < 1.0:
@@ -98,9 +95,7 @@ class SolveResult:
     convergence_evaluations: int
     cost_history: list[tuple[int, float]] = field(default_factory=list)
 
-    def to_dict(self, include_history: bool = False, max_history_points: int | None = None) -> dict:
-        if max_history_points is not None and max_history_points < 1:
-            raise ValueError("max_history_points must be at least 1")
+    def to_dict(self, include_history: bool = False) -> dict:
         data = {
             "algorithm": self.algorithm,
             "seed": self.seed,
@@ -111,14 +106,7 @@ class SolveResult:
             "convergence_evaluations": self.convergence_evaluations,
         }
         if include_history:
-            history = self.cost_history
-            if max_history_points == 1:
-                history = history[-1:]  # the best
-            elif max_history_points is not None and len(history) > max_history_points:
-                step = (len(history) - 1) / (max_history_points - 1)
-                keep = sorted({round(i * step) for i in range(max_history_points)})
-                history = [history[i] for i in keep]
-            data["cost_history"] = [[e, c] for e, c in history]
+            data["cost_history"] = [[e, c] for e, c in self.cost_history]
         return data
 
 
@@ -135,8 +123,7 @@ class _Tracker:
     best, and advances or resets the stall counter.
     """
 
-    def __init__(self, inst: Instance, budget: int):
-        self.inst = inst
+    def __init__(self, budget: int):
         self.budget = budget
         self.evaluations = 0
         self.stall = 0
@@ -177,10 +164,6 @@ class _Tracker:
         self.end_proposal(sol)
         return cost
 
-    def evaluate(self, sol: Solution) -> float:
-        """Price one initial individual from its routes and record it."""
-        return self.propose(sol, solution_cost(sol, self.inst))
-
     def result(self, algorithm: str, seed: int) -> SolveResult:
         assert self.best_solution is not None, "no evaluation was recorded"
         wall = time.monotonic() - self.started
@@ -197,10 +180,6 @@ class _Tracker:
         )
 
 
-def _streams(seed: int, count: int) -> list[np.random.Generator]:
-    return [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(count)]
-
-
 def _propose(sol: Solution, inst: Instance, rng: Rng, relocation_rate: float) -> Solution:
     """One EA offspring or annealing proposal; it carries its route costs."""
     if relocation_rate > 0.0 and rng.random() < relocation_rate:
@@ -211,7 +190,10 @@ def _propose(sol: Solution, inst: Instance, rng: Rng, relocation_rate: float) ->
 # ------------------------------------------------------------------- DFA
 
 
-def dfa_solve(inst: Instance, cfg: SolverConfig) -> SolveResult:
+def _dfa(
+    inst: Instance, cfg: SolverConfig, tracker: _Tracker, pop: list[Solution], costs: list[float],
+    draws: list[Draws], selection: np.random.Generator, relocation: float,
+) -> None:
     """Discrete firefly search.
 
     Per generation g, every firefly i is pulled toward each brighter firefly j
@@ -220,44 +202,30 @@ def dfa_solve(inst: Instance, cfg: SolverConfig) -> SolveResult:
     [2, max(2, floor(r * gamma**g))], and the firefly is replaced by the best
     of n independent one-insertion candidates. Intensities update immediately,
     so later pairs in the same sweep see moved fireflies. The brightest
-    firefly never moves.
+    firefly never moves. Returns once no firefly is brighter than another
+    (e.g. a population of one, or all costs equal).
     """
-    cfg.validate()
-    pop_n = cfg.population_size
-    streams = _streams(cfg.seed, pop_n)
-    tracker = _Tracker(inst, termination_budget(inst.n_customers))
-    relocation = RELOCATION_RATE if cfg.enable_cluster_relocation else 0.0
-    try:
-        pop = [random_solution(inst, streams[i]) for i in range(pop_n)]
-        costs = [tracker.evaluate(s) for s in pop]
-        draws = [Draws(streams[i]) for i in range(pop_n)]
-        g = 0
-        while True:
-            g += 1
-            params = MoveParams(gamma=cfg.gamma, generation=g)
-            moved = 0
-            for i in range(pop_n):
-                for j in range(pop_n):
-                    if costs[j] < costs[i]:
-                        r = hamming_distance(pop[i], pop[j], inst)
-                        n = movement_length(r, params, draws[i])
-                        pop[i], costs[i] = move_firefly(
-                            pop[i],
-                            n,
-                            inst,
-                            draws[i],
-                            on_candidate=tracker.record,
-                            relocation_rate=relocation,
-                        )
-                        tracker.end_proposal(pop[i])
-                        moved += 1
-            if moved == 0:
-                # no brighter pairs remain (e.g. population of one, or all
-                # costs equal): no further evaluation can ever occur
-                break
-    except BudgetExhausted:
-        pass
-    return tracker.result("dfa", cfg.seed)
+    pop_n = len(pop)
+    g = 0
+    moved = True
+    while moved:
+        g += 1
+        moved = False
+        for i in range(pop_n):
+            for j in range(pop_n):
+                if costs[j] < costs[i]:
+                    r = hamming_distance(pop[i], pop[j], inst)
+                    n = movement_length(r, cfg.gamma, g, draws[i])
+                    pop[i], costs[i] = move_firefly(
+                        pop[i],
+                        n,
+                        inst,
+                        draws[i],
+                        on_candidate=tracker.record,
+                        relocation_rate=relocation,
+                    )
+                    tracker.end_proposal(pop[i])
+                    moved = True
 
 
 # -------------------------------------------------------------------- EA
@@ -269,47 +237,39 @@ def survivor_counts(population_size: int, elitist_fraction: float) -> tuple[int,
     return elites, population_size - elites
 
 
-def ea_solve(inst: Instance, cfg: SolverConfig) -> SolveResult:
+def _ea(
+    inst: Instance, cfg: SolverConfig, tracker: _Tracker, pop: list[Solution], costs: list[float],
+    draws: list[Draws], selection: np.random.Generator, relocation: float,
+) -> None:
     """Mutation-only evolutionary algorithm.
 
     Each generation every individual spawns one offspring through the
     insertion move; survivors over the pooled 2P candidates are the best
-    ceil(0.7 P) plus floor(0.3 P) drawn uniformly from the remainder.
+    ceil(0.7 P) plus floor(0.3 P) drawn uniformly from the remainder with the
+    ``selection`` stream.
     """
-    cfg.validate()
-    pop_n = cfg.population_size
-    streams = _streams(cfg.seed, pop_n + 1)
-    selection = streams[pop_n]
-    tracker = _Tracker(inst, termination_budget(inst.n_customers))
-    relocation = RELOCATION_RATE if cfg.enable_cluster_relocation else 0.0
+    pop_n = len(pop)
     elites_n, random_n = survivor_counts(pop_n, cfg.elitist_fraction)
-    try:
-        pop = [random_solution(inst, streams[i]) for i in range(pop_n)]
-        costs = [tracker.evaluate(s) for s in pop]
-        draws = [Draws(streams[i]) for i in range(pop_n)]
-        while True:
-            offspring: list[Solution] = []
-            off_costs: list[float] = []
-            for i in range(pop_n):
-                if cfg.mutation_probability >= 1.0 or draws[i].random() < cfg.mutation_probability:
-                    child = _propose(pop[i], inst, draws[i], relocation)
-                else:
-                    child = pop[i]
-                offspring.append(child)
-                off_costs.append(tracker.propose(child, sum(child.costs)))
-            pool = pop + offspring
-            pool_costs = costs + off_costs
-            order = sorted(range(len(pool)), key=pool_costs.__getitem__)
-            keep = order[:elites_n]
-            rest = order[elites_n:]
-            if random_n:
-                picks = selection.choice(len(rest), size=random_n, replace=False)
-                keep += [rest[p] for p in sorted(int(p) for p in picks)]
-            pop = [pool[t] for t in keep]
-            costs = [pool_costs[t] for t in keep]
-    except BudgetExhausted:
-        pass
-    return tracker.result("ea", cfg.seed)
+    while True:
+        offspring: list[Solution] = []
+        off_costs: list[float] = []
+        for i in range(pop_n):
+            if cfg.mutation_probability >= 1.0 or draws[i].random() < cfg.mutation_probability:
+                child = _propose(pop[i], inst, draws[i], relocation)
+            else:
+                child = pop[i]
+            offspring.append(child)
+            off_costs.append(tracker.propose(child, sum(child.costs)))
+        pool = pop + offspring
+        pool_costs = costs + off_costs
+        order = sorted(range(len(pool)), key=pool_costs.__getitem__)
+        keep = order[:elites_n]
+        rest = order[elites_n:]
+        if random_n:
+            picks = selection.choice(len(rest), size=random_n, replace=False)
+            keep += [rest[p] for p in sorted(int(p) for p in picks)]
+        pop = [pool[t] for t in keep]
+        costs = [pool_costs[t] for t in keep]
 
 
 # ------------------------------------------------------------------- ESA
@@ -336,33 +296,45 @@ def metropolis_accept(delta: float, temperature: float, rng: Rng) -> bool:
     return rng.random() < math.exp(-delta / temperature)
 
 
-def esa_solve(inst: Instance, cfg: SolverConfig) -> SolveResult:
+def _esa(
+    inst: Instance, cfg: SolverConfig, tracker: _Tracker, pop: list[Solution], costs: list[float],
+    draws: list[Draws], selection: np.random.Generator, relocation: float,
+) -> None:
     """Population of Metropolis chains under one shared geometric cooling."""
-    cfg.validate()
-    pop_n = cfg.population_size
-    streams = _streams(cfg.seed, pop_n)
-    tracker = _Tracker(inst, termination_budget(inst.n_customers))
-    relocation = RELOCATION_RATE if cfg.enable_cluster_relocation else 0.0
-    try:
-        pop = [random_solution(inst, streams[i]) for i in range(pop_n)]
-        costs = [tracker.evaluate(s) for s in pop]
-        draws = [Draws(streams[i]) for i in range(pop_n)]
-        temperature = esa_initial_temperature(costs, cfg.acceptance_p)
-        while True:
-            for i in range(pop_n):
-                cand = _propose(pop[i], inst, draws[i], relocation)
-                cost = tracker.propose(cand, sum(cand.costs))
-                if metropolis_accept(cost - costs[i], temperature, draws[i]):
-                    pop[i], costs[i] = cand, cost
-            temperature *= cfg.cooling_constant
-    except BudgetExhausted:
-        pass
-    return tracker.result("esa", cfg.seed)
+    temperature = esa_initial_temperature(costs, cfg.acceptance_p)
+    while True:
+        for i in range(len(pop)):
+            cand = _propose(pop[i], inst, draws[i], relocation)
+            cost = tracker.propose(cand, sum(cand.costs))
+            if metropolis_accept(cost - costs[i], temperature, draws[i]):
+                pop[i], costs[i] = cand, cost
+        temperature *= cfg.cooling_constant
 
 
-_SOLVERS = {"dfa": dfa_solve, "ea": ea_solve, "esa": esa_solve}
+# ------------------------------------------------------------ entry point
+
+
+_LOOPS = {"dfa": _dfa, "ea": _ea, "esa": _esa}
 
 
 def solve(inst: Instance, cfg: SolverConfig) -> SolveResult:
+    """Run ``cfg.algorithm`` on ``inst``: the one entry point of the solvers.
+
+    It owns what the three share: the streams, the construction and pricing
+    of the initial population (one proposal each, so the budget can run out
+    here), the ``Draws`` wrapping and the stop rule. The algorithm itself is
+    a generation loop that updates the population it is handed.
+    """
     cfg.validate()
-    return _SOLVERS[cfg.algorithm](inst, cfg)
+    pop_n = cfg.population_size
+    streams = [np.random.default_rng(c) for c in np.random.SeedSequence(cfg.seed).spawn(pop_n + 1)]
+    tracker = _Tracker(termination_budget(inst.n_customers))
+    relocation = RELOCATION_RATE if cfg.enable_cluster_relocation else 0.0
+    try:
+        pop = [random_solution(inst, streams[i]) for i in range(pop_n)]
+        costs = [tracker.propose(s, solution_cost(s, inst)) for s in pop]
+        draws = [Draws(streams[i]) for i in range(pop_n)]
+        _LOOPS[cfg.algorithm](inst, cfg, tracker, pop, costs, draws, streams[pop_n], relocation)
+    except BudgetExhausted:
+        pass
+    return tracker.result(cfg.algorithm, cfg.seed)

@@ -385,6 +385,10 @@ def run_experiment(
         raise ValueError("suite must be nonempty")
     overrides = dict(config_overrides or {})
     names = [inst.name for inst in instances]
+    for kind, values in (("instance", names), ("algorithm", algorithms)):
+        twice = next((v for i, v in enumerate(values) if v in values[:i]), None)
+        if twice is not None:
+            raise ValueError(f"{kind} {twice!r} is listed twice")
     payloads = []
     for inst in instances:
         inst_data = inst.to_dict()
@@ -508,9 +512,9 @@ def population_sweep(
 # ----------------------------------------------------------------- rendering
 
 
-def render_results_table(report: ExperimentReport, timing: dict | None = None) -> str:
+def render_results_table(report: ExperimentReport) -> str:
     """Aligned per-instance results: mean, sd and (when available) mean times."""
-    timing = timing or report.timing_dict()
+    timing = report.timing_dict()
     header = ["Instance"]
     for alg in report.algorithms:
         header += [f"{alg}:avg", f"{alg}:sd", f"{alg}:time", f"{alg}:conv"]

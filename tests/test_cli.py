@@ -177,12 +177,13 @@ def test_solve_rejects_invalid_population(tmp_path, toy_instance_file, capsys):
         (["--runs", "-1"], "runs"),
         (["--algorithms", "dfa,nope"], "nope"),
         (["--algorithms", ","], "algorithm"),
+        (["--algorithms", "dfa,dfa,esa"], "'dfa'"),
         (["--jobs", "0"], "jobs"),
         (["--jobs", "-2"], "jobs"),
     ],
     ids=[
         "population-0", "population-negative", "runs-0", "runs-negative", "unknown-algorithm",
-        "no-algorithm", "jobs-0", "jobs-negative",
+        "no-algorithm", "duplicate-algorithm", "jobs-0", "jobs-negative",
     ],
 )
 def test_experiment_rejects_invalid_settings(tmp_path, small_suite_dir, capsys, settings, named):
@@ -193,6 +194,26 @@ def test_experiment_rejects_invalid_settings(tmp_path, small_suite_dir, capsys, 
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and named in err[0]
     assert not out.exists()
+
+
+def test_experiment_rejects_an_instance_listed_twice(tmp_path, small_suite_dir, capsys):
+    manifest = small_suite_dir / "suite-manifest.json"
+    data = json.loads(manifest.read_text())
+    data["instances"].append(data["instances"][0])
+    manifest.write_text(json.dumps(data))
+    out = tmp_path / "exp"
+    code = main(["experiment", "--suite", str(small_suite_dir), "--runs", "1", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "'toy_a'" in err[0]
+    assert not out.exists()
+
+
+def test_experiment_rejects_an_empty_suite(tmp_path, capsys):
+    (tmp_path / "suite-manifest.json").write_text('{"seed": 1, "instances": []}')
+    assert main(["experiment", "--suite", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "nonempty" in err[0]
 
 
 def test_stats_recomputes_from_csv(tmp_path, small_suite_dir, capsys):
@@ -211,6 +232,20 @@ def test_stats_recomputes_from_csv(tmp_path, small_suite_dir, capsys):
     assert recomputed["friedman"]["statistic"] == pytest.approx(
         report["friedman"]["statistic"], rel=1e-12
     )
+
+
+def test_stats_out_without_tests_writes_nulls(tmp_path, small_suite_dir, capsys):
+    out = tmp_path / "exp"
+    main(
+        ["experiment", "--suite", str(small_suite_dir), "--algorithms", "dfa", "--runs", "1",
+         "--seed", "5", "--jobs", "1", "--population", "8", "--out", str(out)]
+    )
+    stats_json = tmp_path / "stats.json"
+    assert main(["stats", str(out / "runs.csv"), "--out", str(stats_json)]) == 0
+    assert "No statistical tests" in capsys.readouterr().out
+    assert json.loads(stats_json.read_text()) == {
+        "average_ranks": None, "friedman": None, "holm": None
+    }
 
 
 def test_export_geojson(tmp_path, toy_instance_file, capsys):

@@ -12,7 +12,6 @@ from rvrp.draws import Draws
 from rvrp.instance import route_load_ok
 from rvrp.operators import (
     MAX_RESAMPLES,
-    MoveParams,
     _insertion,
     _shuffled_block,
     _with_search_state,
@@ -89,15 +88,13 @@ def test_hamming_is_a_metric_on_random_triples(seeds):
 
 def test_movement_length_clamps_to_two():
     rng = np.random.default_rng(0)
-    params = MoveParams(gamma=0.95, generation=200)
-    assert all(movement_length(4, params, rng) == 2 for _ in range(50))
-    assert movement_length(0, MoveParams(), rng) == 2
+    assert all(movement_length(4, 0.95, 200, rng) == 2 for _ in range(50))
+    assert movement_length(0, 0.95, 1, rng) == 2
 
 
 def test_movement_length_uniform_on_range():
     rng = np.random.default_rng(42)
-    params = MoveParams(gamma=0.95, generation=1)
-    draws = [movement_length(20, params, rng) for _ in range(100_000)]
+    draws = [movement_length(20, 0.95, 1, rng) for _ in range(100_000)]
     # floor(20 * 0.95) = 19 -> uniform over the 18 integers [2, 19]
     counts = {v: 0 for v in range(2, 20)}
     for d in draws:
@@ -496,7 +493,7 @@ def test_shuffled_block_matches_the_shuffle_loop(
 # ------------------------------------------------ move-local checks
 
 
-def _reference_insertion(sol, inst, rng, rejected=None, max_resamples=MAX_RESAMPLES):
+def _reference_insertion(sol, inst, rng, rejected=None):
     """Reference reinsertion: every arc of the new block against the
     forbidden set and the load along the whole new route. The reason of each
     rejected candidate goes into ``rejected``."""
@@ -510,7 +507,7 @@ def _reference_insertion(sol, inst, rng, rejected=None, max_resamples=MAX_RESAMP
         return None
     at = block.index(customer)
     rest = block[:at] + block[at + 1 :]
-    for _ in range(max_resamples):
+    for _ in range(MAX_RESAMPLES):
         slot = int(rng.integers(m))
         if slot == at:
             return None

@@ -7,8 +7,6 @@ from rvrp import check_feasible, solution_cost
 from rvrp import generator
 from rvrp.solvers import (
     SolverConfig,
-    dfa_solve,
-    ea_solve,
     esa_initial_temperature,
     metropolis_accept,
     solve,
@@ -36,17 +34,16 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(population_size=0).validate()
     with pytest.raises(ValueError):
-        SolverConfig(elitist_fraction=0.8, random_fraction=0.3).validate()
-    with pytest.raises(ValueError):
         SolverConfig(gamma=1.0).validate()
 
 
 @pytest.mark.parametrize("elitist, rest", [(-0.5, 1.5), (1.5, -0.5)])
 def test_config_rejects_survivor_fraction_outside_unit_interval(elitist, rest):
-    # the pair sums to 1, yet the EA would ask for more random survivors
-    # than the pool holds
-    with pytest.raises(ValueError, match="survivor fractions"):
-        SolverConfig(elitist_fraction=elitist, random_fraction=rest).validate()
+    # the random survivors' share is ``rest`` = 1 - elitist: outside [0, 1]
+    # the EA would ask for more survivors of one kind than the pool holds
+    assert rest == 1 - elitist
+    with pytest.raises(ValueError, match="elitist_fraction"):
+        SolverConfig(elitist_fraction=elitist).validate()
 
 
 @pytest.mark.parametrize("pop, expected", [(100, (70, 30)), (7, (5, 2)), (3, (3, 0)), (1, (1, 0))])
@@ -100,7 +97,7 @@ def test_evaluations_at_least_population(oracle_instances, algorithm):
 
 def test_dfa_population_of_one_returns_initial(oracle_instances):
     inst = oracle_instances[0]
-    result = dfa_solve(inst, SolverConfig(algorithm="dfa", seed=21, population_size=1))
+    result = solve(inst, SolverConfig(algorithm="dfa", seed=21, population_size=1))
     assert result.evaluations_total == 1
     assert check_feasible(result.best_solution, inst).feasible
 
@@ -112,7 +109,7 @@ def test_dfa_finds_small_optimum_in_most_runs(oracle_instances):
         1
         for seed in range(10)
         if abs(
-            dfa_solve(inst, SolverConfig(algorithm="dfa", seed=1000 + seed, population_size=25)).best_cost
+            solve(inst, SolverConfig(algorithm="dfa", seed=1000 + seed, population_size=25)).best_cost
             - optimum
         )
         < 1e-6
@@ -120,11 +117,24 @@ def test_dfa_finds_small_optimum_in_most_runs(oracle_instances):
     assert hits >= 8
 
 
+@pytest.mark.parametrize("algorithm", ["dfa", "ea", "esa"])
+@pytest.mark.parametrize("cluster_sizes, evaluations", [((1,), 3), ((1, 1), 6)])
+def test_budget_can_expire_while_the_initial_population_is_priced(
+    algorithm, cluster_sizes, evaluations
+):
+    # budget n + n(n+1)/2: 2 for one customer, 5 for two; every solution of
+    # these instances costs the same, so each individual after the first stalls
+    inst = generator.small_instance(5, cluster_sizes=cluster_sizes)
+    result = solve(inst, SolverConfig(algorithm=algorithm, seed=0, population_size=10))
+    assert result.evaluations_total == evaluations
+    assert check_feasible(result.best_solution, inst).feasible
+
+
 def test_ea_elitists_keep_global_best(oracle_instances):
     # the run's best cost must appear in the final population history: the
     # sorted survivor step can never drop the pool minimum
     inst = oracle_instances[3]
-    result = ea_solve(inst, SolverConfig(algorithm="ea", seed=9, population_size=10))
+    result = solve(inst, SolverConfig(algorithm="ea", seed=9, population_size=10))
     assert result.cost_history[-1][1] == result.best_cost
 
 
@@ -132,7 +142,7 @@ def test_ea_stops_exactly_at_budget_after_last_improvement(oracle_instances):
     # every EA proposal is one evaluation, so the run ends exactly `budget`
     # evaluations after the last improvement, even mid-generation
     inst = oracle_instances[0]
-    result = ea_solve(inst, SolverConfig(algorithm="ea", seed=2, population_size=10))
+    result = solve(inst, SolverConfig(algorithm="ea", seed=2, population_size=10))
     budget = termination_budget(inst.n_customers)
     assert result.evaluations_total == result.convergence_evaluations + budget
 
@@ -185,22 +195,8 @@ def test_relocation_flag_keeps_runs_feasible(algorithm):
 
 def test_result_dict_shape(oracle_instances):
     result = solve(oracle_instances[0], SolverConfig(algorithm="dfa", seed=1, population_size=8))
-    data = result.to_dict(include_history=True, max_history_points=4)
+    data = result.to_dict(include_history=True)
     assert data["vehicles"] == result.best_solution.vehicles
     assert data["evaluations"] == result.evaluations_total
-    assert len(data["cost_history"]) <= 4
+    assert data["cost_history"] == [list(point) for point in result.cost_history]
     assert data["cost_history"][-1][1] == result.best_cost
-
-
-def test_result_dict_keeps_the_best_point_for_one(oracle_instances):
-    result = solve(oracle_instances[0], SolverConfig(algorithm="dfa", seed=1, population_size=8))
-    assert len(result.cost_history) > 1
-    data = result.to_dict(include_history=True, max_history_points=1)
-    assert data["cost_history"] == [list(result.cost_history[-1])]
-
-
-@pytest.mark.parametrize("points", [0, -3])
-def test_result_dict_rejects_fewer_than_one_point(oracle_instances, points):
-    result = solve(oracle_instances[0], SolverConfig(algorithm="dfa", seed=1, population_size=8))
-    with pytest.raises(ValueError):
-        result.to_dict(include_history=True, max_history_points=points)

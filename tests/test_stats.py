@@ -232,13 +232,28 @@ def test_experiment_best_found_is_cell_minimum(small_experiment):
 
 
 def test_experiment_single_algorithm_skips_tests():
-    inst = generator.small_instance(21, cluster_sizes=(3, 3), forbidden_per_cluster=1)
+    instances = [
+        generator.small_instance(seed, cluster_sizes=(3, 3), forbidden_per_cluster=1)
+        for seed in (21, 30)
+    ]
     report = run_experiment(
-        [inst, inst], algorithms=("dfa",), runs_per_cell=1, base_seed=1,
+        instances, algorithms=("dfa",), runs_per_cell=1, base_seed=1,
         config_overrides={"population_size": 8},
     )
     assert report.friedman is None
     assert report.holm is None
+
+
+@pytest.mark.parametrize(
+    "seeds, algorithms, named",
+    [((21, 30), ("dfa", "dfa", "esa"), "'dfa'"), ((21, 30, 21), ("dfa", "esa"), "'small_21'")],
+    ids=["algorithm", "instance"],
+)
+def test_experiment_rejects_a_name_listed_twice(seeds, algorithms, named):
+    # a name listed twice would be solved twice per cell and ranked as two
+    instances = [generator.small_instance(seed, cluster_sizes=(3, 3)) for seed in seeds]
+    with pytest.raises(ValueError, match=named):
+        run_experiment(instances, algorithms=algorithms, runs_per_cell=1)
 
 
 def test_experiment_csv_layout(small_experiment):
