@@ -20,6 +20,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -258,8 +259,15 @@ def _load_runs(path: str) -> dict[tuple[str, str], list[float]]:
         raise CommandError(EXIT_IO, "no runs in CSV")
     costs: dict[tuple[str, str], list[float]] = {}
     try:
-        for r in rows:
-            costs.setdefault((r["instance"], r["algorithm"]), []).append(float(r["cost"]))
+        for line, r in enumerate(rows, start=2):  # line 1 is the header
+            cost = float(r["cost"])
+            if not math.isfinite(cost):
+                raise CommandError(
+                    EXIT_IO,
+                    f"cannot read {path}: line {line} ({r['instance']}/{r['algorithm']}) "
+                    f"has cost {r['cost']}, not a finite number",
+                )
+            costs.setdefault((r["instance"], r["algorithm"]), []).append(cost)
     except KeyError as exc:
         raise CommandError(EXIT_IO, f"cannot read {path}: no {exc} column")
     except (TypeError, ValueError) as exc:

@@ -78,22 +78,37 @@ def route_timeline(route, inst: Instance) -> Timeline:
 
 
 def route_cost(route, inst: Instance) -> float:
-    """Cost of one route; same arithmetic as :func:`route_timeline` without
-    materialising steps (hot path)."""
+    """Cost of one route; the same floats, added in the same order, as
+    :func:`route_timeline`, without materialising steps (hot path).
+
+    Once the clock reaches the end of the peak window, the remaining arcs are
+    added at off-peak cost without moving or testing the clock. That is exact
+    because costs are non-negative (``validate_instance`` rejects
+    ``negative-cost``), so no later departure falls back inside the window; a
+    NaN clock never passes the test, so it prices as the timeline does.
+    """
     index = inst.index
     off, peak = inst.cost_offpeak, inst.cost_peak
     lo, hi = inst.peak_window_s
     t = float(inst.day_start_s)
     total = 0.0
     prev = index[0]
-    for node_id in route:
+    stops = iter(route)
+    for node_id in stops:
         cur = index[node_id]
         cost = (peak if lo <= t < hi else off)[prev][cur]
         t += cost
         total += cost
         prev = cur
-    total += (peak if lo <= t < hi else off)[prev][index[0]]
-    return total
+        if t >= hi:
+            break
+    else:
+        return total + (peak if lo <= t < hi else off)[prev][index[0]]
+    for node_id in stops:
+        cur = index[node_id]
+        total += off[prev][cur]
+        prev = cur
+    return total + off[prev][index[0]]
 
 
 def solution_cost(sol: Solution, inst: Instance) -> float:

@@ -116,6 +116,8 @@ class Instance:
     delivery: dict[int, int] = field(init=False, repr=False)
     pickup: dict[int, int] = field(init=False, repr=False)
     load_change: dict[int, int] = field(init=False, repr=False)  # pickup - delivery
+    # labels of the clusters with a member that picks up more than it delivers
+    rising_clusters: frozenset[int] = field(init=False, repr=False)
     cluster_of: dict[int, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -127,6 +129,9 @@ class Instance:
         self.pickup = {node.id: node.pickup for node in self.nodes}
         self.load_change = {node.id: node.pickup - node.delivery for node in self.nodes}
         self.cluster_of = {node.id: node.cluster for node in self.nodes}
+        self.rising_clusters = frozenset(
+            node.cluster for node in self.nodes if node.pickup > node.delivery
+        )
         if self.clusters is None:
             groups: dict[int, list[int]] = {}
             for node in self.nodes:

@@ -15,7 +15,7 @@ the route it changed, copying the other route costs (``Solution.blocks`` and
 from __future__ import annotations
 
 import math
-from itertools import groupby
+from itertools import accumulate, groupby
 from operator import ne
 from typing import Callable, Sequence
 
@@ -108,11 +108,15 @@ def _insertion(sol: Solution, inst: Instance, rng: Rng) -> Insertion | None:
     degenerates to the identity (single-member block or resampling
     exhausted). Only what the move changes is checked: the parent's block
     uses no forbidden arc, so only the arcs the move adds can, and only the
-    block's positions change the load on board.
+    block's positions change the load on board. The load is walked only for
+    a block in ``inst.rising_clusters``: any other block only sheds load from
+    what the feasible parent had on board when the block starts, so every
+    order of it fits.
     """
     customers = inst.customers
     customer = customers[int(rng.integers(len(customers)))]
-    r, start, end = sol.blocks[inst.cluster_of[customer]]
+    label = inst.cluster_of[customer]
+    r, start, end = sol.blocks[label]
     route = sol.routes[r]
     block = route[start:end]
     m = len(block)
@@ -123,7 +127,7 @@ def _insertion(sol: Solution, inst: Instance, rng: Rng) -> Insertion | None:
     forbidden = inst.forbidden
     # the arc that closes the gap at ``at`` is in every candidate but the identity
     gap_forbidden = 0 < at < m - 1 and (rest[at - 1], rest[at]) in forbidden
-    change, capacity = inst.load_change, inst.capacity
+    rising = label in inst.rising_clusters
     load = None  # on board when the block starts; summed once a candidate needs it
     for _ in range(MAX_RESAMPLES):
         slot = int(rng.integers(m))
@@ -136,17 +140,15 @@ def _insertion(sol: Solution, inst: Instance, rng: Rng) -> Insertion | None:
         ):
             continue
         new_block = rest[:slot] + (customer,) + rest[slot:]
-        if load is None:
-            load = sum(map(inst.delivery.__getitem__, route))
-            load += sum(map(change.__getitem__, route[:start]))
-        on_board = load
-        for c in new_block:
-            on_board += change[c]
-            if on_board > capacity:
-                break
-        else:  # the new block fits
-            new_route = route[:start] + new_block + route[end:]
-            return r, new_route, route_cost(new_route, inst)
+        if rising:
+            change = inst.load_change
+            if load is None:
+                load = sum(map(inst.delivery.__getitem__, route))
+                load += sum(map(change.__getitem__, route[:start]))
+            if max(accumulate(map(change.__getitem__, new_block), initial=load)) > inst.capacity:
+                continue
+        new_route = route[:start] + new_block + route[end:]
+        return r, new_route, route_cost(new_route, inst)
     return None
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .evaluation import check_feasible
-from .instance import Instance, encode
+from .instance import Instance, encode, validate_instance
 from .solvers import SolverConfig, solve
 
 # ------------------------------------------------------------ basic statistics
@@ -380,7 +380,11 @@ def run_experiment(
     jobs: int = 1,
     config_overrides: dict | None = None,
 ) -> ExperimentReport:
-    """Run the full grid and compute aggregates plus Friedman/Holm on means."""
+    """Run the full grid and compute aggregates plus Friedman/Holm on means.
+
+    Each instance is validated once, before any solve; an invalid one is
+    never solved, and every run of its cells records the issues as its
+    error."""
     if not instances:
         raise ValueError("suite must be nonempty")
     overrides = dict(config_overrides or {})
@@ -390,14 +394,18 @@ def run_experiment(
         if twice is not None:
             raise ValueError(f"{kind} {twice!r} is listed twice")
     payloads = []
+    results: dict[tuple[str, str, int], dict] = {}
     for inst in instances:
+        issues = validate_instance(inst).names
         inst_data = inst.to_dict()
         for alg in algorithms:
             for run in range(runs_per_cell):
+                if issues:
+                    results[(inst.name, alg, run)] = {"error": f"invalid instance: {issues}"}
+                    continue
                 seed = run_seed(base_seed, inst.name, alg, run)
                 payloads.append((inst_data, alg, run, seed, overrides))
 
-    results: dict[tuple[str, str, int], dict] = {}
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for name, alg, run, out in pool.map(_run_one, payloads, chunksize=1):

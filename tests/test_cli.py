@@ -3,7 +3,7 @@ import json
 import pytest
 
 from rvrp import Instance, check_feasible, decode
-from rvrp import generator
+from rvrp import generator, stats
 from rvrp.cli import main
 
 from conftest import make_joint_infeasible_instance
@@ -282,11 +282,12 @@ def test_export_geojson_rejects_mismatched_solution(tmp_path, toy_instance_file)
     ) == 2
 
 
-def _assert_one_io_error(code, capsys, path) -> None:
+def _assert_one_io_error(code, capsys, path) -> str:
     err = capsys.readouterr().err
     assert code == 2
     assert "Traceback" not in err
     assert err.count("\n") == 1 and str(path) in err
+    return err
 
 
 def test_validate_rejects_non_object_json(tmp_path, capsys):
@@ -305,15 +306,24 @@ def test_export_geojson_rejects_malformed_solution(tmp_path, toy_instance_file, 
     _assert_one_io_error(code, capsys, sol_path)
 
 
+NON_FINITE_RUNS = "instance,algorithm,cost\nA,dfa,{a}\nA,esa,5\nC,dfa,{c}\nC,esa,2\n"
+
+
 @pytest.mark.parametrize(
-    "content",
-    ["instance,algorithm\nt,dfa\n", "instance,algorithm,cost\nt,dfa,abc\n"],
-    ids=["no-cost-column", "cost-not-a-number"],
+    "content, named",
+    [
+        ("instance,algorithm\nt,dfa\n", "'cost'"),
+        ("instance,algorithm,cost\nt,dfa,abc\n", "'abc'"),
+        (NON_FINITE_RUNS.format(a="nan", c="inf"), "line 2 (A/dfa)"),
+        (NON_FINITE_RUNS.format(a="1", c="-inf"), "line 4 (C/dfa)"),
+    ],
+    ids=["no-cost-column", "cost-not-a-number", "cost-nan", "cost-inf"],
 )
-def test_stats_rejects_malformed_csv(tmp_path, capsys, content):
+def test_stats_rejects_malformed_csv(tmp_path, capsys, content, named):
+    # a NaN or infinite cost would be ranked as if it were a measurement
     path = tmp_path / "runs.csv"
     path.write_text(content)
-    _assert_one_io_error(main(["stats", str(path)]), capsys, path)
+    assert named in _assert_one_io_error(main(["stats", str(path)]), capsys, path)
 
 
 def test_experiment_rejects_malformed_instance_file(tmp_path, small_suite_dir, capsys):
@@ -382,6 +392,35 @@ def test_experiment_partial_failure_still_reports(tmp_path):
     assert report["cells"]["good/dfa"]["runs"] == 1
     assert report["cells"]["doomed/dfa"]["runs"] == 0
     assert report["cells"]["doomed/dfa"]["errors"]
+
+
+def test_experiment_never_solves_an_invalid_instance(tmp_path, monkeypatch):
+    # a negated off-peak matrix is rejected by `rvrp solve`; the experiment
+    # must reject it too, not rank the negative costs it would find
+    good = generator.small_instance(21, cluster_sizes=(3, 3), forbidden_per_cluster=1, name="good")
+    data = generator.small_instance(22, cluster_sizes=(3, 3), name="neg").to_dict()
+    data["cost_offpeak"] = [[-c for c in row] for row in data["cost_offpeak"]]
+    neg = Instance.from_dict(data)
+    generator.write_suite([good, neg], tmp_path / "suite", seed=1)
+    solved = []
+    real_solve = stats.solve
+    monkeypatch.setattr(stats, "solve", lambda inst, cfg: solved.append(inst.name) or real_solve(inst, cfg))
+    code = main(
+        ["experiment", "--suite", str(tmp_path / "suite"), "--algorithms", "dfa,esa",
+         "--runs", "2", "--seed", "2", "--jobs", "1", "--population", "5",
+         "--out", str(tmp_path / "out")]
+    )
+    assert code == 0
+    assert set(solved) == {"good"}
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    for alg in ("dfa", "esa"):
+        cell = report["cells"][f"neg/{alg}"]
+        assert cell["runs"] == 0 and cell["mean_cost"] is None
+        assert len(cell["errors"]) == 2
+        assert all(e.endswith("invalid instance: ['negative-cost']") for e in cell["errors"])
+        assert report["cells"][f"good/{alg}"]["runs"] == 2
+    assert "neg" not in report["best_found"]
+    assert "friedman" not in report
 
 
 def test_solve_emit_history(tmp_path, toy_instance_file):

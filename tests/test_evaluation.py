@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from rvrp import (
+    Instance,
     Solution,
     check_feasible,
     load_profile,
@@ -10,7 +13,7 @@ from rvrp import (
     solution_cost,
 )
 from rvrp import generator
-from rvrp.instance import OFFPEAK, PEAK
+from rvrp.instance import OFFPEAK, PEAK, PEAK_END_S, PEAK_START_S
 from rvrp.operators import random_solution
 
 from conftest import make_tiny_instance
@@ -46,6 +49,67 @@ def test_route_before_window_all_offpeak(tiny_instance):
 def test_route_cost_agrees_with_timeline(tiny_instance):
     for route in ([1, 2, 3], [3, 1, 2], [2], [3, 2]):
         assert route_cost(route, tiny_instance) == route_timeline(route, tiny_instance).total_cost_s
+
+
+PRICED_INSTANCES = [
+    ("Osaba_50_1_1", None),
+    ("Osaba_100_1", None),
+    (None, generator.small_instance(21, cluster_sizes=(3, 3), forbidden_per_cluster=1)),
+    (None, generator.small_instance(61, cluster_sizes=(5, 4, 3))),
+]
+
+
+@given(
+    which=st.integers(0, len(PRICED_INSTANCES) - 1),
+    seed=st.integers(0, 2**32 - 1),
+    length=st.integers(1, 40),
+    day_start=st.one_of(
+        st.integers(0, PEAK_START_S - 1),  # before the window
+        st.sampled_from([PEAK_START_S, PEAK_END_S]),  # on either edge
+        st.integers(PEAK_START_S + 1, PEAK_END_S - 1),  # inside
+        st.integers(PEAK_END_S + 1, PEAK_END_S + 20000),  # after
+    ),
+    land_on=st.sampled_from([None, PEAK_START_S, PEAK_END_S]),
+    zero_arcs=st.lists(st.integers(0, 40), max_size=6),
+)
+@settings(max_examples=300, deadline=None)
+def test_route_cost_matches_timeline_bit_for_bit(
+    benchmark_by_name, which, seed, length, day_start, land_on, zero_arcs
+):
+    # route_cost stops moving the clock once a departure is past the peak
+    # window; the timeline always moves it, so their totals must agree to
+    # the last bit wherever a route starts and however it crosses the window
+    name, inst = PRICED_INSTANCES[which]
+    inst = inst or benchmark_by_name[name]
+    customers = np.random.default_rng(seed).permutation(inst.customers)
+    route = [int(c) for c in customers[:length]]
+    arcs = list(zip([0, *route], [*route, 0]))
+    off = [row[:] for row in inst.cost_offpeak]
+    peak = [row[:] for row in inst.cost_peak]
+
+    def set_cost(arc, cost):
+        i, j = inst.index[arc[0]], inst.index[arc[1]]
+        off[i][j] = peak[i][j] = cost
+
+    for k in zero_arcs:
+        set_cost(arcs[k % len(arcs)], 0.0)
+    if land_on is not None and day_start < land_on:
+        set_cost(arcs[0], float(land_on - day_start))  # the second departure is on the edge
+    priced = Instance(
+        name=inst.name,
+        nodes=inst.nodes,
+        capacity=inst.capacity,
+        cost_offpeak=off,
+        cost_peak=peak,
+        day_start_s=day_start,
+    )
+    timeline = route_timeline(route, priced)
+    assert route_cost(route, priced).hex() == timeline.total_cost_s.hex()
+    departures = [step.departure_s for step in timeline.steps]
+    if departures[-1] >= PEAK_END_S:
+        event("past the window" if departures[0] < PEAK_END_S else "starts past the window")
+    if PEAK_START_S in departures or PEAK_END_S in departures:
+        event("departs on an edge")
 
 
 def test_departure_times_strictly_increase(benchmark_by_name):

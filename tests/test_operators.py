@@ -419,13 +419,14 @@ def _reference_shuffled_block(members, prefix, inst, rng):
     return None
 
 
-def _rising_loads(inst):
-    """``inst`` with pickups above deliveries at every odd customer, so that
-    a route's load rises en route and can fail at a later peak (generated
-    instances never pick up more than they deliver)."""
+def _rising_loads(inst, labels=None):
+    """``inst`` with pickups above deliveries at every odd customer (of the
+    clusters in ``labels``, or of all), so that a route's load rises en route
+    and can fail at a later peak (generated instances never pick up more
+    than they deliver)."""
     data = inst.to_dict()
     for node in data["nodes"][1:]:
-        if node["id"] % 2:
+        if node["id"] % 2 and (labels is None or node["cluster"] in labels):
             node["pickup"] = node["delivery"] + 7
     return Instance.from_dict(data)
 
@@ -559,6 +560,13 @@ def _twin_streams(seed, replay):
     return [Draws(g) for g in pair] if replay else pair
 
 
+# deliveries over pickups in cluster 3 and pickups over deliveries at two
+# members of cluster 2, under a capacity that every route of both clusters
+# fills: one chain both skips the load walk and rejects candidates by it
+MIXED_LOADS = _rising_loads(
+    generator.small_instance(84, cluster_sizes=(1, 5, 3), capacity=60), labels={2}
+)
+
 # dense forbidden arcs (2 per cluster of 3-4 members, 8 per cluster of 4-6,
 # 10 per cluster of 5 on Osaba_50_1_4) and loads that rise en route to a
 # tight capacity, so that both checks reject candidates
@@ -568,21 +576,15 @@ EXACT_INSTANCES = [
     next(inst for inst in SHUFFLE_INSTANCES if inst.name == "Osaba_50_1_4"),
     _rising_loads(STATE_INSTANCES[1]),
     SHUFFLE_INSTANCES[-1],
+    MIXED_LOADS,
 ]
 
 
-@given(
-    which=st.integers(0, len(EXACT_INSTANCES) - 1),
-    seed=st.integers(0, 2**32 - 1),
-    pools=st.lists(st.integers(2, 12), min_size=1, max_size=8),
-    relocation_rate=st.sampled_from([0.0, 0.0, 0.3]),
-    replay=st.booleans(),
-)
-@settings(max_examples=300, deadline=None)
-def test_move_local_checks_match_full_route_checks(which, seed, pools, relocation_rate, replay):
-    inst = EXACT_INSTANCES[which]
+def _check_moves_against_references(inst, seed, pools, relocation_rate, replay, rejected):
+    """A chain of moves from a random construction; at each step the fast
+    ``_insertion``, ``insertion_move`` and ``move_firefly`` must give what
+    the references give from the same draws, and take as many."""
     sol = random_solution(inst, np.random.default_rng(seed))
-    rejected = []
     for step, n in enumerate(pools):
         assert check_feasible(sol, inst).feasible
         fast, ref = _twin_streams([seed, step, 0], replay)
@@ -612,8 +614,45 @@ def test_move_local_checks_match_full_route_checks(which, seed, pools, relocatio
         _same_solution(best, best_ref)
         assert fast.random() == ref.random()
         sol = best if step % 2 else moved
+
+
+@given(
+    which=st.integers(0, len(EXACT_INSTANCES) - 1),
+    seed=st.integers(0, 2**32 - 1),
+    pools=st.lists(st.integers(2, 12), min_size=1, max_size=8),
+    relocation_rate=st.sampled_from([0.0, 0.0, 0.3]),
+    replay=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_move_local_checks_match_full_route_checks(which, seed, pools, relocation_rate, replay):
+    rejected = []
+    _check_moves_against_references(
+        EXACT_INSTANCES[which], seed, pools, relocation_rate, replay, rejected
+    )
     for reason in sorted(set(rejected)):
         event(f"{reason} rejected")
+
+
+def test_rising_clusters_are_those_with_a_member_picking_up_more():
+    for inst in (*SHUFFLE_INSTANCES, MIXED_LOADS):
+        assert inst.rising_clusters == {
+            label
+            for label, members in inst.clusters.items()
+            if any(inst.pickup[c] > inst.delivery[c] for c in members)
+        }
+    assert not any(inst.rising_clusters for inst in STATE_INSTANCES)
+    multi = {label for label, members in MIXED_LOADS.clusters.items() if len(members) > 1}
+    assert set() < MIXED_LOADS.rising_clusters & multi < multi
+
+
+def test_load_skip_matches_full_route_checks_on_both_branches():
+    # a block outside rising_clusters skips the load walk and one inside it
+    # walks it; on one chain both must match the full-route reference, and
+    # the walk must reject some candidate that the skip would have let pass
+    rejected = []
+    for seed in range(40):
+        _check_moves_against_references(MIXED_LOADS, seed, [6] * 6, 0.0, seed % 2, rejected)
+    assert "over capacity" in rejected
 
 
 class _Script:
