@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
@@ -55,11 +56,13 @@ class Node:
 class Solution:
     """Ordered routes over customer ids; the depot is implicit at both ends.
 
-    ``blocks`` (cluster label -> ``(route, start, end)``) and ``costs`` (the
-    cost of each route) are derived search state that the operators carry
-    from a solution to its candidates, valid for the instance they were made
-    on. They are ignored by equality, hashing, ``repr`` and every output, and
-    are None on a solution built from routes alone.
+    ``blocks`` (cluster label -> ``(route, start, end)``), ``costs`` (the
+    cost of each route) and ``visits`` (every cluster's block, clusters in
+    ``Instance.clusters`` order) are derived search state that the operators
+    carry from a solution to its candidates, valid for the instance they were
+    made on. They are ignored by equality, hashing, ``repr`` and every
+    output, and are None on a solution built from routes alone; only the
+    firefly move carries ``visits``.
     """
 
     routes: tuple[tuple[int, ...], ...]
@@ -67,6 +70,7 @@ class Solution:
         default=None, compare=False, repr=False
     )
     costs: tuple[float, ...] | None = field(default=None, compare=False, repr=False)
+    visits: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def from_routes(cls, routes: Iterable[Iterable[int]]) -> "Solution":
@@ -119,6 +123,8 @@ class Instance:
     # labels of the clusters with a member that picks up more than it delivers
     rising_clusters: frozenset[int] = field(init=False, repr=False)
     cluster_of: dict[int, int] = field(init=False, repr=False)
+    # label -> where the cluster's block starts in ``Solution.visits``
+    cluster_offset: dict[int, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.nodes = tuple(self.nodes)
@@ -140,6 +146,8 @@ class Instance:
             self.clusters = {label: tuple(ids) for label, ids in sorted(groups.items())}
         else:
             self.clusters = {int(k): tuple(v) for k, v in self.clusters.items()}
+        sizes = [len(members) for members in self.clusters.values()]
+        self.cluster_offset = dict(zip(self.clusters, accumulate(sizes, initial=0)))
 
     @property
     def n_customers(self) -> int:
@@ -391,12 +399,18 @@ def validate_instance(inst: Instance) -> ValidationReport:
             if m in seen:
                 add("clusters-not-disjoint", f"node {m} in clusters {seen[m]} and {label}")
             seen[m] = label
-    uncovered = set(inst.customers) - set(seen)
+    known = set(inst.customers)
+    uncovered = known - set(seen)
     if uncovered:
         add("clusters-incomplete", str(sorted(uncovered)))
-    stray = set(seen) - set(inst.customers)
+    stray = set(seen) - known
     if stray:
         add("cluster-member-unknown", str(sorted(stray)))
+    # the operators find a customer's block by its node label
+    for label, members in inst.clusters.items():
+        mislabelled = [m for m in members if m in known and inst.cluster_of[m] != label]
+        if mislabelled:
+            add("cluster-label-mismatch", f"cluster {label}: nodes {mislabelled} carry other labels")
 
     lo, hi = inst.peak_window_s
     if not inst.day_start_s <= lo < hi <= inst.day_end_s:
@@ -431,7 +445,6 @@ def validate_instance(inst: Instance) -> ValidationReport:
         for name, (count, first) in bad.items():
             add(name, first if count == 1 else f"{count} entries, first {first}")
 
-    known = set(inst.customers)
     for i, j in sorted(inst.forbidden):
         if i == 0 or j == 0:
             add("forbidden-arc-touches-depot", f"({i},{j})")

@@ -9,13 +9,15 @@ construction and only the load profile and intra-cluster forbidden arcs need
 re-checking, and only inside the block. The same fact makes the moves
 incremental: a candidate shares its parent's block index and re-prices only
 the route it changed, copying the other route costs (``Solution.blocks`` and
-``Solution.costs``).
+``Solution.costs``). A firefly move also carries the cluster-major visit order
+(``Solution.visits``) that the Hamming distance compares, with the one block
+its winner changed spliced in.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import accumulate, groupby
+from itertools import accumulate, compress, count, groupby
 from operator import ne
 from typing import Callable, Sequence
 
@@ -69,23 +71,31 @@ def _with_search_state(sol: Solution, inst: Instance) -> Solution:
     return Solution(sol.routes, _block_index(sol.routes, inst), costs)
 
 
+def _visit_order(sol: Solution, inst: Instance) -> tuple[int, ...]:
+    """``sol``'s cluster-major visit order: every cluster's block, clusters
+    in ``inst.clusters`` order; derived from its blocks (or its routes)
+    unless it carries one."""
+    if sol.visits is not None:
+        return sol.visits
+    blocks = sol.blocks if sol.blocks is not None else _block_index(sol.routes, inst)
+    visits: list[int] = []
+    for label, members in inst.clusters.items():
+        # a cluster without a block counts as an empty one
+        r, start, end = blocks.get(label, (0, 0, 0))
+        if end - start != len(members):
+            raise ValueError("solutions do not cover the same instance")
+        visits += sol.routes[r][start:end]
+    return tuple(visits)
+
+
 # ---------------------------------------------------------------- distance
 
 
 def hamming_distance(a: Solution, b: Solution, inst: Instance) -> int:
     """Positional mismatches between the two visit orders, cluster by cluster:
-    each cluster's block in ``a`` against its block in ``b``."""
-    blocks_a = a.blocks if a.blocks is not None else _block_index(a.routes, inst)
-    blocks_b = b.blocks if b.blocks is not None else _block_index(b.routes, inst)
-    total = 0
-    for label, members in inst.clusters.items():
-        # a cluster without a block counts as an empty one
-        ra, sa, ea = blocks_a.get(label, (0, 0, 0))
-        rb, sb, eb = blocks_b.get(label, (0, 0, 0))
-        if ea - sa != len(members) or eb - sb != len(members):
-            raise ValueError("solutions do not cover the same instance")
-        total += sum(map(ne, a.routes[ra][sa:ea], b.routes[rb][sb:eb]))
-    return total
+    each cluster's block in ``a`` against its block in ``b``, which is one
+    pass over the two cluster-major orders (``Solution.visits``)."""
+    return sum(map(ne, _visit_order(a, inst), _visit_order(b, inst)))
 
 
 def movement_length(r: int, gamma: float, generation: int, rng: Rng) -> int:
@@ -114,7 +124,7 @@ def _insertion(sol: Solution, inst: Instance, rng: Rng) -> Insertion | None:
     order of it fits.
     """
     customers = inst.customers
-    customer = customers[int(rng.integers(len(customers)))]
+    customer = customers[rng.integers(len(customers))]
     label = inst.cluster_of[customer]
     r, start, end = sol.blocks[label]
     route = sol.routes[r]
@@ -130,7 +140,7 @@ def _insertion(sol: Solution, inst: Instance, rng: Rng) -> Insertion | None:
     rising = label in inst.rising_clusters
     load = None  # on board when the block starts; summed once a candidate needs it
     for _ in range(MAX_RESAMPLES):
-        slot = int(rng.integers(m))
+        slot = rng.integers(m)
         if slot == at:
             return None  # reinserted where it was extracted
         if (
@@ -152,14 +162,17 @@ def _insertion(sol: Solution, inst: Instance, rng: Rng) -> Insertion | None:
     return None
 
 
-def _with_route(sol: Solution, r: int, route: tuple[int, ...], cost: float) -> Solution:
+def _with_route(
+    sol: Solution, r: int, route: tuple[int, ...], cost: float,
+    visits: tuple[int, ...] | None = None,
+) -> Solution:
     """``sol`` with route ``r`` and its cost replaced; every block stays in
     place."""
     routes = list(sol.routes)
     routes[r] = route
     costs = list(sol.costs)
     costs[r] = cost
-    return Solution(tuple(routes), sol.blocks, tuple(costs))
+    return Solution(tuple(routes), sol.blocks, tuple(costs), visits)
 
 
 def insertion_move(sol: Solution, inst: Instance, rng: Rng) -> Solution:
@@ -188,13 +201,16 @@ def move_firefly(
     invoked once per candidate with its cost, which is how solvers account
     one objective evaluation per candidate. A candidate is priced from the
     parent's route costs with the changed one replaced, and only the pool's
-    winner is built as a ``Solution``. When ``relocation_rate`` > 0, a
-    candidate is drawn from ``cluster_relocation`` with that probability
-    instead of an insertion.
+    winner is built as a ``Solution``, with the parent's visit order and the
+    changed block spliced in. When ``relocation_rate`` > 0, a candidate is
+    drawn from ``cluster_relocation`` with that probability instead of an
+    insertion.
     """
     if n < 2:
         raise ValueError("movement length must be at least 2")
     sol = _with_search_state(sol, inst)
+    if sol.visits is None:
+        sol = Solution(sol.routes, sol.blocks, sol.costs, _visit_order(sol, inst))
     sol_cost = sum(sol.costs)
     costs = list(sol.costs)
     best: Solution | Insertion = sol
@@ -218,7 +234,15 @@ def move_firefly(
         if cand_cost < best_cost:
             best, best_cost = cand, cand_cost
     if not isinstance(best, Solution):
-        best = _with_route(sol, *best)
+        r, route, cost = best
+        # splice the one changed block into the parent's visit order; it holds
+        # the first position where the two routes differ
+        at = next(compress(count(), map(ne, sol.routes[r], route)))
+        label = inst.cluster_of[route[at]]
+        _, start, end = sol.blocks[label]
+        offset = inst.cluster_offset[label]
+        visits = sol.visits[:offset] + route[start:end] + sol.visits[offset + end - start :]
+        best = _with_route(sol, r, route, cost, visits)
     return best, best_cost
 
 
@@ -228,9 +252,10 @@ def move_firefly(
 def cluster_relocation(sol: Solution, inst: Instance, rng: Rng) -> Solution:
     """Move one whole cluster block between routes (or into a new route).
 
-    The block's internal order is preserved; the target route is re-checked
-    with the exact load simulation and infeasible draws are resampled. This
-    operator is an extension: it is only used when explicitly enabled.
+    The block's internal order is preserved, so the candidate keeps its
+    parent's visit order; the target route is re-checked with the exact load
+    simulation and infeasible draws are resampled. This operator is an
+    extension: it is only used when explicitly enabled.
     """
     state = _with_search_state(sol, inst)
     labels = sorted(inst.clusters)
@@ -270,7 +295,8 @@ def cluster_relocation(sol: Solution, inst: Instance, rng: Rng) -> Solution:
             new_routes[r] = (*remaining[r][:b], *block, *remaining[r][b:])
         if route_load_ok(new_routes[r], inst):
             costs[r] = route_cost(new_routes[r], inst)
-            return Solution(tuple(new_routes), _block_index(new_routes, inst), tuple(costs))
+            blocks = _block_index(new_routes, inst)
+            return Solution(tuple(new_routes), blocks, tuple(costs), state.visits)
     return sol
 
 

@@ -306,6 +306,30 @@ def test_export_geojson_rejects_malformed_solution(tmp_path, toy_instance_file, 
     _assert_one_io_error(code, capsys, sol_path)
 
 
+@pytest.mark.parametrize(
+    "bad, named",
+    [
+        (lambda enc: [*enc[:-1], enc[-1] + 0.9], "is {last}.9"),
+        (lambda enc: [str(v) for v in enc], "entry 0 is '{first}'"),
+        (lambda enc: [*enc[:-1], True], "is True"),
+    ],
+    ids=["float", "strings", "boolean"],
+)
+def test_export_geojson_rejects_non_integer_encoding(tmp_path, toy_instance_file, capsys, bad, named):
+    sol_path = tmp_path / "sol.json"
+    main(["solve", str(toy_instance_file), "--seed", "3", "--population", "5", "--out", str(sol_path)])
+    data = json.loads(sol_path.read_text())
+    encoding = data["encoding"]
+    data["encoding"] = bad(encoding)
+    sol_path.write_text(json.dumps(data) + "\n")
+    capsys.readouterr()
+    geo_path = tmp_path / "x.json"
+    code = main(["export-geojson", str(toy_instance_file), str(sol_path), "--out", str(geo_path)])
+    err = _assert_one_io_error(code, capsys, sol_path)
+    assert named.format(first=encoding[0], last=encoding[-1]) in err
+    assert not geo_path.exists()
+
+
 NON_FINITE_RUNS = "instance,algorithm,cost\nA,dfa,{a}\nA,esa,5\nC,dfa,{c}\nC,esa,2\n"
 
 

@@ -308,18 +308,26 @@ def _scan_block(routes, customer, inst):
     raise ValueError(f"customer {customer} not present in solution")
 
 
+def _cluster_sequences(sol, inst):
+    """Each cluster's members in visiting order over the whole solution."""
+    seqs = {label: [] for label in inst.clusters}
+    for c in sol.customers():
+        seqs[inst.cluster_of[c]].append(c)
+    return seqs
+
+
 def _reference_hamming(a, b, inst):
     """Reference distance: each cluster's members in visiting order over the
     whole solution, compared position by position."""
-
-    def sequences(sol):
-        seqs = {label: [] for label in inst.clusters}
-        for c in sol.customers():
-            seqs[inst.cluster_of[c]].append(c)
-        return seqs
-
-    seq_a, seq_b = sequences(a), sequences(b)
+    seq_a, seq_b = _cluster_sequences(a, inst), _cluster_sequences(b, inst)
     return sum(sum(1 for x, y in zip(seq_a[k], seq_b[k]) if x != y) for k in inst.clusters)
+
+
+def _reference_visits(sol, inst):
+    """Reference cluster-major visit order: the cluster sequences, clusters in
+    ``inst.clusters`` order."""
+    seqs = _cluster_sequences(sol, inst)
+    return tuple(c for label in inst.clusters for c in seqs[label])
 
 
 CLUSTER_RULES = {"visit-count", "cluster-split", "cluster-noncontiguous"}
@@ -356,15 +364,20 @@ def test_carried_state_matches_references(which, seed, steps):
     inst = STATE_INSTANCES[which]
     rng = np.random.default_rng(seed)
     chain = [random_solution(inst, rng)]
+    assert chain[0].visits is None
     for step in steps:
-        sol = chain[-1]
+        parent = chain[-1]
         if step == "insert":
-            sol = insertion_move(sol, inst, rng)
+            sol = insertion_move(parent, inst, rng)
+            if parent.visits is None:
+                assert sol.visits is None
         elif step == "firefly":
-            sol, cost = move_firefly(sol, 3, inst, rng, relocation_rate=0.3)
+            sol, cost = move_firefly(parent, 3, inst, rng, relocation_rate=0.3)
             assert cost == sum(sol.costs)
+            assert sol.visits is not None
         else:
-            sol = cluster_relocation(sol, inst, rng)
+            sol = cluster_relocation(parent, inst, rng)
+            assert sol.visits is parent.visits
         chain.append(sol)
 
     for sol in chain:
@@ -374,6 +387,8 @@ def test_carried_state_matches_references(which, seed, steps):
         }
         carried = [c.hex() for c in sol.costs]
         assert carried == [route_cost(route, inst).hex() for route in sol.routes]
+        if sol.visits is not None:
+            assert sol.visits == _reference_visits(sol, inst)
 
     others = [_blocked_solution(inst, rng) for _ in range(3)]
     pool = chain + others + [Solution.from_routes(sol.routes) for sol in chain]
