@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .instance import Instance, Node, cluster_order, validate_instance
+from .instance import Instance, Node, cluster_order, label_clusters, validate_instance
 from .operators import random_solution
 
 BOX_W = 20000.0
@@ -100,13 +100,6 @@ def _skeleton_nodes(rng: np.random.Generator, cluster_sizes: Sequence[int]) -> l
         d, p = demand_for(cid)
         nodes.append(Node(cid, float(coords[cid, 0]), float(coords[cid, 1]), d, p, label))
     return nodes
-
-
-def _cluster_members(nodes: Sequence[Node]) -> dict[int, tuple[int, ...]]:
-    clusters: dict[int, list[int]] = {}
-    for n in nodes[1:]:
-        clusters.setdefault(n.cluster, []).append(n.id)
-    return {label: tuple(ids) for label, ids in clusters.items()}
 
 
 def generate_base(seed: int) -> Skeleton:
@@ -252,7 +245,7 @@ def derive_instance(base: Skeleton, row: SuiteRow, seed: int) -> Instance:
     if len(nodes) - 1 != row.nodes:
         raise GenerationError(f"{row.name}: selected {len(nodes) - 1} nodes, expected {row.nodes}")
     off, peak = assign_costs(nodes)
-    clusters = _cluster_members(nodes)
+    clusters = label_clusters(nodes)
     if len(clusters) != row.clusters:
         raise GenerationError(f"{row.name}: got {len(clusters)} clusters, expected {row.clusters}")
     forbidden = select_forbidden(clusters, row.forbidden_per_cluster, rng)
@@ -333,7 +326,7 @@ def small_instance(
     forces every cluster onto its own route."""
     rng = np.random.default_rng(seed)
     nodes = _skeleton_nodes(rng, cluster_sizes)
-    clusters = _cluster_members(nodes)
+    clusters = label_clusters(nodes)
     if capacity is None:
         demands = [[demand_for(m) for m in members] for members in clusters.values()]
         capacity = max(sum(d for d, _ in ds) for ds in demands) + max(sum(p for _, p in ds) for ds in demands)

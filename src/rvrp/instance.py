@@ -93,14 +93,25 @@ class DecodeError(ValueError):
         super().__init__(f"{reason}: {detail}" if detail else reason)
 
 
+def label_clusters(nodes: Iterable[Node]) -> dict[int, tuple[int, ...]]:
+    """The cluster partition: each label's customers in node order, labels
+    ascending."""
+    groups: dict[int, list[int]] = {}
+    for node in nodes:
+        if node.id != 0:
+            groups.setdefault(node.cluster, []).append(node.id)
+    return {label: tuple(ids) for label, ids in sorted(groups.items())}
+
+
 @dataclass
 class Instance:
     """Immutable problem instance.
 
     ``nodes`` must list the depot first; matrix row/column order follows the
     node order (``index`` maps node id to matrix index, so derived instances
-    can keep their original, non-contiguous ids). ``clusters`` is derived from
-    the per-node cluster labels unless given explicitly.
+    can keep their original, non-contiguous ids). The nodes' cluster labels
+    are the only description of the partition; ``clusters`` is derived from
+    them by :func:`label_clusters`.
     """
 
     name: str
@@ -109,7 +120,6 @@ class Instance:
     cost_offpeak: list[list[float]]
     cost_peak: list[list[float]]
     forbidden: frozenset[tuple[int, int]] = frozenset()
-    clusters: dict[int, tuple[int, ...]] | None = None
     day_start_s: int = DAY_START_S
     peak_window_s: tuple[int, int] = (PEAK_START_S, PEAK_END_S)
     day_end_s: int = DAY_END_S
@@ -123,6 +133,7 @@ class Instance:
     # labels of the clusters with a member that picks up more than it delivers
     rising_clusters: frozenset[int] = field(init=False, repr=False)
     cluster_of: dict[int, int] = field(init=False, repr=False)
+    clusters: dict[int, tuple[int, ...]] = field(init=False, repr=False)
     # label -> where the cluster's block starts in ``Solution.visits``
     cluster_offset: dict[int, int] = field(init=False, repr=False)
 
@@ -138,14 +149,7 @@ class Instance:
         self.rising_clusters = frozenset(
             node.cluster for node in self.nodes if node.pickup > node.delivery
         )
-        if self.clusters is None:
-            groups: dict[int, list[int]] = {}
-            for node in self.nodes:
-                if node.id != 0:
-                    groups.setdefault(node.cluster, []).append(node.id)
-            self.clusters = {label: tuple(ids) for label, ids in sorted(groups.items())}
-        else:
-            self.clusters = {int(k): tuple(v) for k, v in self.clusters.items()}
+        self.clusters = label_clusters(self.nodes)
         sizes = [len(members) for members in self.clusters.values()]
         self.cluster_offset = dict(zip(self.clusters, accumulate(sizes, initial=0)))
 
@@ -155,12 +159,6 @@ class Instance:
 
     def node(self, node_id: int) -> Node:
         return self.nodes[self.index[node_id]]
-
-    def offpeak(self, i: int, j: int) -> float:
-        return self.cost_offpeak[self.index[i]][self.index[j]]
-
-    def peak(self, i: int, j: int) -> float:
-        return self.cost_peak[self.index[i]][self.index[j]]
 
     # ------------------------------------------------------------------ JSON
 
@@ -192,12 +190,12 @@ class Instance:
     def from_dict(cls, data: Mapping) -> "Instance":
         nodes = tuple(
             Node(
-                id=int(n["id"]),
+                id=_integer(n["id"], "id"),
                 x=float(n["x"]),
                 y=float(n["y"]),
-                delivery=int(n["delivery"]),
-                pickup=int(n["pickup"]),
-                cluster=int(n["cluster"]),
+                delivery=_integer(n["delivery"], "delivery"),
+                pickup=_integer(n["pickup"], "pickup"),
+                cluster=_integer(n["cluster"], "cluster"),
             )
             for n in data["nodes"]
         )
@@ -211,16 +209,20 @@ class Instance:
 
             off, peak = assign_costs(nodes)
         window = data.get("peak_window_s", (PEAK_START_S, PEAK_END_S))
+        if len(window) != 2:
+            raise ValueError(f"peak_window_s has {len(window)} entries, not 2")
         return cls(
             name=str(data["name"]),
             nodes=nodes,
-            capacity=int(data["capacity"]),
+            capacity=_integer(data["capacity"], "capacity"),
             cost_offpeak=off,
             cost_peak=peak,
-            forbidden=frozenset((int(i), int(j)) for i, j in data.get("forbidden", [])),
-            day_start_s=int(data.get("day_start_s", DAY_START_S)),
-            peak_window_s=(int(window[0]), int(window[1])),
-            day_end_s=int(data.get("day_end_s", DAY_END_S)),
+            forbidden=frozenset(
+                (_integer(i, "forbidden"), _integer(j, "forbidden")) for i, j in data.get("forbidden", [])
+            ),
+            day_start_s=_integer(data.get("day_start_s", DAY_START_S), "day_start_s"),
+            peak_window_s=(_integer(window[0], "peak_window_s"), _integer(window[1], "peak_window_s")),
+            day_end_s=_integer(data.get("day_end_s", DAY_END_S), "day_end_s"),
         )
 
     def save(self, path: str | Path) -> Path:
@@ -233,6 +235,15 @@ class Instance:
     def load(cls, path: str | Path) -> "Instance":
         with open(path, encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
+
+
+def _integer(value, name: str) -> int:
+    """``int(value)`` for a file field; an infinite or NaN number is a
+    ValueError that names the field."""
+    try:
+        return int(value)
+    except (OverflowError, ValueError) as exc:
+        raise ValueError(f"{name} is {value!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------- encoding
@@ -367,7 +378,12 @@ def cluster_order(
 
 
 def validate_instance(inst: Instance) -> ValidationReport:
-    """Check every structural invariant; violations are data, not exceptions."""
+    """Check every structural invariant; violations are data, not exceptions.
+
+    The cluster partition is the nodes' labels, so it is disjoint and covers
+    every customer by construction; each cluster is checked for an order that
+    keeps the forbidden arcs and the capacity.
+    """
     issues: list[ValidationIssue] = []
 
     def add(name: str, detail: str) -> None:
@@ -390,27 +406,8 @@ def validate_instance(inst: Instance) -> ValidationReport:
         if node.cluster <= 0:
             add("customer-in-depot-cluster", f"node {node.id}")
 
-    # cluster partition: disjoint, nonempty, covering all customers
-    seen: dict[int, int] = {}
-    for label, members in inst.clusters.items():
-        if not members:
-            add("cluster-empty", f"cluster {label}")
-        for m in members:
-            if m in seen:
-                add("clusters-not-disjoint", f"node {m} in clusters {seen[m]} and {label}")
-            seen[m] = label
-    known = set(inst.customers)
-    uncovered = known - set(seen)
-    if uncovered:
-        add("clusters-incomplete", str(sorted(uncovered)))
-    stray = set(seen) - known
-    if stray:
-        add("cluster-member-unknown", str(sorted(stray)))
-    # the operators find a customer's block by its node label
-    for label, members in inst.clusters.items():
-        mislabelled = [m for m in members if m in known and inst.cluster_of[m] != label]
-        if mislabelled:
-            add("cluster-label-mismatch", f"cluster {label}: nodes {mislabelled} carry other labels")
+    if not inst.customers:
+        add("no-customers", "no node other than the depot")
 
     lo, hi = inst.peak_window_s
     if not inst.day_start_s <= lo < hi <= inst.day_end_s:
@@ -445,6 +442,7 @@ def validate_instance(inst: Instance) -> ValidationReport:
         for name, (count, first) in bad.items():
             add(name, first if count == 1 else f"{count} entries, first {first}")
 
+    known = set(inst.customers)
     for i, j in sorted(inst.forbidden):
         if i == 0 or j == 0:
             add("forbidden-arc-touches-depot", f"({i},{j})")
@@ -454,8 +452,6 @@ def validate_instance(inst: Instance) -> ValidationReport:
             add("forbidden-arc-crosses-clusters", f"({i},{j})")
 
     for label, members in inst.clusters.items():
-        if not members or any(m not in known for m in members):
-            continue
         path = cluster_order(members, inst.forbidden)
         if path is None:
             add("cluster-path-infeasible", f"cluster {label}")

@@ -290,10 +290,46 @@ def _assert_one_io_error(code, capsys, path) -> str:
     return err
 
 
-def test_validate_rejects_non_object_json(tmp_path, capsys):
-    path = tmp_path / "list.json"
-    path.write_text("[1, 2]\n")
-    _assert_one_io_error(main(["validate", str(path)]), capsys, path)
+INF = "<1e400>"  # written as the JSON number 1e400, which reads as infinity
+
+
+def _with_infinite_delivery(data: dict) -> dict:
+    nodes = [dict(n) for n in data["nodes"]]
+    nodes[1]["delivery"] = INF
+    return {**data, "nodes": nodes}
+
+
+MALFORMED_INSTANCES = pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda data: [1, 2], ""),
+        (lambda data: {**data, "peak_window_s": [7200]}, "peak_window_s"),
+        (lambda data: {**data, "peak_window_s": []}, "peak_window_s"),
+        (lambda data: {**data, "peak_window_s": [7200, 14400, 20000]}, "peak_window_s"),
+        (lambda data: {**data, "capacity": INF}, "capacity"),
+        (_with_infinite_delivery, "delivery"),
+    ],
+    ids=["non-object", "window-one-entry", "window-empty", "window-three-entries",
+         "capacity-1e400", "delivery-1e400"],
+)
+
+
+def _write_edited(source, path, edit) -> None:
+    data = edit(json.loads(source.read_text()))
+    path.write_text(json.dumps(data).replace(f'"{INF}"', "1e400") + "\n")
+
+
+@MALFORMED_INSTANCES
+@pytest.mark.parametrize("command", ["validate", "solve"])
+def test_validate_and_solve_reject_malformed_instance_file(
+    tmp_path, toy_instance_file, capsys, command, edit, named
+):
+    path = tmp_path / "bad.json"
+    _write_edited(toy_instance_file, path, edit)
+    out = tmp_path / "sol.json"
+    args = [command, str(path)] + (["--out", str(out)] if command == "solve" else [])
+    assert named in _assert_one_io_error(main(args), capsys, path)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("content", ['{"encoding": 5}', "[1, 2]"], ids=["encoding-int", "list"])
@@ -350,10 +386,13 @@ def test_stats_rejects_malformed_csv(tmp_path, capsys, content, named):
     assert named in _assert_one_io_error(main(["stats", str(path)]), capsys, path)
 
 
-def test_experiment_rejects_malformed_instance_file(tmp_path, small_suite_dir, capsys):
-    (small_suite_dir / "toy_a.json").write_text("[1, 2]\n")
+@MALFORMED_INSTANCES
+def test_experiment_rejects_malformed_instance_file(tmp_path, small_suite_dir, capsys, edit, named):
+    path = small_suite_dir / "toy_a.json"
+    _write_edited(path, path, edit)
     code = main(["experiment", "--suite", str(small_suite_dir), "--out", str(tmp_path / "o")])
-    _assert_one_io_error(code, capsys, small_suite_dir)
+    assert named in _assert_one_io_error(code, capsys, small_suite_dir)
+    assert not (tmp_path / "o").exists()
 
 
 def test_header_prints_resolved_seed(tmp_path, toy_instance_file, capsys):
@@ -445,6 +484,34 @@ def test_experiment_never_solves_an_invalid_instance(tmp_path, monkeypatch):
         assert report["cells"][f"good/{alg}"]["runs"] == 2
     assert "neg" not in report["best_found"]
     assert "friedman" not in report
+
+
+def test_depot_only_instance_is_invalid(tmp_path, capsys, monkeypatch):
+    # no customers: solve used to die in termination_budget with exit 1
+    good = generator.small_instance(21, cluster_sizes=(3, 3), forbidden_per_cluster=1, name="good")
+    data = generator.small_instance(22, cluster_sizes=(3, 3), name="empty").to_dict()
+    data.update(nodes=data["nodes"][:1], cost_offpeak=[[0.0]], cost_peak=[[0.0]])
+    empty = Instance.from_dict(data)
+    manifest = generator.write_suite([good, empty], tmp_path / "suite", seed=1)
+    path = manifest.parent / "empty.json"
+    assert main(["validate", str(path)]) == 1
+    assert "violation no-customers" in capsys.readouterr().out
+    out = tmp_path / "sol.json"
+    code = main(["solve", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and err.count("\n") == 1 and "no-customers" in err
+    assert not out.exists()
+    solved = []
+    real_solve = stats.solve
+    monkeypatch.setattr(stats, "solve", lambda inst, cfg: solved.append(inst.name) or real_solve(inst, cfg))
+    code = main(
+        ["experiment", "--suite", str(manifest.parent), "--algorithms", "dfa,esa", "--runs", "1", "--seed", "2",
+         "--jobs", "1", "--population", "5", "--out", str(tmp_path / "out")]
+    )
+    assert code == 0 and solved == ["good", "good"]
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    for alg in ("dfa", "esa"):
+        assert report["cells"][f"empty/{alg}"]["errors"][0].endswith("invalid instance: ['no-customers']")
 
 
 def test_solve_emit_history(tmp_path, toy_instance_file):

@@ -137,7 +137,7 @@ def test_identical_matrices_make_window_irrelevant(tiny_instance):
         cost_peak=tiny_instance.cost_offpeak,
     )
     plain = sum(
-        degenerate.offpeak(i, j)
+        degenerate.cost_offpeak[i][j]  # the tiny instance's ids are its matrix indices
         for i, j in [(0, 1), (1, 2), (2, 3), (3, 0)]
     )
     assert route_cost([1, 2, 3], degenerate) == pytest.approx(plain, abs=TOL)

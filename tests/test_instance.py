@@ -71,42 +71,6 @@ def test_validate_accepts_tiny(tiny_instance):
     assert validate_instance(tiny_instance).ok
 
 
-def test_validate_rejects_overlapping_clusters(tiny_instance):
-    inst = Instance(
-        name="broken",
-        nodes=tiny_instance.nodes,
-        capacity=tiny_instance.capacity,
-        cost_offpeak=tiny_instance.cost_offpeak,
-        cost_peak=tiny_instance.cost_peak,
-        clusters={1: (1, 2), 2: (2, 3)},
-    )
-    report = validate_instance(inst)
-    assert not report.ok
-    assert "clusters-not-disjoint" in report.names
-
-
-def test_validate_rejects_clusters_that_disagree_with_node_labels():
-    # a partition of the customers, but nodes 4 and 5 are labelled 2 and
-    # nodes 2 and 3 are labelled 1: the operators find blocks by label
-    inst = generator.small_instance(3, cluster_sizes=(3, 3))
-    assert [inst.cluster_of[c] for c in inst.customers] == [1, 1, 1, 2, 2, 2]
-    broken = Instance(
-        name="broken",
-        nodes=inst.nodes,
-        capacity=inst.capacity,
-        cost_offpeak=inst.cost_offpeak,
-        cost_peak=inst.cost_peak,
-        forbidden=inst.forbidden,
-        clusters={1: (1, 4, 5), 2: (2, 3, 6)},
-    )
-    report = validate_instance(broken)
-    assert report.names == ["cluster-label-mismatch"] * 2
-    assert [v.detail for v in report.violations] == [
-        "cluster 1: nodes [4, 5] carry other labels",
-        "cluster 2: nodes [2, 3] carry other labels",
-    ]
-
-
 def test_validate_rejects_cross_cluster_forbidden_arc():
     inst = generator.small_instance(40, cluster_sizes=(3, 3))
     members_a = inst.clusters[1]
