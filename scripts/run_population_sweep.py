@@ -6,11 +6,10 @@ Reports mean cost, mean runtime and the average rank of each population size
 """
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
 from rvrp import generator
+from rvrp.jsonio import write_json
 from rvrp.stats import population_sweep, render_sweep_table
 
 SWEEP_INSTANCES = ["Osaba_50_1_1", "Osaba_50_1_2", "Osaba_80_3", "Osaba_100_1"]
@@ -33,7 +32,7 @@ def main() -> int:
     )
     print(render_sweep_table(report), end="")
     if args.out:
-        Path(args.out).write_text(json.dumps(report.to_dict(), indent=1) + "\n")
+        write_json(args.out, report.to_dict())
         print(f"wrote {args.out}")
     return 0
 

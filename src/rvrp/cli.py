@@ -29,6 +29,7 @@ from . import generator, stats
 from .evaluation import check_feasible
 from .export import solution_feature_collection
 from .instance import Instance, Solution, decode, encode, validate_instance
+from .jsonio import write_json
 from .operators import InfeasibleClusterError
 from .solvers import ALGORITHMS, SolverConfig, solve
 
@@ -59,11 +60,6 @@ def _print_header(command: str, **params) -> None:
     print(f"# rvrp {command}")
     for key, value in params.items():
         print(f"#   {key} = {value}")
-
-
-def _write_json(path: Path, data: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
 
 
 class CommandError(Exception):
@@ -160,7 +156,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     data["instance"] = inst.name
     data["encoding"] = encode(result.best_solution)
     try:
-        _write_json(out_path, data)
+        write_json(out_path, data)
     except OSError as exc:
         print(f"cannot write solution: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -233,8 +229,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         for err in cell.errors:
             log.warning("cell %s/%s: %s", name, alg, err)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "report.json", report.to_dict())
-    _write_json(out_dir / "timing.json", report.timing_dict())
+    write_json(out_dir / "report.json", report.to_dict())
+    write_json(out_dir / "timing.json", report.timing_dict())
     (out_dir / "runs.csv").write_text(report.csv_text(), encoding="utf-8")
     tables = (
         stats.render_results_table(report)
@@ -321,7 +317,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     else:
         print("\nNo statistical tests (need at least two algorithms and two instances).")
     if args.out:
-        _write_json(Path(args.out), tests)
+        write_json(args.out, tests)
     return EXIT_OK
 
 
@@ -338,7 +334,7 @@ def cmd_export_geojson(args: argparse.Namespace) -> int:
     if not feasibility.feasible:
         log.warning("exported solution is infeasible: %s", feasibility.violation_tags)
     try:
-        _write_json(Path(args.out), collection)
+        write_json(args.out, collection)
     except OSError as exc:
         print(f"cannot write geojson: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -33,6 +33,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .instance import Instance, Node, cluster_order, label_clusters, validate_instance
+from .jsonio import write_json
 from .operators import random_solution
 
 BOX_W = 20000.0
@@ -117,35 +118,26 @@ def assign_costs(nodes: Sequence[Node]) -> tuple[list[list[float]], list[list[fl
     ids i < j the forward arc is i->j and the reverse multiplier depends on
     whether j is odd. Matrix indices follow the node order.
     """
-    size = len(nodes)
     xs = np.array([n.x for n in nodes])
     ys = np.array([n.y for n in nodes])
     euclid = np.sqrt((xs[:, None] - xs[None, :]) ** 2 + (ys[:, None] - ys[None, :]) ** 2)
-    ids = [n.id for n in nodes]
-    off = [[0.0] * size for _ in range(size)]
-    peak = [[0.0] * size for _ in range(size)]
-    for a in range(size):
-        for b in range(size):
-            if a == b:
-                continue
-            e = float(euclid[a, b])
-            i, j = ids[a], ids[b]
-            if i < j:
-                forward = True
-                j_odd = j % 2 == 1
-            else:
-                forward = False
-                j_odd = i % 2 == 1
-            if forward:
-                off[a][b] = e
-                peak[a][b] = e * PEAK_FORWARD
-            elif j_odd:
-                off[a][b] = e * OFFPEAK_REVERSE_ODD
-                peak[a][b] = e * PEAK_REVERSE_ODD
-            else:
-                off[a][b] = e * OFFPEAK_REVERSE_EVEN
-                peak[a][b] = e * PEAK_REVERSE_EVEN
-    return off, peak
+    ids = np.array([n.id for n in nodes])
+    forward = ids[:, None] < ids[None, :]
+    # a reverse arc's multiplier follows the parity of the larger id
+    odd = np.maximum(ids[:, None], ids[None, :]) % 2 == 1
+    off = np.where(
+        forward,
+        euclid,
+        np.where(odd, euclid * OFFPEAK_REVERSE_ODD, euclid * OFFPEAK_REVERSE_EVEN),
+    )
+    peak = np.where(
+        forward,
+        euclid * PEAK_FORWARD,
+        np.where(odd, euclid * PEAK_REVERSE_ODD, euclid * PEAK_REVERSE_EVEN),
+    )
+    np.fill_diagonal(off, 0.0)
+    np.fill_diagonal(peak, 0.0)
+    return off.tolist(), peak.tolist()
 
 
 # ----------------------------------------------------------------- forbidden
@@ -294,11 +286,7 @@ def write_suite(instances: Sequence[Instance], out_dir: str | Path, seed: int) -
         if inst.name in row_index:
             entry["seed"] = row_seed(seed, row_index[inst.name])
         entries.append(entry)
-    manifest = out / "suite-manifest.json"
-    manifest.write_text(
-        json.dumps({"seed": seed, "instances": entries}, indent=1) + "\n", encoding="utf-8"
-    )
-    return manifest
+    return write_json(out / "suite-manifest.json", {"seed": seed, "instances": entries})
 
 
 def load_suite(suite_dir: str | Path) -> list[Instance]:

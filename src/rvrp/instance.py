@@ -19,11 +19,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
+
+from .jsonio import write_json
 
 DAY_START_S = 0
 PEAK_START_S = 7200
@@ -182,8 +184,8 @@ class Instance:
                 for n in self.nodes
             ],
             "forbidden": sorted([i, j] for i, j in self.forbidden),
-            "cost_offpeak": [[round(c, COST_DECIMALS) for c in row] for row in self.cost_offpeak],
-            "cost_peak": [[round(c, COST_DECIMALS) for c in row] for row in self.cost_peak],
+            "cost_offpeak": round_costs(self.cost_offpeak),
+            "cost_peak": round_costs(self.cost_peak),
         }
 
     @classmethod
@@ -191,8 +193,8 @@ class Instance:
         nodes = tuple(
             Node(
                 id=_integer(n["id"], "id"),
-                x=float(n["x"]),
-                y=float(n["y"]),
+                x=_floats((n["x"],), "x")[0],
+                y=_floats((n["y"],), "y")[0],
                 delivery=_integer(n["delivery"], "delivery"),
                 pickup=_integer(n["pickup"], "pickup"),
                 cluster=_integer(n["cluster"], "cluster"),
@@ -200,8 +202,8 @@ class Instance:
             for n in data["nodes"]
         )
         if "cost_offpeak" in data and "cost_peak" in data:
-            off = [[float(c) for c in row] for row in data["cost_offpeak"]]
-            peak = [[float(c) for c in row] for row in data["cost_peak"]]
+            off = [_floats(row, "cost_offpeak") for row in data["cost_offpeak"]]
+            peak = [_floats(row, "cost_peak") for row in data["cost_peak"]]
         else:
             # matrices are optional in the file schema; rebuild them from the
             # coordinates with the benchmark cost rules
@@ -226,10 +228,7 @@ class Instance:
         )
 
     def save(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_dict(), indent=1) + "\n", encoding="utf-8")
-        return path
+        return write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path: str | Path) -> "Instance":
@@ -238,12 +237,49 @@ class Instance:
 
 
 def _integer(value, name: str) -> int:
-    """``int(value)`` for a file field; an infinite or NaN number is a
-    ValueError that names the field."""
+    """``int(value)`` for a file field; an infinite, NaN or non-integral
+    number is a ValueError that names the field."""
     try:
-        return int(value)
+        number = int(value)
     except (OverflowError, ValueError) as exc:
         raise ValueError(f"{name} is {value!r}: {exc}") from None
+    if number != value and isinstance(value, float):
+        raise ValueError(f"{name} is {value!r}, not an integer")
+    return number
+
+
+def _floats(values: Iterable, name: str) -> list[float]:
+    """``float`` of each of a file field's values; an integer too large for a
+    float is a ValueError that names the field."""
+    try:
+        return list(map(float, values))
+    except OverflowError:
+        raise ValueError(f"{name} has an integer too large for a float") from None
+
+
+def round_costs(matrix: Sequence[Sequence[float]]) -> list[list]:
+    """``[[round(c, COST_DECIMALS) for c in row] for row in matrix]``, bit for
+    bit, rounded in numpy where that is provably the same.
+
+    ``round`` returns the float nearest to the exact value rounded to
+    hundredths. ``rint(c * 100) / 100`` does too (an integer below 2**53
+    divided by 100 is correctly rounded), unless the product's own rounding
+    moved it across a half-integer. So entries whose product lies within two
+    ulps of a half-integer keep ``round``, as do non-finite and huge ones and
+    any matrix that is not a rectangular list of floats (``round`` keeps an
+    int an int).
+    """
+    if set(map(type, chain.from_iterable(matrix))) != {float} or len(set(map(len, matrix))) != 1:
+        return [[round(c, COST_DECIMALS) for c in row] for row in matrix]
+    scale = 10.0**COST_DECIMALS
+    with np.errstate(invalid="ignore", over="ignore"):
+        scaled = np.array(matrix) * scale
+        rounded = (np.rint(scaled) / scale).tolist()
+        # False for NaN and infinity, and from 2**51 up, where an ulp is 0.5
+        exact = np.abs(scaled - np.floor(scaled) - 0.5) > 2 * np.spacing(np.abs(scaled))
+    for a, b in zip(*np.nonzero(~exact)):
+        rounded[a][b] = round(matrix[a][b], COST_DECIMALS)
+    return rounded
 
 
 # ---------------------------------------------------------------- encoding

@@ -293,10 +293,22 @@ def _assert_one_io_error(code, capsys, path) -> str:
 INF = "<1e400>"  # written as the JSON number 1e400, which reads as infinity
 
 
-def _with_infinite_delivery(data: dict) -> dict:
-    nodes = [dict(n) for n in data["nodes"]]
-    nodes[1]["delivery"] = INF
-    return {**data, "nodes": nodes}
+HUGE = 10**400  # a JSON integer of 401 digits, too large for a float
+
+
+def _with_node_field(field, value):
+    def edit(data: dict) -> dict:
+        nodes = [dict(n) for n in data["nodes"]]
+        nodes[1][field] = value
+        return {**data, "nodes": nodes}
+
+    return edit
+
+
+def _with_huge_peak_cost(data: dict) -> dict:
+    peak = [list(row) for row in data["cost_peak"]]
+    peak[1][2] = HUGE
+    return {**data, "cost_peak": peak}
 
 
 MALFORMED_INSTANCES = pytest.mark.parametrize(
@@ -307,10 +319,15 @@ MALFORMED_INSTANCES = pytest.mark.parametrize(
         (lambda data: {**data, "peak_window_s": []}, "peak_window_s"),
         (lambda data: {**data, "peak_window_s": [7200, 14400, 20000]}, "peak_window_s"),
         (lambda data: {**data, "capacity": INF}, "capacity"),
-        (_with_infinite_delivery, "delivery"),
+        (_with_node_field("delivery", INF), "delivery"),
+        (_with_node_field("x", HUGE), "x"),
+        (_with_huge_peak_cost, "cost_peak"),
+        (lambda data: {**data, "capacity": 240.9}, "capacity"),
+        (_with_node_field("delivery", 10.5), "delivery"),
     ],
     ids=["non-object", "window-one-entry", "window-empty", "window-three-entries",
-         "capacity-1e400", "delivery-1e400"],
+         "capacity-1e400", "delivery-1e400", "x-401-digits", "cost-401-digits",
+         "capacity-240.9", "delivery-10.5"],
 )
 
 
@@ -330,6 +347,14 @@ def test_validate_and_solve_reject_malformed_instance_file(
     args = [command, str(path)] + (["--out", str(out)] if command == "solve" else [])
     assert named in _assert_one_io_error(main(args), capsys, path)
     assert not out.exists()
+
+
+def test_validate_accepts_integral_float_in_integer_field(tmp_path, toy_instance_file, capsys):
+    path = tmp_path / "float.json"
+    _write_edited(toy_instance_file, path, lambda data: {**data, "capacity": 240.0})
+    assert main(["validate", str(path)]) == 0
+    assert ": ok" in capsys.readouterr().out
+    assert Instance.load(path).capacity == 240
 
 
 @pytest.mark.parametrize("content", ['{"encoding": 5}', "[1, 2]"], ids=["encoding-int", "list"])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from rvrp import (
 )
 from rvrp import generator
 from rvrp.evaluation import load_profile
-from rvrp.instance import EMPTY_LOAD, cluster_order, route_load_ok
+from rvrp.instance import EMPTY_LOAD, cluster_order, round_costs, route_load_ok
 from rvrp.operators import InfeasibleClusterError, random_solution
 
 from conftest import make_joint_infeasible_instance, make_tiny_instance
@@ -259,6 +261,38 @@ def test_json_round_trip(tmp_path, tiny_instance):
     assert loaded.peak_window_s == (7200, 14400)
     # costs come back rounded to two decimals
     assert loaded.cost_offpeak[0][1] == round(tiny_instance.cost_offpeak[0][1], 2)
+
+
+def _round_exactly(value) -> tuple:
+    """What ``round(c, 2)`` must reproduce: type, and every bit of a float
+    (``float.hex`` tells the sign of zero and spells NaN)."""
+    return (type(value), value.hex() if isinstance(value, float) else value)
+
+
+NEAR_HALF = st.builds(
+    lambda k, step: math.nextafter((k + 0.5) / 100, math.inf * step) if step else (k + 0.5) / 100,
+    st.integers(-(10**9), 10**9),
+    st.sampled_from([-1, 0, 1]),
+)
+HARD_COSTS = st.sampled_from(
+    [2.675, 1.005, 0.125, -0.001, -0.0, 2**52 / 100, math.nextafter(2**52 / 100, math.inf),
+     2**53 / 100, 1e300, math.nan, math.inf, -math.inf]
+)
+COSTS = st.floats(allow_nan=True, allow_infinity=True) | NEAR_HALF | HARD_COSTS
+
+
+@given(
+    st.integers(0, 6).flatmap(
+        lambda width: st.lists(st.lists(COSTS, min_size=width, max_size=width), max_size=6)
+    )
+    | st.lists(st.lists(COSTS | st.integers(-(10**6), 10**6), max_size=5), max_size=5)
+)
+@settings(max_examples=300, deadline=None)
+def test_round_costs_is_round_bit_for_bit(matrix):
+    # rectangular float matrices take the numpy path; ragged and int-valued
+    # ones must fall back, keeping round's int result for an int
+    expected = [[_round_exactly(round(c, 2)) for c in row] for row in matrix]
+    assert [[_round_exactly(c) for c in row] for row in round_costs(matrix)] == expected
 
 
 def test_json_recomputes_missing_matrices(tmp_path):

@@ -1,0 +1,51 @@
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rvrp import generator
+from rvrp.jsonio import dumps, write_json
+
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text()
+)
+JSON_TREES = st.recursive(
+    SCALARS,
+    lambda children: st.lists(children, max_size=5)
+    | st.tuples(children, children)
+    | st.dictionaries(st.text(max_size=4), children, max_size=5),
+    max_leaves=40,
+)
+
+
+@given(JSON_TREES)
+@settings(max_examples=400, deadline=None)
+def test_dumps_equals_stdlib_indent_1(value):
+    # the reference is the standard library's pure-Python indented encoder
+    assert dumps(value) == json.dumps(value, indent=1)
+
+
+def test_dumps_edge_cases():
+    cases = [
+        [],
+        {},
+        [[], {}, [[]]],
+        {"a": {}, "b": []},
+        [float("nan"), float("inf"), -float("inf"), -0.0],
+        {"kéy": "vülü€", "\U0001f600": ["\n\t\""]},
+        {1: [1], 2.5: {"x": 1}, None: [True], True: [], False: {}},
+        [{"a": 1}, {"b": [2, {"c": [3]}]}],
+    ]
+    for value in cases:
+        assert dumps(value) == json.dumps(value, indent=1)
+
+
+def test_write_json_matches_stdlib_bytes(tmp_path):
+    inst = generator.small_instance(25, cluster_sizes=(2, 4), forbidden_per_cluster=1)
+    data = inst.to_dict()
+    path = write_json(tmp_path / "sub" / "inst.json", data)
+    assert path.read_bytes() == (json.dumps(data, indent=1) + "\n").encode()

@@ -5,6 +5,7 @@ to alter the trajectory must update the expected value and say why."""
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 
@@ -23,6 +24,9 @@ EXPECTED_EXTENSIONS_DIGEST = "921d983228d339617990bae65cd222878278ef46c0b4aa1789
 # the EA's mutation test and relocation inside the EA and ESA, which neither
 # digest above reaches
 EXPECTED_DRAW_PATHS_DIGEST = "59769edfaabe8f751968f180864e0b72c57a1422c01fd9cb2e91d33e8bead1db"
+# every byte write_suite writes for the whole suite: 15 instance files and the
+# manifest, each hashed with its file name
+EXPECTED_SUITE_FILES_DIGEST = "0fa02176b7bf7f28f5f7b69364d5fd9c2c33dcfcf3b194fbcc26e98846dcd322"
 
 
 def trajectory_digest() -> str:
@@ -47,6 +51,20 @@ def trajectory_digest() -> str:
 
 def test_pinned_trajectory():
     assert trajectory_digest() == EXPECTED_DIGEST
+
+
+def suite_files_digest(out_dir: Path) -> str:
+    generator.write_suite(generator.generate_suite(SUITE_SEED), out_dir, SUITE_SEED)
+    digest = hashlib.sha256()
+    files = sorted(out_dir.iterdir())
+    assert len(files) == 16
+    for path in files:
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+def test_pinned_suite_files(tmp_path):
+    assert suite_files_digest(tmp_path) == EXPECTED_SUITE_FILES_DIGEST
 
 
 def extensions_digest() -> str:
