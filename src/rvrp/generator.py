@@ -65,14 +65,6 @@ def demand_for(customer_id: int) -> tuple[int, int]:
 # ------------------------------------------------------------------ skeleton
 
 
-@dataclass(frozen=True)
-class Skeleton:
-    """Coordinates, clusters and demands of the shared 100-customer layout;
-    costs and forbidden arcs are assigned per derived instance."""
-
-    nodes: tuple[Node, ...]
-
-
 def _skeleton_nodes(rng: np.random.Generator, cluster_sizes: Sequence[int]) -> list[Node]:
     """Depot plus customers drawn cluster by cluster: centres uniform over the
     box, members uniform in a disc around their centre, redrawn until all
@@ -103,9 +95,11 @@ def _skeleton_nodes(rng: np.random.Generator, cluster_sizes: Sequence[int]) -> l
     return nodes
 
 
-def generate_base(seed: int) -> Skeleton:
+def generate_base(seed: int) -> tuple[Node, ...]:
+    """The nodes of the shared 100-customer layout: coordinates, clusters and
+    demands; costs and forbidden arcs are assigned per derived instance."""
     rng = np.random.default_rng(seed)
-    return Skeleton(nodes=tuple(_skeleton_nodes(rng, [NODES_PER_CLUSTER] * BASE_CLUSTERS)))
+    return tuple(_skeleton_nodes(rng, [NODES_PER_CLUSTER] * BASE_CLUSTERS))
 
 
 # --------------------------------------------------------------------- costs
@@ -227,11 +221,11 @@ def row_seed(base_seed: int, row_index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def derive_instance(base: Skeleton, row: SuiteRow, seed: int) -> Instance:
+def derive_instance(base: Sequence[Node], row: SuiteRow, seed: int) -> Instance:
     """Build one suite row from the skeleton: subset nodes, price arcs, sample
     forbidden paths, and prove solvability by constructing a random solution."""
     rng = np.random.default_rng(seed)
-    by_id = {n.id: n for n in base.nodes}
+    by_id = {n.id: n for n in base}
     selected = _selected_ids(row.selection)
     nodes = (by_id[0], *(by_id[cid] for cid in selected))
     if len(nodes) - 1 != row.nodes:
@@ -256,22 +250,19 @@ def derive_instance(base: Skeleton, row: SuiteRow, seed: int) -> Instance:
     return inst
 
 
-def derive_suite(base: Skeleton, seed: int, only: Iterable[str] | None = None) -> list[Instance]:
+def generate_suite(seed: int, only: Iterable[str] | None = None) -> list[Instance]:
     wanted = set(only) if only else None
     if wanted:
         unknown = wanted - {row.name for row in SUITE}
         if unknown:
             raise GenerationError(f"unknown instance names: {sorted(unknown)}")
+    base = generate_base(seed)
     instances = []
     for idx, row in enumerate(SUITE):
         if wanted and row.name not in wanted:
             continue
         instances.append(derive_instance(base, row, row_seed(seed, idx)))
     return instances
-
-
-def generate_suite(seed: int, only: Iterable[str] | None = None) -> list[Instance]:
-    return derive_suite(generate_base(seed), seed, only=only)
 
 
 def write_suite(instances: Sequence[Instance], out_dir: str | Path, seed: int) -> Path:

@@ -236,21 +236,31 @@ class Instance:
             return cls.from_dict(json.load(fh))
 
 
+# the types json.load gives a JSON number; a boolean is not one of them
+_NUMBER_TYPES = frozenset((int, float))
+
+
 def _integer(value, name: str) -> int:
-    """``int(value)`` for a file field; an infinite, NaN or non-integral
-    number is a ValueError that names the field."""
-    try:
-        number = int(value)
-    except (OverflowError, ValueError) as exc:
-        raise ValueError(f"{name} is {value!r}: {exc}") from None
-    if number != value and isinstance(value, float):
+    """A file field that holds an integer: a JSON integer or an integral
+    float. A string, a boolean, or an infinite, NaN or non-integral number is
+    a ValueError that names the field."""
+    if type(value) is int:
+        return value
+    if type(value) is not float or not value.is_integer():
         raise ValueError(f"{name} is {value!r}, not an integer")
-    return number
+    return int(value)
 
 
-def _floats(values: Iterable, name: str) -> list[float]:
-    """``float`` of each of a file field's values; an integer too large for a
-    float is a ValueError that names the field."""
+def _floats(values: Sequence, name: str) -> list[float]:
+    """``float`` of each of a file field's values; a value that is not a JSON
+    number, or an integer too large for a float, is a ValueError that names
+    the field."""
+    kinds = set(map(type, values))
+    if kinds == {float}:  # every row Instance.save writes: nothing to convert
+        return list(values)
+    if not kinds <= _NUMBER_TYPES:
+        bad = next(v for v in values if type(v) not in _NUMBER_TYPES)
+        raise ValueError(f"{name} has {bad!r}, not a number")
     try:
         return list(map(float, values))
     except OverflowError:

@@ -44,6 +44,14 @@ ALGORITHMS = ("dfa", "ea", "esa")
 
 # share of proposals drawn from cluster_relocation when the extension is on
 RELOCATION_RATE = 0.2
+# DFA: light absorption; a movement spans at most floor(r * GAMMA**generation)
+GAMMA = 0.95
+# EA: share of survivors taken best-first, rounded up; the rest are random
+ELITIST_FRACTION = 0.7
+# ESA: geometric cooling factor applied after every generation
+COOLING_CONSTANT = 0.95
+# ESA: acceptance probability of the worst initial spread at the start temperature
+ACCEPTANCE_P = 0.95
 
 
 def termination_budget(n: int) -> int:
@@ -58,11 +66,6 @@ def termination_budget(n: int) -> int:
 class SolverConfig:
     algorithm: str = "dfa"
     population_size: int = 100
-    gamma: float = 0.95
-    mutation_probability: float = 1.0
-    elitist_fraction: float = 0.7
-    cooling_constant: float = 0.95
-    acceptance_p: float = 0.95
     seed: int = 0
     enable_cluster_relocation: bool = False
 
@@ -71,16 +74,6 @@ class SolverConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.population_size < 1:
             raise ValueError("population_size must be positive")
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma must lie in (0, 1)")
-        if not 0.0 <= self.mutation_probability <= 1.0:
-            raise ValueError("mutation_probability must lie in [0, 1]")
-        if not 0.0 <= self.elitist_fraction <= 1.0:
-            raise ValueError("elitist_fraction must lie in [0, 1]")
-        if not 0.0 < self.cooling_constant < 1.0:
-            raise ValueError("cooling_constant must lie in (0, 1)")
-        if not 0.0 < self.acceptance_p < 1.0:
-            raise ValueError("acceptance_p must lie in (0, 1)")
 
 
 @dataclass
@@ -191,7 +184,7 @@ def _propose(sol: Solution, inst: Instance, rng: Rng, relocation_rate: float) ->
 
 
 def _dfa(
-    inst: Instance, cfg: SolverConfig, tracker: _Tracker, pop: list[Solution], costs: list[float],
+    inst: Instance, tracker: _Tracker, pop: list[Solution], costs: list[float],
     draws: list[Draws], selection: np.random.Generator, relocation: float,
 ) -> None:
     """Discrete firefly search.
@@ -199,7 +192,7 @@ def _dfa(
     Per generation g, every firefly i is pulled toward each brighter firefly j
     (lower cost; raw cost is the light intensity): the cluster-wise Hamming
     distance r gives a movement length n drawn uniformly from
-    [2, max(2, floor(r * gamma**g))], and the firefly is replaced by the best
+    [2, max(2, floor(r * GAMMA**g))], and the firefly is replaced by the best
     of n independent one-insertion candidates. Intensities update immediately,
     so later pairs in the same sweep see moved fireflies. The brightest
     firefly never moves. Returns once no firefly is brighter than another
@@ -215,7 +208,7 @@ def _dfa(
             for j in range(pop_n):
                 if costs[j] < costs[i]:
                     r = hamming_distance(pop[i], pop[j], inst)
-                    n = movement_length(r, cfg.gamma, g, draws[i])
+                    n = movement_length(r, GAMMA, g, draws[i])
                     pop[i], costs[i] = move_firefly(
                         pop[i],
                         n,
@@ -231,14 +224,14 @@ def _dfa(
 # -------------------------------------------------------------------- EA
 
 
-def survivor_counts(population_size: int, elitist_fraction: float) -> tuple[int, int]:
+def survivor_counts(population_size: int) -> tuple[int, int]:
     """(elite, random) survivor counts; elites are rounded up."""
-    elites = min(population_size, math.ceil(elitist_fraction * population_size))
+    elites = min(population_size, math.ceil(ELITIST_FRACTION * population_size))
     return elites, population_size - elites
 
 
 def _ea(
-    inst: Instance, cfg: SolverConfig, tracker: _Tracker, pop: list[Solution], costs: list[float],
+    inst: Instance, tracker: _Tracker, pop: list[Solution], costs: list[float],
     draws: list[Draws], selection: np.random.Generator, relocation: float,
 ) -> None:
     """Mutation-only evolutionary algorithm.
@@ -249,15 +242,12 @@ def _ea(
     ``selection`` stream.
     """
     pop_n = len(pop)
-    elites_n, random_n = survivor_counts(pop_n, cfg.elitist_fraction)
+    elites_n, random_n = survivor_counts(pop_n)
     while True:
         offspring: list[Solution] = []
         off_costs: list[float] = []
         for i in range(pop_n):
-            if cfg.mutation_probability >= 1.0 or draws[i].random() < cfg.mutation_probability:
-                child = _propose(pop[i], inst, draws[i], relocation)
-            else:
-                child = pop[i]
+            child = _propose(pop[i], inst, draws[i], relocation)
             offspring.append(child)
             off_costs.append(tracker.propose(child, sum(child.costs)))
         pool = pop + offspring
@@ -275,15 +265,13 @@ def _ea(
 # ------------------------------------------------------------------- ESA
 
 
-def esa_initial_temperature(costs: Sequence[float], p: float = 0.95) -> float:
+def esa_initial_temperature(costs: Sequence[float]) -> float:
     """Starting temperature from the initial population's cost spread:
-    -(worst - best) / ln(p)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
+    -(worst - best) / ln(ACCEPTANCE_P)."""
     spread = max(costs) - min(costs)
     if spread == 0:
         return 0.0
-    return -spread / math.log(p)
+    return -spread / math.log(ACCEPTANCE_P)
 
 
 def metropolis_accept(delta: float, temperature: float, rng: Rng) -> bool:
@@ -297,18 +285,18 @@ def metropolis_accept(delta: float, temperature: float, rng: Rng) -> bool:
 
 
 def _esa(
-    inst: Instance, cfg: SolverConfig, tracker: _Tracker, pop: list[Solution], costs: list[float],
+    inst: Instance, tracker: _Tracker, pop: list[Solution], costs: list[float],
     draws: list[Draws], selection: np.random.Generator, relocation: float,
 ) -> None:
     """Population of Metropolis chains under one shared geometric cooling."""
-    temperature = esa_initial_temperature(costs, cfg.acceptance_p)
+    temperature = esa_initial_temperature(costs)
     while True:
         for i in range(len(pop)):
             cand = _propose(pop[i], inst, draws[i], relocation)
             cost = tracker.propose(cand, sum(cand.costs))
             if metropolis_accept(cost - costs[i], temperature, draws[i]):
                 pop[i], costs[i] = cand, cost
-        temperature *= cfg.cooling_constant
+        temperature *= COOLING_CONSTANT
 
 
 # ------------------------------------------------------------ entry point
@@ -334,7 +322,7 @@ def solve(inst: Instance, cfg: SolverConfig) -> SolveResult:
         pop = [random_solution(inst, streams[i]) for i in range(pop_n)]
         costs = [tracker.propose(s, solution_cost(s, inst)) for s in pop]
         draws = [Draws(streams[i]) for i in range(pop_n)]
-        _LOOPS[cfg.algorithm](inst, cfg, tracker, pop, costs, draws, streams[pop_n], relocation)
+        _LOOPS[cfg.algorithm](inst, tracker, pop, costs, draws, streams[pop_n], relocation)
     except BudgetExhausted:
         pass
     return tracker.result(cfg.algorithm, cfg.seed)

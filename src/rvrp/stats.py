@@ -172,10 +172,10 @@ def holm(
     n_instances: int,
     control: int,
     labels: Sequence[str] | None = None,
-    alpha: float = 0.05,
 ) -> HolmResult:
     """Holm step-down test of every algorithm against the control, using the
-    standard error sqrt(k(k+1)/(6N)) of rank differences."""
+    standard error sqrt(k(k+1)/(6N)) of rank differences; ``reject_at_05``
+    compares each adjusted p with 0.05."""
     k = len(avg_ranks)
     if not 0 <= control < k:
         raise ValueError("control index out of range")
@@ -201,7 +201,7 @@ def holm(
                 z=z,
                 p_unadjusted=p,
                 p_adjusted=adjusted,
-                reject_at_05=adjusted < alpha,
+                reject_at_05=adjusted < 0.05,
             )
         )
     return HolmResult(control=control, control_label=labels[control], comparisons=comparisons)

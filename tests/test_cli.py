@@ -305,10 +305,13 @@ def _with_node_field(field, value):
     return edit
 
 
-def _with_huge_peak_cost(data: dict) -> dict:
-    peak = [list(row) for row in data["cost_peak"]]
-    peak[1][2] = HUGE
-    return {**data, "cost_peak": peak}
+def _with_peak_cost(value):
+    def edit(data: dict) -> dict:
+        peak = [list(row) for row in data["cost_peak"]]
+        peak[1][2] = value
+        return {**data, "cost_peak": peak}
+
+    return edit
 
 
 MALFORMED_INSTANCES = pytest.mark.parametrize(
@@ -321,13 +324,24 @@ MALFORMED_INSTANCES = pytest.mark.parametrize(
         (lambda data: {**data, "capacity": INF}, "capacity"),
         (_with_node_field("delivery", INF), "delivery"),
         (_with_node_field("x", HUGE), "x"),
-        (_with_huge_peak_cost, "cost_peak"),
+        (_with_peak_cost(HUGE), "cost_peak"),
         (lambda data: {**data, "capacity": 240.9}, "capacity"),
         (_with_node_field("delivery", 10.5), "delivery"),
+        # JSON strings and booleans are not numbers, even where int() or
+        # float() would parse them
+        (lambda data: {**data, "capacity": "240"}, "capacity"),
+        (_with_node_field("x", "1e3"), "x"),
+        (_with_node_field("delivery", True), "delivery"),
+        (_with_node_field("cluster", False), "cluster"),
+        (_with_peak_cost("12.5"), "cost_peak"),
+        (lambda data: {**data, "forbidden": [[True, 2]]}, "forbidden"),
+        (lambda data: {**data, "peak_window_s": ["7200", 14400]}, "peak_window_s"),
     ],
     ids=["non-object", "window-one-entry", "window-empty", "window-three-entries",
          "capacity-1e400", "delivery-1e400", "x-401-digits", "cost-401-digits",
-         "capacity-240.9", "delivery-10.5"],
+         "capacity-240.9", "delivery-10.5", "capacity-string", "x-string",
+         "delivery-true", "cluster-false", "cost-string", "forbidden-true",
+         "window-string"],
 )
 
 

@@ -35,7 +35,7 @@ def test_cluster_demand_totals_alternate_by_parity():
     # 70/19 rather than being equal across clusters
     base = generate_base(3)
     totals = {}
-    for node in base.nodes[1:]:
+    for node in base[1:]:
         d, p = totals.setdefault(node.cluster, [0, 0])
         totals[node.cluster] = [d + node.delivery, p + node.pickup]
     for label, (d, p) in totals.items():
@@ -44,16 +44,16 @@ def test_cluster_demand_totals_alternate_by_parity():
 
 def test_base_skeleton_layout():
     base = generate_base(11)
-    assert len(base.nodes) == 101
-    depot = base.nodes[0]
+    assert len(base) == 101
+    depot = base[0]
     assert (depot.id, depot.cluster, depot.delivery, depot.pickup) == (0, 0, 0, 0)
     assert (depot.x, depot.y) == generator.DEPOT_XY
-    for node in base.nodes[1:]:
+    for node in base[1:]:
         assert node.cluster == (node.id - 1) // 10 + 1
         assert 0 - generator.CLUSTER_RADIUS <= node.x <= generator.BOX_W + generator.CLUSTER_RADIUS
     # every customer sits within the cluster disc radius of its centre
     for label in range(1, 11):
-        members = [n for n in base.nodes[1:] if n.cluster == label]
+        members = [n for n in base[1:] if n.cluster == label]
         cx = sum(n.x for n in members) / len(members)
         cy = sum(n.y for n in members) / len(members)
         for n in members:
@@ -62,7 +62,7 @@ def test_base_skeleton_layout():
 
 def test_cost_rule_multipliers():
     base = generate_base(5)
-    nodes = base.nodes[:4]
+    nodes = base[:4]
     off, peak = assign_costs(nodes)
     euclid = lambda a, b: math.hypot(nodes[a].x - nodes[b].x, nodes[a].y - nodes[b].y)
     # pair (1, 3): j=3 odd

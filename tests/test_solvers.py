@@ -33,22 +33,14 @@ def test_config_validation():
         SolverConfig(algorithm="tabu").validate()
     with pytest.raises(ValueError):
         SolverConfig(population_size=0).validate()
-    with pytest.raises(ValueError):
-        SolverConfig(gamma=1.0).validate()
-
-
-@pytest.mark.parametrize("elitist, rest", [(-0.5, 1.5), (1.5, -0.5)])
-def test_config_rejects_survivor_fraction_outside_unit_interval(elitist, rest):
-    # the random survivors' share is ``rest`` = 1 - elitist: outside [0, 1]
-    # the EA would ask for more survivors of one kind than the pool holds
-    assert rest == 1 - elitist
-    with pytest.raises(ValueError, match="elitist_fraction"):
-        SolverConfig(elitist_fraction=elitist).validate()
+    # the paper's fixed parameters are module constants, not settings
+    with pytest.raises(TypeError):
+        SolverConfig(gamma=0.9)
 
 
 @pytest.mark.parametrize("pop, expected", [(100, (70, 30)), (7, (5, 2)), (3, (3, 0)), (1, (1, 0))])
 def test_survivor_counts(pop, expected):
-    assert survivor_counts(pop, 0.7) == expected
+    assert survivor_counts(pop) == expected
 
 
 @pytest.mark.parametrize("algorithm", ["dfa", "ea", "esa"])
@@ -148,7 +140,7 @@ def test_ea_stops_exactly_at_budget_after_last_improvement(oracle_instances):
 
 
 def test_esa_initial_temperature_arithmetic():
-    t0 = esa_initial_temperature([100.0, 120.0, 151.3], p=0.95)
+    t0 = esa_initial_temperature([100.0, 120.0, 151.3])
     assert t0 == pytest.approx(51.3 / -math.log(0.95), rel=1e-12)
     assert t0 == pytest.approx(1000.13, abs=0.01)
 

@@ -21,9 +21,8 @@ PINNED_INSTANCES = ["Osaba_50_1_4", "Osaba_50_2_4", "Osaba_80_3", "Osaba_100_1"]
 EXPECTED_DIGEST = "3ab064559487f841684feca9b320da750348f934f7bd1b6b1661e376f1ba9013"
 # the EA and the cluster-relocation extension, which trajectory_digest leaves out
 EXPECTED_EXTENSIONS_DIGEST = "921d983228d339617990bae65cd222878278ef46c0b4aa1789b1d5c3d2631ede"
-# the EA's mutation test and relocation inside the EA and ESA, which neither
-# digest above reaches
-EXPECTED_DRAW_PATHS_DIGEST = "59769edfaabe8f751968f180864e0b72c57a1422c01fd9cb2e91d33e8bead1db"
+# relocation inside the EA and ESA, which neither digest above reaches
+EXPECTED_DRAW_PATHS_DIGEST = "1f4b25a34e6660f86b6d5d1b616959666d8c2a9e48543c0a7053e9b727ea71ac"
 # every byte write_suite writes for the whole suite: 15 instance files and the
 # manifest, each hashed with its file name
 EXPECTED_SUITE_FILES_DIGEST = "0fa02176b7bf7f28f5f7b69364d5fd9c2c33dcfcf3b194fbcc26e98846dcd322"
@@ -91,24 +90,19 @@ def test_pinned_extensions_trajectory():
 
 
 def draw_paths_digest() -> str:
-    """The solver draws neither digest above reaches: the EA's per-individual
-    mutation test (``mutation_probability`` < 1) and ESA with cluster
-    relocation, where the relocation test, both operators and the Metropolis
-    test draw from one stream."""
+    """The solver draws neither digest above reaches: the EA and ESA with
+    cluster relocation, where the relocation test, both operators and ESA's
+    Metropolis test draw from one stream; a plain EA run comes first."""
     digest = hashlib.sha256()
     suite = generator.generate_suite(SUITE_SEED, only=["Osaba_50_1_1", "Osaba_50_2_4"])
     runs = [
-        (
-            suite[0],
-            SolverConfig(algorithm="ea", seed=9, population_size=10, mutation_probability=0.5),
-        ),
+        (suite[0], SolverConfig(algorithm="ea", seed=9, population_size=10)),
         (
             suite[1],
             SolverConfig(
                 algorithm="ea",
                 seed=10,
                 population_size=8,
-                mutation_probability=0.7,
                 enable_cluster_relocation=True,
             ),
         ),
