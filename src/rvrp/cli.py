@@ -81,7 +81,7 @@ def _solver_config(**settings) -> SolverConfig:
 def _load_instance(path: str) -> Instance:
     try:
         return Instance.load(path)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         raise CommandError(EXIT_IO, f"cannot read instance {path}: {exc}")
 
 
@@ -96,11 +96,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
         instances = generator.generate_suite(seed, only=only)
         manifest = generator.write_suite(instances, args.out, seed)
     except generator.GenerationError as exc:
-        print(f"generation failed: {exc}", file=sys.stderr)
-        return EXIT_GENERATION
+        raise CommandError(EXIT_GENERATION, f"generation failed: {exc}")
     except OSError as exc:
-        print(f"cannot write suite: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise CommandError(EXIT_IO, f"cannot write suite: {exc}")
     rows = [["Instance", "Nodes", "Clusters", "Capacity", "Forbidden/cluster"]]
     for inst in instances:
         per_cluster = len(inst.forbidden) // len(inst.clusters)
@@ -135,8 +133,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
     report = validate_instance(inst)
     if not report.ok:
-        print(f"invalid instance {inst.name}: {report.names}", file=sys.stderr)
-        return EXIT_IO
+        raise CommandError(EXIT_IO, f"invalid instance {inst.name}: {report.names}")
     out_path = Path(args.out) if args.out else Path(args.instance).with_suffix(f".{args.algorithm}.solution.json")
     _print_header(
         "solve",
@@ -150,16 +147,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
     try:
         result = solve(inst, cfg)
     except InfeasibleClusterError as exc:
-        print(f"construction failed: {exc}", file=sys.stderr)
-        return EXIT_CONSTRUCTION
+        raise CommandError(EXIT_CONSTRUCTION, f"construction failed: {exc}")
     data = result.to_dict(include_history=args.emit_history)
     data["instance"] = inst.name
     data["encoding"] = encode(result.best_solution)
     try:
         write_json(out_path, data)
     except OSError as exc:
-        print(f"cannot write solution: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise CommandError(EXIT_IO, f"cannot write solution: {exc}")
     print(
         f"{inst.name} {args.algorithm} {result.best_cost:.2f} {result.best_solution.vehicles} "
         f"{result.wall_time_s:.3f} {result.convergence_time_s:.3f} {seed}"
@@ -176,7 +171,7 @@ def _load_solution(path: str, inst: Instance) -> Solution:
             if type(value) is not int:  # a JSON integer; not a float, string or boolean
                 raise ValueError(f"encoding entry {pos} is {value!r}, not an integer")
         return decode(encoding, inst)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         raise CommandError(EXIT_IO, f"cannot read solution {path}: {exc}")
 
 
@@ -188,14 +183,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         overrides["population_size"] = args.population
     if args.enable_cluster_relocation:
         overrides["enable_cluster_relocation"] = True
-    for alg in algorithms:
-        _solver_config(algorithm=alg, **overrides)
-    if not algorithms:
-        raise CommandError(EXIT_IO, "invalid experiment settings: no algorithm given")
-    if args.runs < 1:
-        raise CommandError(EXIT_IO, f"invalid experiment settings: runs must be positive, not {args.runs}")
-    if args.jobs < 1:
-        raise CommandError(EXIT_IO, f"invalid experiment settings: jobs must be positive, not {args.jobs}")
     out_dir = Path(args.out)
     _print_header(
         "experiment",
@@ -209,9 +196,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     )
     try:
         instances = generator.load_suite(args.suite)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        print(f"cannot load suite {args.suite}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise CommandError(EXIT_IO, f"cannot load suite {args.suite}: {exc}")
     try:
         report = stats.run_experiment(
             instances,
@@ -221,7 +207,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             jobs=args.jobs,
             config_overrides=overrides,
         )
-    except ValueError as exc:  # raised before any solve: the grid is not well formed
+    except ValueError as exc:  # raised before any solve: the grid's settings are invalid
         raise CommandError(EXIT_IO, f"invalid experiment settings: {exc}")
     failures = sum(len(cell.errors) for cell in report.cells.values())
     successes = sum(len(cell.costs) for cell in report.cells.values())
@@ -237,7 +223,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         + "\n"
         + stats.render_best_table(report)
         + "\n"
-        + stats.render_stats_tables(report)
+        + stats.render_stats_tables(report.algorithms, report.friedman, report.holm)
     )
     (out_dir / "tables.txt").write_text(tables, encoding="utf-8")
     print(tables, end="")
@@ -280,9 +266,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
     costs = _load_runs(args.runs_csv)
     instances = list(dict.fromkeys(name for name, _ in costs))
     algorithms = list(dict.fromkeys(alg for _, alg in costs))
-    complete = [
-        name for name in instances if all(costs.get((name, alg)) for alg in algorithms)
-    ]
     table = [["Instance"] + [f"{alg}:avg" for alg in algorithms] + [f"{alg}:sd" for alg in algorithms]]
     for name in instances:
         row = [name]
@@ -293,29 +276,15 @@ def cmd_stats(args: argparse.Namespace) -> int:
         row += [f"{m:.1f}" for m, _ in cell_stats] + [f"{s:.1f}" for _, s in cell_stats]
         table.append(row)
     print(stats.align_table(table), end="")
+    _, fried, holm_result = stats.rank_tests(costs, instances, algorithms)
+    print("\n" + stats.render_stats_tables(algorithms, fried, holm_result), end="")
     tests = {"average_ranks": None, "friedman": None, "holm": None}
-    if len(algorithms) >= 2 and len(complete) >= 2:
-        matrix = [[stats.mean_sd(costs[(name, alg)])[0] for alg in algorithms] for name in complete]
-        fried, holm_result = stats.rank_tests(matrix, algorithms)
-        print()
-        for alg, rank in zip(algorithms, fried.average_ranks):
-            print(f"{alg}: average rank {rank:.4f}")
-        print(
-            f"Friedman statistic {fried.statistic:.4f} (df={fried.dof}, p={fried.p_value:.6g})"
-        )
-        print(f"Holm post-hoc, control {holm_result.control_label}:")
-        for c in holm_result.comparisons:
-            print(
-                f"  {c.label}: z={c.z:.4f} p={c.p_unadjusted:.6f} "
-                f"adjusted={c.p_adjusted:.6f} reject@0.05={c.reject_at_05}"
-            )
+    if fried is not None:
         tests = {
             "average_ranks": dict(zip(algorithms, fried.average_ranks)),
             "friedman": {"statistic": fried.statistic, "dof": fried.dof, "p_value": fried.p_value},
             "holm": holm_result.to_dict(),
         }
-    else:
-        print("\nNo statistical tests (need at least two algorithms and two instances).")
     if args.out:
         write_json(args.out, tests)
     return EXIT_OK
@@ -328,16 +297,14 @@ def cmd_export_geojson(args: argparse.Namespace) -> int:
     try:
         collection = solution_feature_collection(inst, sol)
     except ValueError as exc:
-        print(f"solution/instance mismatch: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise CommandError(EXIT_IO, f"solution/instance mismatch: {exc}")
     feasibility = check_feasible(sol, inst)
     if not feasibility.feasible:
         log.warning("exported solution is infeasible: %s", feasibility.violation_tags)
     try:
         write_json(args.out, collection)
     except OSError as exc:
-        print(f"cannot write geojson: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise CommandError(EXIT_IO, f"cannot write geojson: {exc}")
     print(f"wrote {args.out}")
     return EXIT_OK
 

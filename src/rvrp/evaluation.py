@@ -13,8 +13,7 @@ day informs pricing, not feasibility.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .instance import Instance, OFFPEAK, PEAK, Solution
 
@@ -143,30 +142,10 @@ class EvaluationReport:
     feasible: bool
     violations: list[Violation]
     warnings: list[str]
-    timelines: list[Timeline] = field(default_factory=list)
-    load_profiles: list[LoadProfile] = field(default_factory=list)
 
     @property
     def violation_tags(self) -> list[str]:
         return [v.tag for v in self.violations]
-
-    def to_dict(self) -> dict:
-        routes = []
-        for k in range(len(self.route_costs)):
-            entry: dict = {"cost_s": self.route_costs[k]}
-            if k < len(self.timelines):
-                entry["end_time_s"] = self.timelines[k].end_time_s
-            if k < len(self.load_profiles):
-                entry["initial_load"] = self.load_profiles[k].initial_load
-                entry["max_load"] = self.load_profiles[k].max_load
-            routes.append(entry)
-        return {
-            "total_cost": None if math.isnan(self.total_cost) else self.total_cost,
-            "routes": routes,
-            "feasible": self.feasible,
-            "violations": [{"tag": v.tag, "detail": v.detail} for v in self.violations],
-            "warnings": list(self.warnings),
-        }
 
 
 def check_feasible(sol: Solution, inst: Instance) -> EvaluationReport:
@@ -221,12 +200,9 @@ def check_feasible(sol: Solution, inst: Instance) -> EvaluationReport:
                 )
             cluster_route.setdefault(label, r)
 
-    timelines: list[Timeline] = []
-    profiles: list[LoadProfile] = []
     route_costs: list[float] = []
     for r, route in enumerate(sol.routes):
         profile = load_profile(route, inst)
-        profiles.append(profile)
         if profile.initial_load > inst.capacity:
             violations.append(
                 Violation("capacity-exceeded", f"route {r} position -1 load {profile.initial_load}")
@@ -241,7 +217,6 @@ def check_feasible(sol: Solution, inst: Instance) -> EvaluationReport:
             if (i, j) in inst.forbidden:
                 violations.append(Violation("forbidden-arc-used", f"route {r} arc ({i},{j})"))
         timeline = route_timeline(route, inst)
-        timelines.append(timeline)
         route_costs.append(timeline.total_cost_s)
         if timeline.end_time_s > inst.day_end_s:
             warnings.append(f"route {r} ends at {timeline.end_time_s:.0f}s, past the working day")
@@ -252,6 +227,4 @@ def check_feasible(sol: Solution, inst: Instance) -> EvaluationReport:
         feasible=not violations,
         violations=violations,
         warnings=warnings,
-        timelines=timelines,
-        load_profiles=profiles,
     )

@@ -190,17 +190,7 @@ class Instance:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Instance":
-        nodes = tuple(
-            Node(
-                id=_integer(n["id"], "id"),
-                x=_floats((n["x"],), "x")[0],
-                y=_floats((n["y"],), "y")[0],
-                delivery=_integer(n["delivery"], "delivery"),
-                pickup=_integer(n["pickup"], "pickup"),
-                cluster=_integer(n["cluster"], "cluster"),
-            )
-            for n in data["nodes"]
-        )
+        nodes = tuple(map(_node, data["nodes"]))
         if "cost_offpeak" in data and "cost_peak" in data:
             off = [_floats(row, "cost_offpeak") for row in data["cost_offpeak"]]
             peak = [_floats(row, "cost_peak") for row in data["cost_peak"]]
@@ -213,15 +203,16 @@ class Instance:
         window = data.get("peak_window_s", (PEAK_START_S, PEAK_END_S))
         if len(window) != 2:
             raise ValueError(f"peak_window_s has {len(window)} entries, not 2")
+        name = data["name"]
+        if type(name) is not str:
+            raise ValueError(f"name is {name!r}, not a string")
         return cls(
-            name=str(data["name"]),
+            name=name,
             nodes=nodes,
             capacity=_integer(data["capacity"], "capacity"),
             cost_offpeak=off,
             cost_peak=peak,
-            forbidden=frozenset(
-                (_integer(i, "forbidden"), _integer(j, "forbidden")) for i, j in data.get("forbidden", [])
-            ),
+            forbidden=frozenset(map(_arc, data.get("forbidden", []))),
             day_start_s=_integer(data.get("day_start_s", DAY_START_S), "day_start_s"),
             peak_window_s=(_integer(window[0], "peak_window_s"), _integer(window[1], "peak_window_s")),
             day_end_s=_integer(data.get("day_end_s", DAY_END_S), "day_end_s"),
@@ -251,11 +242,37 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _node(n: Mapping) -> Node:
+    """A ``nodes`` entry: a JSON object; anything else is a ValueError that
+    names the field."""
+    if type(n) is not dict:
+        raise ValueError(f"nodes has {n!r}, not an object")
+    return Node(
+        id=_integer(n["id"], "id"),
+        x=_floats((n["x"],), "x")[0],
+        y=_floats((n["y"],), "y")[0],
+        delivery=_integer(n["delivery"], "delivery"),
+        pickup=_integer(n["pickup"], "pickup"),
+        cluster=_integer(n["cluster"], "cluster"),
+    )
+
+
+def _arc(pair: Sequence) -> tuple[int, int]:
+    """A ``forbidden`` entry: a JSON array of two node ids; anything else is
+    a ValueError that names the field."""
+    if type(pair) is not list or len(pair) != 2:
+        raise ValueError(f"forbidden has {pair!r}, not a pair of node ids")
+    return _integer(pair[0], "forbidden"), _integer(pair[1], "forbidden")
+
+
 def _floats(values: Sequence, name: str) -> list[float]:
     """``float`` of each of a file field's values; a value that is not a JSON
     number, or an integer too large for a float, is a ValueError that names
-    the field."""
-    kinds = set(map(type, values))
+    the field, as is a row that is not a list."""
+    try:
+        kinds = set(map(type, values))
+    except TypeError:  # a number where a row belongs
+        raise ValueError(f"{name} has the row {values!r}, not a list") from None
     if kinds == {float}:  # every row Instance.save writes: nothing to convert
         return list(values)
     if not kinds <= _NUMBER_TYPES:

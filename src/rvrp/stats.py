@@ -4,7 +4,8 @@ The harness runs an (instances x algorithms x runs) grid with a deterministic
 seed schedule, aggregates per-cell means and standard deviations, records the
 best solution found per instance, and feeds the per-cell means into a
 Friedman rank test followed by a Holm step-down post-hoc against a control
-algorithm (the best-ranked one).
+algorithm (the best-ranked one). ``rvrp experiment`` and ``rvrp stats`` both
+rank through ``rank_tests`` and print through ``render_stats_tables``.
 
 Wall-clock times are kept apart from the deterministic payload: the report
 dict is a pure function of (instances, config, base seed) while measured
@@ -19,7 +20,7 @@ import io
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .evaluation import check_feasible
 from .instance import Instance, encode, validate_instance
@@ -208,13 +209,21 @@ def holm(
 
 
 def rank_tests(
-    matrix: Sequence[Sequence[float]], labels: Sequence[str]
-) -> tuple[FriedmanResult, HolmResult]:
-    """Friedman over an instances x algorithms matrix of mean results, then
-    Holm against the control with the best (lowest) average rank."""
+    costs: Mapping[tuple[str, str], Sequence[float]],
+    instances: Sequence[str],
+    algorithms: Sequence[str],
+) -> tuple[list[str], FriedmanResult | None, HolmResult | None]:
+    """Rank the algorithms on the mean of each (instance, algorithm) cell of
+    run costs: the instances where every algorithm has a run, then Friedman
+    over them and Holm against the control with the best (lowest) average
+    rank. Both tests are None below two algorithms or two such instances."""
+    ranked = [name for name in instances if all(costs.get((name, alg)) for alg in algorithms)]
+    if len(algorithms) < 2 or len(ranked) < 2:
+        return ranked, None, None
+    matrix = [[mean_sd(costs[(name, alg)])[0] for alg in algorithms] for name in ranked]
     fried = friedman(matrix)
-    control = min(range(len(labels)), key=fried.average_ranks.__getitem__)
-    return fried, holm(fried.average_ranks, len(matrix), control, labels=list(labels))
+    control = min(range(len(algorithms)), key=fried.average_ranks.__getitem__)
+    return ranked, fried, holm(fried.average_ranks, len(matrix), control, labels=list(algorithms))
 
 
 # ------------------------------------------------------------------- harness
@@ -382,12 +391,22 @@ def run_experiment(
 ) -> ExperimentReport:
     """Run the full grid and compute aggregates plus Friedman/Holm on means.
 
-    Each instance is validated once, before any solve; an invalid one is
-    never solved, and every run of its cells records the issues as its
-    error."""
+    The settings are checked before any solve: no algorithm, fewer than one
+    run or job, an algorithm or override that ``SolverConfig`` rejects, or a
+    name listed twice is a ValueError that names it. Each instance is
+    validated once, also before any solve; an invalid one is never solved,
+    and every run of its cells records the issues as its error."""
     if not instances:
         raise ValueError("suite must be nonempty")
+    if not algorithms:
+        raise ValueError("no algorithm given")
+    if runs_per_cell < 1:
+        raise ValueError(f"runs_per_cell must be positive, not {runs_per_cell}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be positive, not {jobs}")
     overrides = dict(config_overrides or {})
+    for alg in algorithms:
+        SolverConfig(algorithm=alg, **overrides).validate()
     names = [inst.name for inst in instances]
     for kind, values in (("instance", names), ("algorithm", algorithms)):
         twice = next((v for i, v in enumerate(values) if v in values[:i]), None)
@@ -436,16 +455,9 @@ def run_experiment(
                     cell.best_encoding = out["encoding"]
             cells[(name, alg)] = cell
 
-    ranked = [
-        name for name in names if all(cells[(name, alg)].costs for alg in algorithms)
-    ]
-    fried: FriedmanResult | None = None
-    holm_result: HolmResult | None = None
-    if len(algorithms) >= 2 and len(ranked) >= 2:
-        matrix = [
-            [mean_sd(cells[(name, alg)].costs)[0] for alg in algorithms] for name in ranked
-        ]
-        fried, holm_result = rank_tests(matrix, algorithms)
+    ranked, fried, holm_result = rank_tests(
+        {key: cell.costs for key, cell in cells.items()}, names, algorithms
+    )
 
     return ExperimentReport(
         instance_names=names,
@@ -558,25 +570,26 @@ def render_best_table(report: ExperimentReport) -> str:
     return align_table(rows)
 
 
-def render_stats_tables(report: ExperimentReport) -> str:
-    if report.friedman is None:
+def render_stats_tables(
+    algorithms: Sequence[str], friedman: FriedmanResult | None, holm: HolmResult | None
+) -> str:
+    """Average ranks, the Friedman statistic and the Holm post-hoc table."""
+    if friedman is None:
         return "No statistical tests (fewer than two algorithms or instances).\n"
     lines = [["Algorithm", "Average rank"]]
-    for alg, rank in zip(report.algorithms, report.friedman.average_ranks):
+    for alg, rank in zip(algorithms, friedman.average_ranks):
         lines.append([alg, f"{rank:.4f}"])
     text = align_table(lines)
     text += (
-        f"\nFriedman statistic: {report.friedman.statistic:.4f} "
-        f"(df={report.friedman.dof}, p={report.friedman.p_value:.6g})\n"
+        f"\nFriedman statistic: {friedman.statistic:.4f} "
+        f"(df={friedman.dof}, p={friedman.p_value:.6g})\n"
     )
-    if report.holm:
-        rows = [["Algorithm", "z", "Unadjusted p", "Adjusted p", "Reject@0.05"]]
-        for c in report.holm.comparisons:
-            rows.append(
-                [c.label, f"{c.z:.4f}", f"{c.p_unadjusted:.6f}", f"{c.p_adjusted:.6f}", str(c.reject_at_05)]
-            )
-        text += f"\nHolm post-hoc (control: {report.holm.control_label})\n" + align_table(rows)
-    return text
+    rows = [["Algorithm", "z", "Unadjusted p", "Adjusted p", "Reject@0.05"]]
+    for c in holm.comparisons:
+        rows.append(
+            [c.label, f"{c.z:.4f}", f"{c.p_unadjusted:.6f}", f"{c.p_adjusted:.6f}", str(c.reject_at_05)]
+        )
+    return text + f"\nHolm post-hoc (control: {holm.control_label})\n" + align_table(rows)
 
 
 def render_sweep_table(report: SweepReport) -> str:

@@ -234,6 +234,20 @@ def test_stats_recomputes_from_csv(tmp_path, small_suite_dir, capsys):
     )
 
 
+@pytest.mark.parametrize("algorithms", ["dfa,esa", "dfa"], ids=["tests", "no-tests"])
+def test_stats_prints_the_experiments_rank_section(tmp_path, small_suite_dir, capsys, algorithms):
+    out = tmp_path / "exp"
+    main(
+        ["experiment", "--suite", str(small_suite_dir), "--algorithms", algorithms, "--runs", "2",
+         "--seed", "5", "--jobs", "1", "--population", "10", "--out", str(out)]
+    )
+    capsys.readouterr()
+    assert main(["stats", str(out / "runs.csv")]) == 0
+    # tables.txt: results, best found, then the rank section, one blank line apart
+    ranks = (out / "tables.txt").read_text().split("\n\n", 2)[2]
+    assert capsys.readouterr().out.split("\n\n", 1)[1] == ranks
+
+
 def test_stats_out_without_tests_writes_nulls(tmp_path, small_suite_dir, capsys):
     out = tmp_path / "exp"
     main(
@@ -336,12 +350,19 @@ MALFORMED_INSTANCES = pytest.mark.parametrize(
         (_with_peak_cost("12.5"), "cost_peak"),
         (lambda data: {**data, "forbidden": [[True, 2]]}, "forbidden"),
         (lambda data: {**data, "peak_window_s": ["7200", 14400]}, "peak_window_s"),
+        (lambda data: {**data, "name": [1]}, "name"),
+        # a value of the wrong shape: a number where a row, a node or an arc
+        # belongs, and an arc of three node ids
+        (lambda data: {**data, "cost_offpeak": [5, *data["cost_offpeak"][1:]]}, "cost_offpeak"),
+        (lambda data: {**data, "nodes": [data["nodes"][0], 5, *data["nodes"][2:]]}, "nodes"),
+        (lambda data: {**data, "forbidden": [[1, 2, 3]]}, "forbidden"),
     ],
     ids=["non-object", "window-one-entry", "window-empty", "window-three-entries",
          "capacity-1e400", "delivery-1e400", "x-401-digits", "cost-401-digits",
          "capacity-240.9", "delivery-10.5", "capacity-string", "x-string",
          "delivery-true", "cluster-false", "cost-string", "forbidden-true",
-         "window-string"],
+         "window-string", "name-list", "cost-row-number", "node-number",
+         "forbidden-triple"],
 )
 
 

@@ -241,15 +241,6 @@ def test_long_route_warns_but_stays_feasible(tiny_instance):
     assert report.warnings
 
 
-def test_report_round_trips_to_dict(tiny_instance):
-    report = check_feasible(Solution.from_routes([[1, 2, 3]]), tiny_instance)
-    data = report.to_dict()
-    assert data["feasible"] is True
-    assert data["total_cost"] == pytest.approx(report.total_cost)
-    assert len(data["routes"]) == 1
-    assert data["violations"] == []
-
-
 def test_feasible_report_for_random_solutions(oracle_instances):
     rng = np.random.default_rng(123)
     for inst in oracle_instances:

@@ -3,7 +3,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rvrp import generator
+from rvrp import generator, stats
 from rvrp.stats import (
     average_ranks,
     chi2_sf,
@@ -14,6 +14,7 @@ from rvrp.stats import (
     normal_two_sided_p,
     population_sweep,
     rank_row,
+    rank_tests,
     run_experiment,
     run_seed,
 )
@@ -167,6 +168,12 @@ def test_population_sweep_single_cell():
     assert len(report.mean_costs) == 1
 
 
+def test_population_sweep_rejects_a_population_of_zero():
+    inst = generator.small_instance(21, cluster_sizes=(3, 3), forbidden_per_cluster=1)
+    with pytest.raises(ValueError, match="population_size"):
+        population_sweep([inst], sizes=[0], runs=1)
+
+
 def test_population_sweep_midranks_on_ties():
     assert average_ranks([[5.0, 5.0, 7.0]]) == [1.5, 1.5, 3.0]
 
@@ -254,6 +261,40 @@ def test_experiment_rejects_a_name_listed_twice(seeds, algorithms, named):
     instances = [generator.small_instance(seed, cluster_sizes=(3, 3)) for seed in seeds]
     with pytest.raises(ValueError, match=named):
         run_experiment(instances, algorithms=algorithms, runs_per_cell=1)
+
+
+@pytest.mark.parametrize(
+    "settings, named",
+    [
+        ({"algorithms": ()}, "algorithm"),
+        ({"runs_per_cell": 0}, "runs_per_cell"),
+        ({"jobs": 0}, "jobs"),
+        ({"config_overrides": {"population_size": 0}}, "population_size"),
+        ({"algorithms": ("dfa", "nope")}, "'nope'"),
+    ],
+    ids=["no-algorithm", "runs-0", "jobs-0", "population-0", "unknown-algorithm"],
+)
+def test_experiment_rejects_invalid_settings_before_any_solve(monkeypatch, settings, named):
+    solved = []
+    monkeypatch.setattr(stats, "solve", lambda inst, cfg: solved.append(inst.name))
+    instances = [generator.small_instance(21, cluster_sizes=(3, 3))]
+    with pytest.raises(ValueError, match=named):
+        run_experiment(instances, **{"runs_per_cell": 1, **settings})
+    assert solved == []
+
+
+def test_rank_tests_rank_only_instances_where_every_algorithm_ran():
+    costs = {
+        ("a", "x"): [1.0], ("a", "y"): [2.0],
+        ("b", "x"): [3.0, 5.0], ("b", "y"): [1.0],
+        ("c", "x"): [1.0], ("c", "y"): [],
+    }
+    ranked, fried, holm_result = rank_tests(costs, ["a", "b", "c", "d"], ["x", "y"])
+    assert ranked == ["a", "b"]
+    assert fried.average_ranks == [1.5, 1.5]
+    assert holm_result.control_label == "x"
+    assert rank_tests(costs, ["a", "c"], ["x", "y"]) == (["a"], None, None)
+    assert rank_tests(costs, ["a", "b"], ["x"]) == (["a", "b"], None, None)
 
 
 def test_experiment_csv_layout(small_experiment):
