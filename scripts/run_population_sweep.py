@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Population-size study for the DFA on four suite instances.
 
-Reports mean cost, mean runtime and the average rank of each population size
-(midranks on ties), mirroring the package's experiment conventions.
+Runs one experiment grid whose labels are the DFA at each population size
+(``pop<size>``), with the package's seed schedule, and prints the experiment's
+results, best-found and rank tables (average ranks, Friedman and Holm over
+the sizes). ``--out`` writes the experiment's report JSON.
 """
 
 import argparse
@@ -10,7 +12,8 @@ import sys
 
 from rvrp import generator
 from rvrp.jsonio import write_json
-from rvrp.stats import population_sweep, render_sweep_table
+from rvrp.solvers import SolverConfig
+from rvrp.stats import render_tables, run_experiment
 
 SWEEP_INSTANCES = ["Osaba_50_1_1", "Osaba_50_1_2", "Osaba_80_3", "Osaba_100_1"]
 
@@ -27,10 +30,11 @@ def main() -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s]
     print(f"# population sweep: seed={args.seed} runs={args.runs} sizes={sizes}")
     instances = generator.generate_suite(args.seed, only=SWEEP_INSTANCES)
-    report = population_sweep(
-        instances, sizes=sizes, runs=args.runs, base_seed=args.seed, jobs=args.jobs
+    configs = {f"pop{size}": SolverConfig("dfa", population_size=size) for size in sizes}
+    report = run_experiment(
+        instances, configs, runs_per_cell=args.runs, base_seed=args.seed, jobs=args.jobs
     )
-    print(render_sweep_table(report), end="")
+    print(render_tables(report), end="")
     if args.out:
         write_json(args.out, report.to_dict())
         print(f"wrote {args.out}")

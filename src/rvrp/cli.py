@@ -178,11 +178,9 @@ def _load_solution(path: str, inst: Instance) -> Solution:
 def cmd_experiment(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
-    overrides: dict = {}
+    settings = {"enable_cluster_relocation": args.enable_cluster_relocation}
     if args.population is not None:
-        overrides["population_size"] = args.population
-    if args.enable_cluster_relocation:
-        overrides["enable_cluster_relocation"] = True
+        settings["population_size"] = args.population
     out_dir = Path(args.out)
     _print_header(
         "experiment",
@@ -199,32 +197,26 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise CommandError(EXIT_IO, f"cannot load suite {args.suite}: {exc}")
     try:
+        twice = next((a for i, a in enumerate(algorithms) if a in algorithms[:i]), None)
+        if twice is not None:
+            raise ValueError(f"algorithm {twice!r} is listed twice")
+        configs = {alg: SolverConfig(algorithm=alg, **settings) for alg in algorithms}
         report = stats.run_experiment(
-            instances,
-            algorithms=algorithms,
-            runs_per_cell=args.runs,
-            base_seed=seed,
-            jobs=args.jobs,
-            config_overrides=overrides,
+            instances, configs, runs_per_cell=args.runs, base_seed=seed, jobs=args.jobs
         )
     except ValueError as exc:  # raised before any solve: the grid's settings are invalid
         raise CommandError(EXIT_IO, f"invalid experiment settings: {exc}")
-    failures = sum(len(cell.errors) for cell in report.cells.values())
-    successes = sum(len(cell.costs) for cell in report.cells.values())
-    for (name, alg), cell in sorted(report.cells.items()):
-        for err in cell.errors:
-            log.warning("cell %s/%s: %s", name, alg, err)
+    data = report.to_dict()
+    for key, cell in data["cells"].items():
+        for err in cell["errors"]:
+            log.warning("cell %s: %s", key, err)
+    successes = sum(cell["runs"] for cell in data["cells"].values())
+    failures = len(report.runs) - successes
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(out_dir / "report.json", report.to_dict())
+    write_json(out_dir / "report.json", data)
     write_json(out_dir / "timing.json", report.timing_dict())
     (out_dir / "runs.csv").write_text(report.csv_text(), encoding="utf-8")
-    tables = (
-        stats.render_results_table(report)
-        + "\n"
-        + stats.render_best_table(report)
-        + "\n"
-        + stats.render_stats_tables(report.algorithms, report.friedman, report.holm)
-    )
+    tables = stats.render_tables(report)
     (out_dir / "tables.txt").write_text(tables, encoding="utf-8")
     print(tables, end="")
     print(f"recorded {successes} run(s), {failures} failure(s) -> {out_dir}")

@@ -190,17 +190,17 @@ class Instance:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Instance":
-        nodes = tuple(map(_node, data["nodes"]))
+        nodes = tuple(map(_node, _array(data["nodes"], "nodes")))
         if "cost_offpeak" in data and "cost_peak" in data:
-            off = [_floats(row, "cost_offpeak") for row in data["cost_offpeak"]]
-            peak = [_floats(row, "cost_peak") for row in data["cost_peak"]]
+            off = [_floats(row, "cost_offpeak") for row in _array(data["cost_offpeak"], "cost_offpeak")]
+            peak = [_floats(row, "cost_peak") for row in _array(data["cost_peak"], "cost_peak")]
         else:
             # matrices are optional in the file schema; rebuild them from the
             # coordinates with the benchmark cost rules
             from .generator import assign_costs
 
             off, peak = assign_costs(nodes)
-        window = data.get("peak_window_s", (PEAK_START_S, PEAK_END_S))
+        window = _array(data.get("peak_window_s", [PEAK_START_S, PEAK_END_S]), "peak_window_s")
         if len(window) != 2:
             raise ValueError(f"peak_window_s has {len(window)} entries, not 2")
         name = data["name"]
@@ -212,7 +212,7 @@ class Instance:
             capacity=_integer(data["capacity"], "capacity"),
             cost_offpeak=off,
             cost_peak=peak,
-            forbidden=frozenset(map(_arc, data.get("forbidden", []))),
+            forbidden=frozenset(map(_arc, _array(data.get("forbidden", []), "forbidden"))),
             day_start_s=_integer(data.get("day_start_s", DAY_START_S), "day_start_s"),
             peak_window_s=(_integer(window[0], "peak_window_s"), _integer(window[1], "peak_window_s")),
             day_end_s=_integer(data.get("day_end_s", DAY_END_S), "day_end_s"),
@@ -240,6 +240,14 @@ def _integer(value, name: str) -> int:
     if type(value) is not float or not value.is_integer():
         raise ValueError(f"{name} is {value!r}, not an integer")
     return int(value)
+
+
+def _array(value, name: str) -> list:
+    """A file field that holds a JSON array; anything else is a ValueError
+    that names the field."""
+    if type(value) is not list:
+        raise ValueError(f"{name} is {value!r}, not an array")
+    return value
 
 
 def _node(n: Mapping) -> Node:

@@ -1,14 +1,17 @@
 """Experiment harness and nonparametric solver comparison.
 
-The harness runs an (instances x algorithms x runs) grid with a deterministic
-seed schedule, aggregates per-cell means and standard deviations, records the
-best solution found per instance, and feeds the per-cell means into a
-Friedman rank test followed by a Holm step-down post-hoc against a control
-algorithm (the best-ranked one). ``rvrp experiment`` and ``rvrp stats`` both
-rank through ``rank_tests`` and print through ``render_stats_tables``.
+The harness runs an (instances x labelled solver configs x runs) grid with a
+deterministic seed schedule and keeps one ``Run`` record per run. The per-cell
+means and standard deviations, the best solution found per instance and every
+output derive from those records; the per-cell means feed a Friedman rank
+test followed by a Holm step-down post-hoc against a control label (the
+best-ranked one). The labels are algorithms in the solver comparison and
+population sizes in the population study. ``rvrp experiment`` and
+``rvrp stats`` both rank through ``rank_tests`` and print through
+``render_stats_tables``.
 
 Wall-clock times are kept apart from the deterministic payload: the report
-dict is a pure function of (instances, config, base seed) while measured
+dict is a pure function of (instances, configs, base seed) while measured
 times live in a separate timing dict and the per-run CSV columns.
 """
 
@@ -19,7 +22,8 @@ import hashlib
 import io
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 from .evaluation import check_feasible
@@ -229,83 +233,98 @@ def rank_tests(
 # ------------------------------------------------------------------- harness
 
 
-def run_seed(base_seed: int, instance_name: str, algorithm: str, run: int) -> int:
+def run_seed(base_seed: int, instance_name: str, label: str, run: int) -> int:
     """Deterministic, platform-stable 63-bit seed for one grid cell run."""
-    key = f"{base_seed}|{instance_name}|{algorithm}|{run}".encode()
+    key = f"{base_seed}|{instance_name}|{label}|{run}".encode()
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "big") >> 1
 
 
-@dataclass
-class CellRuns:
-    costs: list[float] = field(default_factory=list)
-    times: list[float] = field(default_factory=list)
-    convergence_times: list[float] = field(default_factory=list)
-    vehicles: list[int] = field(default_factory=list)
-    seeds: list[int] = field(default_factory=list)
-    evaluations: list[int] = field(default_factory=list)
-    best_encoding: list[int] | None = None
-    best_cost: float = math.inf
-    errors: list[str] = field(default_factory=list)
+@dataclass(frozen=True)
+class Run:
+    """One run of the grid: where it sits, its seed, and either its result or
+    the error that stopped it (``error`` is None exactly when it succeeded)."""
+
+    instance: str
+    label: str
+    run: int
+    seed: int
+    cost: float | None = None
+    time_s: float | None = None
+    convergence_s: float | None = None
+    vehicles: int | None = None
+    evaluations: int | None = None
+    encoding: list[int] | None = None
+    error: str | None = None
 
 
 @dataclass
 class ExperimentReport:
+    """Every run of an (instances x labels x runs) grid, in grid order; the
+    cells, the best runs, the rank tests and every output derive from them."""
+
     instance_names: list[str]
-    algorithms: list[str]
+    labels: list[str]
     runs_per_cell: int
     base_seed: int
-    cells: dict[tuple[str, str], CellRuns]
-    friedman: FriedmanResult | None
-    holm: HolmResult | None
-    ranked_instances: list[str]  # instances that entered the rank matrix
+    runs: list[Run]
+    ranked_instances: list[str] = field(init=False)  # instances in the rank matrix
+    friedman: FriedmanResult | None = field(init=False)
+    holm: HolmResult | None = field(init=False)
 
-    def cell(self, instance: str, algorithm: str) -> CellRuns:
-        return self.cells[(instance, algorithm)]
+    def __post_init__(self) -> None:
+        costs = {key: [r.cost for r in runs] for key, runs in self.cells().items()}
+        self.ranked_instances, self.friedman, self.holm = rank_tests(
+            costs, self.instance_names, self.labels
+        )
 
-    def best_found(self, instance: str) -> tuple[float, int, str, list[int]] | None:
-        """(cost, vehicles, algorithm, flat encoding) of the instance's best run."""
-        best = None
-        for alg in self.algorithms:
-            cell = self.cells[(instance, alg)]
-            if cell.best_encoding is None:
-                continue
-            vehicles = cell.best_encoding.count(0) + 1
-            record = (cell.best_cost, vehicles, alg, cell.best_encoding)
-            if best is None or record[0] < best[0]:
-                best = record
-        return best
+    def cells(self) -> dict[tuple[str, str], list[Run]]:
+        """(instance, label) -> the cell's successful runs, in run order."""
+        cells = {(name, label): [] for name in self.instance_names for label in self.labels}
+        for r in self.runs:
+            if r.error is None:
+                cells[(r.instance, r.label)].append(r)
+        return cells
+
+    def best_run(self, instance: str) -> Run | None:
+        """The instance's lowest-cost run; the first in grid order on a tie."""
+        done = (r for r in self.runs if r.instance == instance and r.error is None)
+        return min(done, key=lambda r: r.cost, default=None)
 
     def to_dict(self) -> dict:
         """Deterministic payload: costs, ranks and tests, no wall-clock data."""
         cells = {}
-        for (name, alg), cell in sorted(self.cells.items()):
-            mean, sd = mean_sd(cell.costs) if cell.costs else (None, None)
-            cells[f"{name}/{alg}"] = {
-                "runs": len(cell.costs),
+        for (name, label), runs in sorted(self.cells().items()):
+            costs = [r.cost for r in runs]
+            mean, sd = mean_sd(costs) if runs else (None, None)
+            cells[f"{name}/{label}"] = {
+                "runs": len(runs),
                 "mean_cost": mean,
                 "sd_cost": sd,
-                "best_cost": None if cell.best_encoding is None else cell.best_cost,
-                "vehicles": cell.vehicles,
-                "seeds": cell.seeds,
-                "evaluations": cell.evaluations,
-                "errors": cell.errors,
+                "best_cost": min(costs, default=None),
+                "vehicles": [r.vehicles for r in runs],
+                "seeds": [r.seed for r in runs],
+                "evaluations": [r.evaluations for r in runs],
+                "errors": [
+                    f"run {r.run} (seed {r.seed}): {r.error}"
+                    for r in self.runs
+                    if r.error is not None and (r.instance, r.label) == (name, label)
+                ],
             }
         best = {}
         for name in self.instance_names:
-            record = self.best_found(name)
-            if record:
-                cost, vehicles, alg, flat = record
+            run = self.best_run(name)
+            if run is not None:
                 best[name] = {
-                    "cost": cost,
-                    "vehicles": vehicles,
-                    "algorithm": alg,
-                    "encoding": flat,
+                    "cost": run.cost,
+                    "vehicles": run.vehicles,
+                    "algorithm": run.label,
+                    "encoding": run.encoding,
                 }
         data = {
             "base_seed": self.base_seed,
             "runs_per_cell": self.runs_per_cell,
             "instances": self.instance_names,
-            "algorithms": self.algorithms,
+            "algorithms": self.labels,
             "cells": cells,
             "best_found": best,
         }
@@ -323,229 +342,134 @@ class ExperimentReport:
 
     def timing_dict(self) -> dict:
         """Measured wall-clock aggregates; not byte-reproducible by nature."""
-        out = {}
-        for (name, alg), cell in sorted(self.cells.items()):
-            if not cell.times:
-                continue
-            out[f"{name}/{alg}"] = {
-                "mean_time_s": round(mean_sd(cell.times)[0], 3),
-                "mean_convergence_s": round(mean_sd(cell.convergence_times)[0], 3),
+        return {
+            f"{name}/{label}": {
+                "mean_time_s": round(mean_sd([r.time_s for r in runs])[0], 3),
+                "mean_convergence_s": round(mean_sd([r.convergence_s for r in runs])[0], 3),
             }
-        return out
+            for (name, label), runs in sorted(self.cells().items())
+            if runs
+        }
 
     def csv_text(self) -> str:
-        """Raw per-run dump (time columns are wall-clock measurements)."""
+        """Raw per-run dump (time columns are wall-clock measurements); ``run``
+        is the run's index in its cell, failed runs included."""
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(
             ["instance", "algorithm", "run", "seed", "cost", "time_s", "convergence_s", "vehicles"]
         )
-        for name in self.instance_names:
-            for alg in self.algorithms:
-                cell = self.cells[(name, alg)]
-                for run in range(len(cell.costs)):
-                    writer.writerow(
-                        [
-                            name,
-                            alg,
-                            run,
-                            cell.seeds[run],
-                            repr(cell.costs[run]),
-                            f"{cell.times[run]:.3f}",
-                            f"{cell.convergence_times[run]:.3f}",
-                            cell.vehicles[run],
-                        ]
-                    )
+        for r in self.runs:
+            if r.error is None:
+                times = [f"{r.time_s:.3f}", f"{r.convergence_s:.3f}"]
+                writer.writerow([r.instance, r.label, r.run, r.seed, repr(r.cost), *times, r.vehicles])
         return buf.getvalue()
 
 
-def _run_one(payload: tuple[dict, str, int, int, dict]) -> tuple[str, str, int, dict]:
-    inst_data, algorithm, run, seed, overrides = payload
+def _run_one(payload: tuple[dict, str, int, SolverConfig]) -> Run:
+    inst_data, label, run, cfg = payload
     inst = Instance.from_dict(inst_data)
-    cfg = SolverConfig(algorithm=algorithm, seed=seed, **overrides)
+    place = (inst.name, label, run, cfg.seed)
     try:
         result = solve(inst, cfg)
         report = check_feasible(result.best_solution, inst)
         if not report.feasible:
             raise RuntimeError(f"solver emitted infeasible solution: {report.violation_tags}")
-        out = {
-            "cost": result.best_cost,
-            "time_s": result.wall_time_s,
-            "convergence_s": result.convergence_time_s,
-            "vehicles": result.best_solution.vehicles,
-            "evaluations": result.evaluations_total,
-            "encoding": encode(result.best_solution),
-        }
-    except Exception as exc:  # cell failures are recorded, never fatal
-        out = {"error": f"{type(exc).__name__}: {exc}"}
-    return inst.name, algorithm, run, out
+        best = result.best_solution
+        return Run(
+            *place, cost=result.best_cost, time_s=result.wall_time_s,
+            convergence_s=result.convergence_time_s, vehicles=best.vehicles,
+            evaluations=result.evaluations_total, encoding=encode(best),
+        )
+    except Exception as exc:  # run failures are recorded, never fatal
+        return Run(*place, error=f"{type(exc).__name__}: {exc}")
 
 
 def run_experiment(
     instances: Sequence[Instance],
-    algorithms: Sequence[str] = ("dfa", "ea", "esa"),
+    configs: Mapping[str, SolverConfig],
     runs_per_cell: int = 20,
     base_seed: int = 0,
     jobs: int = 1,
-    config_overrides: dict | None = None,
 ) -> ExperimentReport:
-    """Run the full grid and compute aggregates plus Friedman/Holm on means.
+    """Run every (instance, label, run) of the grid and rank the labels.
 
-    The settings are checked before any solve: no algorithm, fewer than one
-    run or job, an algorithm or override that ``SolverConfig`` rejects, or a
-    name listed twice is a ValueError that names it. Each instance is
+    Run ``k`` of a label on an instance solves the label's config with the
+    seed ``run_seed(base_seed, instance, label, k)``, whatever seed the config
+    carries. The settings are checked before any solve: no config, fewer than
+    one run or job, a config that ``SolverConfig.validate`` rejects, or an
+    instance listed twice is a ValueError that names it. Each instance is
     validated once, also before any solve; an invalid one is never solved,
-    and every run of its cells records the issues as its error."""
+    and each of its runs records the issues as its error."""
     if not instances:
         raise ValueError("suite must be nonempty")
-    if not algorithms:
+    if not configs:
         raise ValueError("no algorithm given")
     if runs_per_cell < 1:
         raise ValueError(f"runs_per_cell must be positive, not {runs_per_cell}")
     if jobs < 1:
         raise ValueError(f"jobs must be positive, not {jobs}")
-    overrides = dict(config_overrides or {})
-    for alg in algorithms:
-        SolverConfig(algorithm=alg, **overrides).validate()
+    for cfg in configs.values():
+        cfg.validate()
     names = [inst.name for inst in instances]
-    for kind, values in (("instance", names), ("algorithm", algorithms)):
-        twice = next((v for i, v in enumerate(values) if v in values[:i]), None)
-        if twice is not None:
-            raise ValueError(f"{kind} {twice!r} is listed twice")
-    payloads = []
-    results: dict[tuple[str, str, int], dict] = {}
+    twice = next((name for i, name in enumerate(names) if name in names[:i]), None)
+    if twice is not None:
+        raise ValueError(f"instance {twice!r} is listed twice")
+
+    grid: list[Run | tuple] = []  # an invalid instance's runs, else payloads
     for inst in instances:
         issues = validate_instance(inst).names
         inst_data = inst.to_dict()
-        for alg in algorithms:
+        for label, cfg in configs.items():
             for run in range(runs_per_cell):
+                seed = run_seed(base_seed, inst.name, label, run)
                 if issues:
-                    results[(inst.name, alg, run)] = {"error": f"invalid instance: {issues}"}
-                    continue
-                seed = run_seed(base_seed, inst.name, alg, run)
-                payloads.append((inst_data, alg, run, seed, overrides))
-
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for name, alg, run, out in pool.map(_run_one, payloads, chunksize=1):
-                results[(name, alg, run)] = out
-    else:
-        for payload in payloads:
-            name, alg, run, out = _run_one(payload)
-            results[(name, alg, run)] = out
-
-    cells: dict[tuple[str, str], CellRuns] = {}
-    for name in names:
-        for alg in algorithms:
-            cell = CellRuns()
-            for run in range(runs_per_cell):
-                out = results[(name, alg, run)]
-                seed = run_seed(base_seed, name, alg, run)
-                if "error" in out:
-                    cell.errors.append(f"run {run} (seed {seed}): {out['error']}")
-                    continue
-                cell.costs.append(out["cost"])
-                cell.times.append(out["time_s"])
-                cell.convergence_times.append(out["convergence_s"])
-                cell.vehicles.append(out["vehicles"])
-                cell.seeds.append(seed)
-                cell.evaluations.append(out["evaluations"])
-                if out["cost"] < cell.best_cost:
-                    cell.best_cost = out["cost"]
-                    cell.best_encoding = out["encoding"]
-            cells[(name, alg)] = cell
-
-    ranked, fried, holm_result = rank_tests(
-        {key: cell.costs for key, cell in cells.items()}, names, algorithms
-    )
+                    grid.append(Run(inst.name, label, run, seed, error=f"invalid instance: {issues}"))
+                else:
+                    grid.append((inst_data, label, run, replace(cfg, seed=seed)))
+    payloads = [entry for entry in grid if not isinstance(entry, Run)]
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        solved = pool.map(_run_one, payloads, chunksize=1) if pool else map(_run_one, payloads)
+        runs = [entry if isinstance(entry, Run) else next(solved) for entry in grid]
 
     return ExperimentReport(
         instance_names=names,
-        algorithms=list(algorithms),
+        labels=list(configs),
         runs_per_cell=runs_per_cell,
         base_seed=base_seed,
-        cells=cells,
-        friedman=fried,
-        holm=holm_result,
-        ranked_instances=ranked,
-    )
-
-
-# ------------------------------------------------------------ population sweep
-
-
-@dataclass
-class SweepReport:
-    instance_names: list[str]
-    sizes: list[int]
-    mean_costs: list[list[float]]  # instances x sizes
-    mean_times: list[list[float]]
-    average_ranks: list[float]
-
-    def to_dict(self) -> dict:
-        return {
-            "instances": self.instance_names,
-            "population_sizes": self.sizes,
-            "mean_costs": self.mean_costs,
-            "average_ranks": self.average_ranks,
-        }
-
-
-def population_sweep(
-    instances: Sequence[Instance],
-    sizes: Sequence[int] = (25, 50, 100, 150),
-    runs: int = 20,
-    base_seed: int = 0,
-    jobs: int = 1,
-) -> SweepReport:
-    """Mean DFA cost/runtime per population size, plus average midranks."""
-    if not sizes:
-        raise ValueError("sizes must be nonempty")
-    mean_costs: list[list[float]] = []
-    mean_times: list[list[float]] = []
-    for inst in instances:
-        cost_row: list[float] = []
-        time_row: list[float] = []
-        for size in sizes:
-            report = run_experiment(
-                [inst],
-                algorithms=("dfa",),
-                runs_per_cell=runs,
-                base_seed=run_seed(base_seed, inst.name, "sweep", size),
-                jobs=jobs,
-                config_overrides={"population_size": size},
-            )
-            cell = report.cell(inst.name, "dfa")
-            cost_row.append(mean_sd(cell.costs)[0])
-            time_row.append(mean_sd(cell.times)[0])
-        mean_costs.append(cost_row)
-        mean_times.append(time_row)
-    return SweepReport(
-        instance_names=[inst.name for inst in instances],
-        sizes=list(sizes),
-        mean_costs=mean_costs,
-        mean_times=mean_times,
-        average_ranks=average_ranks(mean_costs),
+        runs=runs,
     )
 
 
 # ----------------------------------------------------------------- rendering
 
 
+def render_tables(report: ExperimentReport) -> str:
+    """The experiment's results, best-found and rank tables."""
+    return (
+        render_results_table(report)
+        + "\n"
+        + render_best_table(report)
+        + "\n"
+        + render_stats_tables(report.labels, report.friedman, report.holm)
+    )
+
+
 def render_results_table(report: ExperimentReport) -> str:
     """Aligned per-instance results: mean, sd and (when available) mean times."""
     timing = report.timing_dict()
+    cells = report.cells()
     header = ["Instance"]
-    for alg in report.algorithms:
-        header += [f"{alg}:avg", f"{alg}:sd", f"{alg}:time", f"{alg}:conv"]
+    for label in report.labels:
+        header += [f"{label}:avg", f"{label}:sd", f"{label}:time", f"{label}:conv"]
     rows = [header]
     for name in report.instance_names:
         row = [name]
-        for alg in report.algorithms:
-            cell = report.cells[(name, alg)]
-            if cell.costs:
-                mean, sd = mean_sd(cell.costs)
-                t = timing.get(f"{name}/{alg}", {})
+        for label in report.labels:
+            runs = cells[(name, label)]
+            if runs:
+                mean, sd = mean_sd([r.cost for r in runs])
+                t = timing.get(f"{name}/{label}", {})
                 row += [
                     f"{mean:.1f}",
                     f"{sd:.1f}",
@@ -561,10 +485,9 @@ def render_results_table(report: ExperimentReport) -> str:
 def render_best_table(report: ExperimentReport) -> str:
     rows = [["Instance", "Best", "Vehicles", "Algorithm"]]
     for name in report.instance_names:
-        record = report.best_found(name)
-        if record:
-            cost, vehicles, alg, _ = record
-            rows.append([name, f"{cost:.2f}", str(vehicles), alg])
+        run = report.best_run(name)
+        if run is not None:
+            rows.append([name, f"{run.cost:.2f}", str(run.vehicles), run.label])
         else:
             rows.append([name, "-", "-", "-"])
     return align_table(rows)
@@ -590,20 +513,6 @@ def render_stats_tables(
             [c.label, f"{c.z:.4f}", f"{c.p_unadjusted:.6f}", f"{c.p_adjusted:.6f}", str(c.reject_at_05)]
         )
     return text + f"\nHolm post-hoc (control: {holm.control_label})\n" + align_table(rows)
-
-
-def render_sweep_table(report: SweepReport) -> str:
-    header = ["Instance"]
-    for size in report.sizes:
-        header += [f"pop{size}:avg", f"pop{size}:time"]
-    rows = [header]
-    for i, name in enumerate(report.instance_names):
-        row = [name]
-        for j in range(len(report.sizes)):
-            row += [f"{report.mean_costs[i][j]:.1f}", f"{report.mean_times[i][j]:.1f}"]
-        rows.append(row)
-    rows.append(["Ranking"] + [x for r in report.average_ranks for x in (f"{r:g}", "")])
-    return align_table(rows)
 
 
 def align_table(rows: list[list[str]]) -> str:

@@ -251,21 +251,16 @@ def trend_report(benchmark_by_name):
     else:
         instances = [benchmark_by_name[name] for name in TREND_INSTANCES]
         runs, population = 3, 50
-    report = stats.run_experiment(
-        instances,
-        algorithms=("dfa", "ea", "esa"),
-        runs_per_cell=runs,
-        base_seed=SUITE_SEED,
-        jobs=JOBS,
-        config_overrides={"population_size": population},
+    configs = {alg: SolverConfig(alg, population_size=population) for alg in ("dfa", "ea", "esa")}
+    return stats.run_experiment(
+        instances, configs, runs_per_cell=runs, base_seed=SUITE_SEED, jobs=JOBS
     )
-    return report
 
 
 def test_criterion_07_comparative_trend(trend_report):
     report = trend_report
     assert report.friedman is not None
-    ranks = dict(zip(report.algorithms, report.friedman.average_ranks))
+    ranks = dict(zip(report.labels, report.friedman.average_ranks))
     dfa_first = min(ranks, key=ranks.get) == "dfa"
     significant = report.friedman.p_value < 0.05
     scope = "full 15x3x10" if os.environ.get("RVRP_FULL_TREND") else "reduced 6x3x3"
@@ -285,15 +280,14 @@ def test_criterion_10_magnitude_soft_check(trend_report):
     lo, hi = MAGNITUDE_BAND
     flagged = []
     for name in report.instance_names:
-        record = report.best_found(name)
-        if record is None:
+        best = report.best_run(name)
+        if best is None:
             flagged.append(f"{name}: no successful runs")
             continue
-        cost, vehicles, _, _ = record
-        if not lo <= cost <= hi:
-            flagged.append(f"{name}: cost {cost:.0f} outside [{lo:.0f}, {hi:.0f}]")
-        if not 2 <= vehicles <= 5:
-            flagged.append(f"{name}: vehicles {vehicles}")
+        if not lo <= best.cost <= hi:
+            flagged.append(f"{name}: cost {best.cost:.0f} outside [{lo:.0f}, {hi:.0f}]")
+        if not 2 <= best.vehicles <= 5:
+            flagged.append(f"{name}: vehicles {best.vehicles}")
     _line(
         10,
         None,

@@ -356,13 +356,20 @@ MALFORMED_INSTANCES = pytest.mark.parametrize(
         (lambda data: {**data, "cost_offpeak": [5, *data["cost_offpeak"][1:]]}, "cost_offpeak"),
         (lambda data: {**data, "nodes": [data["nodes"][0], 5, *data["nodes"][2:]]}, "nodes"),
         (lambda data: {**data, "forbidden": [[1, 2, 3]]}, "forbidden"),
+        # a number where a whole array belongs
+        (lambda data: {**data, "nodes": 5}, "nodes"),
+        (lambda data: {**data, "cost_offpeak": 5}, "cost_offpeak"),
+        (lambda data: {**data, "cost_peak": 5}, "cost_peak"),
+        (lambda data: {**data, "forbidden": 5}, "forbidden"),
+        (lambda data: {**data, "peak_window_s": 7200}, "peak_window_s"),
     ],
     ids=["non-object", "window-one-entry", "window-empty", "window-three-entries",
          "capacity-1e400", "delivery-1e400", "x-401-digits", "cost-401-digits",
          "capacity-240.9", "delivery-10.5", "capacity-string", "x-string",
          "delivery-true", "cluster-false", "cost-string", "forbidden-true",
          "window-string", "name-list", "cost-row-number", "node-number",
-         "forbidden-triple"],
+         "forbidden-triple", "nodes-number", "cost-offpeak-number", "cost-peak-number",
+         "forbidden-number", "window-number"],
 )
 
 

@@ -1,9 +1,14 @@
+import csv
+import io
+from dataclasses import replace
+
 import pytest
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rvrp import generator, stats
+from rvrp.solvers import SolverConfig
 from rvrp.stats import (
     average_ranks,
     chi2_sf,
@@ -12,7 +17,6 @@ from rvrp.stats import (
     holm,
     mean_sd,
     normal_two_sided_p,
-    population_sweep,
     rank_row,
     rank_tests,
     run_experiment,
@@ -162,16 +166,23 @@ def test_population_sweep_ranking_matches_reference_means():
 
 
 def test_population_sweep_single_cell():
+    # the population study is one grid whose labels are population sizes
     inst = generator.small_instance(21, cluster_sizes=(3, 3), forbidden_per_cluster=1)
-    report = population_sweep([inst], sizes=[10], runs=1, base_seed=3)
-    assert report.average_ranks == [1.0]
-    assert len(report.mean_costs) == 1
+    configs = {"pop10": SolverConfig("dfa", population_size=10)}
+    report = run_experiment([inst], configs, runs_per_cell=1, base_seed=3)
+    assert list(report.to_dict()["cells"]) == [f"{inst.name}/pop10"]
+    assert report.runs[0].seed == run_seed(3, inst.name, "pop10", 0)
+    assert report.friedman is None
 
 
-def test_population_sweep_rejects_a_population_of_zero():
+def test_population_sweep_rejects_a_population_of_zero(monkeypatch):
+    solved = []
+    monkeypatch.setattr(stats, "solve", lambda inst, cfg: solved.append(inst.name))
     inst = generator.small_instance(21, cluster_sizes=(3, 3), forbidden_per_cluster=1)
+    configs = {f"pop{size}": SolverConfig("dfa", population_size=size) for size in (10, 0)}
     with pytest.raises(ValueError, match="population_size"):
-        population_sweep([inst], sizes=[0], runs=1)
+        run_experiment([inst], configs, runs_per_cell=1)
+    assert solved == []
 
 
 def test_population_sweep_midranks_on_ties():
@@ -185,57 +196,57 @@ def test_run_seed_is_stable_and_distinct():
     assert run_seed(1, "a", "dfa", 0) != run_seed(2, "a", "dfa", 0)
 
 
+SMALL_CONFIGS = {alg: SolverConfig(alg, population_size=10) for alg in ("dfa", "ea", "esa")}
+
+
 @pytest.fixture(scope="module")
 def small_experiment():
     instances = [
         generator.small_instance(21, cluster_sizes=(3, 3), forbidden_per_cluster=1),
         generator.small_instance(30, cluster_sizes=(3, 3), forbidden_per_cluster=1),
     ]
-    report = run_experiment(
-        instances,
-        runs_per_cell=2,
-        base_seed=5,
-        config_overrides={"population_size": 10},
-    )
+    report = run_experiment(instances, SMALL_CONFIGS, runs_per_cell=2, base_seed=5)
     return instances, report
 
 
 def test_experiment_cardinality(small_experiment):
     _, report = small_experiment
-    assert sum(len(c.costs) for c in report.cells.values()) == 2 * 3 * 2
+    assert len(report.runs) == 2 * 3 * 2
+    assert all(r.error is None for r in report.runs)
+    assert sum(map(len, report.cells().values())) == 2 * 3 * 2
     assert report.friedman is not None
 
 
 def test_experiment_deterministic_rerun(small_experiment):
     instances, report = small_experiment
-    again = run_experiment(
-        instances, runs_per_cell=2, base_seed=5, config_overrides={"population_size": 10}
-    )
+    again = run_experiment(instances, SMALL_CONFIGS, runs_per_cell=2, base_seed=5)
     assert again.to_dict() == report.to_dict()
 
 
 def test_experiment_parallel_matches_serial(small_experiment):
     instances, report = small_experiment
-    parallel = run_experiment(
-        instances,
-        runs_per_cell=2,
-        base_seed=5,
-        jobs=2,
-        config_overrides={"population_size": 10},
-    )
+    parallel = run_experiment(instances, SMALL_CONFIGS, runs_per_cell=2, base_seed=5, jobs=2)
     assert parallel.to_dict() == report.to_dict()
+
+
+def test_experiment_ignores_the_seed_a_config_carries(small_experiment):
+    # every run takes its seed from the grid's schedule, so a config's own
+    # seed changes nothing
+    instances, report = small_experiment
+    seeded = {label: replace(cfg, seed=3) for label, cfg in SMALL_CONFIGS.items()}
+    again = run_experiment(instances, seeded, runs_per_cell=2, base_seed=5)
+    assert again.to_dict() == report.to_dict()
+    assert all(r.seed == run_seed(5, r.instance, r.label, r.run) for r in again.runs)
 
 
 def test_experiment_best_found_is_cell_minimum(small_experiment):
     instances, report = small_experiment
+    cells = report.cells()
     for inst in instances:
-        record = report.best_found(inst.name)
-        assert record is not None
-        cost, vehicles, alg, flat = record
-        assert cost == min(
-            min(report.cell(inst.name, a).costs) for a in report.algorithms
-        )
-        assert vehicles == flat.count(0) + 1
+        best = report.best_run(inst.name)
+        assert best is not None
+        assert best.cost == min(r.cost for label in report.labels for r in cells[(inst.name, label)])
+        assert best.vehicles == best.encoding.count(0) + 1
 
 
 def test_experiment_single_algorithm_skips_tests():
@@ -244,33 +255,29 @@ def test_experiment_single_algorithm_skips_tests():
         for seed in (21, 30)
     ]
     report = run_experiment(
-        instances, algorithms=("dfa",), runs_per_cell=1, base_seed=1,
-        config_overrides={"population_size": 8},
+        instances, {"dfa": SolverConfig("dfa", population_size=8)}, runs_per_cell=1, base_seed=1
     )
     assert report.friedman is None
     assert report.holm is None
 
 
-@pytest.mark.parametrize(
-    "seeds, algorithms, named",
-    [((21, 30), ("dfa", "dfa", "esa"), "'dfa'"), ((21, 30, 21), ("dfa", "esa"), "'small_21'")],
-    ids=["algorithm", "instance"],
-)
-def test_experiment_rejects_a_name_listed_twice(seeds, algorithms, named):
-    # a name listed twice would be solved twice per cell and ranked as two
+@pytest.mark.parametrize("seeds, named", [((21, 30, 21), "'small_21'")], ids=["instance"])
+def test_experiment_rejects_a_name_listed_twice(seeds, named):
+    # an instance listed twice would be solved twice per cell and ranked as
+    # two; a label cannot repeat, it is a key of the configs
     instances = [generator.small_instance(seed, cluster_sizes=(3, 3)) for seed in seeds]
     with pytest.raises(ValueError, match=named):
-        run_experiment(instances, algorithms=algorithms, runs_per_cell=1)
+        run_experiment(instances, SMALL_CONFIGS, runs_per_cell=1)
 
 
 @pytest.mark.parametrize(
     "settings, named",
     [
-        ({"algorithms": ()}, "algorithm"),
+        ({"configs": {}}, "algorithm"),
         ({"runs_per_cell": 0}, "runs_per_cell"),
         ({"jobs": 0}, "jobs"),
-        ({"config_overrides": {"population_size": 0}}, "population_size"),
-        ({"algorithms": ("dfa", "nope")}, "'nope'"),
+        ({"configs": {"dfa": SolverConfig("dfa", population_size=0)}}, "population_size"),
+        ({"configs": {"dfa": SolverConfig("dfa"), "nope": SolverConfig("nope")}}, "'nope'"),
     ],
     ids=["no-algorithm", "runs-0", "jobs-0", "population-0", "unknown-algorithm"],
 )
@@ -279,7 +286,7 @@ def test_experiment_rejects_invalid_settings_before_any_solve(monkeypatch, setti
     monkeypatch.setattr(stats, "solve", lambda inst, cfg: solved.append(inst.name))
     instances = [generator.small_instance(21, cluster_sizes=(3, 3))]
     with pytest.raises(ValueError, match=named):
-        run_experiment(instances, **{"runs_per_cell": 1, **settings})
+        run_experiment(instances, **{"configs": SMALL_CONFIGS, "runs_per_cell": 1, **settings})
     assert solved == []
 
 
@@ -302,6 +309,27 @@ def test_experiment_csv_layout(small_experiment):
     lines = report.csv_text().strip().splitlines()
     assert lines[0] == "instance,algorithm,run,seed,cost,time_s,convergence_s,vehicles"
     assert len(lines) == 1 + 12
+
+
+def test_experiment_csv_numbers_runs_by_their_place_in_the_grid(monkeypatch):
+    # run 0 fails, so the CSV holds runs 1 and 2 under their own numbers
+    inst = generator.small_instance(21, cluster_sizes=(3, 3), forbidden_per_cluster=1)
+    failing = run_seed(5, inst.name, "dfa", 0)
+    real_solve = stats.solve
+
+    def solve(inst, cfg):
+        if cfg.seed == failing:
+            raise RuntimeError("injected failure")
+        return real_solve(inst, cfg)
+
+    monkeypatch.setattr(stats, "solve", solve)
+    configs = {"dfa": SolverConfig("dfa", population_size=10)}
+    report = run_experiment([inst], configs, runs_per_cell=3, base_seed=5)
+    rows = list(csv.DictReader(io.StringIO(report.csv_text())))
+    assert [int(row["run"]) for row in rows] == [1, 2]
+    assert [int(row["seed"]) for row in rows] == [run_seed(5, inst.name, "dfa", k) for k in (1, 2)]
+    errors = report.to_dict()["cells"][f"{inst.name}/dfa"]["errors"]
+    assert errors == [f"run 0 (seed {failing}): RuntimeError: injected failure"]
 
 
 @given(

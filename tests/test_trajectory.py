@@ -8,10 +8,13 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from rvrp import generator
+from rvrp import generator, jsonio
+from rvrp.instance import Instance
 from rvrp.operators import random_solution
 from rvrp.solvers import SolverConfig, solve
+from rvrp.stats import run_experiment
 
 from conftest import SUITE_SEED
 
@@ -23,6 +26,8 @@ EXPECTED_DIGEST = "3ab064559487f841684feca9b320da750348f934f7bd1b6b1661e376f1ba9
 EXPECTED_EXTENSIONS_DIGEST = "921d983228d339617990bae65cd222878278ef46c0b4aa1789b1d5c3d2631ede"
 # relocation inside the EA and ESA, which neither digest above reaches
 EXPECTED_DRAW_PATHS_DIGEST = "1f4b25a34e6660f86b6d5d1b616959666d8c2a9e48543c0a7053e9b727ea71ac"
+# the report of a small experiment grid, one of whose instances is invalid
+EXPECTED_REPORT_DIGEST = "4d54518bc2fd9944ffc6aa54a763310180835b82d004647deba03a9260815aea"
 # every byte write_suite writes for the whole suite: 15 instance files and the
 # manifest, each hashed with its file name
 EXPECTED_SUITE_FILES_DIGEST = "0fa02176b7bf7f28f5f7b69364d5fd9c2c33dcfcf3b194fbcc26e98846dcd322"
@@ -122,3 +127,22 @@ def draw_paths_digest() -> str:
 
 def test_pinned_draw_paths_trajectory():
     assert draw_paths_digest() == EXPECTED_DRAW_PATHS_DIGEST
+
+
+def report_digest(jobs: int) -> str:
+    """The experiment report of two small instances and one with a negated
+    off-peak matrix, which is never solved: its runs carry its issues."""
+    a = generator.small_instance(21, cluster_sizes=(3, 3), forbidden_per_cluster=1)
+    b = generator.small_instance(30, cluster_sizes=(3, 3), forbidden_per_cluster=1)
+    data = {**b.to_dict(), "name": "negative"}
+    data["cost_offpeak"] = [[-c for c in row] for row in data["cost_offpeak"]]
+    configs = {alg: SolverConfig(alg, population_size=10) for alg in ("dfa", "ea", "esa")}
+    report = run_experiment(
+        [a, b, Instance.from_dict(data)], configs, runs_per_cell=2, base_seed=5, jobs=jobs
+    )
+    return hashlib.sha256(jsonio.dumps(report.to_dict()).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_pinned_experiment_report(jobs):
+    assert report_digest(jobs) == EXPECTED_REPORT_DIGEST
