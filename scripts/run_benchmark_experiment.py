@@ -2,10 +2,13 @@
 """Regenerate the benchmark suite and run the full comparison protocol.
 
 Equivalent to `rvrp generate` followed by `rvrp experiment`; kept as one
-script so the whole study is a single reproducible command.
+script so the whole study is a single reproducible command. A suite directory
+that already has a manifest is reused only if it was generated with the same
+seed; otherwise the script exits with status 2.
 """
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -22,7 +25,16 @@ def main() -> int:
     parser.add_argument("--out", default="results")
     args = parser.parse_args()
 
-    if not (Path(args.suite) / "suite-manifest.json").exists():
+    manifest = Path(args.suite) / "suite-manifest.json"
+    if manifest.exists():
+        suite_seed = json.loads(manifest.read_text(encoding="utf-8")).get("seed")
+        if suite_seed != args.seed:
+            print(
+                f"{manifest}: suite generated with seed {suite_seed}, not --seed {args.seed}",
+                file=sys.stderr,
+            )
+            return 2
+    else:
         code = cli_main(["generate", "--seed", str(args.seed), "--out", args.suite])
         if code != 0:
             return code

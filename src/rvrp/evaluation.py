@@ -49,8 +49,9 @@ class LoadProfile:
 
 def _require_known(route, inst: Instance) -> None:
     for node_id in route:
-        if node_id not in inst.index or node_id == 0:
-            raise ValueError(f"unknown node id in route: {node_id}")
+        if node_id == 0:
+            raise ValueError("the depot (0) inside a route")
+        inst.position(node_id)  # a ValueError for an id no node has
 
 
 def route_timeline(route, inst: Instance) -> Timeline:
@@ -85,13 +86,17 @@ def route_cost(route, inst: Instance) -> float:
     because costs are non-negative (``validate_instance`` rejects
     ``negative-cost``), so no later departure falls back inside the window; a
     NaN clock never passes the test, so it prices as the timeline does.
+
+    It trusts its ids to be customers of ``inst``, as ``decode``,
+    ``check_feasible``'s unknown-customer check and the operators guarantee;
+    an unknown id may raise or price a wrong arc.
     """
     index = inst.index
     off, peak = inst.cost_offpeak, inst.cost_peak
     lo, hi = inst.peak_window_s
     t = float(inst.day_start_s)
     total = 0.0
-    prev = index[0]
+    prev = depot = index[0]
     stops = iter(route)
     for node_id in stops:
         cur = index[node_id]
@@ -102,12 +107,12 @@ def route_cost(route, inst: Instance) -> float:
         if t >= hi:
             break
     else:
-        return total + (peak if lo <= t < hi else off)[prev][index[0]]
+        return total + (peak if lo <= t < hi else off)[prev][depot]
     for node_id in stops:
         cur = index[node_id]
         total += off[prev][cur]
         prev = cur
-    return total + off[prev][index[0]]
+    return total + off[prev][depot]
 
 
 def solution_cost(sol: Solution, inst: Instance) -> float:

@@ -37,6 +37,10 @@ PEAK = "peak"
 
 COST_DECIMALS = 2  # serialized cost precision; files are the reproducibility ground truth
 
+# node ids index lists (``Instance.index``, ``Instance.forbidden_after``), so
+# they are bounded; the benchmark skeleton's ids are 0..100
+MAX_NODE_ID = 65_535
+
 
 @dataclass(frozen=True)
 class Node:
@@ -110,10 +114,11 @@ class Instance:
     """Immutable problem instance.
 
     ``nodes`` must list the depot first; matrix row/column order follows the
-    node order (``index`` maps node id to matrix index, so derived instances
-    can keep their original, non-contiguous ids). The nodes' cluster labels
-    are the only description of the partition; ``clusters`` is derived from
-    them by :func:`label_clusters`.
+    node order (``index[node_id]`` is the node's matrix index, None where no
+    node has that id, so derived instances can keep their original,
+    non-contiguous ids; ids lie in 0..``MAX_NODE_ID``). The nodes' cluster
+    labels are the only description of the partition; ``clusters`` is derived
+    from them by :func:`label_clusters`.
     """
 
     name: str
@@ -127,7 +132,9 @@ class Instance:
     day_end_s: int = DAY_END_S
 
     # derived lookups, built once; treat the instance as immutable afterwards
-    index: dict[int, int] = field(init=False, repr=False)
+    index: list[int | None] = field(init=False, repr=False)
+    # node id -> the ids j such that (id, j) is forbidden
+    forbidden_after: list[frozenset[int]] = field(init=False, repr=False)
     customers: tuple[int, ...] = field(init=False, repr=False)
     delivery: dict[int, int] = field(init=False, repr=False)
     pickup: dict[int, int] = field(init=False, repr=False)
@@ -142,7 +149,19 @@ class Instance:
     def __post_init__(self) -> None:
         self.nodes = tuple(self.nodes)
         self.forbidden = frozenset((int(i), int(j)) for i, j in self.forbidden)
-        self.index = {node.id: pos for pos, node in enumerate(self.nodes)}
+        ids = [node.id for node in self.nodes]
+        lowest, highest = min(ids, default=0), max(ids, default=0)
+        if lowest < 0 or highest > MAX_NODE_ID:
+            bad = lowest if lowest < 0 else highest
+            raise ValueError(f"nodes has the id {bad!r}, outside 0..{MAX_NODE_ID}")
+        self.index = [None] * (highest + 1)
+        for pos, node_id in enumerate(ids):
+            self.index[node_id] = pos
+        # one shared empty set; ``|=`` on a frozenset binds a new one
+        self.forbidden_after = [frozenset()] * (highest + 1)
+        for i, j in self.forbidden:
+            if 0 <= i <= highest:  # an arc from an id no node has is never tested
+                self.forbidden_after[i] |= {j}
         self.customers = tuple(node.id for node in self.nodes if node.id != 0)
         self.delivery = {node.id: node.delivery for node in self.nodes}
         self.pickup = {node.id: node.pickup for node in self.nodes}
@@ -159,8 +178,18 @@ class Instance:
     def n_customers(self) -> int:
         return len(self.customers)
 
+    def position(self, node_id: int) -> int:
+        """The node's matrix index; a ValueError for an id no node has."""
+        try:
+            pos = self.index[node_id] if node_id >= 0 else None
+        except (IndexError, TypeError):  # past the last id, or not an integer
+            pos = None
+        if pos is None:
+            raise ValueError(f"unknown node id: {node_id!r}")
+        return pos
+
     def node(self, node_id: int) -> Node:
-        return self.nodes[self.index[node_id]]
+        return self.nodes[self.position(node_id)]
 
     # ------------------------------------------------------------------ JSON
 

@@ -127,37 +127,42 @@ def _insertion(sol: Solution, inst: Instance, rng: Rng) -> Insertion | None:
     customer = customers[rng.integers(len(customers))]
     label = inst.cluster_of[customer]
     r, start, end = sol.blocks[label]
-    route = sol.routes[r]
-    block = route[start:end]
-    m = len(block)
+    m = end - start
     if m == 1:
         return None
-    at = block.index(customer)
-    rest = block[:at] + block[at + 1 :]
-    forbidden = inst.forbidden
-    # the arc that closes the gap at ``at`` is in every candidate but the identity
-    gap_forbidden = 0 < at < m - 1 and (rest[at - 1], rest[at]) in forbidden
+    route = sol.routes[r]
+    pos = route.index(customer, start, end)
+    at = pos - start
+    after = inst.forbidden_after
+    # the arc that closes the gap at ``pos`` is in every candidate but the identity
+    gap_forbidden = start < pos < end - 1 and route[pos + 1] in after[route[pos - 1]]
+    banned = after[customer]
     rising = label in inst.rising_clusters
     load = None  # on board when the block starts; summed once a candidate needs it
     for _ in range(MAX_RESAMPLES):
         slot = rng.integers(m)
         if slot == at:
             return None  # reinserted where it was extracted
+        # the customer moves in front of the parent's position ``cut``
+        cut = start + slot if slot < at else start + slot + 1
         if (
             gap_forbidden
-            or (slot > 0 and (rest[slot - 1], customer) in forbidden)
-            or (slot < m - 1 and (customer, rest[slot]) in forbidden)
+            or (cut > start and customer in after[route[cut - 1]])
+            or (cut < end and route[cut] in banned)
         ):
             continue
-        new_block = rest[:slot] + (customer,) + rest[slot:]
+        if cut < pos:
+            new_route = route[:cut] + (customer,) + route[cut:pos] + route[pos + 1 :]
+        else:
+            new_route = route[:pos] + route[pos + 1 : cut] + (customer,) + route[cut:]
         if rising:
             change = inst.load_change
             if load is None:
                 load = sum(map(inst.delivery.__getitem__, route))
                 load += sum(map(change.__getitem__, route[:start]))
-            if max(accumulate(map(change.__getitem__, new_block), initial=load)) > inst.capacity:
+            steps = map(change.__getitem__, new_route[start:end])
+            if max(accumulate(steps, initial=load)) > inst.capacity:
                 continue
-        new_route = route[:start] + new_block + route[end:]
         return r, new_route, route_cost(new_route, inst)
     return None
 

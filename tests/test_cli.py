@@ -362,6 +362,9 @@ MALFORMED_INSTANCES = pytest.mark.parametrize(
         (lambda data: {**data, "cost_peak": 5}, "cost_peak"),
         (lambda data: {**data, "forbidden": 5}, "forbidden"),
         (lambda data: {**data, "peak_window_s": 7200}, "peak_window_s"),
+        # node ids index lists: a negative id would wrap, a huge one allocate
+        (_with_node_field("id", -1), "nodes"),
+        (_with_node_field("id", 10**9), "nodes"),
     ],
     ids=["non-object", "window-one-entry", "window-empty", "window-three-entries",
          "capacity-1e400", "delivery-1e400", "x-401-digits", "cost-401-digits",
@@ -369,7 +372,7 @@ MALFORMED_INSTANCES = pytest.mark.parametrize(
          "delivery-true", "cluster-false", "cost-string", "forbidden-true",
          "window-string", "name-list", "cost-row-number", "node-number",
          "forbidden-triple", "nodes-number", "cost-offpeak-number", "cost-peak-number",
-         "forbidden-number", "window-number"],
+         "forbidden-number", "window-number", "node-id-negative", "node-id-1e9"],
 )
 
 

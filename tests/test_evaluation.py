@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
@@ -13,7 +15,7 @@ from rvrp import (
     solution_cost,
 )
 from rvrp import generator
-from rvrp.instance import OFFPEAK, PEAK, PEAK_END_S, PEAK_START_S
+from rvrp.instance import OFFPEAK, PEAK, PEAK_END_S, PEAK_START_S, validate_instance
 from rvrp.operators import random_solution
 
 from conftest import make_tiny_instance
@@ -51,11 +53,33 @@ def test_route_cost_agrees_with_timeline(tiny_instance):
         assert route_cost(route, tiny_instance) == route_timeline(route, tiny_instance).total_cost_s
 
 
+def _listed_out_of_id_order(inst: Instance) -> Instance:
+    """``inst``, which has no forbidden arc, with its customers listed in
+    descending id order and every id k made 3k, so that no customer's id is
+    its position; the matrices follow."""
+    order = [0, *range(len(inst.nodes) - 1, 0, -1)]
+
+    def permuted(matrix):
+        return [[matrix[a][b] for b in order] for a in order]
+
+    return Instance(
+        name=f"{inst.name}_reordered",
+        nodes=tuple(replace(inst.nodes[p], id=3 * inst.nodes[p].id) for p in order),
+        capacity=inst.capacity,
+        cost_offpeak=permuted(inst.cost_offpeak),
+        cost_peak=permuted(inst.cost_peak),
+    )
+
+
+SMALL_61 = generator.small_instance(61, cluster_sizes=(5, 4, 3))
+REORDERED_61 = _listed_out_of_id_order(SMALL_61)
+
 PRICED_INSTANCES = [
     ("Osaba_50_1_1", None),
     ("Osaba_100_1", None),
     (None, generator.small_instance(21, cluster_sizes=(3, 3), forbidden_per_cluster=1)),
-    (None, generator.small_instance(61, cluster_sizes=(5, 4, 3))),
+    (None, SMALL_61),
+    (None, REORDERED_61),
 ]
 
 
@@ -112,6 +136,21 @@ def test_route_cost_matches_timeline_bit_for_bit(
         event("departs on an edge")
 
 
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_listing_order_and_ids_do_not_change_a_price(seed):
+    # route_cost and route_timeline share the id lookup, so their agreement
+    # cannot show it; the relabelled, reordered copy must price every route
+    # of the original as the original does
+    assert validate_instance(REORDERED_61).ok
+    sol = random_solution(SMALL_61, np.random.default_rng(seed))
+    for route in sol.routes:
+        twin = [3 * c for c in route]
+        expected = route_cost(route, SMALL_61).hex()
+        assert route_cost(twin, REORDERED_61).hex() == expected
+        assert route_timeline(twin, REORDERED_61).total_cost_s.hex() == expected
+
+
 def test_departure_times_strictly_increase(benchmark_by_name):
     inst = benchmark_by_name["Osaba_50_1_1"]
     sol = random_solution(inst, np.random.default_rng(0))
@@ -144,8 +183,15 @@ def test_identical_matrices_make_window_irrelevant(tiny_instance):
 
 
 def test_unknown_node_rejected(tiny_instance):
-    with pytest.raises(ValueError):
-        route_timeline([1, 9], tiny_instance)
+    # ids index a list: a negative id must not wrap, nor a large or a
+    # fractional one escape as another error
+    for node_id in (9, -1, 10**6, 1.5):
+        with pytest.raises(ValueError):
+            route_timeline([1, node_id], tiny_instance)
+        with pytest.raises(ValueError):
+            load_profile([1, node_id], tiny_instance)
+        with pytest.raises(ValueError):
+            tiny_instance.node(node_id)
 
 
 def test_load_profile_hand_simulation(tiny_instance):

@@ -69,6 +69,16 @@ def test_separator_count_matches_routes(oracle_instances):
         assert encode(sol).count(0) == sol.vehicles - 1
 
 
+def test_id_lookups_hold_every_node_and_forbidden_arc(benchmark_by_name):
+    # Osaba_50_2_4's ids run to 100 over 51 nodes, not in step with positions
+    inst = benchmark_by_name["Osaba_50_2_4"]
+    assert [inst.index[node.id] for node in inst.nodes] == list(range(len(inst.nodes)))
+    assert len(inst.index) == 101 and inst.index.count(None) == 101 - len(inst.nodes)
+    after = inst.forbidden_after
+    assert {(i, j) for i, ids in enumerate(after) for j in ids} == inst.forbidden
+    assert len(after) == len(inst.index) and len({id(ids) for ids in after if not ids}) == 1
+
+
 def test_validate_accepts_tiny(tiny_instance):
     assert validate_instance(tiny_instance).ok
 

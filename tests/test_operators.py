@@ -583,12 +583,14 @@ MIXED_LOADS = _rising_loads(
 )
 
 # dense forbidden arcs (2 per cluster of 3-4 members, 8 per cluster of 4-6,
-# 10 per cluster of 5 on Osaba_50_1_4) and loads that rise en route to a
-# tight capacity, so that both checks reject candidates
+# 10 per cluster of 5 on Osaba_50_1_4 and Osaba_50_2_4, whose ids are not
+# their positions) and loads that rise en route to a tight capacity, so that
+# both checks reject candidates
 EXACT_INSTANCES = [
     STATE_INSTANCES[1],
     generator.small_instance(86, cluster_sizes=(5, 6, 4), forbidden_per_cluster=8),
     next(inst for inst in SHUFFLE_INSTANCES if inst.name == "Osaba_50_1_4"),
+    *generator.generate_suite(7, only=["Osaba_50_2_4"]),
     _rising_loads(STATE_INSTANCES[1]),
     SHUFFLE_INSTANCES[-1],
     MIXED_LOADS,
@@ -721,3 +723,30 @@ def test_insertion_pinned_cases_match_full_route_checks(customer, slots, forbidd
     assert found == _reference_insertion(sol, inst, ref)
     assert fast.used == ref.used
     assert (found and found[1]) == expected
+
+
+@given(
+    which=st.sampled_from([0, 2]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_insertion_candidate_is_the_block_rebuilt_around_the_customer(which, seed, data):
+    # the candidate is cut from the parent route; for every block, extraction
+    # point and slot it must equal the block rebuilt without and then with
+    # the customer (no forbidden arc and room to spare: every draw is taken)
+    inst = STATE_INSTANCES[which]
+    sol = random_solution(inst, np.random.default_rng(seed))
+    pick = data.draw(st.integers(0, inst.n_customers - 1))
+    customer = inst.customers[pick]
+    r, start, end = sol.blocks[inst.cluster_of[customer]]
+    route = sol.routes[r]
+    block = route[start:end]
+    slot = data.draw(st.integers(0, len(block) - 1))
+    at = block.index(customer)
+    rest = block[:at] + block[at + 1 :]
+    found = _insertion(sol, inst, _Script([pick, slot]))
+    if slot == at:
+        assert found is None
+    else:
+        assert found[:2] == (r, route[:start] + rest[:slot] + (customer,) + rest[slot:] + route[end:])
