@@ -17,10 +17,8 @@ Set RVRP_LOG=debug|info|quiet to control verbosity.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
-import math
 import os
 import sys
 from pathlib import Path
@@ -192,6 +190,11 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         population=args.population,
         out=out_dir,
     )
+    # checked before any solve, so that no grid's results are lost to a path
+    # that cannot be made a directory
+    existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
+    if not existing.is_dir():
+        raise CommandError(EXIT_IO, f"cannot write to {out_dir}: {existing} is not a directory")
     try:
         instances = generator.load_suite(args.suite)
     except (OSError, KeyError, TypeError, ValueError) as exc:
@@ -212,73 +215,36 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             log.warning("cell %s: %s", key, err)
     successes = sum(cell["runs"] for cell in data["cells"].values())
     failures = len(report.runs) - successes
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(out_dir / "report.json", data)
-    write_json(out_dir / "timing.json", report.timing_dict())
-    (out_dir / "runs.csv").write_text(report.csv_text(), encoding="utf-8")
     tables = stats.render_tables(report)
-    (out_dir / "tables.txt").write_text(tables, encoding="utf-8")
     print(tables, end="")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_json(out_dir / "report.json", data)
+        write_json(out_dir / "timing.json", report.timing_dict())
+        (out_dir / "runs.csv").write_text(report.csv_text(), encoding="utf-8")
+        (out_dir / "tables.txt").write_text(tables, encoding="utf-8")
+    except OSError as exc:
+        raise CommandError(EXIT_IO, f"cannot write experiment output to {out_dir}: {exc}")
     print(f"recorded {successes} run(s), {failures} failure(s) -> {out_dir}")
     if successes == 0:
         return EXIT_ALL_FAILED
     return EXIT_OK
 
 
-def _load_runs(path: str) -> dict[tuple[str, str], list[float]]:
-    """(instance, algorithm) -> run costs, in the order of the rows of a
-    runs.csv."""
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-    except OSError as exc:
-        raise CommandError(EXIT_IO, f"cannot read {path}: {exc}")
-    if not rows:
-        raise CommandError(EXIT_IO, "no runs in CSV")
-    costs: dict[tuple[str, str], list[float]] = {}
-    try:
-        for line, r in enumerate(rows, start=2):  # line 1 is the header
-            cost = float(r["cost"])
-            if not math.isfinite(cost):
-                raise CommandError(
-                    EXIT_IO,
-                    f"cannot read {path}: line {line} ({r['instance']}/{r['algorithm']}) "
-                    f"has cost {r['cost']}, not a finite number",
-                )
-            costs.setdefault((r["instance"], r["algorithm"]), []).append(cost)
-    except KeyError as exc:
-        raise CommandError(EXIT_IO, f"cannot read {path}: no {exc} column")
-    except (TypeError, ValueError) as exc:
-        raise CommandError(EXIT_IO, f"cannot read {path}: {exc}")
-    return costs
-
-
 def cmd_stats(args: argparse.Namespace) -> int:
     _print_header("stats", runs=args.runs_csv)
-    costs = _load_runs(args.runs_csv)
-    instances = list(dict.fromkeys(name for name, _ in costs))
-    algorithms = list(dict.fromkeys(alg for _, alg in costs))
-    table = [["Instance"] + [f"{alg}:avg" for alg in algorithms] + [f"{alg}:sd" for alg in algorithms]]
-    for name in instances:
-        row = [name]
-        cell_stats = [
-            stats.mean_sd(costs[(name, alg)]) if (name, alg) in costs else (float("nan"), float("nan"))
-            for alg in algorithms
-        ]
-        row += [f"{m:.1f}" for m, _ in cell_stats] + [f"{s:.1f}" for _, s in cell_stats]
-        table.append(row)
-    print(stats.align_table(table), end="")
-    _, fried, holm_result = stats.rank_tests(costs, instances, algorithms)
-    print("\n" + stats.render_stats_tables(algorithms, fried, holm_result), end="")
-    tests = {"average_ranks": None, "friedman": None, "holm": None}
-    if fried is not None:
-        tests = {
-            "average_ranks": dict(zip(algorithms, fried.average_ranks)),
-            "friedman": {"statistic": fried.statistic, "dof": fried.dof, "p_value": fried.p_value},
-            "holm": holm_result.to_dict(),
-        }
+    try:
+        with open(args.runs_csv, encoding="utf-8", newline="") as fh:
+            report = stats.ExperimentReport.from_csv(fh.read())
+    except (OSError, ValueError) as exc:
+        raise CommandError(EXIT_IO, f"cannot read {args.runs_csv}: {exc}")
+    print(stats.render_tables(report), end="")
     if args.out:
-        write_json(args.out, tests)
+        data = report.to_dict()
+        try:
+            write_json(args.out, {"friedman": data.get("friedman"), "holm": data.get("holm")})
+        except OSError as exc:
+            raise CommandError(EXIT_IO, f"cannot write {args.out}: {exc}")
     return EXIT_OK
 
 

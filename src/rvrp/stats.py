@@ -6,9 +6,11 @@ means and standard deviations, the best solution found per instance and every
 output derive from those records; the per-cell means feed a Friedman rank
 test followed by a Holm step-down post-hoc against a control label (the
 best-ranked one). The labels are algorithms in the solver comparison and
-population sizes in the population study. ``rvrp experiment`` and
-``rvrp stats`` both rank through ``rank_tests`` and print through
-``render_stats_tables``.
+population sizes in the population study.
+
+``ExperimentReport.csv_text`` writes the records as ``runs.csv`` and
+``ExperimentReport.from_csv`` reads them back, so ``rvrp experiment`` and
+``rvrp stats`` print the same ``render_tables`` from the same records.
 
 Wall-clock times are kept apart from the deterministic payload: the report
 dict is a pure function of (instances, configs, base seed) while measured
@@ -212,24 +214,6 @@ def holm(
     return HolmResult(control=control, control_label=labels[control], comparisons=comparisons)
 
 
-def rank_tests(
-    costs: Mapping[tuple[str, str], Sequence[float]],
-    instances: Sequence[str],
-    algorithms: Sequence[str],
-) -> tuple[list[str], FriedmanResult | None, HolmResult | None]:
-    """Rank the algorithms on the mean of each (instance, algorithm) cell of
-    run costs: the instances where every algorithm has a run, then Friedman
-    over them and Holm against the control with the best (lowest) average
-    rank. Both tests are None below two algorithms or two such instances."""
-    ranked = [name for name in instances if all(costs.get((name, alg)) for alg in algorithms)]
-    if len(algorithms) < 2 or len(ranked) < 2:
-        return ranked, None, None
-    matrix = [[mean_sd(costs[(name, alg)])[0] for alg in algorithms] for name in ranked]
-    fried = friedman(matrix)
-    control = min(range(len(algorithms)), key=fried.average_ranks.__getitem__)
-    return ranked, fried, holm(fried.average_ranks, len(matrix), control, labels=list(algorithms))
-
-
 # ------------------------------------------------------------------- harness
 
 
@@ -257,25 +241,84 @@ class Run:
     error: str | None = None
 
 
+CSV_COLUMNS = ("instance", "algorithm", "run", "seed", "cost", "time_s", "convergence_s", "vehicles")
+
+
 @dataclass
 class ExperimentReport:
     """Every run of an (instances x labels x runs) grid, in grid order; the
-    cells, the best runs, the rank tests and every output derive from them."""
+    cells, the best runs, the rank tests and every output derive from them.
 
-    instance_names: list[str]
-    labels: list[str]
-    runs_per_cell: int
-    base_seed: int
+    The instances and labels are those of the runs, in order of first
+    appearance, and ``runs_per_cell`` is the largest run index + 1. The
+    labels are ranked on each cell's mean cost over the instances where every
+    label has a successful run: Friedman, then Holm against the label with
+    the best (lowest) average rank. Both tests are None below two labels or
+    two such instances. ``base_seed`` is None when the grid's seed is
+    unknown, as for a report read from ``runs.csv``."""
+
     runs: list[Run]
+    base_seed: int | None = None
+    instance_names: list[str] = field(init=False)
+    labels: list[str] = field(init=False)
+    runs_per_cell: int = field(init=False)
     ranked_instances: list[str] = field(init=False)  # instances in the rank matrix
     friedman: FriedmanResult | None = field(init=False)
     holm: HolmResult | None = field(init=False)
 
     def __post_init__(self) -> None:
-        costs = {key: [r.cost for r in runs] for key, runs in self.cells().items()}
-        self.ranked_instances, self.friedman, self.holm = rank_tests(
-            costs, self.instance_names, self.labels
-        )
+        self.instance_names = list(dict.fromkeys(r.instance for r in self.runs))
+        self.labels = list(dict.fromkeys(r.label for r in self.runs))
+        self.runs_per_cell = max((r.run for r in self.runs), default=-1) + 1
+        cells = self.cells()
+        self.ranked_instances = [
+            name for name in self.instance_names if all(cells[(name, label)] for label in self.labels)
+        ]
+        self.friedman = self.holm = None
+        if len(self.labels) >= 2 and len(self.ranked_instances) >= 2:
+            matrix = [
+                [mean_sd([r.cost for r in cells[(name, label)]])[0] for label in self.labels]
+                for name in self.ranked_instances
+            ]
+            self.friedman = friedman(matrix)
+            control = min(range(len(self.labels)), key=self.friedman.average_ranks.__getitem__)
+            self.holm = holm(self.friedman.average_ranks, len(matrix), control, labels=self.labels)
+
+    @classmethod
+    def from_csv(cls, text: str) -> ExperimentReport:
+        """The report of the successful runs that ``csv_text`` wrote: times
+        at its 3 decimals, no evaluations or encodings, no base seed. A
+        missing column, a row of the wrong length, a number that does not
+        parse or a non-finite cost or time is a ValueError naming it."""
+        reader = csv.reader(io.StringIO(text))
+        try:
+            rows = [(reader.line_num, row) for row in reader]
+        except csv.Error as exc:
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
+        header = rows[0][1] if rows else []
+        for column in CSV_COLUMNS:
+            if column not in header:
+                raise ValueError(f"no {column!r} column")
+        runs = []
+        for line, row in rows[1:]:
+            if len(row) != len(header):
+                raise ValueError(f"line {line} has {len(row)} fields, not {len(header)}")
+            fields = dict(zip(header, row))
+            where = f"line {line} ({fields['instance']}/{fields['algorithm']})"
+            values = {}
+            for column, kind in zip(CSV_COLUMNS[2:], (int, int, float, float, float, int)):
+                value = fields[column]
+                try:
+                    values[column] = kind(value)
+                except ValueError:
+                    wanted = "an integer" if kind is int else "a number"
+                    raise ValueError(f"{where} has {column} {value!r}, not {wanted}") from None
+                if kind is float and not math.isfinite(values[column]):
+                    raise ValueError(f"{where} has {column} {value}, not a finite number")
+            runs.append(Run(fields["instance"], fields["algorithm"], **values))
+        if not runs:
+            raise ValueError("no runs")
+        return cls(runs)
 
     def cells(self) -> dict[tuple[str, str], list[Run]]:
         """(instance, label) -> the cell's successful runs, in run order."""
@@ -356,9 +399,7 @@ class ExperimentReport:
         is the run's index in its cell, failed runs included."""
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(
-            ["instance", "algorithm", "run", "seed", "cost", "time_s", "convergence_s", "vehicles"]
-        )
+        writer.writerow(CSV_COLUMNS)
         for r in self.runs:
             if r.error is None:
                 times = [f"{r.time_s:.3f}", f"{r.convergence_s:.3f}"]
@@ -432,27 +473,31 @@ def run_experiment(
         solved = pool.map(_run_one, payloads, chunksize=1) if pool else map(_run_one, payloads)
         runs = [entry if isinstance(entry, Run) else next(solved) for entry in grid]
 
-    return ExperimentReport(
-        instance_names=names,
-        labels=list(configs),
-        runs_per_cell=runs_per_cell,
-        base_seed=base_seed,
-        runs=runs,
-    )
+    return ExperimentReport(runs, base_seed)
 
 
 # ----------------------------------------------------------------- rendering
 
 
 def render_tables(report: ExperimentReport) -> str:
-    """The experiment's results, best-found and rank tables."""
-    return (
-        render_results_table(report)
-        + "\n"
-        + render_best_table(report)
-        + "\n"
-        + render_stats_tables(report.labels, report.friedman, report.holm)
+    """The experiment's results and best-found tables, then its average
+    ranks, the Friedman statistic and the Holm post-hoc table."""
+    text = render_results_table(report) + "\n" + render_best_table(report) + "\n"
+    fried, holm_result = report.friedman, report.holm
+    if fried is None:
+        return text + "No statistical tests (fewer than two algorithms or instances).\n"
+    ranks = [["Algorithm", "Average rank"]]
+    ranks += [[label, f"{rank:.4f}"] for label, rank in zip(report.labels, fried.average_ranks)]
+    text += (
+        align_table(ranks)
+        + f"\nFriedman statistic: {fried.statistic:.4f} (df={fried.dof}, p={fried.p_value:.6g})\n"
     )
+    rows = [["Algorithm", "z", "Unadjusted p", "Adjusted p", "Reject@0.05"]]
+    for c in holm_result.comparisons:
+        rows.append(
+            [c.label, f"{c.z:.4f}", f"{c.p_unadjusted:.6f}", f"{c.p_adjusted:.6f}", str(c.reject_at_05)]
+        )
+    return text + f"\nHolm post-hoc (control: {holm_result.control_label})\n" + align_table(rows)
 
 
 def render_results_table(report: ExperimentReport) -> str:
@@ -491,28 +536,6 @@ def render_best_table(report: ExperimentReport) -> str:
         else:
             rows.append([name, "-", "-", "-"])
     return align_table(rows)
-
-
-def render_stats_tables(
-    algorithms: Sequence[str], friedman: FriedmanResult | None, holm: HolmResult | None
-) -> str:
-    """Average ranks, the Friedman statistic and the Holm post-hoc table."""
-    if friedman is None:
-        return "No statistical tests (fewer than two algorithms or instances).\n"
-    lines = [["Algorithm", "Average rank"]]
-    for alg, rank in zip(algorithms, friedman.average_ranks):
-        lines.append([alg, f"{rank:.4f}"])
-    text = align_table(lines)
-    text += (
-        f"\nFriedman statistic: {friedman.statistic:.4f} "
-        f"(df={friedman.dof}, p={friedman.p_value:.6g})\n"
-    )
-    rows = [["Algorithm", "z", "Unadjusted p", "Adjusted p", "Reject@0.05"]]
-    for c in holm.comparisons:
-        rows.append(
-            [c.label, f"{c.z:.4f}", f"{c.p_unadjusted:.6f}", f"{c.p_adjusted:.6f}", str(c.reject_at_05)]
-        )
-    return text + f"\nHolm post-hoc (control: {holm.control_label})\n" + align_table(rows)
 
 
 def align_table(rows: list[list[str]]) -> str:

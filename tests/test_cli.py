@@ -227,15 +227,14 @@ def test_stats_recomputes_from_csv(tmp_path, small_suite_dir, capsys):
     assert main(["stats", str(out / "runs.csv"), "--out", str(stats_json)]) == 0
     text = capsys.readouterr().out
     assert "Friedman statistic" in text
-    recomputed = json.loads(stats_json.read_text())
     report = json.loads((out / "report.json").read_text())
-    assert recomputed["friedman"]["statistic"] == pytest.approx(
-        report["friedman"]["statistic"], rel=1e-12
-    )
+    assert json.loads(stats_json.read_text()) == {"friedman": report["friedman"], "holm": report["holm"]}
 
 
 @pytest.mark.parametrize("algorithms", ["dfa,esa", "dfa"], ids=["tests", "no-tests"])
 def test_stats_prints_the_experiments_rank_section(tmp_path, small_suite_dir, capsys, algorithms):
+    # rvrp stats prints all of tables.txt; runs.csv keeps times to 3
+    # decimals, so a mean time may print 0.1 away from the experiment's
     out = tmp_path / "exp"
     main(
         ["experiment", "--suite", str(small_suite_dir), "--algorithms", algorithms, "--runs", "2",
@@ -243,9 +242,20 @@ def test_stats_prints_the_experiments_rank_section(tmp_path, small_suite_dir, ca
     )
     capsys.readouterr()
     assert main(["stats", str(out / "runs.csv")]) == 0
-    # tables.txt: results, best found, then the rank section, one blank line apart
-    ranks = (out / "tables.txt").read_text().split("\n\n", 2)[2]
-    assert capsys.readouterr().out.split("\n\n", 1)[1] == ranks
+    printed = capsys.readouterr().out.split("\n", 2)[2]  # after the two header lines
+    results, rest = printed.split("\n\n", 1)
+    expected_results, expected_rest = (out / "tables.txt").read_text().split("\n\n", 1)
+    assert rest == expected_rest
+    header, *rows = [line.split() for line in results.splitlines()]
+    expected_header, *expected_rows = [line.split() for line in expected_results.splitlines()]
+    assert header == expected_header
+    assert [len(row) for row in rows] == [len(row) for row in expected_rows]
+    for row, expected in zip(rows, expected_rows):
+        for column, cell, want in zip(header, row, expected):
+            if column.endswith((":time", ":conv")):
+                assert abs(float(cell) - float(want)) <= 0.1 + 1e-9
+            else:
+                assert cell == want
 
 
 def test_stats_out_without_tests_writes_nulls(tmp_path, small_suite_dir, capsys):
@@ -257,9 +267,44 @@ def test_stats_out_without_tests_writes_nulls(tmp_path, small_suite_dir, capsys)
     stats_json = tmp_path / "stats.json"
     assert main(["stats", str(out / "runs.csv"), "--out", str(stats_json)]) == 0
     assert "No statistical tests" in capsys.readouterr().out
-    assert json.loads(stats_json.read_text()) == {
-        "average_ranks": None, "friedman": None, "holm": None
-    }
+    assert json.loads(stats_json.read_text()) == {"friedman": None, "holm": None}
+
+
+def test_stats_out_to_an_unwritable_path(tmp_path, small_suite_dir, capsys):
+    out = tmp_path / "exp"
+    main(
+        ["experiment", "--suite", str(small_suite_dir), "--algorithms", "dfa", "--runs", "1",
+         "--seed", "5", "--jobs", "1", "--population", "8", "--out", str(out)]
+    )
+    capsys.readouterr()
+    stats_json = out / "runs.csv" / "stats.json"  # under a file
+    code = main(["stats", str(out / "runs.csv"), "--out", str(stats_json)])
+    _assert_one_io_error(code, capsys, stats_json)
+
+
+@pytest.mark.parametrize("under_a_file", [False, True], ids=["file", "under-a-file"])
+def test_experiment_rejects_an_out_that_cannot_be_a_directory(
+    tmp_path, small_suite_dir, capsys, monkeypatch, under_a_file
+):
+    solved = []
+    monkeypatch.setattr(stats, "solve", lambda inst, cfg: solved.append(inst.name))
+    blocker = tmp_path / "exp"
+    blocker.write_text("not a directory\n")
+    out = blocker / "sub" if under_a_file else blocker
+    code = main(["experiment", "--suite", str(small_suite_dir), "--runs", "1", "--out", str(out)])
+    _assert_one_io_error(code, capsys, out)
+    assert solved == []
+    assert blocker.read_text() == "not a directory\n"
+
+
+def test_experiment_reports_a_failed_write(tmp_path, small_suite_dir, capsys):
+    out = tmp_path / "exp"
+    (out / "report.json").mkdir(parents=True)
+    code = main(
+        ["experiment", "--suite", str(small_suite_dir), "--algorithms", "dfa", "--runs", "1",
+         "--seed", "5", "--jobs", "1", "--population", "8", "--out", str(out)]
+    )
+    _assert_one_io_error(code, capsys, out)
 
 
 def test_export_geojson(tmp_path, toy_instance_file, capsys):
@@ -436,23 +481,33 @@ def test_export_geojson_rejects_non_integer_encoding(tmp_path, toy_instance_file
     assert not geo_path.exists()
 
 
-NON_FINITE_RUNS = "instance,algorithm,cost\nA,dfa,{a}\nA,esa,5\nC,dfa,{c}\nC,esa,2\n"
+CSV_HEADER = "instance,algorithm,run,seed,cost,time_s,convergence_s,vehicles\n"
+NON_FINITE_RUNS = CSV_HEADER + (
+    "A,dfa,0,1,{a},0.1,0.0,2\nA,esa,0,2,5,0.1,0.0,2\nC,dfa,0,3,{c},0.1,0.0,2\nC,esa,0,4,2,0.1,0.0,2\n"
+)
 
 
 @pytest.mark.parametrize(
     "content, named",
     [
-        ("instance,algorithm\nt,dfa\n", "'cost'"),
-        ("instance,algorithm,cost\nt,dfa,abc\n", "'abc'"),
+        (CSV_HEADER.replace("cost,", "") + "t,dfa,0,1,0.1,0.0,2\n", "'cost'"),
+        (CSV_HEADER + "t,dfa,0,1,abc,0.1,0.0,2\n", "'abc'"),
         (NON_FINITE_RUNS.format(a="nan", c="inf"), "line 2 (A/dfa)"),
         (NON_FINITE_RUNS.format(a="1", c="-inf"), "line 4 (C/dfa)"),
+        (CSV_HEADER.encode() + b"t\xff,dfa,0,1,1.5,0.1,0.0,2\n", "utf-8"),
+        (CSV_HEADER + "t,dfa,0,1,1.5,inf,0.0,2\n", "line 2 (t/dfa) has time_s inf"),
+        (CSV_HEADER, "no runs"),
+        (CSV_HEADER + "t,dfa,0,1,1.5,0.1,0.0,2\nt,esa,0\n", "line 3 has 3 fields"),
     ],
-    ids=["no-cost-column", "cost-not-a-number", "cost-nan", "cost-inf"],
+    ids=[
+        "no-cost-column", "cost-not-a-number", "cost-nan", "cost-inf", "not-utf-8", "time-inf",
+        "header-only", "short-row",
+    ],
 )
 def test_stats_rejects_malformed_csv(tmp_path, capsys, content, named):
     # a NaN or infinite cost would be ranked as if it were a measurement
     path = tmp_path / "runs.csv"
-    path.write_text(content)
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
     assert named in _assert_one_io_error(main(["stats", str(path)]), capsys, path)
 
 

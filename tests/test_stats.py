@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from rvrp import generator, stats
 from rvrp.solvers import SolverConfig
 from rvrp.stats import (
+    ExperimentReport,
+    Run,
     average_ranks,
     chi2_sf,
     friedman,
@@ -18,7 +20,6 @@ from rvrp.stats import (
     mean_sd,
     normal_two_sided_p,
     rank_row,
-    rank_tests,
     run_experiment,
     run_seed,
 )
@@ -290,18 +291,53 @@ def test_experiment_rejects_invalid_settings_before_any_solve(monkeypatch, setti
     assert solved == []
 
 
+def _run(instance, label, run, cost=None):
+    # a run without a cost failed
+    return Run(instance, label, run, seed=run, cost=cost, error=None if cost is not None else "failed")
+
+
 def test_rank_tests_rank_only_instances_where_every_algorithm_ran():
-    costs = {
-        ("a", "x"): [1.0], ("a", "y"): [2.0],
-        ("b", "x"): [3.0, 5.0], ("b", "y"): [1.0],
-        ("c", "x"): [1.0], ("c", "y"): [],
-    }
-    ranked, fried, holm_result = rank_tests(costs, ["a", "b", "c", "d"], ["x", "y"])
-    assert ranked == ["a", "b"]
-    assert fried.average_ranks == [1.5, 1.5]
-    assert holm_result.control_label == "x"
-    assert rank_tests(costs, ["a", "c"], ["x", "y"]) == (["a"], None, None)
-    assert rank_tests(costs, ["a", "b"], ["x"]) == (["a", "b"], None, None)
+    runs = [
+        _run("a", "x", 0, 1.0), _run("a", "y", 0, 2.0),
+        _run("b", "x", 0, 3.0), _run("b", "x", 1, 5.0), _run("b", "y", 0, 1.0), _run("b", "y", 1),
+        _run("c", "x", 0, 1.0), _run("c", "y", 0),
+        _run("d", "x", 0), _run("d", "y", 0),
+    ]
+    report = ExperimentReport(runs)
+    assert (report.instance_names, report.labels, report.runs_per_cell) == (list("abcd"), ["x", "y"], 2)
+    assert report.ranked_instances == ["a", "b"]
+    assert report.friedman.average_ranks == [1.5, 1.5]
+    assert report.holm.control_label == "x"
+    only_a_c = ExperimentReport([r for r in runs if r.instance in ("a", "c")])
+    assert (only_a_c.ranked_instances, only_a_c.friedman, only_a_c.holm) == (["a"], None, None)
+    only_x = ExperimentReport([r for r in runs if r.instance in ("a", "b") and r.label == "x"])
+    assert (only_x.ranked_instances, only_x.friedman, only_x.holm) == (["a", "b"], None, None)
+
+
+NAMES = st.text(alphabet='ab ,"\n', min_size=1, max_size=4)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+TIMES = st.floats(min_value=0.0, max_value=1e6)
+RUNS = st.builds(
+    Run, NAMES, NAMES, st.integers(0, 5), st.integers(0, 2**63 - 1), cost=FINITE, time_s=TIMES,
+    convergence_s=TIMES, vehicles=st.integers(1, 50), evaluations=st.integers(0, 10**6),
+    encoding=st.lists(st.integers(0, 9)), error=st.none() | st.just("RuntimeError: failed"),
+)
+
+
+@given(st.lists(RUNS, min_size=1, max_size=12).filter(lambda runs: any(r.error is None for r in runs)))
+@settings(max_examples=80, deadline=None)
+def test_from_csv_reads_back_the_successful_runs(runs):
+    # runs.csv keeps times to 3 decimals and holds no evaluations or encodings
+    read = ExperimentReport.from_csv(ExperimentReport(runs).csv_text())
+    assert read.runs == [
+        replace(
+            r, time_s=float(f"{r.time_s:.3f}"), convergence_s=float(f"{r.convergence_s:.3f}"),
+            evaluations=None, encoding=None,
+        )
+        for r in runs
+        if r.error is None
+    ]
+    assert read.base_seed is None
 
 
 def test_experiment_csv_layout(small_experiment):
