@@ -16,12 +16,13 @@ no leading/trailing zeros, so empty routes are unrepresentable.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import accumulate, chain, permutations
 from pathlib import Path
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,6 +41,11 @@ COST_DECIMALS = 2  # serialized cost precision; files are the reproducibility gr
 # node ids index lists (``Instance.index``, ``Instance.forbidden_after``), so
 # they are bounded; the benchmark skeleton's ids are 0..100
 MAX_NODE_ID = 65_535
+
+# a cluster of at most this many members (at most 720 orders to enumerate) is
+# tight when fewer than TIGHT_SHARE of its orders use no forbidden arc
+ORDER_TABLE_MAX_MEMBERS = 6
+TIGHT_SHARE = 1 / 8
 
 
 @dataclass(frozen=True)
@@ -145,6 +151,10 @@ class Instance:
     clusters: dict[int, tuple[int, ...]] = field(init=False, repr=False)
     # label -> where the cluster's block starts in ``Solution.visits``
     cluster_offset: dict[int, int] = field(init=False, repr=False)
+    # members -> their order table if they are tight, else None; filled on use
+    _tight: dict[tuple[int, ...], OrderTable | None] = field(
+        init=False, default_factory=dict, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         self.nodes = tuple(self.nodes)
@@ -190,6 +200,21 @@ class Instance:
 
     def node(self, node_id: int) -> Node:
         return self.nodes[self.position(node_id)]
+
+    def tight_orders(self, members: Sequence[int]) -> OrderTable | None:
+        """The order table of ``members`` when they are tight: at most
+        ORDER_TABLE_MAX_MEMBERS of them, and fewer than TIGHT_SHARE of their
+        orders free of forbidden arcs; else None. Derived on the first call
+        for ``members`` and kept."""
+        if len(members) > ORDER_TABLE_MAX_MEMBERS:
+            return None
+        key = tuple(members)
+        try:
+            return self._tight[key]
+        except KeyError:
+            table = order_table(key, self)
+            tight = len(table.codes) - 1 < TIGHT_SHARE * math.factorial(len(key))
+            return self._tight.setdefault(key, table if tight else None)
 
     # ------------------------------------------------------------------ JSON
 
@@ -435,6 +460,59 @@ def route_load_ok(
                 return None
             peak = net
     return total, net, peak
+
+
+class OrderTable(NamedTuple):
+    """The orders of m members that use no forbidden arc, each coded as the
+    positions into the members it visits them in, read as a base-m number:
+    ``codes`` ascend and end with m**m, which codes no order, so that every
+    ``searchsorted`` position of a code names an entry. ``peaks`` holds each
+    order's load peak, the highest prefix sum of its ``load_change`` (0 for
+    none), and 0 for the closing code."""
+
+    codes: np.ndarray
+    peaks: np.ndarray
+
+    def first_fit(self, orders: np.ndarray, room: int) -> int | None:
+        """The first row of ``orders``, an (n, m) array of orders of
+        ``range(m)``, that is in the table with a peak of at most ``room``;
+        None when no row is."""
+        codes = orders @ _code_weights(orders.shape[1])
+        at = self.codes.searchsorted(codes)
+        fits = (self.codes[at] == codes) & (self.peaks[at] <= room)
+        k = int(fits.argmax())
+        return k if fits[k] else None
+
+
+@functools.cache
+def _code_weights(m: int) -> np.ndarray:
+    """The place values of an order's m base-m digits."""
+    weights = m ** np.arange(m - 1, -1, -1)
+    weights.flags.writeable = False  # one array for every caller
+    return weights
+
+
+@functools.cache
+def _every_order(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every order of ``range(m)``, lexicographic, so that their codes ascend,
+    and each order's m - 1 arcs ``(a, b)`` as ``a * m + b``."""
+    orders = np.array(list(permutations(range(m))), dtype=np.int64).reshape(-1, m)
+    arcs = orders[:, :-1] * m + orders[:, 1:]
+    orders.flags.writeable = arcs.flags.writeable = False  # one pair for every caller
+    return orders, arcs
+
+
+def order_table(members: Sequence[int], inst: Instance) -> OrderTable:
+    """The :class:`OrderTable` of ``members``: all ``len(members)!`` orders,
+    tested at once."""
+    m = len(members)
+    orders, arcs = _every_order(m)
+    banned = np.fromiter([(a, b) in inst.forbidden for a in members for b in members], bool, m * m)
+    free = orders[~banned[arcs].any(axis=1)]
+    change = np.fromiter(map(inst.load_change.__getitem__, members), np.int64, m)
+    peaks = change[free].cumsum(axis=1).max(axis=1, initial=0)
+    codes = free @ _code_weights(m)
+    return OrderTable(np.concatenate((codes, [m**m])), np.concatenate((peaks, [0])))
 
 
 def cluster_order(

@@ -16,6 +16,7 @@ its winner changed spliced in.
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import accumulate, compress, count, groupby
 from operator import ne
@@ -308,6 +309,19 @@ def cluster_relocation(sol: Solution, inst: Instance, rng: Rng) -> Solution:
 # ---------------------------------------------------------------- random construction
 
 
+def _draw_orders(rng: np.random.Generator, rows: int, m: int) -> np.ndarray:
+    """``rows`` (at most MAX_RESAMPLES) random orders of ``range(m)``, one per
+    row, in one call that draws what ``rows`` calls of ``rng.shuffle`` on an
+    m-member list would: the same Fisher-Yates swaps, from the same stream."""
+    return rng.permuted(_positions(m)[:rows], axis=1)
+
+
+@functools.cache
+def _positions(m: int) -> np.ndarray:
+    """MAX_RESAMPLES rows of ``range(m)``, as a read-only view."""
+    return np.broadcast_to(np.arange(m), (MAX_RESAMPLES, m))
+
+
 def _shuffled_block(
     members: Sequence[int], prefix: LoadSummary, inst: Instance, rng: np.random.Generator
 ) -> tuple[list[int], LoadSummary] | None:
@@ -317,11 +331,27 @@ def _shuffled_block(
 
     When the deliveries alone overflow (the order-free first test of
     ``route_load_ok``), no order can fit: the shuffles are drawn in one call
-    that leaves ``rng`` as the loop would, and none is checked."""
-    total, _, peak = prefix
-    if total + sum(map(inst.delivery.__getitem__, members)) + peak > inst.capacity:
-        rng.permuted(np.empty((MAX_RESAMPLES, len(members))), axis=1)
+    that leaves ``rng`` as the loop would, and none is checked. A tight
+    cluster (``Instance.tight_orders``), whose shuffles mostly fail, has all
+    of them drawn and looked up in its order table at once; the generator is
+    then rewound and advanced by the orders the loop would have drawn."""
+    total, net, peak = prefix
+    room = inst.capacity - total - sum(map(inst.delivery.__getitem__, members))
+    m = len(members)
+    if peak > room:
+        _draw_orders(rng, MAX_RESAMPLES, m)
         return None
+    table = inst.tight_orders(members)
+    if table is not None:
+        state = rng.bit_generator.state
+        orders = _draw_orders(rng, MAX_RESAMPLES, m)
+        k = table.first_fit(orders, room - net)
+        if k is None:
+            return None
+        rng.bit_generator.state = state
+        _draw_orders(rng, k + 1, m)
+        block = [members[i] for i in orders[k].tolist()]
+        return block, route_load_ok(block, inst, prefix)
     forbidden = inst.forbidden
     for _ in range(MAX_RESAMPLES):
         block = list(members)

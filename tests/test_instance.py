@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -16,7 +18,14 @@ from rvrp import (
 )
 from rvrp import generator
 from rvrp.evaluation import load_profile
-from rvrp.instance import EMPTY_LOAD, cluster_order, round_costs, route_load_ok
+from rvrp.instance import (
+    EMPTY_LOAD,
+    ORDER_TABLE_MAX_MEMBERS,
+    cluster_order,
+    order_table,
+    round_costs,
+    route_load_ok,
+)
 from rvrp.operators import InfeasibleClusterError, random_solution
 
 from conftest import make_joint_infeasible_instance, make_tiny_instance
@@ -381,3 +390,50 @@ def test_route_load_ok_chains_summaries_exactly(seed, capacity, cuts):
             break
         start = cut
     assert summary == whole
+
+
+def _with_rising_loads(inst):
+    """``inst`` with pickups above deliveries at its odd customers, so that
+    orders reach load peaks above 0."""
+    data = inst.to_dict()
+    for node in data["nodes"][1:]:
+        if node["id"] % 2:
+            node["pickup"] = node["delivery"] + 7
+    return Instance.from_dict(data)
+
+
+TIGHT_90 = generator.small_instance(90, cluster_sizes=(4, 5, 6), forbidden_per_cluster=9)
+TABLE_INSTANCES = [
+    TIGHT_90,
+    _with_rising_loads(TIGHT_90),
+    generator.small_instance(86, cluster_sizes=(5, 6, 4), forbidden_per_cluster=8),
+    _with_rising_loads(generator.small_instance(84, cluster_sizes=(1, 5, 3), capacity=60)),
+]
+
+
+def test_order_table_holds_every_forbidden_free_order_with_its_peak(benchmark_by_name):
+    osaba_50 = [inst for name, inst in benchmark_by_name.items() if name.startswith("Osaba_50")]
+    for inst in TABLE_INSTANCES + osaba_50:
+        # with room for any load, route_load_ok reports an order's peak
+        roomy = dataclasses.replace(inst, capacity=10**9)
+        for members in inst.clusters.values():
+            m = len(members)
+            if m > ORDER_TABLE_MAX_MEMBERS:
+                continue
+            expected = []
+            for positions in permutations(range(m)):
+                order = [members[p] for p in positions]
+                if inst.forbidden.isdisjoint(zip(order, order[1:])):
+                    code = sum(p * m ** (m - 1 - i) for i, p in enumerate(positions))
+                    expected.append((code, route_load_ok(order, roomy)[2]))
+            table = order_table(members, inst)
+            assert list(zip(table.codes.tolist(), table.peaks.tolist())) == expected + [(m**m, 0)]
+            tight = len(expected) < math.factorial(m) / 8
+            assert (inst.tight_orders(members) is not None) == tight
+
+
+def test_tight_clusters_of_the_suite_are_those_of_the_two_tight_instances(benchmark_suite):
+    for inst in benchmark_suite:
+        tight = [inst.tight_orders(members) is not None for members in inst.clusters.values()]
+        assert tight == [inst.name in ("Osaba_50_1_4", "Osaba_50_2_4")] * len(tight)
+    assert all(TIGHT_90.tight_orders(members) is not None for members in TIGHT_90.clusters.values())

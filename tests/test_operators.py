@@ -422,11 +422,14 @@ def test_doomed_block_draws_the_loops_shuffles(m, pending):
         assert fast.bit_generator.state == loop.bit_generator.state
 
 
-def _reference_shuffled_block(members, prefix, inst, rng):
-    """Reference: the MAX_RESAMPLES-shuffle loop, every order checked."""
+def _reference_shuffled_block(members, prefix, inst, rng, drawn=None):
+    """Reference: the MAX_RESAMPLES-shuffle loop, every order checked; each
+    order drawn goes into ``drawn``."""
+    drawn = [] if drawn is None else drawn
     for _ in range(MAX_RESAMPLES):
         block = list(members)
         rng.shuffle(block)
+        drawn.append(block)
         if inst.forbidden.isdisjoint(zip(block, block[1:])):
             summary = route_load_ok(block, inst, prefix)
             if summary is not None:
@@ -446,11 +449,18 @@ def _rising_loads(inst, labels=None):
     return Instance.from_dict(data)
 
 
+RISING_84 = _rising_loads(generator.small_instance(84, cluster_sizes=(1, 5, 3), capacity=60))
+# every cluster tight (Instance.tight_orders): 1 of 24, 6 of 120 and 76 of 720
+# orders free of forbidden arcs
+TIGHT_90 = generator.small_instance(90, cluster_sizes=(4, 5, 6), forbidden_per_cluster=9)
+
 SHUFFLE_INSTANCES = [
     *STATE_INSTANCES,
     *generator.generate_suite(7, only=["Osaba_50_1_4", "Osaba_100_1"]),
     _rising_loads(STATE_INSTANCES[1]),
-    _rising_loads(generator.small_instance(84, cluster_sizes=(1, 5, 3), capacity=60)),
+    RISING_84,
+    TIGHT_90,
+    _rising_loads(TIGHT_90),
 ]
 
 
@@ -470,6 +480,18 @@ SHUFFLE_INSTANCES = [
 @example(which=2, pick=0, peak=0, drop=0, shift=3, beyond=True, seed=1, pending=False)
 @example(which=3, pick=0, peak=10, drop=4, shift=2, beyond=False, seed=2, pending=True)
 @example(which=5, pick=1, peak=10, drop=0, shift=0, beyond=False, seed=3, pending=False)
+# tight clusters, whose orders are drawn at once: the first fit on row 0, on a
+# middle row (once with a load peak equal to the room left), on the last row,
+# and no fit; each with and without a pending 32-bit half
+@example(which=8, pick=2, peak=5, drop=8, shift=-3, beyond=False, seed=153, pending=False)
+@example(which=7, pick=2, peak=9, drop=6, shift=-2, beyond=False, seed=185, pending=True)
+@example(which=7, pick=0, peak=0, drop=5, shift=-12, beyond=False, seed=116, pending=False)
+@example(which=7, pick=1, peak=0, drop=1, shift=-1, beyond=False, seed=15, pending=True)
+@example(which=8, pick=1, peak=12, drop=1, shift=-9, beyond=False, seed=67, pending=True)
+@example(which=7, pick=0, peak=27, drop=4, shift=-10, beyond=False, seed=37, pending=False)
+@example(which=7, pick=1, peak=8, drop=5, shift=-9, beyond=False, seed=167, pending=True)
+@example(which=8, pick=1, peak=16, drop=3, shift=-12, beyond=False, seed=35, pending=False)
+@example(which=8, pick=1, peak=15, drop=5, shift=0, beyond=False, seed=81, pending=True)
 @settings(max_examples=300, deadline=None)
 def test_shuffled_block_matches_the_shuffle_loop(
     which, pick, peak, drop, shift, beyond, seed, pending
@@ -492,7 +514,8 @@ def test_shuffled_block_matches_the_shuffle_loop(
         fast.integers(7)
         loop.integers(7)
     found = _shuffled_block(members, prefix, inst, fast)
-    expected = _reference_shuffled_block(members, prefix, inst, loop)
+    drawn = []
+    expected = _reference_shuffled_block(members, prefix, inst, loop, drawn)
     assert found == expected
     assert fast.bit_generator.state == loop.bit_generator.state
     if len(members) == 1:
@@ -501,8 +524,14 @@ def test_shuffled_block_matches_the_shuffle_loop(
         event("total overflows alone")
     elif total + deliveries + peak > inst.capacity:
         event("deliveries overflow")
-    elif found is None and route_load_ok(members, inst, prefix) is None:
-        event("fails at a later peak")
+    else:
+        if found is None and route_load_ok(members, inst, prefix) is None:
+            event("fails at a later peak")
+        if inst.tight_orders(members) is not None:
+            row = len(drawn) - 1
+            outcome = {0: "row 0", MAX_RESAMPLES - 1: "the last row"}.get(row, "a middle row")
+            outcome = "no fit" if found is None else f"a fit on {outcome}"
+            event(f"batched: {outcome}, {'a' if pending else 'no'} pending half")
     event("fits" if found is not None else "no order")
 
 
@@ -592,7 +621,7 @@ EXACT_INSTANCES = [
     next(inst for inst in SHUFFLE_INSTANCES if inst.name == "Osaba_50_1_4"),
     *generator.generate_suite(7, only=["Osaba_50_2_4"]),
     _rising_loads(STATE_INSTANCES[1]),
-    SHUFFLE_INSTANCES[-1],
+    RISING_84,
     MIXED_LOADS,
 ]
 

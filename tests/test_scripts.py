@@ -5,6 +5,8 @@ import runpy
 import sys
 from pathlib import Path
 
+import pytest
+
 from rvrp import generator
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -26,6 +28,29 @@ def test_population_sweep_script_writes_one_cell_per_instance_and_size(
     assert all(cell["runs"] == 1 and not cell["errors"] for cell in report["cells"].values())
     printed = capsys.readouterr().out
     assert "Friedman statistic" in printed and f"wrote {out}" in printed
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["--sizes", "25,25"], "size 25 is listed twice"),
+        (["--sizes", "0"], "size 0 is not positive"),
+        (["--sizes", "25,x"], "size 'x' is not an integer"),
+        (["--runs", "0"], "not 0"),
+    ],
+    ids=["repeated-size", "zero-size", "non-integer-size", "zero-runs"],
+)
+def test_population_sweep_script_rejects_invalid_settings_before_any_solve(
+    argv, named, monkeypatch, capsys
+):
+    sweep = runpy.run_path(str(SCRIPTS / "run_population_sweep.py"))
+    solved = []
+    monkeypatch.setattr("rvrp.stats._run_one", solved.append)
+    monkeypatch.setattr(sys, "argv", ["run_population_sweep.py", "--jobs", "1", *argv])
+    assert sweep["main"]() == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and named in err
+    assert not solved
 
 
 def _run_benchmark_experiment(monkeypatch, *argv) -> int:
