@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, permutations
 from pathlib import Path
-from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -46,6 +46,8 @@ MAX_NODE_ID = 65_535
 # tight when fewer than TIGHT_SHARE of its orders use no forbidden arc
 ORDER_TABLE_MAX_MEMBERS = 6
 TIGHT_SHARE = 1 / 8
+# the load peak ``order_peaks`` gives a code that names no free order
+NO_ORDER = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -151,8 +153,8 @@ class Instance:
     clusters: dict[int, tuple[int, ...]] = field(init=False, repr=False)
     # label -> where the cluster's block starts in ``Solution.visits``
     cluster_offset: dict[int, int] = field(init=False, repr=False)
-    # members -> their order table if they are tight, else None; filled on use
-    _tight: dict[tuple[int, ...], OrderTable | None] = field(
+    # members -> their order peaks if they are tight, else None; filled on use
+    _tight: dict[tuple[int, ...], np.ndarray | None] = field(
         init=False, default_factory=dict, compare=False, repr=False
     )
 
@@ -201,20 +203,17 @@ class Instance:
     def node(self, node_id: int) -> Node:
         return self.nodes[self.position(node_id)]
 
-    def tight_orders(self, members: Sequence[int]) -> OrderTable | None:
-        """The order table of ``members`` when they are tight: at most
-        ORDER_TABLE_MAX_MEMBERS of them, and fewer than TIGHT_SHARE of their
-        orders free of forbidden arcs; else None. Derived on the first call
-        for ``members`` and kept."""
+    def tight_orders(self, members: Sequence[int]) -> np.ndarray | None:
+        """The :func:`order_peaks` of ``members``, None for more than
+        ORDER_TABLE_MAX_MEMBERS of them. Derived on the first call for
+        ``members`` and kept."""
         if len(members) > ORDER_TABLE_MAX_MEMBERS:
             return None
         key = tuple(members)
         try:
             return self._tight[key]
         except KeyError:
-            table = order_table(key, self)
-            tight = len(table.codes) - 1 < TIGHT_SHARE * math.factorial(len(key))
-            return self._tight.setdefault(key, table if tight else None)
+            return self._tight.setdefault(key, order_peaks(key, self))
 
     # ------------------------------------------------------------------ JSON
 
@@ -462,28 +461,6 @@ def route_load_ok(
     return total, net, peak
 
 
-class OrderTable(NamedTuple):
-    """The orders of m members that use no forbidden arc, each coded as the
-    positions into the members it visits them in, read as a base-m number:
-    ``codes`` ascend and end with m**m, which codes no order, so that every
-    ``searchsorted`` position of a code names an entry. ``peaks`` holds each
-    order's load peak, the highest prefix sum of its ``load_change`` (0 for
-    none), and 0 for the closing code."""
-
-    codes: np.ndarray
-    peaks: np.ndarray
-
-    def first_fit(self, orders: np.ndarray, room: int) -> int | None:
-        """The first row of ``orders``, an (n, m) array of orders of
-        ``range(m)``, that is in the table with a peak of at most ``room``;
-        None when no row is."""
-        codes = orders @ _code_weights(orders.shape[1])
-        at = self.codes.searchsorted(codes)
-        fits = (self.codes[at] == codes) & (self.peaks[at] <= room)
-        k = int(fits.argmax())
-        return k if fits[k] else None
-
-
 @functools.cache
 def _code_weights(m: int) -> np.ndarray:
     """The place values of an order's m base-m digits."""
@@ -494,25 +471,36 @@ def _code_weights(m: int) -> np.ndarray:
 
 @functools.cache
 def _every_order(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every order of ``range(m)``, lexicographic, so that their codes ascend,
-    and each order's m - 1 arcs ``(a, b)`` as ``a * m + b``."""
+    """Every order of ``range(m)``, and each order's m - 1 arcs ``(a, b)`` as
+    ``a * m + b``."""
     orders = np.array(list(permutations(range(m))), dtype=np.int64).reshape(-1, m)
     arcs = orders[:, :-1] * m + orders[:, 1:]
     orders.flags.writeable = arcs.flags.writeable = False  # one pair for every caller
     return orders, arcs
 
 
-def order_table(members: Sequence[int], inst: Instance) -> OrderTable:
-    """The :class:`OrderTable` of ``members``: all ``len(members)!`` orders,
-    tested at once."""
+def order_peaks(members: Sequence[int], inst: Instance) -> np.ndarray | None:
+    """The m**m load peaks of ``members`` when they are tight: fewer than
+    TIGHT_SHARE of their m! orders use no forbidden arc. An order is coded as
+    the positions into the members it visits them in, read as a base-m
+    number; a free order's code holds its peak, the highest prefix sum of its
+    ``load_change`` (0 for none), and every other code holds NO_ORDER. None,
+    which leaves the members to the exact shuffle loop, when they are not
+    tight or when a load change exceeds NO_ORDER // ORDER_TABLE_MAX_MEMBERS,
+    past which a sum of the changes could overflow int64."""
     m = len(members)
     orders, arcs = _every_order(m)
     banned = np.fromiter([(a, b) in inst.forbidden for a in members for b in members], bool, m * m)
     free = orders[~banned[arcs].any(axis=1)]
-    change = np.fromiter(map(inst.load_change.__getitem__, members), np.int64, m)
-    peaks = change[free].cumsum(axis=1).max(axis=1, initial=0)
-    codes = free @ _code_weights(m)
-    return OrderTable(np.concatenate((codes, [m**m])), np.concatenate((peaks, [0])))
+    if len(free) >= TIGHT_SHARE * math.factorial(m):
+        return None
+    change = [inst.load_change[c] for c in members]
+    if max(map(abs, change)) > NO_ORDER // ORDER_TABLE_MAX_MEMBERS:
+        return None
+    sums = np.array(change, np.int64)[free].cumsum(axis=1)
+    peaks = np.full(m**m, NO_ORDER, np.int64)
+    peaks[free @ _code_weights(m)] = sums.max(axis=1, initial=0)
+    return peaks
 
 
 def cluster_order(

@@ -289,7 +289,8 @@ class ExperimentReport:
         """The report of the successful runs that ``csv_text`` wrote: times
         at its 3 decimals, no evaluations or encodings, no base seed. A
         missing column, a row of the wrong length, a number that does not
-        parse or a non-finite cost or time is a ValueError naming it."""
+        parse, a non-finite cost or time, or a run that an earlier row
+        already holds is a ValueError naming it."""
         reader = csv.reader(io.StringIO(text))
         try:
             rows = [(reader.line_num, row) for row in reader]
@@ -300,6 +301,7 @@ class ExperimentReport:
             if column not in header:
                 raise ValueError(f"no {column!r} column")
         runs = []
+        first_line: dict[tuple[str, str, int], int] = {}  # (instance, algorithm, run) -> line
         for line, row in rows[1:]:
             if len(row) != len(header):
                 raise ValueError(f"line {line} has {len(row)} fields, not {len(header)}")
@@ -315,6 +317,9 @@ class ExperimentReport:
                     raise ValueError(f"{where} has {column} {value!r}, not {wanted}") from None
                 if kind is float and not math.isfinite(values[column]):
                     raise ValueError(f"{where} has {column} {value}, not a finite number")
+            key = (fields["instance"], fields["algorithm"], values["run"])
+            if first_line.setdefault(key, line) != line:
+                raise ValueError(f"{where} repeats run {values['run']} of line {first_line[key]}")
             runs.append(Run(fields["instance"], fields["algorithm"], **values))
         if not runs:
             raise ValueError("no runs")
@@ -407,10 +412,11 @@ class ExperimentReport:
         return buf.getvalue()
 
 
-def _run_one(payload: tuple[dict, str, int, SolverConfig]) -> Run:
-    inst_data, label, run, cfg = payload
-    inst = Instance.from_dict(inst_data)
+def _run_one(payload: tuple[Instance, list[str], str, int, SolverConfig]) -> Run:
+    inst, issues, label, run, cfg = payload
     place = (inst.name, label, run, cfg.seed)
+    if issues:
+        return Run(*place, error=f"invalid instance: {issues}")
     try:
         result = solve(inst, cfg)
         report = check_feasible(result.best_solution, inst)
@@ -440,8 +446,9 @@ def run_experiment(
     carries. The settings are checked before any solve: no config, fewer than
     one run or job, a config that ``SolverConfig.validate`` rejects, or an
     instance listed twice is a ValueError that names it. Each instance is
-    validated once, also before any solve; an invalid one is never solved,
-    and each of its runs records the issues as its error."""
+    read back from its file form once, before any solve; every run solves
+    that one object, which is validated once: an invalid one is never
+    solved, and each of its runs records the issues as its error."""
     if not instances:
         raise ValueError("suite must be nonempty")
     if not configs:
@@ -457,21 +464,16 @@ def run_experiment(
     if twice is not None:
         raise ValueError(f"instance {twice!r} is listed twice")
 
-    grid: list[Run | tuple] = []  # an invalid instance's runs, else payloads
+    grid = []
     for inst in instances:
+        inst = Instance.from_dict(inst.to_dict())  # the instance its file would give
         issues = validate_instance(inst).names
-        inst_data = inst.to_dict()
         for label, cfg in configs.items():
             for run in range(runs_per_cell):
                 seed = run_seed(base_seed, inst.name, label, run)
-                if issues:
-                    grid.append(Run(inst.name, label, run, seed, error=f"invalid instance: {issues}"))
-                else:
-                    grid.append((inst_data, label, run, replace(cfg, seed=seed)))
-    payloads = [entry for entry in grid if not isinstance(entry, Run)]
+                grid.append((inst, issues, label, run, replace(cfg, seed=seed)))
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        solved = pool.map(_run_one, payloads, chunksize=1) if pool else map(_run_one, payloads)
-        runs = [entry if isinstance(entry, Run) else next(solved) for entry in grid]
+        runs = list(pool.map(_run_one, grid, chunksize=1) if pool else map(_run_one, grid))
 
     return ExperimentReport(runs, base_seed)
 

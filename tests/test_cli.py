@@ -111,6 +111,40 @@ def test_solve_deterministic_bytes(tmp_path, toy_instance_file):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize(
+    "sizes, forbidden_per_cluster, scale, capacity",
+    [((4, 5), 2, 10**19, None), ((4, 5, 6), 9, 10**19, None), ((4, 5, 6), 9, 1, 10**20)],
+    ids=["loads-1e19", "tight-loads-1e19", "tight-capacity-1e20"],
+)
+@pytest.mark.parametrize("algorithm", ["dfa", "esa"])
+def test_solve_loads_and_capacity_beyond_int64(
+    tmp_path, capsys, sizes, forbidden_per_cluster, scale, capacity, algorithm
+):
+    # a JSON integer is unbounded: the int64 load peaks of tight clusters
+    # (all three of (4, 5, 6) with 9 forbidden arcs each) must neither
+    # overflow nor, under a capacity past int64, admit an order that uses a
+    # forbidden arc
+    inst = generator.small_instance(90, cluster_sizes=sizes, forbidden_per_cluster=forbidden_per_cluster)
+    data = inst.to_dict()
+    data["capacity"] = capacity or data["capacity"] * scale
+    for node in data["nodes"]:
+        node["delivery"] *= scale
+        node["pickup"] *= scale
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", str(path)]) == 0
+    huge = Instance.load(path)
+    for seed in range(3):
+        out = tmp_path / f"sol-{seed}.json"
+        code = main(
+            ["solve", str(path), "--algorithm", algorithm, "--seed", str(seed), "--population", "3",
+             "--out", str(out)]
+        )
+        assert code == 0, capsys.readouterr().err
+        sol = decode(json.loads(out.read_text())["encoding"], huge)
+        assert check_feasible(sol, huge).feasible
+
+
 def test_solve_rejects_invalid_instance(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -498,10 +532,14 @@ NON_FINITE_RUNS = CSV_HEADER + (
         (CSV_HEADER + "t,dfa,0,1,1.5,inf,0.0,2\n", "line 2 (t/dfa) has time_s inf"),
         (CSV_HEADER, "no runs"),
         (CSV_HEADER + "t,dfa,0,1,1.5,0.1,0.0,2\nt,esa,0\n", "line 3 has 3 fields"),
+        (
+            CSV_HEADER + "t,dfa,0,1,1.5,0.1,0.0,2\nt,dfa,1,2,1.5,0.1,0.0,2\n" * 2,
+            "line 4 (t/dfa) repeats run 0 of line 2",
+        ),
     ],
     ids=[
         "no-cost-column", "cost-not-a-number", "cost-nan", "cost-inf", "not-utf-8", "time-inf",
-        "header-only", "short-row",
+        "header-only", "short-row", "repeated-run",
     ],
 )
 def test_stats_rejects_malformed_csv(tmp_path, capsys, content, named):

@@ -20,9 +20,10 @@ from rvrp import generator
 from rvrp.evaluation import load_profile
 from rvrp.instance import (
     EMPTY_LOAD,
+    NO_ORDER,
     ORDER_TABLE_MAX_MEMBERS,
     cluster_order,
-    order_table,
+    order_peaks,
     round_costs,
     route_load_ok,
 )
@@ -408,6 +409,11 @@ TABLE_INSTANCES = [
     _with_rising_loads(TIGHT_90),
     generator.small_instance(86, cluster_sizes=(5, 6, 4), forbidden_per_cluster=8),
     _with_rising_loads(generator.small_instance(84, cluster_sizes=(1, 5, 3), capacity=60)),
+    # cluster 1 keeps exactly 3 of its 24 orders free, the tight share: not tight
+    dataclasses.replace(
+        generator.small_instance(90, cluster_sizes=(4, 3)),
+        forbidden={(1, 2), (1, 3), (1, 4), (2, 1), (3, 2)},
+    ),
 ]
 
 
@@ -420,16 +426,19 @@ def test_order_table_holds_every_forbidden_free_order_with_its_peak(benchmark_by
             m = len(members)
             if m > ORDER_TABLE_MAX_MEMBERS:
                 continue
-            expected = []
+            expected = [NO_ORDER] * m**m
+            free = 0
             for positions in permutations(range(m)):
                 order = [members[p] for p in positions]
                 if inst.forbidden.isdisjoint(zip(order, order[1:])):
                     code = sum(p * m ** (m - 1 - i) for i, p in enumerate(positions))
-                    expected.append((code, route_load_ok(order, roomy)[2]))
-            table = order_table(members, inst)
-            assert list(zip(table.codes.tolist(), table.peaks.tolist())) == expected + [(m**m, 0)]
-            tight = len(expected) < math.factorial(m) / 8
-            assert (inst.tight_orders(members) is not None) == tight
+                    expected[code] = route_load_ok(order, roomy)[2]
+                    free += 1
+            for peaks in order_peaks(members, inst), inst.tight_orders(members):
+                if free < math.factorial(m) / 8:
+                    assert peaks.tolist() == expected
+                else:
+                    assert peaks is None
 
 
 def test_tight_clusters_of_the_suite_are_those_of_the_two_tight_instances(benchmark_suite):

@@ -262,6 +262,16 @@ def test_experiment_single_algorithm_skips_tests():
     assert report.holm is None
 
 
+def test_experiment_validates_the_instance_it_solves():
+    # an arc pair 0.004 apart is asymmetric in memory and symmetric at the
+    # file's two decimals, which is what every run solves
+    inst = generator.small_instance(21, cluster_sizes=(3, 3), forbidden_per_cluster=1)
+    off = [list(row) for row in inst.cost_offpeak]
+    off[2][1] = off[1][2] + 0.004
+    report = run_experiment([replace(inst, cost_offpeak=off)], SMALL_CONFIGS, runs_per_cell=1)
+    assert [r.error for r in report.runs] == ["invalid instance: ['asymmetry-violated']"] * 3
+
+
 @pytest.mark.parametrize("seeds, named", [((21, 30, 21), "'small_21'")], ids=["instance"])
 def test_experiment_rejects_a_name_listed_twice(seeds, named):
     # an instance listed twice would be solved twice per cell and ranked as
@@ -324,7 +334,11 @@ RUNS = st.builds(
 )
 
 
-@given(st.lists(RUNS, min_size=1, max_size=12).filter(lambda runs: any(r.error is None for r in runs)))
+# each (instance, label, run) once, as a grid holds it: from_csv rejects a repeat
+GRID_RUNS = st.lists(RUNS, min_size=1, max_size=12, unique_by=lambda r: (r.instance, r.label, r.run))
+
+
+@given(GRID_RUNS.filter(lambda runs: any(r.error is None for r in runs)))
 @settings(max_examples=80, deadline=None)
 def test_from_csv_reads_back_the_successful_runs(runs):
     # runs.csv keeps times to 3 decimals and holds no evaluations or encodings
