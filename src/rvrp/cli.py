@@ -255,7 +255,7 @@ def cmd_export_geojson(args: argparse.Namespace) -> int:
     try:
         collection = solution_feature_collection(inst, sol)
     except ValueError as exc:
-        raise CommandError(EXIT_IO, f"solution/instance mismatch: {exc}")
+        raise CommandError(EXIT_IO, f"cannot export {args.solution} on {args.instance}: {exc}")
     feasibility = check_feasible(sol, inst)
     if not feasibility.feasible:
         log.warning("exported solution is infeasible: %s", feasibility.violation_tags)

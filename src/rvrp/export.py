@@ -7,6 +7,8 @@ instance's planar travel-second units.
 
 from __future__ import annotations
 
+import math
+
 from .evaluation import load_profile, route_cost
 from .instance import Instance, Solution
 
@@ -18,6 +20,8 @@ def solution_feature_collection(inst: Instance, sol: Solution) -> dict:
 
     features: list[dict] = []
     for node in inst.nodes:
+        if not (math.isfinite(node.x) and math.isfinite(node.y)):  # JSON has no NaN or inf
+            raise ValueError(f"node {node.id} has a non-finite coordinate ({node.x}, {node.y})")
         features.append(
             {
                 "type": "Feature",

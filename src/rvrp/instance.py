@@ -46,8 +46,6 @@ MAX_NODE_ID = 65_535
 # tight when fewer than TIGHT_SHARE of its orders use no forbidden arc
 ORDER_TABLE_MAX_MEMBERS = 6
 TIGHT_SHARE = 1 / 8
-# the load peak ``order_peaks`` gives a code that names no free order
-NO_ORDER = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -153,7 +151,7 @@ class Instance:
     clusters: dict[int, tuple[int, ...]] = field(init=False, repr=False)
     # label -> where the cluster's block starts in ``Solution.visits``
     cluster_offset: dict[int, int] = field(init=False, repr=False)
-    # members -> their order peaks if they are tight, else None; filled on use
+    # members -> their free-order mask (``free_orders``) or None; filled on use
     _tight: dict[tuple[int, ...], np.ndarray | None] = field(
         init=False, default_factory=dict, compare=False, repr=False
     )
@@ -204,16 +202,13 @@ class Instance:
         return self.nodes[self.position(node_id)]
 
     def tight_orders(self, members: Sequence[int]) -> np.ndarray | None:
-        """The :func:`order_peaks` of ``members``, None for more than
-        ORDER_TABLE_MAX_MEMBERS of them. Derived on the first call for
-        ``members`` and kept."""
-        if len(members) > ORDER_TABLE_MAX_MEMBERS:
-            return None
+        """The :func:`free_orders` of ``members``, derived on the first call
+        for ``members`` and kept."""
         key = tuple(members)
         try:
             return self._tight[key]
         except KeyError:
-            return self._tight.setdefault(key, order_peaks(key, self))
+            return self._tight.setdefault(key, free_orders(key, self))
 
     # ------------------------------------------------------------------ JSON
 
@@ -479,28 +474,26 @@ def _every_order(m: int) -> tuple[np.ndarray, np.ndarray]:
     return orders, arcs
 
 
-def order_peaks(members: Sequence[int], inst: Instance) -> np.ndarray | None:
-    """The m**m load peaks of ``members`` when they are tight: fewer than
-    TIGHT_SHARE of their m! orders use no forbidden arc. An order is coded as
-    the positions into the members it visits them in, read as a base-m
-    number; a free order's code holds its peak, the highest prefix sum of its
-    ``load_change`` (0 for none), and every other code holds NO_ORDER. None,
-    which leaves the members to the exact shuffle loop, when they are not
-    tight or when a load change exceeds NO_ORDER // ORDER_TABLE_MAX_MEMBERS,
-    past which a sum of the changes could overflow int64."""
+def free_orders(members: Sequence[int], inst: Instance) -> np.ndarray | None:
+    """The m**m free-order mask of ``members`` when they are tight: at most
+    ORDER_TABLE_MAX_MEMBERS, fewer than TIGHT_SHARE of their m! orders free of
+    forbidden arcs, and none picking up more than it delivers; else None, the
+    exact shuffle loop. True marks each free order's code: the positions into
+    the members it visits them in, read as a base-m number. A free order fits
+    once the order-free test of :func:`route_load_ok` passes (peak <= room): a
+    load summary keeps net <= peak, and a block that only sheds load never
+    rises above the load it starts at."""
     m = len(members)
+    if m > ORDER_TABLE_MAX_MEMBERS or any(inst.load_change[c] > 0 for c in members):
+        return None
     orders, arcs = _every_order(m)
     banned = np.fromiter([(a, b) in inst.forbidden for a in members for b in members], bool, m * m)
     free = orders[~banned[arcs].any(axis=1)]
     if len(free) >= TIGHT_SHARE * math.factorial(m):
         return None
-    change = [inst.load_change[c] for c in members]
-    if max(map(abs, change)) > NO_ORDER // ORDER_TABLE_MAX_MEMBERS:
-        return None
-    sums = np.array(change, np.int64)[free].cumsum(axis=1)
-    peaks = np.full(m**m, NO_ORDER, np.int64)
-    peaks[free @ _code_weights(m)] = sums.max(axis=1, initial=0)
-    return peaks
+    mask = np.zeros(m**m, bool)
+    mask[free @ _code_weights(m)] = True
+    return mask
 
 
 def cluster_order(
@@ -566,6 +559,9 @@ def validate_instance(inst: Instance) -> ValidationReport:
         if depot.cluster != 0 or depot.delivery != 0 or depot.pickup != 0:
             add("depot-invalid", "depot must have cluster 0 and zero demands")
 
+    for node in inst.nodes:
+        if not (math.isfinite(node.x) and math.isfinite(node.y)):
+            add("non-finite-coordinate", f"node {node.id}: ({node.x}, {node.y})")
     for node in inst.nodes[1:]:
         if node.delivery <= 0 or node.pickup < 0:
             add("customer-demand-invalid", f"node {node.id}: d={node.delivery} p={node.pickup}")

@@ -28,7 +28,6 @@ from .draws import Rng
 from .evaluation import route_cost
 from .instance import (
     EMPTY_LOAD,
-    NO_ORDER,
     Instance,
     LoadSummary,
     Solution,
@@ -335,21 +334,19 @@ def _shuffled_block(
     ``route_load_ok``), no order can fit: the shuffles are drawn in one call
     that leaves ``rng`` as the loop would, and none is checked. A tight
     cluster (``Instance.tight_orders``), whose shuffles mostly fail, has all
-    of them drawn and their load peaks looked up at once; the generator is
-    then rewound and advanced by the orders the loop would have drawn. The
-    room is capped below NO_ORDER, so that no order that uses a forbidden arc
-    fits however large the capacity."""
-    total, net, peak = prefix
+    of them drawn and looked up in its free-order mask at once; the generator
+    is then rewound and advanced by the orders the loop would have drawn."""
+    total, _, peak = prefix
     room = inst.capacity - total - sum(map(inst.delivery.__getitem__, members))
     m = len(members)
     if peak > room:
         _draw_orders(rng, MAX_RESAMPLES, m)
         return None
-    peaks = inst.tight_orders(members)
-    if peaks is not None:
+    free = inst.tight_orders(members)
+    if free is not None:
         state = rng.bit_generator.state
         orders = _draw_orders(rng, MAX_RESAMPLES, m)
-        fits = peaks[orders @ _code_weights(m)] <= min(room - net, NO_ORDER - 1)
+        fits = free[orders @ _code_weights(m)]
         k = int(fits.argmax())
         if not fits[k]:
             return None

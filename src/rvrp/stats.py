@@ -503,7 +503,7 @@ def render_tables(report: ExperimentReport) -> str:
 
 
 def render_results_table(report: ExperimentReport) -> str:
-    """Aligned per-instance results: mean, sd and (when available) mean times."""
+    """Aligned per-instance results: mean, sd and mean times."""
     timing = report.timing_dict()
     cells = report.cells()
     header = ["Instance"]
@@ -516,12 +516,12 @@ def render_results_table(report: ExperimentReport) -> str:
             runs = cells[(name, label)]
             if runs:
                 mean, sd = mean_sd([r.cost for r in runs])
-                t = timing.get(f"{name}/{label}", {})
+                t = timing[f"{name}/{label}"]
                 row += [
                     f"{mean:.1f}",
                     f"{sd:.1f}",
-                    f"{t.get('mean_time_s', float('nan')):.1f}",
-                    f"{t.get('mean_convergence_s', float('nan')):.1f}",
+                    f"{t['mean_time_s']:.1f}",
+                    f"{t['mean_convergence_s']:.1f}",
                 ]
             else:
                 row += ["-", "-", "-", "-"]

@@ -677,6 +677,56 @@ def test_depot_only_instance_is_invalid(tmp_path, capsys, monkeypatch):
         assert report["cells"][f"empty/{alg}"]["errors"][0].endswith("invalid instance: ['no-customers']")
 
 
+def _with_non_finite_coordinates(data: dict) -> dict:
+    nodes = [dict(n) for n in data["nodes"]]
+    nodes[1]["x"] = float("nan")  # written as the token NaN, which json reads back
+    nodes[2]["y"] = INF
+    return {**data, "nodes": nodes}
+
+
+def test_non_finite_coordinates_are_invalid(tmp_path, capsys, monkeypatch):
+    # they passed validation, so that solve and experiment took the file
+    clean = generator.small_instance(21, cluster_sizes=(3, 3), name="bad").save(tmp_path / "clean.json")
+    path = tmp_path / "bad.json"
+    _write_edited(clean, path, _with_non_finite_coordinates)
+    assert main(["validate", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "bad: violation non-finite-coordinate: node 1: (nan, " in out
+    assert "bad: violation non-finite-coordinate: node 2: (" in out and ", inf)" in out
+    sol = tmp_path / "sol.json"
+    code = main(["solve", str(path), "--out", str(sol)])
+    err = capsys.readouterr().err
+    assert code == 2 and err.count("\n") == 1 and "non-finite-coordinate" in err
+    assert not sol.exists()
+    good = generator.small_instance(22, cluster_sizes=(3, 3), forbidden_per_cluster=1, name="good")
+    manifest = generator.write_suite([good, Instance.load(path)], tmp_path / "suite", seed=1)
+    solved = []
+    real_solve = stats.solve
+    monkeypatch.setattr(stats, "solve", lambda inst, cfg: solved.append(inst.name) or real_solve(inst, cfg))
+    code = main(
+        ["experiment", "--suite", str(manifest.parent), "--algorithms", "dfa", "--runs", "1", "--seed", "2",
+         "--jobs", "1", "--population", "5", "--out", str(tmp_path / "out")]
+    )
+    assert code == 0 and solved == ["good"]
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    issues = "invalid instance: ['non-finite-coordinate', 'non-finite-coordinate']"
+    assert report["cells"]["bad/dfa"]["errors"][0].endswith(issues)
+
+
+def test_export_geojson_rejects_non_finite_coordinates(tmp_path, capsys):
+    # GeoJSON is JSON (RFC 8259), which has no NaN or Infinity token
+    clean = generator.small_instance(21, cluster_sizes=(3, 3)).save(tmp_path / "clean.json")
+    sol = tmp_path / "sol.json"
+    assert main(["solve", str(clean), "--seed", "3", "--population", "5", "--out", str(sol)]) == 0
+    path = tmp_path / "bad.json"
+    _write_edited(clean, path, _with_non_finite_coordinates)
+    capsys.readouterr()
+    geo = tmp_path / "routes.geojson"
+    code = main(["export-geojson", str(path), str(sol), "--out", str(geo)])
+    assert "node 1 has a non-finite coordinate (nan, " in _assert_one_io_error(code, capsys, path)
+    assert not geo.exists()
+
+
 def test_solve_emit_history(tmp_path, toy_instance_file):
     out = tmp_path / "sol.json"
     assert main(

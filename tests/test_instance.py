@@ -20,10 +20,9 @@ from rvrp import generator
 from rvrp.evaluation import load_profile
 from rvrp.instance import (
     EMPTY_LOAD,
-    NO_ORDER,
     ORDER_TABLE_MAX_MEMBERS,
     cluster_order,
-    order_peaks,
+    free_orders,
     round_costs,
     route_load_ok,
 )
@@ -403,10 +402,15 @@ def _with_rising_loads(inst):
     return Instance.from_dict(data)
 
 
+def _rising(inst, members):
+    return any(inst.pickup[c] > inst.delivery[c] for c in members)
+
+
 TIGHT_90 = generator.small_instance(90, cluster_sizes=(4, 5, 6), forbidden_per_cluster=9)
+RISING_90 = _with_rising_loads(TIGHT_90)
 TABLE_INSTANCES = [
     TIGHT_90,
-    _with_rising_loads(TIGHT_90),
+    RISING_90,
     generator.small_instance(86, cluster_sizes=(5, 6, 4), forbidden_per_cluster=8),
     _with_rising_loads(generator.small_instance(84, cluster_sizes=(1, 5, 3), capacity=60)),
     # cluster 1 keeps exactly 3 of its 24 orders free, the tight share: not tight
@@ -417,28 +421,31 @@ TABLE_INSTANCES = [
 ]
 
 
-def test_order_table_holds_every_forbidden_free_order_with_its_peak(benchmark_by_name):
+def test_free_order_mask_marks_exactly_the_forbidden_free_orders_of_a_tight_cluster(
+    benchmark_by_name,
+):
     osaba_50 = [inst for name, inst in benchmark_by_name.items() if name.startswith("Osaba_50")]
+    assert all(_rising(RISING_90, members) for members in RISING_90.clusters.values())
     for inst in TABLE_INSTANCES + osaba_50:
-        # with room for any load, route_load_ok reports an order's peak
-        roomy = dataclasses.replace(inst, capacity=10**9)
         for members in inst.clusters.values():
             m = len(members)
-            if m > ORDER_TABLE_MAX_MEMBERS:
+            masks = free_orders(members, inst), inst.tight_orders(members)
+            if m > ORDER_TABLE_MAX_MEMBERS or _rising(inst, members):
+                assert masks == (None, None)
                 continue
-            expected = [NO_ORDER] * m**m
+            expected = [False] * m**m
             free = 0
             for positions in permutations(range(m)):
                 order = [members[p] for p in positions]
                 if inst.forbidden.isdisjoint(zip(order, order[1:])):
                     code = sum(p * m ** (m - 1 - i) for i, p in enumerate(positions))
-                    expected[code] = route_load_ok(order, roomy)[2]
+                    expected[code] = True
                     free += 1
-            for peaks in order_peaks(members, inst), inst.tight_orders(members):
+            for mask in masks:
                 if free < math.factorial(m) / 8:
-                    assert peaks.tolist() == expected
+                    assert mask.dtype == bool and mask.tolist() == expected
                 else:
-                    assert peaks is None
+                    assert mask is None
 
 
 def test_tight_clusters_of_the_suite_are_those_of_the_two_tight_instances(benchmark_suite):

@@ -25,6 +25,7 @@ EDITS = {
     "depot-invalid": [("nodes.0.cluster", 1)],
     "customer-demand-invalid": [("nodes.1.delivery", 0)],
     "customer-in-depot-cluster": [("nodes.1.cluster", 0)],
+    "non-finite-coordinate": [("nodes.1.x", float("nan"))],
     "no-customers": [("nodes", [DEPOT]), ("cost_offpeak", [[0.0]]), ("cost_peak", [[0.0]])],
     "peak-window-invalid": [("peak_window_s", [14400, 7200])],
     "capacity-invalid": [("capacity", 0)],
