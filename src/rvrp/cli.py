@@ -88,6 +88,8 @@ def _load_instance(path: str) -> Instance:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
+    if seed < 0:  # numpy's SeedSequence takes no negative entropy
+        raise CommandError(EXIT_IO, f"cannot generate: seed must be non-negative, not {seed}")
     only = args.only or None
     _print_header("generate", seed=seed, out=args.out, only=only or "all")
     try:

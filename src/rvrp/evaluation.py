@@ -125,11 +125,11 @@ def load_profile(route, inst: Instance) -> LoadProfile:
     if not route:
         raise ValueError("route must be nonempty")
     _require_known(route, inst)
-    delivery, pickup = inst.delivery, inst.pickup
-    load = sum(delivery[c] for c in route)
+    change = inst.load_change
+    load = sum(inst.delivery[c] for c in route)
     profile = LoadProfile(initial_load=load, loads=[])
     for c in route:
-        load += pickup[c] - delivery[c]
+        load += change[c]
         profile.loads.append(load)
     return profile
 

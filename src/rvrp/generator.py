@@ -16,9 +16,10 @@ Costs are asymmetric by construction. With e = Euclid(i, j) for i < j:
     off-peak:  d_ij = e           d_ji = 1.2 e (j odd) | 0.8 e (j even)
     peak:      d_ij = 1.3 e       d_ji = 1.44 e (j odd) | 1.12 e (j even)
 
-The 15 suite rows select node subsets of the shared skeleton (odd/even
-clusters, first/last 5 nodes per cluster, first 8 clusters/nodes, or all) and
-keep the original ids, so the parity-based cost rules survive subsetting.
+The 15 suite rows are data: each names the skeleton clusters it keeps
+(odd/even, the first 8, or all) and the member positions it keeps in each
+(the first or last 5, the first 8, or all). Rows keep the original ids, so
+the parity-based cost rules survive subsetting.
 Forbidden arcs are sampled per cluster and resampled until a feasible
 intra-cluster order provably exists.
 """
@@ -171,48 +172,29 @@ class SuiteRow:
     clusters: int
     capacity: int
     forbidden_per_cluster: int
-    selection: str
+    labels: range  # the skeleton clusters the row keeps
+    positions: range  # the members it keeps of each, by position in the cluster
 
 
+# each row keeps a slice of both: LABELS[::2] is the odd clusters, [1::2] the even
+LABELS, POSITIONS = range(1, BASE_CLUSTERS + 1), range(NODES_PER_CLUSTER)
 SUITE: tuple[SuiteRow, ...] = (
-    SuiteRow("Osaba_50_1_1", 50, 5, 240, 5, "odd-clusters"),
-    SuiteRow("Osaba_50_1_2", 50, 5, 160, 10, "odd-clusters"),
-    SuiteRow("Osaba_50_1_3", 50, 10, 240, 5, "first-5-nodes"),
-    SuiteRow("Osaba_50_1_4", 50, 10, 160, 10, "first-5-nodes"),
-    SuiteRow("Osaba_50_2_1", 50, 5, 240, 5, "even-clusters"),
-    SuiteRow("Osaba_50_2_2", 50, 5, 160, 10, "even-clusters"),
-    SuiteRow("Osaba_50_2_3", 50, 10, 240, 5, "last-5-nodes"),
-    SuiteRow("Osaba_50_2_4", 50, 10, 160, 10, "last-5-nodes"),
-    SuiteRow("Osaba_80_1", 80, 8, 240, 5, "first-8-clusters"),
-    SuiteRow("Osaba_80_2", 80, 8, 160, 10, "first-8-clusters"),
-    SuiteRow("Osaba_80_3", 80, 10, 240, 5, "first-8-nodes"),
-    SuiteRow("Osaba_80_4", 80, 10, 160, 10, "first-8-nodes"),
-    SuiteRow("Osaba_100_1", 100, 10, 140, 5, "all"),
-    SuiteRow("Osaba_100_2", 100, 10, 260, 10, "all"),
-    SuiteRow("Osaba_100_3", 100, 10, 320, 10, "all"),
+    SuiteRow("Osaba_50_1_1", 50, 5, 240, 5, LABELS[::2], POSITIONS),
+    SuiteRow("Osaba_50_1_2", 50, 5, 160, 10, LABELS[::2], POSITIONS),
+    SuiteRow("Osaba_50_1_3", 50, 10, 240, 5, LABELS, POSITIONS[:5]),
+    SuiteRow("Osaba_50_1_4", 50, 10, 160, 10, LABELS, POSITIONS[:5]),
+    SuiteRow("Osaba_50_2_1", 50, 5, 240, 5, LABELS[1::2], POSITIONS),
+    SuiteRow("Osaba_50_2_2", 50, 5, 160, 10, LABELS[1::2], POSITIONS),
+    SuiteRow("Osaba_50_2_3", 50, 10, 240, 5, LABELS, POSITIONS[5:]),
+    SuiteRow("Osaba_50_2_4", 50, 10, 160, 10, LABELS, POSITIONS[5:]),
+    SuiteRow("Osaba_80_1", 80, 8, 240, 5, LABELS[:8], POSITIONS),
+    SuiteRow("Osaba_80_2", 80, 8, 160, 10, LABELS[:8], POSITIONS),
+    SuiteRow("Osaba_80_3", 80, 10, 240, 5, LABELS, POSITIONS[:8]),
+    SuiteRow("Osaba_80_4", 80, 10, 160, 10, LABELS, POSITIONS[:8]),
+    SuiteRow("Osaba_100_1", 100, 10, 140, 5, LABELS, POSITIONS),
+    SuiteRow("Osaba_100_2", 100, 10, 260, 10, LABELS, POSITIONS),
+    SuiteRow("Osaba_100_3", 100, 10, 320, 10, LABELS, POSITIONS),
 )
-
-
-def _selected_ids(selection: str) -> list[int]:
-    def cluster_ids(s: int) -> list[int]:
-        return list(range(NODES_PER_CLUSTER * (s - 1) + 1, NODES_PER_CLUSTER * s + 1))
-
-    all_clusters = range(1, BASE_CLUSTERS + 1)
-    if selection == "odd-clusters":
-        return [cid for s in all_clusters if s % 2 == 1 for cid in cluster_ids(s)]
-    if selection == "even-clusters":
-        return [cid for s in all_clusters if s % 2 == 0 for cid in cluster_ids(s)]
-    if selection == "first-5-nodes":
-        return [cid for s in all_clusters for cid in cluster_ids(s)[:5]]
-    if selection == "last-5-nodes":
-        return [cid for s in all_clusters for cid in cluster_ids(s)[5:]]
-    if selection == "first-8-clusters":
-        return [cid for s in all_clusters if s <= 8 for cid in cluster_ids(s)]
-    if selection == "first-8-nodes":
-        return [cid for s in all_clusters for cid in cluster_ids(s)[:8]]
-    if selection == "all":
-        return [cid for s in all_clusters for cid in cluster_ids(s)]
-    raise GenerationError(f"unknown selection rule {selection!r}")
 
 
 def row_seed(base_seed: int, row_index: int) -> int:
@@ -226,7 +208,7 @@ def derive_instance(base: Sequence[Node], row: SuiteRow, seed: int) -> Instance:
     forbidden paths, and prove solvability by constructing a random solution."""
     rng = np.random.default_rng(seed)
     by_id = {n.id: n for n in base}
-    selected = _selected_ids(row.selection)
+    selected = (NODES_PER_CLUSTER * (s - 1) + k + 1 for s in row.labels for k in row.positions)
     nodes = (by_id[0], *(by_id[cid] for cid in selected))
     if len(nodes) - 1 != row.nodes:
         raise GenerationError(f"{row.name}: selected {len(nodes) - 1} nodes, expected {row.nodes}")

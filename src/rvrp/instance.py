@@ -143,7 +143,6 @@ class Instance:
     forbidden_after: list[frozenset[int]] = field(init=False, repr=False)
     customers: tuple[int, ...] = field(init=False, repr=False)
     delivery: dict[int, int] = field(init=False, repr=False)
-    pickup: dict[int, int] = field(init=False, repr=False)
     load_change: dict[int, int] = field(init=False, repr=False)  # pickup - delivery
     # labels of the clusters with a member that picks up more than it delivers
     rising_clusters: frozenset[int] = field(init=False, repr=False)
@@ -174,7 +173,6 @@ class Instance:
                 self.forbidden_after[i] |= {j}
         self.customers = tuple(node.id for node in self.nodes if node.id != 0)
         self.delivery = {node.id: node.delivery for node in self.nodes}
-        self.pickup = {node.id: node.pickup for node in self.nodes}
         self.load_change = {node.id: node.pickup - node.delivery for node in self.nodes}
         self.cluster_of = {node.id: node.cluster for node in self.nodes}
         self.rising_clusters = frozenset(
@@ -475,16 +473,16 @@ def _every_order(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def free_orders(members: Sequence[int], inst: Instance) -> np.ndarray | None:
-    """The m**m free-order mask of ``members`` when they are tight: at most
-    ORDER_TABLE_MAX_MEMBERS, fewer than TIGHT_SHARE of their m! orders free of
-    forbidden arcs, and none picking up more than it delivers; else None, the
-    exact shuffle loop. True marks each free order's code: the positions into
-    the members it visits them in, read as a base-m number. A free order fits
-    once the order-free test of :func:`route_load_ok` passes (peak <= room): a
-    load summary keeps net <= peak, and a block that only sheds load never
-    rises above the load it starts at."""
+    """The m**m free-order mask of one cluster's ``members`` when they are
+    tight: at most ORDER_TABLE_MAX_MEMBERS, fewer than TIGHT_SHARE of their
+    m! orders free of forbidden arcs, and not in ``inst.rising_clusters``;
+    else None, the exact shuffle loop. True marks each free order's code: the
+    positions into the members it visits them in, read as a base-m number. A
+    free order fits once the order-free test of :func:`route_load_ok` passes
+    (peak <= room): a load summary keeps net <= peak, and a block that only
+    sheds load never rises above the load it starts at."""
     m = len(members)
-    if m > ORDER_TABLE_MAX_MEMBERS or any(inst.load_change[c] > 0 for c in members):
+    if m > ORDER_TABLE_MAX_MEMBERS or inst.cluster_of[members[0]] in inst.rising_clusters:
         return None
     orders, arcs = _every_order(m)
     banned = np.fromiter([(a, b) in inst.forbidden for a in members for b in members], bool, m * m)
@@ -619,9 +617,9 @@ def validate_instance(inst: Instance) -> ValidationReport:
             add("cluster-path-infeasible", f"cluster {label}")
         if inst.capacity <= 0:
             continue
-        # descending (delivery - pickup) keeps every prefix load minimal, so
+        # ascending (pickup - delivery) keeps every prefix load minimal, so
         # this one order fits the capacity iff some order does
-        by_net_drop = sorted(members, key=lambda m: inst.delivery[m] - inst.pickup[m], reverse=True)
+        by_net_drop = sorted(members, key=inst.load_change.__getitem__)
         if not route_load_ok(by_net_drop, inst):
             add("cluster-load-exceeds-capacity", f"cluster {label}")
         elif (

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import accumulate, compress, count, groupby
+from itertools import compress, count, groupby
 from operator import ne
 from typing import Callable, Sequence
 
@@ -119,11 +119,11 @@ def _insertion(sol: Solution, inst: Instance, rng: Rng) -> Insertion | None:
     Returns the changed route with its index and cost, or None when the draw
     degenerates to the identity (single-member block or resampling
     exhausted). Only what the move changes is checked: the parent's block
-    uses no forbidden arc, so only the arcs the move adds can, and only the
-    block's positions change the load on board. The load is walked only for
-    a block in ``inst.rising_clusters``: any other block only sheds load from
-    what the feasible parent had on board when the block starts, so every
-    order of it fits.
+    uses no forbidden arc, so only the arcs the move adds can. The load is
+    checked (:func:`route_load_ok`) only for a block in
+    ``inst.rising_clusters``: any other block only sheds load from what the
+    feasible parent had on board when the block starts, so every order of it
+    fits.
     """
     customers = inst.customers
     customer = customers[rng.integers(len(customers))]
@@ -140,7 +140,6 @@ def _insertion(sol: Solution, inst: Instance, rng: Rng) -> Insertion | None:
     gap_forbidden = start < pos < end - 1 and route[pos + 1] in after[route[pos - 1]]
     banned = after[customer]
     rising = label in inst.rising_clusters
-    load = None  # on board when the block starts; summed once a candidate needs it
     for _ in range(MAX_RESAMPLES):
         slot = rng.integers(m)
         if slot == at:
@@ -157,14 +156,8 @@ def _insertion(sol: Solution, inst: Instance, rng: Rng) -> Insertion | None:
             new_route = route[:cut] + (customer,) + route[cut:pos] + route[pos + 1 :]
         else:
             new_route = route[:pos] + route[pos + 1 : cut] + (customer,) + route[cut:]
-        if rising:
-            change = inst.load_change
-            if load is None:
-                load = sum(map(inst.delivery.__getitem__, route))
-                load += sum(map(change.__getitem__, route[:start]))
-            steps = map(change.__getitem__, new_route[start:end])
-            if max(accumulate(steps, initial=load)) > inst.capacity:
-                continue
+        if rising and route_load_ok(new_route, inst) is None:
+            continue
         return r, new_route, route_cost(new_route, inst)
     return None
 

@@ -74,6 +74,8 @@ class SolverConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.population_size < 1:
             raise ValueError("population_size must be positive")
+        if self.seed < 0:  # numpy's SeedSequence takes no negative entropy
+            raise ValueError(f"seed must be non-negative, not {self.seed}")
 
 
 @dataclass

@@ -137,7 +137,8 @@ def _verify_random_solutions(payload: dict) -> int:
     count = payload["count"]
     rng = np.random.default_rng(payload["seed"])
     capacity, forbidden = inst.capacity, inst.forbidden
-    delivery, pickup, cluster_of = inst.delivery, inst.pickup, inst.cluster_of
+    delivery, cluster_of = inst.delivery, inst.cluster_of
+    pickup = {node.id: node.pickup for node in inst.nodes}
     customers = set(inst.customers)
     for k in range(count):
         sol = random_solution(inst, rng)

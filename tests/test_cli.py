@@ -202,6 +202,33 @@ def test_solve_rejects_invalid_population(tmp_path, toy_instance_file, capsys):
     assert not out.exists()
 
 
+def test_generate_rejects_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "bench"
+    assert main(["generate", "--seed", "-1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "seed" in err[0] and "-1" in err[0]
+    assert not out.exists()
+
+
+def test_solve_rejects_a_negative_seed(tmp_path, toy_instance_file, capsys):
+    out = tmp_path / "sol.json"
+    assert main(["solve", str(toy_instance_file), "--seed", "-1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "seed" in err[0] and "-1" in err[0]
+    assert not out.exists()
+
+
+def test_experiment_accepts_a_negative_base_seed(tmp_path, small_suite_dir):
+    # the runs' seeds come from run_seed, which hashes the base seed
+    out = tmp_path / "exp"
+    assert main(
+        ["experiment", "--suite", str(small_suite_dir), "--algorithms", "esa", "--runs", "1",
+         "--seed", "-1", "--jobs", "1", "--population", "4", "--out", str(out)]
+    ) == 0
+    runs = stats.ExperimentReport.from_csv((out / "runs.csv").read_text()).runs
+    assert len(runs) == 2 and all(run.error is None and run.seed >= 0 for run in runs)
+
+
 @pytest.mark.parametrize(
     "settings, named",
     [

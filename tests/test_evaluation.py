@@ -297,6 +297,6 @@ def test_feasible_report_for_random_solutions(oracle_instances):
             # independent prefix-sum oracle for the load profile
             for route in sol.routes:
                 d = np.array([inst.delivery[c] for c in route])
-                p = np.array([inst.pickup[c] for c in route])
+                p = np.array([inst.node(c).pickup for c in route])
                 loads = d.sum() - np.cumsum(d) + np.cumsum(p)
                 assert max(d.sum(), loads.max()) <= inst.capacity

@@ -191,7 +191,7 @@ def _fits(order, inst):
     load = sum(inst.delivery[c] for c in order)
     loads = [load]
     for c in order:
-        load += inst.pickup[c] - inst.delivery[c]
+        load += inst.node(c).pickup - inst.delivery[c]
         loads.append(load)
     return max(loads) <= inst.capacity
 

@@ -403,7 +403,7 @@ def _with_rising_loads(inst):
 
 
 def _rising(inst, members):
-    return any(inst.pickup[c] > inst.delivery[c] for c in members)
+    return any(inst.node(c).pickup > inst.delivery[c] for c in members)
 
 
 TIGHT_90 = generator.small_instance(90, cluster_sizes=(4, 5, 6), forbidden_per_cluster=9)

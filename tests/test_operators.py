@@ -684,7 +684,7 @@ def test_rising_clusters_are_those_with_a_member_picking_up_more():
         assert inst.rising_clusters == {
             label
             for label, members in inst.clusters.items()
-            if any(inst.pickup[c] > inst.delivery[c] for c in members)
+            if any(inst.node(c).pickup > inst.delivery[c] for c in members)
         }
     assert not any(inst.rising_clusters for inst in STATE_INSTANCES)
     multi = {label for label, members in MIXED_LOADS.clusters.items() if len(members) > 1}
@@ -692,9 +692,10 @@ def test_rising_clusters_are_those_with_a_member_picking_up_more():
 
 
 def test_load_skip_matches_full_route_checks_on_both_branches():
-    # a block outside rising_clusters skips the load walk and one inside it
-    # walks it; on one chain both must match the full-route reference, and
-    # the walk must reject some candidate that the skip would have let pass
+    # a block outside rising_clusters skips the load check and one inside it
+    # is checked with route_load_ok; on one chain both must match the
+    # full-route reference, and the check must reject some candidate that the
+    # skip would have let pass
     rejected = []
     for seed in range(40):
         _check_moves_against_references(MIXED_LOADS, seed, [6] * 6, 0.0, seed % 2, rejected)

@@ -33,6 +33,8 @@ def test_config_validation():
         SolverConfig(algorithm="tabu").validate()
     with pytest.raises(ValueError):
         SolverConfig(population_size=0).validate()
+    with pytest.raises(ValueError, match="seed"):
+        SolverConfig(seed=-1).validate()
     # the paper's fixed parameters are module constants, not settings
     with pytest.raises(TypeError):
         SolverConfig(gamma=0.9)
