@@ -4,7 +4,8 @@
 Equivalent to `rvrp generate` followed by `rvrp experiment`; kept as one
 script so the whole study is a single reproducible command. A suite directory
 that already has a manifest is reused only if it was generated with the same
-seed; otherwise the script exits with status 2.
+seed; otherwise, or when the manifest is not a JSON object, the script exits
+with status 2.
 """
 
 import argparse
@@ -27,7 +28,14 @@ def main() -> int:
 
     manifest = Path(args.suite) / "suite-manifest.json"
     if manifest.exists():
-        suite_seed = json.loads(manifest.read_text(encoding="utf-8")).get("seed")
+        try:
+            data = json.loads(manifest.read_text(encoding="utf-8"))
+            if type(data) is not dict:
+                raise ValueError("not a JSON object")
+        except (OSError, ValueError) as exc:
+            print(f"cannot read {manifest}: {exc}", file=sys.stderr)
+            return 2
+        suite_seed = data.get("seed")
         if suite_seed != args.seed:
             print(
                 f"{manifest}: suite generated with seed {suite_seed}, not --seed {args.seed}",

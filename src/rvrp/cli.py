@@ -88,13 +88,13 @@ def _load_instance(path: str) -> Instance:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
-    if seed < 0:  # numpy's SeedSequence takes no negative entropy
-        raise CommandError(EXIT_IO, f"cannot generate: seed must be non-negative, not {seed}")
     only = args.only or None
     _print_header("generate", seed=seed, out=args.out, only=only or "all")
     try:
         instances = generator.generate_suite(seed, only=only)
         manifest = generator.write_suite(instances, args.out, seed)
+    except ValueError as exc:  # a negative seed, refused before any draw
+        raise CommandError(EXIT_IO, f"cannot generate: {exc}")
     except generator.GenerationError as exc:
         raise CommandError(EXIT_GENERATION, f"generation failed: {exc}")
     except OSError as exc:

@@ -203,6 +203,23 @@ def row_seed(base_seed: int, row_index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+def _instance(
+    name: str, nodes: Sequence[Node], capacity: int, forbidden_per_cluster: int, rng: np.random.Generator
+) -> Instance:
+    """Price the arcs of ``nodes``, sample ``forbidden_per_cluster`` forbidden
+    arcs in each cluster (no draw when it is 0) and build the instance; one
+    that fails :func:`validate_instance` is a GenerationError naming it."""
+    off, peak = assign_costs(nodes)
+    forbidden: frozenset[tuple[int, int]] = frozenset()
+    if forbidden_per_cluster:
+        forbidden = select_forbidden(label_clusters(nodes), forbidden_per_cluster, rng)
+    inst = Instance(name, nodes, capacity, off, peak, forbidden)
+    report = validate_instance(inst)
+    if not report.ok:
+        raise GenerationError(f"{name}: invalid instance: {report.names}")
+    return inst
+
+
 def derive_instance(base: Sequence[Node], row: SuiteRow, seed: int) -> Instance:
     """Build one suite row from the skeleton: subset nodes, price arcs, sample
     forbidden paths, and prove solvability by constructing a random solution."""
@@ -212,27 +229,17 @@ def derive_instance(base: Sequence[Node], row: SuiteRow, seed: int) -> Instance:
     nodes = (by_id[0], *(by_id[cid] for cid in selected))
     if len(nodes) - 1 != row.nodes:
         raise GenerationError(f"{row.name}: selected {len(nodes) - 1} nodes, expected {row.nodes}")
-    off, peak = assign_costs(nodes)
     clusters = label_clusters(nodes)
     if len(clusters) != row.clusters:
         raise GenerationError(f"{row.name}: got {len(clusters)} clusters, expected {row.clusters}")
-    forbidden = select_forbidden(clusters, row.forbidden_per_cluster, rng)
-    inst = Instance(
-        name=row.name,
-        nodes=nodes,
-        capacity=row.capacity,
-        cost_offpeak=off,
-        cost_peak=peak,
-        forbidden=forbidden,
-    )
-    report = validate_instance(inst)
-    if not report.ok:
-        raise GenerationError(f"{row.name}: invalid instance: {report.names}")
+    inst = _instance(row.name, nodes, row.capacity, row.forbidden_per_cluster, rng)
     random_solution(inst, rng)  # constructive proof that a feasible solution exists
     return inst
 
 
 def generate_suite(seed: int, only: Iterable[str] | None = None) -> list[Instance]:
+    if seed < 0:  # numpy's SeedSequence takes no negative entropy
+        raise ValueError(f"seed must be non-negative, not {seed}")
     wanted = set(only) if only else None
     if wanted:
         unknown = wanted - {row.name for row in SUITE}
@@ -287,23 +294,7 @@ def small_instance(
     forces every cluster onto its own route."""
     rng = np.random.default_rng(seed)
     nodes = _skeleton_nodes(rng, cluster_sizes)
-    clusters = label_clusters(nodes)
     if capacity is None:
-        demands = [[demand_for(m) for m in members] for members in clusters.values()]
+        demands = [[demand_for(m) for m in members] for members in label_clusters(nodes).values()]
         capacity = max(sum(d for d, _ in ds) for ds in demands) + max(sum(p for _, p in ds) for ds in demands)
-    off, peak = assign_costs(nodes)
-    forbidden: frozenset[tuple[int, int]] = frozenset()
-    if forbidden_per_cluster:
-        forbidden = select_forbidden(clusters, forbidden_per_cluster, rng)
-    inst = Instance(
-        name=name or f"small_{seed}",
-        nodes=tuple(nodes),
-        capacity=capacity,
-        cost_offpeak=off,
-        cost_peak=peak,
-        forbidden=forbidden,
-    )
-    report = validate_instance(inst)
-    if not report.ok:
-        raise GenerationError(f"small instance invalid: {report.names}")
-    return inst
+    return _instance(name or f"small_{seed}", nodes, capacity, forbidden_per_cluster, rng)

@@ -74,7 +74,7 @@ class Solution:
     carry from a solution to its candidates, valid for the instance they were
     made on. They are ignored by equality, hashing, ``repr`` and every
     output, and are None on a solution built from routes alone; only the
-    firefly move carries ``visits``.
+    firefly move derives ``visits``, and an insertion keeps a carried one.
     """
 
     routes: tuple[tuple[int, ...], ...]
@@ -150,9 +150,9 @@ class Instance:
     clusters: dict[int, tuple[int, ...]] = field(init=False, repr=False)
     # label -> where the cluster's block starts in ``Solution.visits``
     cluster_offset: dict[int, int] = field(init=False, repr=False)
-    # members -> their free-order mask (``free_orders``) or None; filled on use
-    _tight: dict[tuple[int, ...], np.ndarray | None] = field(
-        init=False, default_factory=dict, compare=False, repr=False
+    # a cluster's members -> their free-order mask (``free_orders``) or None
+    tight_orders: dict[tuple[int, ...], np.ndarray | None] = field(
+        init=False, compare=False, repr=False
     )
 
     def __post_init__(self) -> None:
@@ -181,6 +181,7 @@ class Instance:
         self.clusters = label_clusters(self.nodes)
         sizes = [len(members) for members in self.clusters.values()]
         self.cluster_offset = dict(zip(self.clusters, accumulate(sizes, initial=0)))
+        self.tight_orders = {members: free_orders(members, self) for members in self.clusters.values()}
 
     @property
     def n_customers(self) -> int:
@@ -198,15 +199,6 @@ class Instance:
 
     def node(self, node_id: int) -> Node:
         return self.nodes[self.position(node_id)]
-
-    def tight_orders(self, members: Sequence[int]) -> np.ndarray | None:
-        """The :func:`free_orders` of ``members``, derived on the first call
-        for ``members`` and kept."""
-        key = tuple(members)
-        try:
-            return self._tight[key]
-        except KeyError:
-            return self._tight.setdefault(key, free_orders(key, self))
 
     # ------------------------------------------------------------------ JSON
 

@@ -10,15 +10,15 @@ re-checking, and only inside the block. The same fact makes the moves
 incremental: a candidate shares its parent's block index and re-prices only
 the route it changed, copying the other route costs (``Solution.blocks`` and
 ``Solution.costs``). A firefly move also carries the cluster-major visit order
-(``Solution.visits``) that the Hamming distance compares, with the one block
-its winner changed spliced in.
+(``Solution.visits``) that the Hamming distance compares, and an insertion
+keeps a carried one, with the one block it changed spliced in.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from itertools import compress, count, groupby
+from itertools import groupby
 from operator import ne
 from typing import Callable, Sequence
 
@@ -109,21 +109,21 @@ def movement_length(r: int, gamma: float, generation: int, rng: Rng) -> int:
 # ---------------------------------------------------------------- insertion move
 
 
-Insertion = tuple[int, tuple[int, ...], float]  # route index, new route, its cost
+Insertion = tuple[int, tuple[int, ...], float, int]  # route index, new route, its cost, label
 
 
 def _insertion(sol: Solution, inst: Instance, rng: Rng) -> Insertion | None:
     """One random intra-cluster reinsertion on ``sol``, which carries its
     search state and must be feasible.
 
-    Returns the changed route with its index and cost, or None when the draw
-    degenerates to the identity (single-member block or resampling
-    exhausted). Only what the move changes is checked: the parent's block
-    uses no forbidden arc, so only the arcs the move adds can. The load is
-    checked (:func:`route_load_ok`) only for a block in
-    ``inst.rising_clusters``: any other block only sheds load from what the
-    feasible parent had on board when the block starts, so every order of it
-    fits.
+    Returns the changed route with its index, its cost and the label of the
+    block it changed, or None when the draw degenerates to the identity
+    (single-member block or resampling exhausted). Only what the move changes
+    is checked: the parent's block uses no forbidden arc, so only the arcs
+    the move adds can. The load is checked (:func:`route_load_ok`) only for a
+    block in ``inst.rising_clusters``: any other block only sheds load from
+    what the feasible parent had on board when the block starts, so every
+    order of it fits.
     """
     customers = inst.customers
     customer = customers[rng.integers(len(customers))]
@@ -158,20 +158,24 @@ def _insertion(sol: Solution, inst: Instance, rng: Rng) -> Insertion | None:
             new_route = route[:pos] + route[pos + 1 : cut] + (customer,) + route[cut:]
         if rising and route_load_ok(new_route, inst) is None:
             continue
-        return r, new_route, route_cost(new_route, inst)
+        return r, new_route, route_cost(new_route, inst), label
     return None
 
 
-def _with_route(
-    sol: Solution, r: int, route: tuple[int, ...], cost: float,
-    visits: tuple[int, ...] | None = None,
-) -> Solution:
-    """``sol`` with route ``r`` and its cost replaced; every block stays in
-    place."""
+def _with_insertion(sol: Solution, found: Insertion, inst: Instance) -> Solution:
+    """``sol`` with the route ``found`` changed and its cost replaced; every
+    block stays in place, and a carried visit order gets the changed block
+    spliced in."""
+    r, route, cost, label = found
     routes = list(sol.routes)
     routes[r] = route
     costs = list(sol.costs)
     costs[r] = cost
+    visits = sol.visits
+    if visits is not None:
+        _, start, end = sol.blocks[label]
+        offset = inst.cluster_offset[label]
+        visits = visits[:offset] + route[start:end] + visits[offset + end - start :]
     return Solution(tuple(routes), sol.blocks, tuple(costs), visits)
 
 
@@ -182,7 +186,7 @@ def insertion_move(sol: Solution, inst: Instance, rng: Rng) -> Solution:
     ``sol`` must be feasible, as every solver state is."""
     state = _with_search_state(sol, inst)
     found = _insertion(state, inst, rng)
-    return sol if found is None else _with_route(state, *found)
+    return sol if found is None else _with_insertion(state, found, inst)
 
 
 def move_firefly(
@@ -224,7 +228,7 @@ def move_firefly(
             if found is None:
                 cand, cand_cost = sol, sol_cost
             else:
-                r, _, cost = found
+                r, _, cost, _ = found
                 costs[r] = cost
                 # the floats a built candidate would sum, in the same order
                 cand, cand_cost = found, sum(costs)
@@ -234,15 +238,7 @@ def move_firefly(
         if cand_cost < best_cost:
             best, best_cost = cand, cand_cost
     if not isinstance(best, Solution):
-        r, route, cost = best
-        # splice the one changed block into the parent's visit order; it holds
-        # the first position where the two routes differ
-        at = next(compress(count(), map(ne, sol.routes[r], route)))
-        label = inst.cluster_of[route[at]]
-        _, start, end = sol.blocks[label]
-        offset = inst.cluster_offset[label]
-        visits = sol.visits[:offset] + route[start:end] + sol.visits[offset + end - start :]
-        best = _with_route(sol, r, route, cost, visits)
+        best = _with_insertion(sol, best, inst)
     return best, best_cost
 
 
@@ -256,6 +252,8 @@ def cluster_relocation(sol: Solution, inst: Instance, rng: Rng) -> Solution:
     parent's visit order; the target route is re-checked with the exact load
     simulation and infeasible draws are resampled. This operator is an
     extension: it is only used when explicitly enabled.
+
+    ``sol`` must keep each cluster in one block, as every solver state does.
     """
     state = _with_search_state(sol, inst)
     labels = sorted(inst.clusters)
@@ -273,16 +271,10 @@ def cluster_relocation(sol: Solution, inst: Instance, rng: Rng) -> Solution:
         remaining.append(route)
         remaining_costs.append(cost)
 
-    # insertion slots: between blocks of every other route, plus a new route
-    cluster_of = inst.cluster_of
-    options: list[tuple[int, int]] = [(-1, 0)]
-    for r, route in enumerate(remaining):
-        boundaries = [0]
-        for pos in range(1, len(route)):
-            if cluster_of[route[pos]] != cluster_of[route[pos - 1]]:
-                boundaries.append(pos)
-        boundaries.append(len(route))
-        options.extend((r, b) for b in boundaries)
+    # insertion slots: the start of every block, the end of every route and a new route
+    slots = [(r, start) for r, start, _ in _block_index(remaining, inst).values()]
+    slots += [(r, len(route)) for r, route in enumerate(remaining)]
+    options = sorted([(-1, 0), *slots])
 
     for _ in range(MAX_RESAMPLES):
         r, b = options[int(rng.integers(len(options)))]
@@ -335,7 +327,7 @@ def _shuffled_block(
     if peak > room:
         _draw_orders(rng, MAX_RESAMPLES, m)
         return None
-    free = inst.tight_orders(members)
+    free = inst.tight_orders.get(members)
     if free is not None:
         state = rng.bit_generator.state
         orders = _draw_orders(rng, MAX_RESAMPLES, m)

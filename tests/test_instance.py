@@ -429,7 +429,7 @@ def test_free_order_mask_marks_exactly_the_forbidden_free_orders_of_a_tight_clus
     for inst in TABLE_INSTANCES + osaba_50:
         for members in inst.clusters.values():
             m = len(members)
-            masks = free_orders(members, inst), inst.tight_orders(members)
+            masks = free_orders(members, inst), inst.tight_orders[members]
             if m > ORDER_TABLE_MAX_MEMBERS or _rising(inst, members):
                 assert masks == (None, None)
                 continue
@@ -450,6 +450,6 @@ def test_free_order_mask_marks_exactly_the_forbidden_free_orders_of_a_tight_clus
 
 def test_tight_clusters_of_the_suite_are_those_of_the_two_tight_instances(benchmark_suite):
     for inst in benchmark_suite:
-        tight = [inst.tight_orders(members) is not None for members in inst.clusters.values()]
+        tight = [inst.tight_orders[members] is not None for members in inst.clusters.values()]
         assert tight == [inst.name in ("Osaba_50_1_4", "Osaba_50_2_4")] * len(tight)
-    assert all(TIGHT_90.tight_orders(members) is not None for members in TIGHT_90.clusters.values())
+    assert all(TIGHT_90.tight_orders[members] is not None for members in TIGHT_90.clusters.values())

@@ -369,8 +369,7 @@ def test_carried_state_matches_references(which, seed, steps):
         parent = chain[-1]
         if step == "insert":
             sol = insertion_move(parent, inst, rng)
-            if parent.visits is None:
-                assert sol.visits is None
+            assert (sol.visits is None) == (parent.visits is None)
         elif step == "firefly":
             sol, cost = move_firefly(parent, 3, inst, rng, relocation_rate=0.3)
             assert cost == sum(sol.costs)
@@ -527,7 +526,7 @@ def test_shuffled_block_matches_the_shuffle_loop(
     else:
         if found is None and route_load_ok(members, inst, prefix) is None:
             event("fails at a later peak")
-        if inst.tight_orders(members) is not None:
+        if inst.tight_orders[members] is not None:
             row = len(drawn) - 1
             outcome = {0: "row 0", MAX_RESAMPLES - 1: "the last row"}.get(row, "a middle row")
             outcome = "no fit" if found is None else f"a fit on {outcome}"
@@ -750,7 +749,7 @@ def test_insertion_pinned_cases_match_full_route_checks(customer, slots, forbidd
     script = [inst.customers.index(customer), *slots]
     fast, ref = _Script(script), _Script(script)
     found = _insertion(sol, inst, fast)
-    assert found == _reference_insertion(sol, inst, ref)
+    assert (found and found[:3]) == _reference_insertion(sol, inst, ref)
     assert fast.used == ref.used
     assert (found and found[1]) == expected
 

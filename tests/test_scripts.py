@@ -37,8 +37,9 @@ def test_population_sweep_script_writes_one_cell_per_instance_and_size(
         (["--sizes", "0"], "size 0 is not positive"),
         (["--sizes", "25,x"], "size 'x' is not an integer"),
         (["--runs", "0"], "not 0"),
+        (["--seed", "-1"], "seed must be non-negative, not -1"),
     ],
-    ids=["repeated-size", "zero-size", "non-integer-size", "zero-runs"],
+    ids=["repeated-size", "zero-size", "non-integer-size", "zero-runs", "negative-seed"],
 )
 def test_population_sweep_script_rejects_invalid_settings_before_any_solve(
     argv, named, monkeypatch, capsys
@@ -80,4 +81,16 @@ def test_benchmark_experiment_script_refuses_a_suite_of_another_seed(
     assert code == 2
     err = capsys.readouterr().err
     assert "seed 2016" in err and "--seed 7" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["{not json", "[7]"], ids=["not-json", "array"])
+def test_benchmark_experiment_script_rejects_a_bad_manifest(text, tmp_path, monkeypatch, capsys):
+    suite, out = tmp_path / "suite", tmp_path / "results"
+    suite.mkdir()
+    (suite / "suite-manifest.json").write_text(text)
+    flags = ["--runs", 1, "--population", 2, "--jobs", 1, "--suite", suite, "--out", out]
+    assert _run_benchmark_experiment(monkeypatch, "--seed", 7, *flags) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(suite / "suite-manifest.json") in err
     assert not out.exists()

@@ -7,7 +7,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rvrp import generator, stats
+from rvrp import generator, jsonio, stats
 from rvrp.solvers import SolverConfig
 from rvrp.stats import (
     ExperimentReport,
@@ -228,6 +228,18 @@ def test_experiment_parallel_matches_serial(small_experiment):
     instances, report = small_experiment
     parallel = run_experiment(instances, SMALL_CONFIGS, runs_per_cell=2, base_seed=5, jobs=2)
     assert parallel.to_dict() == report.to_dict()
+
+
+def test_experiment_parallel_matches_serial_on_tight_clusters():
+    # every cluster has a free-order mask, which each worker receives with
+    # the pickled instance
+    inst = generator.small_instance(90, cluster_sizes=(4, 5, 6), forbidden_per_cluster=9)
+    assert all(mask is not None for mask in inst.tight_orders.values())
+    reports = [
+        run_experiment([inst], SMALL_CONFIGS, runs_per_cell=2, base_seed=5, jobs=jobs)
+        for jobs in (1, 2)
+    ]
+    assert jsonio.dumps(reports[0].to_dict()) == jsonio.dumps(reports[1].to_dict())
 
 
 def test_experiment_ignores_the_seed_a_config_carries(small_experiment):
