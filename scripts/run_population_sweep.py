@@ -20,7 +20,8 @@ SWEEP_INSTANCES = ["Osaba_50_1_1", "Osaba_50_1_2", "Osaba_80_3", "Osaba_100_1"]
 
 def _sizes(text: str) -> list[int]:
     """The population sizes listed in ``--sizes``; a ValueError names an entry
-    that is not a positive integer or that is listed twice."""
+    that is not a positive integer or that is listed twice, or says the list is
+    empty."""
     sizes: list[int] = []
     for entry in filter(None, text.split(",")):
         try:
@@ -32,6 +33,8 @@ def _sizes(text: str) -> list[int]:
         if size in sizes:
             raise ValueError(f"size {size} is listed twice")
         sizes.append(size)
+    if not sizes:
+        raise ValueError("no size given")
     return sizes
 
 

@@ -3,7 +3,6 @@ simultaneous pickup and delivery, peak-hour arc costs and forbidden paths."""
 
 from .evaluation import (
     EvaluationReport,
-    LoadProfile,
     Timeline,
     check_feasible,
     load_profile,
@@ -46,7 +45,6 @@ __all__ = [
     "EvaluationReport",
     "InfeasibleClusterError",
     "Instance",
-    "LoadProfile",
     "Node",
     "Solution",
     "SolveResult",

@@ -10,15 +10,12 @@ columns of runs.csv.
 Exit codes: 0 ok (warnings allowed), 1 validation found violations, 2 bad
 input/output, 3 generation infeasibility, 4 infeasible construction while
 solving, 5 every experiment cell failed.
-
-Set RVRP_LOG=debug|info|quiet to control verbosity.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 from pathlib import Path
@@ -31,21 +28,12 @@ from .jsonio import write_json
 from .operators import InfeasibleClusterError
 from .solvers import ALGORITHMS, SolverConfig, solve
 
-log = logging.getLogger("rvrp")
-
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_IO = 2
 EXIT_GENERATION = 3
 EXIT_CONSTRUCTION = 4
 EXIT_ALL_FAILED = 5
-
-
-def _setup_logging() -> None:
-    level = {"debug": logging.DEBUG, "info": logging.INFO, "quiet": logging.ERROR}.get(
-        os.environ.get("RVRP_LOG", "").lower(), logging.WARNING
-    )
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
 def _resolve_seed(seed: int | None) -> int:
@@ -214,7 +202,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     data = report.to_dict()
     for key, cell in data["cells"].items():
         for err in cell["errors"]:
-            log.warning("cell %s: %s", key, err)
+            print(f"warning: cell {key}: {err}", file=sys.stderr)
     successes = sum(cell["runs"] for cell in data["cells"].values())
     failures = len(report.runs) - successes
     tables = stats.render_tables(report)
@@ -260,7 +248,7 @@ def cmd_export_geojson(args: argparse.Namespace) -> int:
         raise CommandError(EXIT_IO, f"cannot export {args.solution} on {args.instance}: {exc}")
     feasibility = check_feasible(sol, inst)
     if not feasibility.feasible:
-        log.warning("exported solution is infeasible: %s", feasibility.violation_tags)
+        print(f"warning: exported solution is infeasible: {feasibility.violation_tags}", file=sys.stderr)
     try:
         write_json(args.out, collection)
     except OSError as exc:
@@ -322,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -7,15 +7,16 @@ equals travel cost and service times are zero. Loads are simulated exactly:
 the vehicle leaves the depot carrying the sum of the route's deliveries and
 each visit applies ``-delivery +pickup``.
 
-Routes that run past the 15:00 end of day only raise a warning; the working
-day informs pricing, not feasibility.
+Routes that run past the 15:00 end of day only add a line to
+``EvaluationReport.warnings``; the working day informs pricing, not
+feasibility, and no command prints those lines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .instance import Instance, OFFPEAK, PEAK, Solution
+from .instance import Instance, OFFPEAK, PEAK, Solution, ValidationIssue
 
 COST_EQ_TOL = 1e-6  # absolute tolerance for cost equality in tests/reports
 
@@ -35,16 +36,6 @@ class Timeline:
     steps: list[TimelineStep]
     total_cost_s: float
     end_time_s: float
-
-
-@dataclass
-class LoadProfile:
-    initial_load: int
-    loads: list[int]
-
-    @property
-    def max_load(self) -> int:
-        return max(self.initial_load, *self.loads) if self.loads else self.initial_load
 
 
 def _require_known(route, inst: Instance) -> None:
@@ -120,67 +111,61 @@ def solution_cost(sol: Solution, inst: Instance) -> float:
     return sum(route_cost(route, inst) for route in sol.routes)
 
 
-def load_profile(route, inst: Instance) -> LoadProfile:
-    """Exact load simulation: start with all deliveries, apply -d+p per visit."""
+def load_profile(route, inst: Instance) -> list[int]:
+    """Exact load simulation: the load leaving the depot (all the route's
+    deliveries), then the load after each visit (-d+p)."""
     if not route:
         raise ValueError("route must be nonempty")
     _require_known(route, inst)
     change = inst.load_change
     load = sum(inst.delivery[c] for c in route)
-    profile = LoadProfile(initial_load=load, loads=[])
+    loads = [load]
     for c in route:
         load += change[c]
-        profile.loads.append(load)
-    return profile
-
-
-@dataclass(frozen=True)
-class Violation:
-    tag: str
-    detail: str
+        loads.append(load)
+    return loads
 
 
 @dataclass
 class EvaluationReport:
     total_cost: float
-    route_costs: list[float]
     feasible: bool
-    violations: list[Violation]
+    violations: list[ValidationIssue]
     warnings: list[str]
 
     @property
     def violation_tags(self) -> list[str]:
-        return [v.tag for v in self.violations]
+        return [v.name for v in self.violations]
 
 
 def check_feasible(sol: Solution, inst: Instance) -> EvaluationReport:
     """Evaluate an arbitrary candidate and enumerate all constraint breaches.
 
-    Violation tags: visit-count, cluster-split, cluster-noncontiguous,
+    Issue names: visit-count, cluster-split, cluster-noncontiguous,
     capacity-exceeded, forbidden-arc-used, empty-route, unknown-customer.
     Degree/flow constraints hold by construction of the route representation.
     """
-    violations: list[Violation] = []
+    violations: list[ValidationIssue] = []
     warnings: list[str] = []
 
     known = set(inst.customers)
     unknown = sorted({c for c in sol.customers() if c not in known})
     for c in unknown:
-        violations.append(Violation("unknown-customer", str(c)))
+        violations.append(ValidationIssue("unknown-customer", str(c)))
     for r, route in enumerate(sol.routes):
         if not route:
-            violations.append(Violation("empty-route", f"route {r}"))
+            violations.append(ValidationIssue("empty-route", f"route {r}"))
     if unknown or any(not route for route in sol.routes):
-        return EvaluationReport(float("nan"), [], False, violations, warnings)
+        return EvaluationReport(float("nan"), False, violations, warnings)
 
     counts: dict[int, int] = {}
     for c in sol.customers():
         counts[c] = counts.get(c, 0) + 1
     for c, k in sorted(counts.items()):
         if k > 1:
-            violations.append(Violation("visit-count", f"customer {c} visited {k} times"))
+            violations.append(ValidationIssue("visit-count", f"customer {c} visited {k} times"))
     for c in sorted(known - set(counts)):
-        violations.append(Violation("visit-count", f"customer {c} not visited"))
+        violations.append(ValidationIssue("visit-count", f"customer {c} not visited"))
 
     # cluster contiguity within a route; one route per cluster overall
     cluster_route: dict[int, int] = {}
@@ -193,42 +178,37 @@ def check_feasible(sol: Solution, inst: Instance) -> EvaluationReport:
         for label in set(blocks):
             if blocks.count(label) > 1:
                 violations.append(
-                    Violation("cluster-noncontiguous", f"cluster {label} split inside route {r}")
+                    ValidationIssue("cluster-noncontiguous", f"cluster {label} split inside route {r}")
                 )
         for label in blocks:
             if label in cluster_route and cluster_route[label] != r:
                 violations.append(
-                    Violation(
+                    ValidationIssue(
                         "cluster-split",
                         f"cluster {label} in routes {cluster_route[label]} and {r}",
                     )
                 )
             cluster_route.setdefault(label, r)
 
-    route_costs: list[float] = []
+    costs: list[float] = []
     for r, route in enumerate(sol.routes):
-        profile = load_profile(route, inst)
-        if profile.initial_load > inst.capacity:
-            violations.append(
-                Violation("capacity-exceeded", f"route {r} position -1 load {profile.initial_load}")
-            )
-        for pos, load in enumerate(profile.loads):
+        # position -1 is the load leaving the depot
+        for pos, load in enumerate(load_profile(route, inst), start=-1):
             if load > inst.capacity:
                 violations.append(
-                    Violation("capacity-exceeded", f"route {r} position {pos} load {load}")
+                    ValidationIssue("capacity-exceeded", f"route {r} position {pos} load {load}")
                 )
         arcs = zip((0, *route), (*route, 0))
         for i, j in arcs:
             if (i, j) in inst.forbidden:
-                violations.append(Violation("forbidden-arc-used", f"route {r} arc ({i},{j})"))
+                violations.append(ValidationIssue("forbidden-arc-used", f"route {r} arc ({i},{j})"))
         timeline = route_timeline(route, inst)
-        route_costs.append(timeline.total_cost_s)
+        costs.append(timeline.total_cost_s)
         if timeline.end_time_s > inst.day_end_s:
             warnings.append(f"route {r} ends at {timeline.end_time_s:.0f}s, past the working day")
 
     return EvaluationReport(
-        total_cost=sum(route_costs),
-        route_costs=route_costs,
+        total_cost=sum(costs),
         feasible=not violations,
         violations=violations,
         warnings=warnings,

@@ -51,7 +51,7 @@ def solution_feature_collection(inst: Instance, sol: Solution) -> dict:
                 "properties": {
                     "route_index": r,
                     "cost_s": round(cost, 2),
-                    "max_load": load_profile(route, inst).max_load,
+                    "max_load": max(load_profile(route, inst)),
                 },
             }
         )

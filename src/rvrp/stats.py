@@ -154,7 +154,6 @@ class HolmComparison:
 
 @dataclass
 class HolmResult:
-    control: int
     control_label: str
     comparisons: list[HolmComparison]  # ordered by ascending unadjusted p
 
@@ -211,7 +210,7 @@ def holm(
                 reject_at_05=adjusted < 0.05,
             )
         )
-    return HolmResult(control=control, control_label=labels[control], comparisons=comparisons)
+    return HolmResult(control_label=labels[control], comparisons=comparisons)
 
 
 # ------------------------------------------------------------------- harness

@@ -392,6 +392,22 @@ def test_export_geojson(tmp_path, toy_instance_file, capsys):
         assert len(line["geometry"]["coordinates"]) == len(route) + 2
 
 
+def test_export_geojson_warns_of_an_infeasible_solution(tmp_path, toy_instance_file, capsys):
+    inst = Instance.load(toy_instance_file)
+    sol_path = tmp_path / "sol.json"
+    # one route per customer splits both clusters across routes
+    alone = [x for c in inst.customers for x in (0, c)][1:]
+    sol_path.write_text(json.dumps({"encoding": alone}))
+    geo_path = tmp_path / "routes.geojson"
+    assert main(
+        ["export-geojson", str(toy_instance_file), str(sol_path), "--out", str(geo_path)]
+    ) == 0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("warning: exported solution is infeasible: ") and "cluster-split" in err
+    assert geo_path.exists()
+
+
 def test_export_geojson_rejects_mismatched_solution(tmp_path, toy_instance_file):
     other = generator.small_instance(26, cluster_sizes=(3, 4), name="other")
     other_path = other.save(tmp_path / "other.json")

@@ -195,10 +195,8 @@ def test_unknown_node_rejected(tiny_instance):
 
 
 def test_load_profile_hand_simulation(tiny_instance):
-    profile = load_profile([1, 2, 3], tiny_instance)
-    assert profile.initial_load == 25
-    assert profile.loads == [20, 10, 8]
-    assert profile.max_load == 25
+    # leaves the depot with 10 + 10 + 5, then -10+5, -10+0, -5+3
+    assert load_profile([1, 2, 3], tiny_instance) == [25, 20, 10, 8]
 
 
 def test_load_profile_boundary_at_capacity():
@@ -209,7 +207,7 @@ def test_load_profile_boundary_at_capacity():
     exact = type(inst)(
         name="exact",
         nodes=inst.nodes,
-        capacity=load_profile(route, inst).initial_load,
+        capacity=load_profile(route, inst)[0],
         cost_offpeak=inst.cost_offpeak,
         cost_peak=inst.cost_peak,
     )
@@ -221,8 +219,8 @@ def test_load_profile_boundary_at_capacity():
 
 def test_zero_pickup_route_is_monotone(tiny_instance):
     profile = load_profile([2], tiny_instance)  # pickup 0
-    assert profile.loads == [0]
-    assert profile.initial_load >= profile.loads[0]
+    assert profile[1:] == [0]
+    assert profile[0] >= profile[1]
 
 
 def test_check_feasible_flags_cluster_split():
@@ -251,7 +249,7 @@ def test_check_feasible_flags_forbidden_arc():
     bad_route = [i, j] + others
     rest = [list(inst.clusters[lab]) for lab in sorted(inst.clusters) if lab != label]
     report = check_feasible(Solution.from_routes([bad_route] + rest), inst)
-    assert any(v.tag == "forbidden-arc-used" and f"({i},{j})" in v.detail for v in report.violations)
+    assert any(v.name == "forbidden-arc-used" and f"({i},{j})" in v.detail for v in report.violations)
 
 
 def test_check_feasible_flags_visit_count(tiny_instance):
@@ -266,12 +264,23 @@ def test_check_feasible_flags_capacity():
     squeezed = type(inst)(
         name="squeezed",
         nodes=inst.nodes,
-        capacity=load_profile(merged, inst).initial_load - 1,
+        capacity=load_profile(merged, inst)[0] - 1,
         cost_offpeak=inst.cost_offpeak,
         cost_peak=inst.cost_peak,
     )
     report = check_feasible(Solution.from_routes([merged]), squeezed)
     assert "capacity-exceeded" in report.violation_tags
+
+
+def test_check_feasible_names_each_overloaded_position(tiny_instance):
+    # loads [25, 20, 10, 8] against capacity 19: the load leaving the depot
+    # (position -1) and the load after the first visit are over
+    squeezed = replace(tiny_instance, capacity=19)
+    report = check_feasible(Solution.from_routes([[1, 2, 3]]), squeezed)
+    assert [(v.name, v.detail) for v in report.violations] == [
+        ("capacity-exceeded", "route 0 position -1 load 25"),
+        ("capacity-exceeded", "route 0 position 0 load 20"),
+    ]
 
 
 def test_long_route_warns_but_stays_feasible(tiny_instance):

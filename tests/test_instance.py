@@ -380,7 +380,7 @@ def test_route_load_ok_chains_summaries_exactly(seed, capacity, cuts):
         cost_peak=[[2.0] * len(LOAD_NODES)] * len(LOAD_NODES),
     )
     route = [int(c) for c in np.random.default_rng(seed).permutation(inst.customers)]
-    fits = load_profile(route, inst).max_load <= capacity
+    fits = max(load_profile(route, inst)) <= capacity
     whole = route_load_ok(route, inst)
     assert (whole is not None) == fits
     summary, start = EMPTY_LOAD, 0

@@ -38,8 +38,9 @@ def test_population_sweep_script_writes_one_cell_per_instance_and_size(
         (["--sizes", "25,x"], "size 'x' is not an integer"),
         (["--runs", "0"], "not 0"),
         (["--seed", "-1"], "seed must be non-negative, not -1"),
+        (["--sizes", ","], "no size given"),
     ],
-    ids=["repeated-size", "zero-size", "non-integer-size", "zero-runs", "negative-seed"],
+    ids=["repeated-size", "zero-size", "non-integer-size", "zero-runs", "negative-seed", "no-size"],
 )
 def test_population_sweep_script_rejects_invalid_settings_before_any_solve(
     argv, named, monkeypatch, capsys
