@@ -3,11 +3,9 @@ simultaneous pickup and delivery, peak-hour arc costs and forbidden paths."""
 
 from .evaluation import (
     EvaluationReport,
-    Timeline,
     check_feasible,
     load_profile,
     route_cost,
-    route_timeline,
     solution_cost,
 )
 from .instance import (
@@ -49,7 +47,6 @@ __all__ = [
     "Solution",
     "SolveResult",
     "SolverConfig",
-    "Timeline",
     "ValidationReport",
     "check_feasible",
     "cluster_relocation",
@@ -64,7 +61,6 @@ __all__ = [
     "movement_length",
     "random_solution",
     "route_cost",
-    "route_timeline",
     "solution_cost",
     "solve",
     "termination_budget",

@@ -154,11 +154,7 @@ def _load_solution(path: str, inst: Instance) -> Solution:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-        encoding = data["encoding"]
-        for pos, value in enumerate(encoding):
-            if type(value) is not int:  # a JSON integer; not a float, string or boolean
-                raise ValueError(f"encoding entry {pos} is {value!r}, not an integer")
-        return decode(encoding, inst)
+        return decode(data["encoding"], inst)
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise CommandError(EXIT_IO, f"cannot read solution {path}: {exc}")
 

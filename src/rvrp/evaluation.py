@@ -1,13 +1,16 @@
 """Time-dependent route costing and feasibility checking.
 
-Every vehicle leaves the depot at 06:00 (t = 0 s). An arc is priced from the
-peak matrix when the departure time from its origin falls inside the half-open
-peak window [08:00, 10:00), otherwise from the off-peak matrix; travel time
-equals travel cost and service times are zero. Loads are simulated exactly:
+Every vehicle leaves the depot at ``day_start_s`` (06:00, t = 0 s, on every
+generated instance). An arc is priced from the peak matrix when the departure
+time from its origin falls inside the half-open peak window [08:00, 10:00),
+otherwise from the off-peak matrix; travel time equals travel cost and
+service times are zero. :func:`route_cost` is the one route simulator: the
+solvers price with it, and so does :func:`check_feasible`, which takes a
+route's end time as ``day_start_s`` + its cost. Loads are simulated exactly:
 the vehicle leaves the depot carrying the sum of the route's deliveries and
 each visit applies ``-delivery +pickup``.
 
-Routes that run past the 15:00 end of day only add a line to
+Routes that run past ``day_end_s`` (15:00) only add a line to
 ``EvaluationReport.warnings``; the working day informs pricing, not
 feasibility, and no command prints those lines.
 """
@@ -16,26 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .instance import Instance, OFFPEAK, PEAK, Solution, ValidationIssue
+from .instance import Instance, Solution, ValidationIssue
 
 COST_EQ_TOL = 1e-6  # absolute tolerance for cost equality in tests/reports
-
-
-@dataclass(frozen=True)
-class TimelineStep:
-    """One traversed arc: origin node, departure time, priced cost, matrix tag."""
-
-    node: int
-    departure_s: float
-    arc_cost_s: float
-    matrix: str
-
-
-@dataclass
-class Timeline:
-    steps: list[TimelineStep]
-    total_cost_s: float
-    end_time_s: float
 
 
 def _require_known(route, inst: Instance) -> None:
@@ -45,38 +31,17 @@ def _require_known(route, inst: Instance) -> None:
         inst.position(node_id)  # a ValueError for an id no node has
 
 
-def route_timeline(route, inst: Instance) -> Timeline:
-    """Simulate one route depot -> customers -> depot with per-arc pricing."""
-    if not route:
-        raise ValueError("route must be nonempty")
-    _require_known(route, inst)
-    index = inst.index
-    off, peak = inst.cost_offpeak, inst.cost_peak
-    lo, hi = inst.peak_window_s
-    t = float(inst.day_start_s)
-    steps: list[TimelineStep] = []
-    prev_id, prev = 0, index[0]
-    total = 0.0
-    for node_id in (*route, 0):
-        cur = index[node_id]
-        in_peak = lo <= t < hi
-        cost = (peak if in_peak else off)[prev][cur]
-        steps.append(TimelineStep(prev_id, t, cost, PEAK if in_peak else OFFPEAK))
-        t += cost
-        total += cost
-        prev_id, prev = node_id, cur
-    return Timeline(steps=steps, total_cost_s=total, end_time_s=t)
-
-
 def route_cost(route, inst: Instance) -> float:
-    """Cost of one route; the same floats, added in the same order, as
-    :func:`route_timeline`, without materialising steps (hot path).
+    """Cost of one route, depot -> customers -> depot: the program's one
+    route simulator. Each arc is priced from the matrix of its departure time
+    and the clock moves by its cost; ``tests/spec.py`` prices the same floats,
+    in the same order, arc by arc.
 
     Once the clock reaches the end of the peak window, the remaining arcs are
     added at off-peak cost without moving or testing the clock. That is exact
     because costs are non-negative (``validate_instance`` rejects
     ``negative-cost``), so no later departure falls back inside the window; a
-    NaN clock never passes the test, so it prices as the timeline does.
+    NaN clock never passes the test, so it prices as a moving clock does.
 
     It trusts its ids to be customers of ``inst``, as ``decode``,
     ``check_feasible``'s unknown-customer check and the operators guarantee;
@@ -202,10 +167,11 @@ def check_feasible(sol: Solution, inst: Instance) -> EvaluationReport:
         for i, j in arcs:
             if (i, j) in inst.forbidden:
                 violations.append(ValidationIssue("forbidden-arc-used", f"route {r} arc ({i},{j})"))
-        timeline = route_timeline(route, inst)
-        costs.append(timeline.total_cost_s)
-        if timeline.end_time_s > inst.day_end_s:
-            warnings.append(f"route {r} ends at {timeline.end_time_s:.0f}s, past the working day")
+        cost = route_cost(route, inst)  # the ids are known customers: checked above
+        costs.append(cost)
+        end_s = inst.day_start_s + cost  # travel time equals cost
+        if end_s > inst.day_end_s:
+            warnings.append(f"route {r} ends at {end_s:.0f}s, past the working day")
 
     return EvaluationReport(
         total_cost=sum(costs),

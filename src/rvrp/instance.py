@@ -369,7 +369,13 @@ def encode(sol: Solution) -> list[int]:
 
 
 def decode(flat: Sequence[int], inst: Instance) -> Solution:
-    """Inverse of :func:`encode`; rejects non-canonical or invalid input."""
+    """Inverse of :func:`encode`; rejects non-canonical or invalid input.
+
+    Every entry must be an ``int``: a float, a boolean or a string is no
+    customer id, even where it compares equal to one."""
+    for pos, value in enumerate(flat):
+        if type(value) is not int:
+            raise DecodeError("non-integer-entry", f"entry {pos} is {value!r}, not an integer")
     if len(flat) == 0:
         raise DecodeError("non-canonical-separator", "empty encoding")
     if flat[0] == 0 or flat[-1] == 0:
@@ -378,7 +384,6 @@ def decode(flat: Sequence[int], inst: Instance) -> Solution:
     seen: set[int] = set()
     known = set(inst.customers)
     for value in flat:
-        value = int(value)
         if value == 0:
             if not routes[-1]:
                 raise DecodeError("non-canonical-separator", "consecutive zeros")

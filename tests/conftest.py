@@ -5,6 +5,7 @@ benchmark suite."""
 from __future__ import annotations
 
 import itertools
+from typing import Collection
 
 import pytest
 
@@ -52,6 +53,18 @@ def make_tiny_instance(first_arc: float = 3000.0) -> Instance:
         cost_offpeak=off,
         cost_peak=peak,
     )
+
+
+def rising_loads(inst: Instance, labels: Collection[int] | None = None) -> Instance:
+    """``inst`` with pickups 7 above deliveries at every odd customer (of the
+    clusters in ``labels``, or of all), so that a route's load rises en route
+    and can fail at a later peak (generated instances never pick up more
+    than they deliver)."""
+    data = inst.to_dict()
+    for node in data["nodes"][1:]:
+        if node["id"] % 2 and (labels is None or node["cluster"] in labels):
+            node["pickup"] = node["delivery"] + 7
+    return Instance.from_dict(data)
 
 
 def make_joint_infeasible_instance() -> Instance:

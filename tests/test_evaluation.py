@@ -11,7 +11,6 @@ from rvrp import (
     check_feasible,
     load_profile,
     route_cost,
-    route_timeline,
     solution_cost,
 )
 from rvrp import generator
@@ -19,6 +18,7 @@ from rvrp.instance import OFFPEAK, PEAK, PEAK_END_S, PEAK_START_S, validate_inst
 from rvrp.operators import random_solution
 
 from conftest import make_tiny_instance
+from spec import route_timeline
 
 TOL = 1e-6
 
@@ -139,8 +139,8 @@ def test_route_cost_matches_timeline_bit_for_bit(
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=50, deadline=None)
 def test_listing_order_and_ids_do_not_change_a_price(seed):
-    # route_cost and route_timeline share the id lookup, so their agreement
-    # cannot show it; the relabelled, reordered copy must price every route
+    # route_cost and the spec's timeline both look ids up in the instance, so
+    # their agreement cannot show it; the relabelled, reordered copy must price every route
     # of the original as the original does
     assert validate_instance(REORDERED_61).ok
     sol = random_solution(SMALL_61, np.random.default_rng(seed))
@@ -281,6 +281,21 @@ def test_check_feasible_names_each_overloaded_position(tiny_instance):
         ("capacity-exceeded", "route 0 position -1 load 25"),
         ("capacity-exceeded", "route 0 position 0 load 20"),
     ]
+
+
+def test_day_end_warning_counts_from_the_day_start(tiny_instance):
+    # from a 5000 s day start the route costs 12900 s: less than the 15000 s
+    # day end, but it ends at 17900 s, past it
+    route = Solution.from_routes([[1, 2, 3]])
+    late = replace(tiny_instance, day_start_s=5000, day_end_s=15000)
+    cost = route_cost([1, 2, 3], late)
+    assert cost < late.day_end_s < late.day_start_s + cost
+    report = check_feasible(route, late)
+    assert report.feasible
+    assert report.warnings == ["route 0 ends at 17900s, past the working day"]
+    assert route_timeline([1, 2, 3], late).end_time_s == 17900.0
+    # from a 0 s day start the same route ends at 12420 s, in time
+    assert check_feasible(route, replace(late, day_start_s=0)).warnings == []
 
 
 def test_long_route_warns_but_stays_feasible(tiny_instance):

@@ -28,7 +28,7 @@ from rvrp.instance import (
 )
 from rvrp.operators import InfeasibleClusterError, random_solution
 
-from conftest import make_joint_infeasible_instance, make_tiny_instance
+from conftest import make_joint_infeasible_instance, make_tiny_instance, rising_loads
 
 def test_encode_two_routes():
     sol = Solution.from_routes([[1, 2, 3], [4, 5]])
@@ -54,6 +54,12 @@ def test_decode_inverse_of_encode(tiny_instance):
         ([1, 2], "missing-customer"),
         ([1, 2, 3, 9], "unknown-customer"),
         ([], "non-canonical-separator"),
+        # an entry equal to an id is still not one
+        ([1.9, 2, 0, 3], "non-integer-entry"),
+        ([1, 2, 0, 3.0], "non-integer-entry"),
+        ([1, 2, 0.0, 3], "non-integer-entry"),
+        ([True, 2, 0, 3], "non-integer-entry"),
+        ([1, 2, 0, "3"], "non-integer-entry"),
     ],
 )
 def test_decode_rejects_invalid_forms(tiny_instance, flat, reason):
@@ -392,27 +398,17 @@ def test_route_load_ok_chains_summaries_exactly(seed, capacity, cuts):
     assert summary == whole
 
 
-def _with_rising_loads(inst):
-    """``inst`` with pickups above deliveries at its odd customers, so that
-    orders reach load peaks above 0."""
-    data = inst.to_dict()
-    for node in data["nodes"][1:]:
-        if node["id"] % 2:
-            node["pickup"] = node["delivery"] + 7
-    return Instance.from_dict(data)
-
-
 def _rising(inst, members):
     return any(inst.node(c).pickup > inst.delivery[c] for c in members)
 
 
 TIGHT_90 = generator.small_instance(90, cluster_sizes=(4, 5, 6), forbidden_per_cluster=9)
-RISING_90 = _with_rising_loads(TIGHT_90)
+RISING_90 = rising_loads(TIGHT_90)
 TABLE_INSTANCES = [
     TIGHT_90,
     RISING_90,
     generator.small_instance(86, cluster_sizes=(5, 6, 4), forbidden_per_cluster=8),
-    _with_rising_loads(generator.small_instance(84, cluster_sizes=(1, 5, 3), capacity=60)),
+    rising_loads(generator.small_instance(84, cluster_sizes=(1, 5, 3), capacity=60)),
     # cluster 1 keeps exactly 3 of its 24 orders free, the tight share: not tight
     dataclasses.replace(
         generator.small_instance(90, cluster_sizes=(4, 3)),

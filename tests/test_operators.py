@@ -23,6 +23,9 @@ from rvrp.operators import (
     random_solution,
 )
 
+import spec
+from conftest import rising_loads
+
 
 @pytest.fixture(scope="module")
 def eight_node_instance():
@@ -293,43 +296,6 @@ def test_random_solution_survives_dense_forbidden_sets():
 # ------------------------------------------------ carried search state
 
 
-def _scan_block(routes, customer, inst):
-    """Reference for the block index: scan the routes for the first visit of
-    the customer's cluster and extend over its run."""
-    label = inst.cluster_of[customer]
-    cluster_of = inst.cluster_of
-    for r, route in enumerate(routes):
-        for pos, c in enumerate(route):
-            if cluster_of[c] == label:
-                end = pos
-                while end < len(route) and cluster_of[route[end]] == label:
-                    end += 1
-                return r, pos, end
-    raise ValueError(f"customer {customer} not present in solution")
-
-
-def _cluster_sequences(sol, inst):
-    """Each cluster's members in visiting order over the whole solution."""
-    seqs = {label: [] for label in inst.clusters}
-    for c in sol.customers():
-        seqs[inst.cluster_of[c]].append(c)
-    return seqs
-
-
-def _reference_hamming(a, b, inst):
-    """Reference distance: each cluster's members in visiting order over the
-    whole solution, compared position by position."""
-    seq_a, seq_b = _cluster_sequences(a, inst), _cluster_sequences(b, inst)
-    return sum(sum(1 for x, y in zip(seq_a[k], seq_b[k]) if x != y) for k in inst.clusters)
-
-
-def _reference_visits(sol, inst):
-    """Reference cluster-major visit order: the cluster sequences, clusters in
-    ``inst.clusters`` order."""
-    seqs = _cluster_sequences(sol, inst)
-    return tuple(c for label in inst.clusters for c in seqs[label])
-
-
 CLUSTER_RULES = {"visit-count", "cluster-split", "cluster-noncontiguous"}
 
 STATE_INSTANCES = [
@@ -381,13 +347,12 @@ def test_carried_state_matches_references(which, seed, steps):
 
     for sol in chain:
         assert sol.blocks == {
-            label: _scan_block(sol.routes, members[0], inst)
-            for label, members in inst.clusters.items()
+            label: spec.block_of(sol.routes, label, inst) for label in inst.clusters
         }
         carried = [c.hex() for c in sol.costs]
         assert carried == [route_cost(route, inst).hex() for route in sol.routes]
         if sol.visits is not None:
-            assert sol.visits == _reference_visits(sol, inst)
+            assert sol.visits == spec.visit_order(sol.routes, inst)
 
     others = [_blocked_solution(inst, rng) for _ in range(3)]
     pool = chain + others + [Solution.from_routes(sol.routes) for sol in chain]
@@ -395,7 +360,7 @@ def test_carried_state_matches_references(which, seed, steps):
         assert not CLUSTER_RULES & set(check_feasible(a, inst).violation_tags)
     for a in pool:
         for b in pool:
-            assert hamming_distance(a, b, inst) == _reference_hamming(a, b, inst)
+            assert hamming_distance(a, b, inst) == spec.hamming_distance(a.routes, b.routes, inst)
 
 
 # ------------------------------------------------ construction shuffles
@@ -421,34 +386,7 @@ def test_doomed_block_draws_the_loops_shuffles(m, pending):
         assert fast.bit_generator.state == loop.bit_generator.state
 
 
-def _reference_shuffled_block(members, prefix, inst, rng, drawn=None):
-    """Reference: the MAX_RESAMPLES-shuffle loop, every order checked; each
-    order drawn goes into ``drawn``."""
-    drawn = [] if drawn is None else drawn
-    for _ in range(MAX_RESAMPLES):
-        block = list(members)
-        rng.shuffle(block)
-        drawn.append(block)
-        if inst.forbidden.isdisjoint(zip(block, block[1:])):
-            summary = route_load_ok(block, inst, prefix)
-            if summary is not None:
-                return block, summary
-    return None
-
-
-def _rising_loads(inst, labels=None):
-    """``inst`` with pickups above deliveries at every odd customer (of the
-    clusters in ``labels``, or of all), so that a route's load rises en route
-    and can fail at a later peak (generated instances never pick up more
-    than they deliver)."""
-    data = inst.to_dict()
-    for node in data["nodes"][1:]:
-        if node["id"] % 2 and (labels is None or node["cluster"] in labels):
-            node["pickup"] = node["delivery"] + 7
-    return Instance.from_dict(data)
-
-
-RISING_84 = _rising_loads(generator.small_instance(84, cluster_sizes=(1, 5, 3), capacity=60))
+RISING_84 = rising_loads(generator.small_instance(84, cluster_sizes=(1, 5, 3), capacity=60))
 # every cluster tight (Instance.tight_orders): 1 of 24, 6 of 120 and 76 of 720
 # orders free of forbidden arcs
 TIGHT_90 = generator.small_instance(90, cluster_sizes=(4, 5, 6), forbidden_per_cluster=9)
@@ -456,10 +394,10 @@ TIGHT_90 = generator.small_instance(90, cluster_sizes=(4, 5, 6), forbidden_per_c
 SHUFFLE_INSTANCES = [
     *STATE_INSTANCES,
     *generator.generate_suite(7, only=["Osaba_50_1_4", "Osaba_100_1"]),
-    _rising_loads(STATE_INSTANCES[1]),
+    rising_loads(STATE_INSTANCES[1]),
     RISING_84,
     TIGHT_90,
-    _rising_loads(TIGHT_90),
+    rising_loads(TIGHT_90),
 ]
 
 
@@ -513,9 +451,15 @@ def test_shuffled_block_matches_the_shuffle_loop(
         fast.integers(7)
         loop.integers(7)
     found = _shuffled_block(members, prefix, inst, fast)
+
+    def fits(block):  # the load summary stands for a route the spec cannot see
+        return inst.forbidden.isdisjoint(zip(block, block[1:])) and route_load_ok(
+            block, inst, prefix
+        ) is not None
+
     drawn = []
-    expected = _reference_shuffled_block(members, prefix, inst, loop, drawn)
-    assert found == expected
+    block = spec.draw_block(members, fits, loop, drawn)
+    assert found == (block and (block, route_load_ok(block, inst, prefix)))
     assert fast.bit_generator.state == loop.bit_generator.state
     if len(members) == 1:
         event("single member")
@@ -537,64 +481,21 @@ def test_shuffled_block_matches_the_shuffle_loop(
 # ------------------------------------------------ move-local checks
 
 
-def _reference_insertion(sol, inst, rng, rejected=None):
-    """Reference reinsertion: every arc of the new block against the
-    forbidden set and the load along the whole new route. The reason of each
-    rejected candidate goes into ``rejected``."""
-    rejected = [] if rejected is None else rejected
-    customer = inst.customers[int(rng.integers(len(inst.customers)))]
-    r, start, end = sol.blocks[inst.cluster_of[customer]]
-    route = sol.routes[r]
-    block = list(route[start:end])
-    m = len(block)
-    if m == 1:
-        return None
-    at = block.index(customer)
-    rest = block[:at] + block[at + 1 :]
-    for _ in range(MAX_RESAMPLES):
-        slot = int(rng.integers(m))
-        if slot == at:
-            return None
-        new_block = rest[:slot] + [customer] + rest[slot:]
-        if not inst.forbidden.isdisjoint(zip(new_block, new_block[1:])):
-            rejected.append("forbidden arc")
-            continue
-        new_route = (*route[:start], *new_block, *route[end:])
-        if not route_load_ok(new_route, inst):
-            rejected.append("over capacity")
-            continue
-        return r, new_route, route_cost(new_route, inst)
-    return None
+def _spec_insertion(sol, inst, rng, rejected=None):
+    """``spec.insertion`` with the new route's cost, as ``_insertion`` gives
+    them (less the label)."""
+    found = spec.insertion(sol.routes, inst, rng, rejected)
+    return found and (*found, spec.route_timeline(found[1], inst).total_cost_s)
 
 
-def _reference_candidate(sol, found):
-    if found is None:
-        return sol
-    r, route, cost = found
-    routes, costs = list(sol.routes), list(sol.costs)
-    routes[r], costs[r] = route, cost
-    return Solution(tuple(routes), sol.blocks, tuple(costs))
-
-
-def _reference_pool(sol, n, inst, rng, on_candidate, relocation_rate, rejected):
-    """Reference firefly pool: every candidate built and priced in full."""
-    best, best_cost = None, math.inf
-    for _ in range(n):
-        if relocation_rate > 0.0 and rng.random() < relocation_rate:
-            cand = cluster_relocation(sol, inst, rng)
-        else:
-            cand = _reference_candidate(sol, _reference_insertion(sol, inst, rng, rejected))
-        cost = sum(cand.costs)
-        on_candidate(cost)
-        if cost < best_cost:
-            best, best_cost = cand, cost
-    return best, best_cost
-
-
-def _same_solution(a, b):
-    assert a.routes == b.routes
-    assert a.blocks == b.blocks
-    assert [c.hex() for c in a.costs] == [c.hex() for c in b.costs]
+def _same_as_spec(sol, routes, inst):
+    """``sol`` has the spec's ``routes``, and the blocks and route costs a
+    scan and a timeline give them."""
+    assert sol.routes == routes
+    assert sol.blocks == {label: spec.block_of(routes, label, inst) for label in inst.clusters}
+    assert [c.hex() for c in sol.costs] == [
+        spec.route_timeline(route, inst).total_cost_s.hex() for route in routes
+    ]
 
 
 def _twin_streams(seed, replay):
@@ -606,7 +507,7 @@ def _twin_streams(seed, replay):
 # deliveries over pickups in cluster 3 and pickups over deliveries at two
 # members of cluster 2, under a capacity that every route of both clusters
 # fills: one chain both skips the load walk and rejects candidates by it
-MIXED_LOADS = _rising_loads(
+MIXED_LOADS = rising_loads(
     generator.small_instance(84, cluster_sizes=(1, 5, 3), capacity=60), labels={2}
 )
 
@@ -619,7 +520,7 @@ EXACT_INSTANCES = [
     generator.small_instance(86, cluster_sizes=(5, 6, 4), forbidden_per_cluster=8),
     next(inst for inst in SHUFFLE_INSTANCES if inst.name == "Osaba_50_1_4"),
     *generator.generate_suite(7, only=["Osaba_50_2_4"]),
-    _rising_loads(STATE_INSTANCES[1]),
+    rising_loads(STATE_INSTANCES[1]),
     RISING_84,
     MIXED_LOADS,
 ]
@@ -628,13 +529,13 @@ EXACT_INSTANCES = [
 def _check_moves_against_references(inst, seed, pools, relocation_rate, replay, rejected):
     """A chain of moves from a random construction; at each step the fast
     ``_insertion``, ``insertion_move`` and ``move_firefly`` must give what
-    the references give from the same draws, and take as many."""
+    the spec's moves give from the same draws, and take as many."""
     sol = random_solution(inst, np.random.default_rng(seed))
     for step, n in enumerate(pools):
         assert check_feasible(sol, inst).feasible
         fast, ref = _twin_streams([seed, step, 0], replay)
         found = _insertion(sol, inst, fast)
-        expected = _reference_insertion(sol, inst, ref, rejected)
+        expected = _spec_insertion(sol, inst, ref, rejected)
         if found is not None:
             found = found[0], found[1], found[2].hex()
         if expected is not None:
@@ -644,19 +545,18 @@ def _check_moves_against_references(inst, seed, pools, relocation_rate, replay, 
 
         fast, ref = _twin_streams([seed, step, 1], replay)
         moved = insertion_move(sol, inst, fast)
-        expected = _reference_candidate(sol, _reference_insertion(sol, inst, ref, rejected))
-        _same_solution(moved, expected)
+        _same_as_spec(moved, spec.insertion_move(sol.routes, inst, ref, rejected), inst)
         assert fast.random() == ref.random()
 
         fast, ref = _twin_streams([seed, step, 2], replay)
         seen, seen_ref = [], []
         best, cost = move_firefly(sol, n, inst, fast, seen.append, relocation_rate)
-        best_ref, cost_ref = _reference_pool(
-            sol, n, inst, ref, seen_ref.append, relocation_rate, rejected
+        best_ref, cost_ref = spec.firefly_move(
+            sol.routes, n, inst, ref, seen_ref.append, relocation_rate, rejected
         )
         assert [c.hex() for c in seen] == [c.hex() for c in seen_ref]
         assert cost.hex() == cost_ref.hex()
-        _same_solution(best, best_ref)
+        _same_as_spec(best, best_ref, inst)
         assert fast.random() == ref.random()
         sol = best if step % 2 else moved
 
@@ -692,8 +592,8 @@ def test_rising_clusters_are_those_with_a_member_picking_up_more():
 
 def test_load_skip_matches_full_route_checks_on_both_branches():
     # a block outside rising_clusters skips the load check and one inside it
-    # is checked with route_load_ok; on one chain both must match the
-    # full-route reference, and the check must reject some candidate that the
+    # is checked with route_load_ok; on one chain both must match the spec's
+    # full-route checks, and the check must reject some candidate that the
     # skip would have let pass
     rejected = []
     for seed in range(40):
@@ -749,7 +649,7 @@ def test_insertion_pinned_cases_match_full_route_checks(customer, slots, forbidd
     script = [inst.customers.index(customer), *slots]
     fast, ref = _Script(script), _Script(script)
     found = _insertion(sol, inst, fast)
-    assert (found and found[:3]) == _reference_insertion(sol, inst, ref)
+    assert (found and found[:3]) == _spec_insertion(sol, inst, ref)
     assert fast.used == ref.used
     assert (found and found[1]) == expected
 
