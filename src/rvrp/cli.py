@@ -26,7 +26,7 @@ from .export import solution_feature_collection
 from .instance import Instance, Solution, decode, encode, validate_instance
 from .jsonio import write_json
 from .operators import InfeasibleClusterError
-from .solvers import ALGORITHMS, SolverConfig, solve
+from .solvers import ALGORITHMS, SolverConfig, grid_configs, solve
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -81,7 +81,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     try:
         instances = generator.generate_suite(seed, only=only)
         manifest = generator.write_suite(instances, args.out, seed)
-    except ValueError as exc:  # a negative seed, refused before any draw
+    except ValueError as exc:  # a negative seed or an unknown name, refused before any draw
         raise CommandError(EXIT_IO, f"cannot generate: {exc}")
     except generator.GenerationError as exc:
         raise CommandError(EXIT_GENERATION, f"generation failed: {exc}")
@@ -161,15 +161,18 @@ def _load_solution(path: str, inst: Instance) -> Solution:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
-    algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     settings = {"enable_cluster_relocation": args.enable_cluster_relocation}
     if args.population is not None:
         settings["population_size"] = args.population
+    try:
+        configs = grid_configs(args.algorithms, **settings)
+    except ValueError as exc:
+        raise CommandError(EXIT_IO, f"invalid experiment settings: {exc}")
     out_dir = Path(args.out)
     _print_header(
         "experiment",
         suite=args.suite,
-        algorithms=",".join(algorithms),
+        algorithms=",".join(configs),
         runs=args.runs,
         seed=seed,
         jobs=args.jobs,
@@ -186,10 +189,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise CommandError(EXIT_IO, f"cannot load suite {args.suite}: {exc}")
     try:
-        twice = next((a for i, a in enumerate(algorithms) if a in algorithms[:i]), None)
-        if twice is not None:
-            raise ValueError(f"algorithm {twice!r} is listed twice")
-        configs = {alg: SolverConfig(algorithm=alg, **settings) for alg in algorithms}
         report = stats.run_experiment(
             instances, configs, runs_per_cell=args.runs, base_seed=seed, jobs=args.jobs
         )

@@ -244,7 +244,7 @@ def generate_suite(seed: int, only: Iterable[str] | None = None) -> list[Instanc
     if wanted:
         unknown = wanted - {row.name for row in SUITE}
         if unknown:
-            raise GenerationError(f"unknown instance names: {sorted(unknown)}")
+            raise ValueError(f"unknown instance names: {sorted(unknown)}")
     base = generate_base(seed)
     instances = []
     for idx, row in enumerate(SUITE):

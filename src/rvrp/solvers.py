@@ -22,6 +22,7 @@ values the ``Generator`` would, at a fraction of its per-call cost.
 from __future__ import annotations
 
 import math
+import re
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -76,6 +77,37 @@ class SolverConfig:
             raise ValueError("population_size must be positive")
         if self.seed < 0:  # numpy's SeedSequence takes no negative entropy
             raise ValueError(f"seed must be non-negative, not {self.seed}")
+
+
+def grid_configs(text: str, **defaults) -> dict[str, SolverConfig]:
+    """The label -> config map of a comma-separated list of grid entries.
+
+    An entry is ``<algorithm>[@p<size>]`` and is its own label. ``@p<size>``
+    sets the entry's population size; every other ``SolverConfig`` field, and
+    the size of an entry without ``@p``, comes from ``defaults``. Blank
+    entries are skipped. A ValueError names an entry whose ``@`` is not
+    followed by ``p`` and a positive decimal integer without sign, underscore
+    or leading zero, whose config ``SolverConfig.validate`` rejects, or that
+    an earlier entry repeats.
+    """
+    configs: dict[str, SolverConfig] = {}
+    for label in filter(None, (entry.strip() for entry in text.split(","))):
+        algorithm, at, size = label.partition("@")
+        if at and not re.fullmatch("p[1-9][0-9]*", size):
+            raise ValueError(
+                f"entry {label!r}: '@' must be followed by 'p' and a positive integer"
+                " with no sign, underscore or leading zero"
+            )
+        if label in configs:
+            raise ValueError(f"entry {label!r} is listed twice")
+        settings = dict(defaults, population_size=int(size[1:])) if at else defaults
+        cfg = SolverConfig(algorithm, **settings)
+        try:
+            cfg.validate()
+        except ValueError as exc:
+            raise ValueError(f"entry {label!r}: {exc}") from None
+        configs[label] = cfg
+    return configs
 
 
 @dataclass

@@ -5,8 +5,8 @@ deterministic seed schedule and keeps one ``Run`` record per run. The per-cell
 means and standard deviations, the best solution found per instance and every
 output derive from those records; the per-cell means feed a Friedman rank
 test followed by a Holm step-down post-hoc against a control label (the
-best-ranked one). The labels are algorithms in the solver comparison and
-population sizes in the population study.
+best-ranked one). The CLI's labels are its ``--algorithms`` entries, such as
+``dfa`` or ``dfa@p25`` (``solvers.grid_configs``).
 
 ``ExperimentReport.csv_text`` writes the records as ``runs.csv`` and
 ``ExperimentReport.from_csv`` reads them back, so ``rvrp experiment`` and
@@ -471,7 +471,10 @@ def run_experiment(
             for run in range(runs_per_cell):
                 seed = run_seed(base_seed, inst.name, label, run)
                 grid.append((inst, issues, label, run, replace(cfg, seed=seed)))
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+    # a fork pool starts all its workers at the first submit, so it gets no
+    # more of them than the grid has runs
+    workers = min(jobs, len(grid))
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         runs = list(pool.map(_run_one, grid, chunksize=1) if pool else map(_run_one, grid))
 
     return ExperimentReport(runs, base_seed)

@@ -50,8 +50,12 @@ def test_generate_deterministic_bytes(tmp_path):
     assert (a / "Osaba_50_1_2.json").read_bytes() == (b / "Osaba_50_1_2.json").read_bytes()
 
 
-def test_generate_unknown_name_fails(tmp_path):
-    assert main(["generate", "--seed", "7", "--out", str(tmp_path), "--only", "nope"]) == 3
+def test_generate_unknown_name_fails(tmp_path, capsys):
+    out = tmp_path / "bench"
+    assert main(["generate", "--seed", "7", "--out", str(out), "--only", "nope"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "'nope'" in err[0]
+    assert not out.exists()
 
 
 def test_validate_ok(toy_instance_file, capsys):
@@ -168,6 +172,22 @@ def test_experiment_end_to_end(tmp_path, small_suite_dir, capsys):
     assert (out / "timing.json").exists()
 
 
+def test_experiment_runs_one_cell_per_instance_and_entry(tmp_path, small_suite_dir, capsys):
+    # the population study's grid: each entry is a label, and @p<size> sets its population
+    out = tmp_path / "exp"
+    assert main(
+        ["experiment", "--suite", str(small_suite_dir), "--algorithms", "dfa@p2,dfa@p3",
+         "--runs", "1", "--seed", "5", "--jobs", "1", "--out", str(out)]
+    ) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["algorithms"] == ["dfa@p2", "dfa@p3"]
+    names = report["instances"]
+    assert sorted(report["cells"]) == sorted(f"{n}/dfa@p{size}" for n in names for size in (2, 3))
+    assert all(cell["runs"] == 1 and not cell["errors"] for cell in report["cells"].values())
+    assert report["cells"]["toy_a/dfa@p3"]["seeds"] == [stats.run_seed(5, "toy_a", "dfa@p3", 0)]
+    assert "Friedman statistic" in capsys.readouterr().out
+
+
 def test_experiment_report_deterministic(tmp_path, small_suite_dir):
     reports = []
     for sub in ("e1", "e2"):
@@ -241,13 +261,29 @@ def test_experiment_accepts_a_negative_base_seed(tmp_path, small_suite_dir):
         (["--algorithms", "dfa,dfa,esa"], "'dfa'"),
         (["--jobs", "0"], "jobs"),
         (["--jobs", "-2"], "jobs"),
+        (["--algorithms", "dfa@"], "'dfa@'"),
+        (["--algorithms", "dfa@p"], "'dfa@p'"),
+        (["--algorithms", "dfa@px"], "'dfa@px'"),
+        (["--algorithms", "dfa@p0"], "'dfa@p0'"),
+        (["--algorithms", "dfa@p025"], "'dfa@p025'"),
+        (["--algorithms", "dfa@p+5"], "'dfa@p+5'"),
+        (["--algorithms", "dfa@p2_5"], "'dfa@p2_5'"),
+        (["--algorithms", "dfa@q5"], "'dfa@q5'"),
+        (["--algorithms", "nope@p5"], "'nope@p5'"),
+        (["--algorithms", "dfa@p25,dfa@p25"], "'dfa@p25'"),
     ],
     ids=[
         "population-0", "population-negative", "runs-0", "runs-negative", "unknown-algorithm",
-        "no-algorithm", "duplicate-algorithm", "jobs-0", "jobs-negative",
+        "no-algorithm", "duplicate-algorithm", "jobs-0", "jobs-negative", "at-only", "size-missing",
+        "size-x", "size-0", "size-leading-zero", "size-signed", "size-underscore", "not-p",
+        "unknown-algorithm-with-size", "repeated-label",
     ],
 )
-def test_experiment_rejects_invalid_settings(tmp_path, small_suite_dir, capsys, settings, named):
+def test_experiment_rejects_invalid_settings(
+    tmp_path, small_suite_dir, capsys, monkeypatch, settings, named
+):
+    solved = []
+    monkeypatch.setattr("rvrp.stats._run_one", solved.append)
     out = tmp_path / "exp"
     argv = ["experiment", "--suite", str(small_suite_dir), "--runs", "1", "--seed", "5",
             "--jobs", "1", "--out", str(out)]
@@ -255,6 +291,7 @@ def test_experiment_rejects_invalid_settings(tmp_path, small_suite_dir, capsys, 
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and named in err[0]
     assert not out.exists()
+    assert not solved
 
 
 def test_experiment_rejects_an_instance_listed_twice(tmp_path, small_suite_dir, capsys):
@@ -292,7 +329,9 @@ def test_stats_recomputes_from_csv(tmp_path, small_suite_dir, capsys):
     assert json.loads(stats_json.read_text()) == {"friedman": report["friedman"], "holm": report["holm"]}
 
 
-@pytest.mark.parametrize("algorithms", ["dfa,esa", "dfa"], ids=["tests", "no-tests"])
+@pytest.mark.parametrize(
+    "algorithms", ["dfa,esa", "dfa", "dfa@p2,dfa@p3"], ids=["tests", "no-tests", "sizes"]
+)
 def test_stats_prints_the_experiments_rank_section(tmp_path, small_suite_dir, capsys, algorithms):
     # rvrp stats prints all of tables.txt; runs.csv keeps times to 3
     # decimals, so a mean time may print 0.1 away from the experiment's

@@ -1,4 +1,4 @@
-"""Smoke tests of the study scripts under ``scripts/``."""
+"""Smoke tests of the study script under ``scripts/``."""
 
 import json
 import runpy
@@ -10,49 +10,6 @@ import pytest
 from rvrp import generator
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-
-
-def test_population_sweep_script_writes_one_cell_per_instance_and_size(
-    tmp_path, monkeypatch, capsys
-):
-    sweep = runpy.run_path(str(SCRIPTS / "run_population_sweep.py"))
-    out = tmp_path / "sweep.json"
-    argv = ["--runs", "1", "--sizes", "2,3", "--jobs", "1", "--out", str(out)]
-    monkeypatch.setattr(sys, "argv", ["run_population_sweep.py", *argv])
-    assert sweep["main"]() == 0
-    report = json.loads(out.read_text())
-    names = sweep["SWEEP_INSTANCES"]
-    assert report["instances"] == names
-    assert report["algorithms"] == ["pop2", "pop3"]
-    assert sorted(report["cells"]) == sorted(f"{n}/pop{size}" for n in names for size in (2, 3))
-    assert all(cell["runs"] == 1 and not cell["errors"] for cell in report["cells"].values())
-    printed = capsys.readouterr().out
-    assert "Friedman statistic" in printed and f"wrote {out}" in printed
-
-
-@pytest.mark.parametrize(
-    "argv, named",
-    [
-        (["--sizes", "25,25"], "size 25 is listed twice"),
-        (["--sizes", "0"], "size 0 is not positive"),
-        (["--sizes", "25,x"], "size 'x' is not an integer"),
-        (["--runs", "0"], "not 0"),
-        (["--seed", "-1"], "seed must be non-negative, not -1"),
-        (["--sizes", ","], "no size given"),
-    ],
-    ids=["repeated-size", "zero-size", "non-integer-size", "zero-runs", "negative-seed", "no-size"],
-)
-def test_population_sweep_script_rejects_invalid_settings_before_any_solve(
-    argv, named, monkeypatch, capsys
-):
-    sweep = runpy.run_path(str(SCRIPTS / "run_population_sweep.py"))
-    solved = []
-    monkeypatch.setattr("rvrp.stats._run_one", solved.append)
-    monkeypatch.setattr(sys, "argv", ["run_population_sweep.py", "--jobs", "1", *argv])
-    assert sweep["main"]() == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and named in err
-    assert not solved
 
 
 def _run_benchmark_experiment(monkeypatch, *argv) -> int:

@@ -8,6 +8,7 @@ from rvrp import generator
 from rvrp.solvers import (
     SolverConfig,
     esa_initial_temperature,
+    grid_configs,
     metropolis_accept,
     solve,
     survivor_counts,
@@ -38,6 +39,15 @@ def test_config_validation():
     # the paper's fixed parameters are module constants, not settings
     with pytest.raises(TypeError):
         SolverConfig(gamma=0.9)
+
+
+def test_grid_configs_label_each_entry():
+    assert grid_configs("dfa,ea,esa") == {alg: SolverConfig(alg) for alg in ("dfa", "ea", "esa")}
+    configs = grid_configs(" dfa , ea@p30,,", population_size=7, enable_cluster_relocation=True)
+    assert configs == {
+        "dfa": SolverConfig("dfa", population_size=7, enable_cluster_relocation=True),
+        "ea@p30": SolverConfig("ea", population_size=30, enable_cluster_relocation=True),
+    }
 
 
 @pytest.mark.parametrize("pop, expected", [(100, (70, 30)), (7, (5, 2)), (3, (3, 0)), (1, (1, 0))])

@@ -242,6 +242,33 @@ def test_experiment_parallel_matches_serial_on_tight_clusters():
     assert jsonio.dumps(reports[0].to_dict()) == jsonio.dumps(reports[1].to_dict())
 
 
+@pytest.mark.parametrize("runs, pools", [(2, [2]), (1, [])], ids=["two-runs", "one-run"])
+def test_experiment_starts_no_more_workers_than_the_grid_has_runs(monkeypatch, runs, pools):
+    opened = []
+
+    class RecordingPool:
+        """Stands in for the process pool: records its size, runs in process."""
+
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(stats, "ProcessPoolExecutor", RecordingPool)
+    inst = generator.small_instance(21, cluster_sizes=(3, 3), forbidden_per_cluster=1)
+    configs = {"dfa": SolverConfig("dfa", population_size=4)}
+    report = run_experiment([inst], configs, runs_per_cell=runs, jobs=8)
+    assert opened == pools
+    assert len(report.runs) == runs and all(r.error is None for r in report.runs)
+
+
 def test_experiment_ignores_the_seed_a_config_carries(small_experiment):
     # every run takes its seed from the grid's schedule, so a config's own
     # seed changes nothing
