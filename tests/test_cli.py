@@ -230,6 +230,16 @@ def test_generate_rejects_a_negative_seed(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_generate_only_rejects_a_negative_seed(tmp_path, capsys):
+    # the population study's first command, with a seed it cannot use
+    out = tmp_path / "sweep"
+    argv = ["generate", "--seed", "-1", "--only", "Osaba_50_1_1", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "seed must be non-negative, not -1" in err[0]
+    assert not out.exists()
+
+
 def test_solve_rejects_a_negative_seed(tmp_path, toy_instance_file, capsys):
     out = tmp_path / "sol.json"
     assert main(["solve", str(toy_instance_file), "--seed", "-1", "--out", str(out)]) == 2
@@ -271,12 +281,14 @@ def test_experiment_accepts_a_negative_base_seed(tmp_path, small_suite_dir):
         (["--algorithms", "dfa@q5"], "'dfa@q5'"),
         (["--algorithms", "nope@p5"], "'nope@p5'"),
         (["--algorithms", "dfa@p25,dfa@p25"], "'dfa@p25'"),
+        (["--algorithms", " , ,"], "no algorithm given"),
+        (["--algorithms", "dfa@p25,dfa@p50", "--runs", "0"], "runs"),
     ],
     ids=[
         "population-0", "population-negative", "runs-0", "runs-negative", "unknown-algorithm",
         "no-algorithm", "duplicate-algorithm", "jobs-0", "jobs-negative", "at-only", "size-missing",
         "size-x", "size-0", "size-leading-zero", "size-signed", "size-underscore", "not-p",
-        "unknown-algorithm-with-size", "repeated-label",
+        "unknown-algorithm-with-size", "repeated-label", "blank-entries", "runs-0-with-sizes",
     ],
 )
 def test_experiment_rejects_invalid_settings(
