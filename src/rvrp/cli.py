@@ -161,11 +161,12 @@ def _load_solution(path: str, inst: Instance) -> Solution:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
-    settings = {"enable_cluster_relocation": args.enable_cluster_relocation}
-    if args.population is not None:
-        settings["population_size"] = args.population
     try:
-        configs = grid_configs(args.algorithms, **settings)
+        configs = grid_configs(
+            args.algorithms,
+            population_size=args.population,
+            enable_cluster_relocation=args.enable_cluster_relocation,
+        )
     except ValueError as exc:
         raise CommandError(EXIT_IO, f"invalid experiment settings: {exc}")
     out_dir = Path(args.out)
@@ -225,9 +226,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
         raise CommandError(EXIT_IO, f"cannot read {args.runs_csv}: {exc}")
     print(stats.render_tables(report), end="")
     if args.out:
-        data = report.to_dict()
         try:
-            write_json(args.out, {"friedman": data.get("friedman"), "holm": data.get("holm")})
+            write_json(args.out, {"friedman": report.friedman, "holm": report.holm})
         except OSError as exc:
             raise CommandError(EXIT_IO, f"cannot write {args.out}: {exc}")
     return EXIT_OK
@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, default=20)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    p.add_argument("--population", type=int, default=None)
+    p.add_argument("--population", type=int, default=100)
     p.add_argument("--enable-cluster-relocation", action="store_true")
     p.add_argument("--out", default="experiment")
     p.set_defaults(func=cmd_experiment)

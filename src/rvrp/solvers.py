@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -119,8 +119,12 @@ class SolveResult:
     evaluations_total: int
     wall_time_s: float
     convergence_time_s: float
-    convergence_evaluations: int
-    cost_history: list[tuple[int, float]] = field(default_factory=list)
+    cost_history: list[tuple[int, float]]  # (evaluations, cost) at each improvement of the best
+
+    @property
+    def convergence_evaluations(self) -> int:
+        """The evaluations made when the best cost was last improved."""
+        return self.cost_history[-1][0]
 
     def to_dict(self, include_history: bool = False) -> dict:
         data = {
@@ -160,7 +164,6 @@ class _Tracker:
         self.history: list[tuple[int, float]] = []
         self.started = time.monotonic()
         self.convergence_time_s = 0.0
-        self.convergence_evaluations = 0
 
     def record(self, cost: float) -> None:
         self.evaluations += 1
@@ -169,7 +172,6 @@ class _Tracker:
             self._improved = True
             self.history.append((self.evaluations, cost))
             self.convergence_time_s = time.monotonic() - self.started
-            self.convergence_evaluations = self.evaluations
 
     def end_proposal(self, winner: Solution) -> None:
         """Close a proposal whose cheapest candidate (the first, on ties) is
@@ -202,7 +204,6 @@ class _Tracker:
             evaluations_total=self.evaluations,
             wall_time_s=round(wall, 3),
             convergence_time_s=round(self.convergence_time_s, 3),
-            convergence_evaluations=self.convergence_evaluations,
             cost_history=self.history,
         )
 

@@ -6,7 +6,9 @@ means and standard deviations, the best solution found per instance and every
 output derive from those records; the per-cell means feed a Friedman rank
 test followed by a Holm step-down post-hoc against a control label (the
 best-ranked one). The CLI's labels are its ``--algorithms`` entries, such as
-``dfa`` or ``dfa@p25`` (``solvers.grid_configs``).
+``dfa`` or ``dfa@p25`` (``solvers.grid_configs``). The rank tests return
+``report.json``'s own entries: ``friedman`` its ``friedman`` dict and ``holm``
+its ``holm`` dict, which the report and ``rvrp stats --out`` write as they are.
 
 ``ExperimentReport.csv_text`` writes the records as ``runs.csv`` and
 ``ExperimentReport.from_csv`` reads them back, so ``rvrp experiment`` and
@@ -113,79 +115,39 @@ def normal_two_sided_p(z: float) -> float:
 # ---------------------------------------------------------------- Friedman/Holm
 
 
-@dataclass
-class FriedmanResult:
-    average_ranks: list[float]
-    statistic: float
-    dof: int
-    p_value: float
-
-
-def friedman_from_ranks(avg_ranks: Sequence[float], n_instances: int) -> FriedmanResult:
+def friedman_from_ranks(avg_ranks: Sequence[float], n_instances: int) -> dict:
+    """The Friedman test of the average ranks over ``n_instances`` rows, as
+    ``report.json``'s ``friedman`` entry: ``average_ranks``, ``statistic``,
+    ``dof`` and ``p_value``."""
     k = len(avg_ranks)
     if k < 2 or n_instances < 1:
         raise ValueError("need at least two algorithms and one instance")
     center = (k + 1) / 2
     statistic = (12 * n_instances / (k * (k + 1))) * sum((r - center) ** 2 for r in avg_ranks)
-    return FriedmanResult(
-        average_ranks=list(avg_ranks),
-        statistic=statistic,
-        dof=k - 1,
-        p_value=chi2_sf(statistic, k - 1),
-    )
+    return {
+        "average_ranks": list(avg_ranks),
+        "statistic": statistic,
+        "dof": k - 1,
+        "p_value": chi2_sf(statistic, k - 1),
+    }
 
 
-def friedman(matrix: Sequence[Sequence[float]]) -> FriedmanResult:
+def friedman(matrix: Sequence[Sequence[float]]) -> dict:
     """Friedman test over an instances x algorithms matrix of mean results."""
     if len(matrix) < 2:
         raise ValueError("need at least two instances")
     return friedman_from_ranks(average_ranks(matrix), len(matrix))
 
 
-@dataclass
-class HolmComparison:
-    index: int
-    label: str
-    z: float
-    p_unadjusted: float
-    p_adjusted: float
-    reject_at_05: bool
-
-
-@dataclass
-class HolmResult:
-    control_label: str
-    comparisons: list[HolmComparison]  # ordered by ascending unadjusted p
-
-    def to_dict(self) -> dict:
-        return {
-            "control": self.control_label,
-            "comparisons": [
-                {
-                    "algorithm": c.label,
-                    "z": c.z,
-                    "p_unadjusted": c.p_unadjusted,
-                    "p_adjusted": c.p_adjusted,
-                    "reject_at_0.05": c.reject_at_05,
-                }
-                for c in self.comparisons
-            ],
-        }
-
-
-def holm(
-    avg_ranks: Sequence[float],
-    n_instances: int,
-    control: int,
-    labels: Sequence[str] | None = None,
-) -> HolmResult:
+def holm(avg_ranks: Sequence[float], n_instances: int, control: int, labels: Sequence[str]) -> dict:
     """Holm step-down test of every algorithm against the control, using the
-    standard error sqrt(k(k+1)/(6N)) of rank differences; ``reject_at_05``
-    compares each adjusted p with 0.05."""
+    standard error sqrt(k(k+1)/(6N)) of rank differences, as ``report.json``'s
+    ``holm`` entry: the ``control`` label and its ``comparisons`` in ascending
+    unadjusted p, each with ``algorithm``, ``z``, ``p_unadjusted``,
+    ``p_adjusted`` and ``reject_at_0.05`` (the adjusted p is below 0.05)."""
     k = len(avg_ranks)
     if not 0 <= control < k:
         raise ValueError("control index out of range")
-    labels = list(labels) if labels is not None else [str(i) for i in range(k)]
     se = math.sqrt(k * (k + 1) / (6.0 * n_instances))
     raw = []
     for j in range(k):
@@ -195,22 +157,16 @@ def holm(
         raw.append((normal_two_sided_p(z), z, j))
     raw.sort(key=lambda t: t[0])
     m = len(raw)
-    comparisons: list[HolmComparison] = []
+    comparisons = []
     running = 0.0
     for i, (p, z, j) in enumerate(raw):
         running = max(running, (m - i) * p)
         adjusted = min(1.0, running)
         comparisons.append(
-            HolmComparison(
-                index=j,
-                label=labels[j],
-                z=z,
-                p_unadjusted=p,
-                p_adjusted=adjusted,
-                reject_at_05=adjusted < 0.05,
-            )
+            {"algorithm": labels[j], "z": z, "p_unadjusted": p, "p_adjusted": adjusted,
+             "reject_at_0.05": adjusted < 0.05}
         )
-    return HolmResult(control_label=labels[control], comparisons=comparisons)
+    return {"control": labels[control], "comparisons": comparisons}
 
 
 # ------------------------------------------------------------------- harness
@@ -249,11 +205,13 @@ class ExperimentReport:
     cells, the best runs, the rank tests and every output derive from them.
 
     The instances and labels are those of the runs, in order of first
-    appearance, and ``runs_per_cell`` is the largest run index + 1. The
+    appearance, ``runs_per_cell`` is the largest run index + 1, and ``cells``
+    maps each (instance, label) to its successful runs, in run order. The
     labels are ranked on each cell's mean cost over the instances where every
     label has a successful run: Friedman, then Holm against the label with
-    the best (lowest) average rank. Both tests are None below two labels or
-    two such instances. ``base_seed`` is None when the grid's seed is
+    the best (lowest) average rank. ``friedman`` (with ``instances_ranked``)
+    and ``holm`` are the entries ``report.json`` holds, both None below two
+    labels or two such instances. ``base_seed`` is None when the grid's seed is
     unknown, as for a report read from ``runs.csv``."""
 
     runs: list[Run]
@@ -261,27 +219,32 @@ class ExperimentReport:
     instance_names: list[str] = field(init=False)
     labels: list[str] = field(init=False)
     runs_per_cell: int = field(init=False)
+    cells: dict[tuple[str, str], list[Run]] = field(init=False)
     ranked_instances: list[str] = field(init=False)  # instances in the rank matrix
-    friedman: FriedmanResult | None = field(init=False)
-    holm: HolmResult | None = field(init=False)
+    friedman: dict | None = field(init=False)
+    holm: dict | None = field(init=False)
 
     def __post_init__(self) -> None:
         self.instance_names = list(dict.fromkeys(r.instance for r in self.runs))
         self.labels = list(dict.fromkeys(r.label for r in self.runs))
         self.runs_per_cell = max((r.run for r in self.runs), default=-1) + 1
-        cells = self.cells()
+        self.cells = {(name, label): [] for name in self.instance_names for label in self.labels}
+        for r in self.runs:
+            if r.error is None:
+                self.cells[(r.instance, r.label)].append(r)
         self.ranked_instances = [
-            name for name in self.instance_names if all(cells[(name, label)] for label in self.labels)
+            name for name in self.instance_names if all(self.cells[(name, label)] for label in self.labels)
         ]
         self.friedman = self.holm = None
         if len(self.labels) >= 2 and len(self.ranked_instances) >= 2:
             matrix = [
-                [mean_sd([r.cost for r in cells[(name, label)]])[0] for label in self.labels]
+                [mean_sd([r.cost for r in self.cells[(name, label)]])[0] for label in self.labels]
                 for name in self.ranked_instances
             ]
-            self.friedman = friedman(matrix)
-            control = min(range(len(self.labels)), key=self.friedman.average_ranks.__getitem__)
-            self.holm = holm(self.friedman.average_ranks, len(matrix), control, labels=self.labels)
+            self.friedman = {**friedman(matrix), "instances_ranked": self.ranked_instances}
+            ranks = self.friedman["average_ranks"]
+            control = min(range(len(ranks)), key=ranks.__getitem__)
+            self.holm = holm(ranks, len(matrix), control, self.labels)
 
     @classmethod
     def from_csv(cls, text: str) -> ExperimentReport:
@@ -324,14 +287,6 @@ class ExperimentReport:
             raise ValueError("no runs")
         return cls(runs)
 
-    def cells(self) -> dict[tuple[str, str], list[Run]]:
-        """(instance, label) -> the cell's successful runs, in run order."""
-        cells = {(name, label): [] for name in self.instance_names for label in self.labels}
-        for r in self.runs:
-            if r.error is None:
-                cells[(r.instance, r.label)].append(r)
-        return cells
-
     def best_run(self, instance: str) -> Run | None:
         """The instance's lowest-cost run; the first in grid order on a tie."""
         done = (r for r in self.runs if r.instance == instance and r.error is None)
@@ -340,7 +295,7 @@ class ExperimentReport:
     def to_dict(self) -> dict:
         """Deterministic payload: costs, ranks and tests, no wall-clock data."""
         cells = {}
-        for (name, label), runs in sorted(self.cells().items()):
+        for (name, label), runs in sorted(self.cells.items()):
             costs = [r.cost for r in runs]
             mean, sd = mean_sd(costs) if runs else (None, None)
             cells[f"{name}/{label}"] = {
@@ -376,15 +331,8 @@ class ExperimentReport:
             "best_found": best,
         }
         if self.friedman:
-            data["friedman"] = {
-                "average_ranks": self.friedman.average_ranks,
-                "statistic": self.friedman.statistic,
-                "dof": self.friedman.dof,
-                "p_value": self.friedman.p_value,
-                "instances_ranked": self.ranked_instances,
-            }
-        if self.holm:
-            data["holm"] = self.holm.to_dict()
+            data["friedman"] = self.friedman
+            data["holm"] = self.holm
         return data
 
     def timing_dict(self) -> dict:
@@ -394,7 +342,7 @@ class ExperimentReport:
                 "mean_time_s": round(mean_sd([r.time_s for r in runs])[0], 3),
                 "mean_convergence_s": round(mean_sd([r.convergence_s for r in runs])[0], 3),
             }
-            for (name, label), runs in sorted(self.cells().items())
+            for (name, label), runs in sorted(self.cells.items())
             if runs
         }
 
@@ -487,27 +435,27 @@ def render_tables(report: ExperimentReport) -> str:
     """The experiment's results and best-found tables, then its average
     ranks, the Friedman statistic and the Holm post-hoc table."""
     text = render_results_table(report) + "\n" + render_best_table(report) + "\n"
-    fried, holm_result = report.friedman, report.holm
+    fried = report.friedman
     if fried is None:
         return text + "No statistical tests (fewer than two algorithms or instances).\n"
     ranks = [["Algorithm", "Average rank"]]
-    ranks += [[label, f"{rank:.4f}"] for label, rank in zip(report.labels, fried.average_ranks)]
+    ranks += [[label, f"{rank:.4f}"] for label, rank in zip(report.labels, fried["average_ranks"])]
     text += (
         align_table(ranks)
-        + f"\nFriedman statistic: {fried.statistic:.4f} (df={fried.dof}, p={fried.p_value:.6g})\n"
+        + f"\nFriedman statistic: {fried['statistic']:.4f} (df={fried['dof']}, p={fried['p_value']:.6g})\n"
     )
     rows = [["Algorithm", "z", "Unadjusted p", "Adjusted p", "Reject@0.05"]]
-    for c in holm_result.comparisons:
+    for c in report.holm["comparisons"]:
         rows.append(
-            [c.label, f"{c.z:.4f}", f"{c.p_unadjusted:.6f}", f"{c.p_adjusted:.6f}", str(c.reject_at_05)]
+            [c["algorithm"], f"{c['z']:.4f}", f"{c['p_unadjusted']:.6f}", f"{c['p_adjusted']:.6f}",
+             str(c["reject_at_0.05"])]
         )
-    return text + f"\nHolm post-hoc (control: {holm_result.control_label})\n" + align_table(rows)
+    return text + f"\nHolm post-hoc (control: {report.holm['control']})\n" + align_table(rows)
 
 
 def render_results_table(report: ExperimentReport) -> str:
     """Aligned per-instance results: mean, sd and mean times."""
     timing = report.timing_dict()
-    cells = report.cells()
     header = ["Instance"]
     for label in report.labels:
         header += [f"{label}:avg", f"{label}:sd", f"{label}:time", f"{label}:conv"]
@@ -515,7 +463,7 @@ def render_results_table(report: ExperimentReport) -> str:
     for name in report.instance_names:
         row = [name]
         for label in report.labels:
-            runs = cells[(name, label)]
+            runs = report.cells[(name, label)]
             if runs:
                 mean, sd = mean_sd([r.cost for r in runs])
                 t = timing[f"{name}/{label}"]

@@ -188,6 +188,19 @@ def test_experiment_runs_one_cell_per_instance_and_entry(tmp_path, small_suite_d
     assert "Friedman statistic" in capsys.readouterr().out
 
 
+def test_experiment_header_states_the_default_population(tmp_path, small_suite_dir, capsys):
+    # an entry without @p runs at --population's default, which the header
+    # states; an --out under a file stops the command before any solve
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    code = main(
+        ["experiment", "--suite", str(small_suite_dir), "--algorithms", "dfa@p2,dfa@p3",
+         "--runs", "1", "--out", str(blocker / "exp")]
+    )
+    assert code == 2
+    assert "#   population = 100" in capsys.readouterr().out.splitlines()
+
+
 def test_experiment_report_deterministic(tmp_path, small_suite_dir):
     reports = []
     for sub in ("e1", "e2"):

@@ -54,15 +54,16 @@ def test_rank_row_midranks():
 
 def test_friedman_reference_regression():
     result = friedman_from_ranks(REFERENCE_RANKS, n_instances=15)
-    assert result.statistic == pytest.approx(17.73, abs=0.01)
-    assert result.dof == 2
-    assert result.p_value == pytest.approx(0.000141, abs=2e-6)
+    assert list(result) == ["average_ranks", "statistic", "dof", "p_value"]  # report.json's entry
+    assert result["statistic"] == pytest.approx(17.73, abs=0.01)
+    assert result["dof"] == 2
+    assert result["p_value"] == pytest.approx(0.000141, abs=2e-6)
 
 
 def test_friedman_all_equal_rows():
     result = friedman([[3.0, 3.0, 3.0], [9.0, 9.0, 9.0]])
-    assert result.statistic == pytest.approx(0.0)
-    assert result.p_value == pytest.approx(1.0)
+    assert result["statistic"] == pytest.approx(0.0)
+    assert result["p_value"] == pytest.approx(1.0)
 
 
 def test_friedman_matches_scipy():
@@ -75,8 +76,8 @@ def test_friedman_matches_scipy():
     ]
     ours = friedman(matrix)
     stat, p = scipy.stats.friedmanchisquare(*[[row[j] for row in matrix] for j in range(3)])
-    assert ours.statistic == pytest.approx(stat, rel=1e-12)
-    assert ours.p_value == pytest.approx(p, rel=1e-9)
+    assert ours["statistic"] == pytest.approx(stat, rel=1e-12)
+    assert ours["p_value"] == pytest.approx(p, rel=1e-9)
 
 
 @given(
@@ -96,8 +97,8 @@ def test_friedman_invariant_under_monotone_transform(matrix):
     cubed = [[v**3 for v in row] for row in matrix]
     a = friedman(matrix)
     b = friedman(cubed)
-    assert a.average_ranks == b.average_ranks
-    assert a.statistic == pytest.approx(b.statistic, rel=1e-12)
+    assert a["average_ranks"] == b["average_ranks"]
+    assert a["statistic"] == pytest.approx(b["statistic"], rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -132,31 +133,33 @@ def test_normal_two_sided_p_matches_erfc_identity():
 
 def test_holm_reference_regression():
     result = holm(REFERENCE_RANKS, n_instances=15, control=0, labels=["dfa", "esa", "ea"])
-    by_label = {c.label: c for c in result.comparisons}
-    assert by_label["esa"].p_unadjusted == pytest.approx(0.017622, abs=1e-5)
-    assert by_label["ea"].p_unadjusted == pytest.approx(0.000027, abs=1e-5)
-    assert by_label["ea"].p_adjusted == pytest.approx(0.000054, abs=1e-5)
-    assert by_label["esa"].p_adjusted == pytest.approx(0.017622, abs=1e-5)
-    assert by_label["ea"].reject_at_05 and by_label["esa"].reject_at_05
-    assert [c.label for c in result.comparisons] == ["ea", "esa"]  # ascending p order
+    assert result["control"] == "dfa"
+    by_label = {c["algorithm"]: c for c in result["comparisons"]}
+    assert by_label["esa"]["p_unadjusted"] == pytest.approx(0.017622, abs=1e-5)
+    assert by_label["ea"]["p_unadjusted"] == pytest.approx(0.000027, abs=1e-5)
+    assert by_label["ea"]["p_adjusted"] == pytest.approx(0.000054, abs=1e-5)
+    assert by_label["esa"]["p_adjusted"] == pytest.approx(0.017622, abs=1e-5)
+    assert by_label["ea"]["reject_at_0.05"] and by_label["esa"]["reject_at_0.05"]
+    assert list(by_label) == ["ea", "esa"]  # ascending p order
+    assert list(by_label["ea"]) == ["algorithm", "z", "p_unadjusted", "p_adjusted", "reject_at_0.05"]
 
 
 def test_holm_properties():
-    result = holm([1.0, 2.0, 2.5, 3.5], n_instances=10, control=0)
-    ps = [c.p_unadjusted for c in result.comparisons]
-    adj = [c.p_adjusted for c in result.comparisons]
+    result = holm([1.0, 2.0, 2.5, 3.5], n_instances=10, control=0, labels=list("abcd"))
+    ps = [c["p_unadjusted"] for c in result["comparisons"]]
+    adj = [c["p_adjusted"] for c in result["comparisons"]]
     assert all(a >= p for a, p in zip(adj, ps))
     assert all(b >= a for a, b in zip(adj, adj[1:]))
-    assert all(c.index != 0 for c in result.comparisons)
+    assert sorted(c["algorithm"] for c in result["comparisons"]) == ["b", "c", "d"]
 
 
 def test_holm_control_must_exist():
     with pytest.raises(ValueError):
-        holm([1.0, 2.0], n_instances=5, control=2)
+        holm([1.0, 2.0], n_instances=5, control=2, labels=["a", "b"])
 
 
-def test_population_sweep_ranking_matches_reference_means():
-    # mean matrix of a 4-instance x 4-size sweep; ranking row (4, 3, 1.5, 1.5)
+def test_average_ranks_match_reference_means():
+    # mean matrix of a 4-instance x 4-population-size grid; ranking row (4, 3, 1.5, 1.5)
     means = [
         [51945.7, 51561.3, 50989.5, 50934.3],
         [57398.7, 56721.8, 56203.8, 56213.7],
@@ -166,8 +169,7 @@ def test_population_sweep_ranking_matches_reference_means():
     assert average_ranks(means) == [4.0, 3.0, 1.5, 1.5]
 
 
-def test_population_sweep_single_cell():
-    # the population study is one grid whose labels are population sizes
+def test_experiment_single_cell_seeds_its_run_and_skips_tests():
     inst = generator.small_instance(21, cluster_sizes=(3, 3), forbidden_per_cluster=1)
     configs = {"pop10": SolverConfig("dfa", population_size=10)}
     report = run_experiment([inst], configs, runs_per_cell=1, base_seed=3)
@@ -176,7 +178,7 @@ def test_population_sweep_single_cell():
     assert report.friedman is None
 
 
-def test_population_sweep_rejects_a_population_of_zero(monkeypatch):
+def test_experiment_rejects_a_population_of_zero_beside_a_valid_one(monkeypatch):
     solved = []
     monkeypatch.setattr(stats, "solve", lambda inst, cfg: solved.append(inst.name))
     inst = generator.small_instance(21, cluster_sizes=(3, 3), forbidden_per_cluster=1)
@@ -186,7 +188,7 @@ def test_population_sweep_rejects_a_population_of_zero(monkeypatch):
     assert solved == []
 
 
-def test_population_sweep_midranks_on_ties():
+def test_average_ranks_midranks_on_ties():
     assert average_ranks([[5.0, 5.0, 7.0]]) == [1.5, 1.5, 3.0]
 
 
@@ -214,7 +216,7 @@ def test_experiment_cardinality(small_experiment):
     _, report = small_experiment
     assert len(report.runs) == 2 * 3 * 2
     assert all(r.error is None for r in report.runs)
-    assert sum(map(len, report.cells().values())) == 2 * 3 * 2
+    assert sum(map(len, report.cells.values())) == 2 * 3 * 2
     assert report.friedman is not None
 
 
@@ -281,7 +283,7 @@ def test_experiment_ignores_the_seed_a_config_carries(small_experiment):
 
 def test_experiment_best_found_is_cell_minimum(small_experiment):
     instances, report = small_experiment
-    cells = report.cells()
+    cells = report.cells
     for inst in instances:
         best = report.best_run(inst.name)
         assert best is not None
@@ -355,8 +357,9 @@ def test_rank_tests_rank_only_instances_where_every_algorithm_ran():
     report = ExperimentReport(runs)
     assert (report.instance_names, report.labels, report.runs_per_cell) == (list("abcd"), ["x", "y"], 2)
     assert report.ranked_instances == ["a", "b"]
-    assert report.friedman.average_ranks == [1.5, 1.5]
-    assert report.holm.control_label == "x"
+    assert report.friedman["average_ranks"] == [1.5, 1.5]
+    assert report.friedman["instances_ranked"] == ["a", "b"]
+    assert report.holm["control"] == "x"
     only_a_c = ExperimentReport([r for r in runs if r.instance in ("a", "c")])
     assert (only_a_c.ranked_instances, only_a_c.friedman, only_a_c.holm) == (["a"], None, None)
     only_x = ExperimentReport([r for r in runs if r.instance in ("a", "b") and r.label == "x"])
