@@ -24,7 +24,6 @@ from .operators import (
     hamming_distance,
     insertion_move,
     move_firefly,
-    movement_length,
     random_solution,
 )
 from .solvers import (
@@ -32,6 +31,7 @@ from .solvers import (
     SolverConfig,
     esa_initial_temperature,
     metropolis_accept,
+    movement_length,
     solve,
     termination_budget,
 )

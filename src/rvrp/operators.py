@@ -1,17 +1,17 @@
 """Discrete search operators shared by the solvers.
 
 The firefly geometry is permutation-based: distance between two solutions is
-a cluster-wise positional Hamming distance, the movement length shrinks over
-generations through the light-absorption factor gamma, and a movement samples
-a pool of single-insertion candidates and keeps the cheapest. Insertions stay
-inside a customer's own cluster block, so cluster contiguity is preserved by
-construction and only the load profile and intra-cluster forbidden arcs need
-re-checking, and only inside the block. The same fact makes the moves
-incremental: a candidate shares its parent's block index and re-prices only
-the route it changed, copying the other route costs (``Solution.blocks`` and
-``Solution.costs``). A firefly move also carries the cluster-major visit order
-(``Solution.visits``) that the Hamming distance compares, and an insertion
-keeps a carried one, with the one block it changed spliced in.
+a cluster-wise positional Hamming distance, and a movement (its length drawn
+by the solvers) samples a pool of single-insertion candidates and keeps the
+cheapest. Insertions stay inside a customer's own cluster block, so cluster
+contiguity is preserved by construction and only the load profile and
+intra-cluster forbidden arcs need re-checking, and only inside the block.
+The same fact makes the moves incremental: a candidate shares its parent's
+block index and re-prices only the route it changed, copying the other route
+costs (``Solution.blocks`` and ``Solution.costs``). A firefly move also
+carries the cluster-major visit order (``Solution.visits``) that the Hamming
+distance compares, and an insertion keeps a carried one, with the one block it
+changed spliced in.
 """
 
 from __future__ import annotations
@@ -98,12 +98,6 @@ def hamming_distance(a: Solution, b: Solution, inst: Instance) -> int:
     each cluster's block in ``a`` against its block in ``b``, which is one
     pass over the two cluster-major orders (``Solution.visits``)."""
     return sum(map(ne, _visit_order(a, inst), _visit_order(b, inst)))
-
-
-def movement_length(r: int, gamma: float, generation: int, rng: Rng) -> int:
-    """Uniform integer in [2, max(2, floor(r * gamma**generation))]."""
-    upper = max(2, math.floor(r * gamma**generation))
-    return int(rng.integers(2, upper + 1))
 
 
 # ---------------------------------------------------------------- insertion move

@@ -37,7 +37,6 @@ from .operators import (
     hamming_distance,
     insertion_move,
     move_firefly,
-    movement_length,
     random_solution,
 )
 
@@ -53,6 +52,11 @@ ELITIST_FRACTION = 0.7
 COOLING_CONSTANT = 0.95
 # ESA: acceptance probability of the worst initial spread at the start temperature
 ACCEPTANCE_P = 0.95
+
+
+def movement_length(r: int, generation: int, rng: Rng) -> int:
+    """Uniform integer in [2, max(2, floor(r * GAMMA**generation))]."""
+    return int(rng.integers(2, max(2, math.floor(r * GAMMA**generation)) + 1))
 
 
 def termination_budget(n: int) -> int:
@@ -243,7 +247,7 @@ def _dfa(
             for j in range(pop_n):
                 if costs[j] < costs[i]:
                     r = hamming_distance(pop[i], pop[j], inst)
-                    n = movement_length(r, GAMMA, g, draws[i])
+                    n = movement_length(r, g, draws[i])
                     pop[i], costs[i] = move_firefly(
                         pop[i],
                         n,

@@ -1,12 +1,14 @@
 """Experiment harness and nonparametric solver comparison.
 
 The harness runs an (instances x labelled solver configs x runs) grid with a
-deterministic seed schedule and keeps one ``Run`` record per run. The per-cell
-means and standard deviations, the best solution found per instance and every
-output derive from those records; the per-cell means feed a Friedman rank
-test followed by a Holm step-down post-hoc against a control label (the
-best-ranked one). The CLI's labels are its ``--algorithms`` entries, such as
-``dfa`` or ``dfa@p25`` (``solvers.grid_configs``). The rank tests return
+deterministic seed schedule and keeps one ``Run`` record per run. One pass over
+those records builds ``report.json``'s views, which every output reads: each
+cell's entry (``mean_cost``, ``sd_cost``, ``best_cost``, ``vehicles``,
+``seeds``, ``evaluations``, ``errors``) and each instance's best run
+(``best_found``). The cells' mean costs feed a Friedman rank test followed by
+a Holm step-down post-hoc against a control label (the best-ranked one). The
+CLI's labels are its ``--algorithms`` entries, such as ``dfa`` or
+``dfa@p25`` (``solvers.grid_configs``). The rank tests return
 ``report.json``'s own entries: ``friedman`` its ``friedman`` dict and ``holm``
 its ``holm`` dict, which the report and ``rvrp stats --out`` write as they are.
 
@@ -15,8 +17,8 @@ its ``holm`` dict, which the report and ``rvrp stats --out`` write as they are.
 ``rvrp stats`` print the same ``render_tables`` from the same records.
 
 Wall-clock times are kept apart from the deterministic payload: the report
-dict is a pure function of (instances, configs, base seed) while measured
-times live in a separate timing dict and the per-run CSV columns.
+dict is a pure function of (instances, configs, base seed), while measured
+times live in ``runs.csv`` and ``timing.json`` (``ExperimentReport.timing``).
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from itertools import product
 from typing import Mapping, Sequence
 
 from .evaluation import check_feasible
@@ -39,14 +43,16 @@ from .solvers import SolverConfig, solve
 
 def mean_sd(values: Sequence[float]) -> tuple[float, float]:
     """Arithmetic mean and sample standard deviation (n-1 denominator; a
-    single observation has deviation 0 by convention)."""
+    single observation has deviation 0, a spread too wide to square inf)."""
     if len(values) == 0:
         raise ValueError("cannot aggregate an empty cell")
     mean = sum(values) / len(values)
     if len(values) == 1:
         return mean, 0.0
-    var = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
-    return mean, math.sqrt(var)
+    try:
+        return mean, math.sqrt(sum((v - mean) ** 2 for v in values) / (len(values) - 1))
+    except OverflowError:  # raised by ** where a product would be inf
+        return mean, math.inf
 
 
 def rank_row(values: Sequence[float]) -> list[float]:
@@ -205,8 +211,11 @@ class ExperimentReport:
     cells, the best runs, the rank tests and every output derive from them.
 
     The instances and labels are those of the runs, in order of first
-    appearance, ``runs_per_cell`` is the largest run index + 1, and ``cells``
-    maps each (instance, label) to its successful runs, in run order. The
+    appearance, and ``runs_per_cell`` is the largest run index + 1. One pass
+    over the runs fills ``cells`` with each (instance, label)'s successful
+    runs, in run order, and ``cell_entries`` with its ``report.json`` entry,
+    both sorted by (instance, label), and ``best_found`` with each instance's
+    entry for its lowest-cost run, the first in grid order on a tie. The
     labels are ranked on each cell's mean cost over the instances where every
     label has a successful run: Friedman, then Holm against the label with
     the best (lowest) average rank. ``friedman`` (with ``instances_ranked``)
@@ -220,6 +229,8 @@ class ExperimentReport:
     labels: list[str] = field(init=False)
     runs_per_cell: int = field(init=False)
     cells: dict[tuple[str, str], list[Run]] = field(init=False)
+    cell_entries: dict[tuple[str, str], dict] = field(init=False)
+    best_found: dict[str, dict] = field(init=False)
     ranked_instances: list[str] = field(init=False)  # instances in the rank matrix
     friedman: dict | None = field(init=False)
     holm: dict | None = field(init=False)
@@ -228,17 +239,42 @@ class ExperimentReport:
         self.instance_names = list(dict.fromkeys(r.instance for r in self.runs))
         self.labels = list(dict.fromkeys(r.label for r in self.runs))
         self.runs_per_cell = max((r.run for r in self.runs), default=-1) + 1
-        self.cells = {(name, label): [] for name in self.instance_names for label in self.labels}
+        self.cells = {key: [] for key in sorted(product(self.instance_names, self.labels))}
+        errors: dict[tuple[str, str], list[str]] = {key: [] for key in self.cells}
+        best: dict[str, Run | None] = dict.fromkeys(self.instance_names)
         for r in self.runs:
-            if r.error is None:
-                self.cells[(r.instance, r.label)].append(r)
+            if r.error is not None:
+                errors[(r.instance, r.label)].append(f"run {r.run} (seed {r.seed}): {r.error}")
+                continue
+            self.cells[(r.instance, r.label)].append(r)
+            if best[r.instance] is None or r.cost < best[r.instance].cost:
+                best[r.instance] = r
+        self.cell_entries = {}
+        for key, runs in self.cells.items():
+            costs = [r.cost for r in runs]
+            mean, sd = mean_sd(costs) if runs else (None, None)
+            self.cell_entries[key] = {
+                "runs": len(runs),
+                "mean_cost": mean,
+                "sd_cost": sd,
+                "best_cost": min(costs, default=None),
+                "vehicles": [r.vehicles for r in runs],
+                "seeds": [r.seed for r in runs],
+                "evaluations": [r.evaluations for r in runs],
+                "errors": errors[key],
+            }
+        self.best_found = {
+            name: {"cost": r.cost, "vehicles": r.vehicles, "algorithm": r.label, "encoding": r.encoding}
+            for name, r in best.items()
+            if r is not None
+        }
         self.ranked_instances = [
             name for name in self.instance_names if all(self.cells[(name, label)] for label in self.labels)
         ]
         self.friedman = self.holm = None
         if len(self.labels) >= 2 and len(self.ranked_instances) >= 2:
             matrix = [
-                [mean_sd([r.cost for r in self.cells[(name, label)]])[0] for label in self.labels]
+                [self.cell_entries[(name, label)]["mean_cost"] for label in self.labels]
                 for name in self.ranked_instances
             ]
             self.friedman = {**friedman(matrix), "instances_ranked": self.ranked_instances}
@@ -250,9 +286,9 @@ class ExperimentReport:
     def from_csv(cls, text: str) -> ExperimentReport:
         """The report of the successful runs that ``csv_text`` wrote: times
         at its 3 decimals, no evaluations or encodings, no base seed. A
-        missing column, a row of the wrong length, a number that does not
-        parse, a non-finite cost or time, or a run that an earlier row
-        already holds is a ValueError naming it."""
+        missing or repeated column, a row of the wrong length, a number that
+        does not parse, a non-finite cost or time, or a run that an earlier
+        row already holds is a ValueError naming it."""
         reader = csv.reader(io.StringIO(text))
         try:
             rows = [(reader.line_num, row) for row in reader]
@@ -260,8 +296,8 @@ class ExperimentReport:
             raise ValueError(f"line {reader.line_num}: {exc}") from None
         header = rows[0][1] if rows else []
         for column in CSV_COLUMNS:
-            if column not in header:
-                raise ValueError(f"no {column!r} column")
+            if header.count(column) != 1:
+                raise ValueError(f"the header has {header.count(column)} {column!r} columns, not one")
         runs = []
         first_line: dict[tuple[str, str, int], int] = {}  # (instance, algorithm, run) -> line
         for line, row in rows[1:]:
@@ -287,64 +323,35 @@ class ExperimentReport:
             raise ValueError("no runs")
         return cls(runs)
 
-    def best_run(self, instance: str) -> Run | None:
-        """The instance's lowest-cost run; the first in grid order on a tie."""
-        done = (r for r in self.runs if r.instance == instance and r.error is None)
-        return min(done, key=lambda r: r.cost, default=None)
-
     def to_dict(self) -> dict:
         """Deterministic payload: costs, ranks and tests, no wall-clock data."""
-        cells = {}
-        for (name, label), runs in sorted(self.cells.items()):
-            costs = [r.cost for r in runs]
-            mean, sd = mean_sd(costs) if runs else (None, None)
-            cells[f"{name}/{label}"] = {
-                "runs": len(runs),
-                "mean_cost": mean,
-                "sd_cost": sd,
-                "best_cost": min(costs, default=None),
-                "vehicles": [r.vehicles for r in runs],
-                "seeds": [r.seed for r in runs],
-                "evaluations": [r.evaluations for r in runs],
-                "errors": [
-                    f"run {r.run} (seed {r.seed}): {r.error}"
-                    for r in self.runs
-                    if r.error is not None and (r.instance, r.label) == (name, label)
-                ],
-            }
-        best = {}
-        for name in self.instance_names:
-            run = self.best_run(name)
-            if run is not None:
-                best[name] = {
-                    "cost": run.cost,
-                    "vehicles": run.vehicles,
-                    "algorithm": run.label,
-                    "encoding": run.encoding,
-                }
-        data = {
+        tests = {"friedman": self.friedman, "holm": self.holm} if self.friedman else {}
+        return {
             "base_seed": self.base_seed,
             "runs_per_cell": self.runs_per_cell,
             "instances": self.instance_names,
             "algorithms": self.labels,
-            "cells": cells,
-            "best_found": best,
+            "cells": {f"{name}/{label}": entry for (name, label), entry in self.cell_entries.items()},
+            "best_found": self.best_found,
+            **tests,
         }
-        if self.friedman:
-            data["friedman"] = self.friedman
-            data["holm"] = self.holm
-        return data
 
-    def timing_dict(self) -> dict:
-        """Measured wall-clock aggregates; not byte-reproducible by nature."""
+    @cached_property
+    def timing(self) -> dict[tuple[str, str], dict]:
+        """Mean wall-clock times of each cell with a successful run, built on
+        first use (a report of untimed runs still ranks); not byte-stable."""
         return {
-            f"{name}/{label}": {
+            key: {
                 "mean_time_s": round(mean_sd([r.time_s for r in runs])[0], 3),
                 "mean_convergence_s": round(mean_sd([r.convergence_s for r in runs])[0], 3),
             }
-            for (name, label), runs in sorted(self.cells.items())
+            for key, runs in self.cells.items()
             if runs
         }
+
+    def timing_dict(self) -> dict:
+        """``timing.json``: the ``timing`` entries under ``report.json``'s cell keys."""
+        return {f"{name}/{label}": entry for (name, label), entry in self.timing.items()}
 
     def csv_text(self) -> str:
         """Raw per-run dump (time columns are wall-clock measurements); ``run``
@@ -455,7 +462,6 @@ def render_tables(report: ExperimentReport) -> str:
 
 def render_results_table(report: ExperimentReport) -> str:
     """Aligned per-instance results: mean, sd and mean times."""
-    timing = report.timing_dict()
     header = ["Instance"]
     for label in report.labels:
         header += [f"{label}:avg", f"{label}:sd", f"{label}:time", f"{label}:conv"]
@@ -463,16 +469,11 @@ def render_results_table(report: ExperimentReport) -> str:
     for name in report.instance_names:
         row = [name]
         for label in report.labels:
-            runs = report.cells[(name, label)]
-            if runs:
-                mean, sd = mean_sd([r.cost for r in runs])
-                t = timing[f"{name}/{label}"]
-                row += [
-                    f"{mean:.1f}",
-                    f"{sd:.1f}",
-                    f"{t['mean_time_s']:.1f}",
-                    f"{t['mean_convergence_s']:.1f}",
-                ]
+            cell = report.cell_entries[(name, label)]
+            if cell["runs"]:
+                t = report.timing[(name, label)]
+                shown = (cell["mean_cost"], cell["sd_cost"], t["mean_time_s"], t["mean_convergence_s"])
+                row += [f"{value:.1f}" for value in shown]
             else:
                 row += ["-", "-", "-", "-"]
         rows.append(row)
@@ -482,11 +483,9 @@ def render_results_table(report: ExperimentReport) -> str:
 def render_best_table(report: ExperimentReport) -> str:
     rows = [["Instance", "Best", "Vehicles", "Algorithm"]]
     for name in report.instance_names:
-        run = report.best_run(name)
-        if run is not None:
-            rows.append([name, f"{run.cost:.2f}", str(run.vehicles), run.label])
-        else:
-            rows.append([name, "-", "-", "-"])
+        best = report.best_found.get(name)
+        shown = [f"{best['cost']:.2f}", str(best["vehicles"]), best["algorithm"]] if best else ["-"] * 3
+        rows.append([name, *shown])
     return align_table(rows)
 
 

@@ -281,14 +281,14 @@ def test_criterion_10_magnitude_soft_check(trend_report):
     lo, hi = MAGNITUDE_BAND
     flagged = []
     for name in report.instance_names:
-        best = report.best_run(name)
+        best = report.best_found.get(name)
         if best is None:
             flagged.append(f"{name}: no successful runs")
             continue
-        if not lo <= best.cost <= hi:
-            flagged.append(f"{name}: cost {best.cost:.0f} outside [{lo:.0f}, {hi:.0f}]")
-        if not 2 <= best.vehicles <= 5:
-            flagged.append(f"{name}: vehicles {best.vehicles}")
+        if not lo <= best["cost"] <= hi:
+            flagged.append(f"{name}: cost {best['cost']:.0f} outside [{lo:.0f}, {hi:.0f}]")
+        if not 2 <= best["vehicles"] <= 5:
+            flagged.append(f"{name}: vehicles {best['vehicles']}")
     _line(
         10,
         None,

@@ -643,10 +643,15 @@ NON_FINITE_RUNS = CSV_HEADER + (
             CSV_HEADER + "t,dfa,0,1,1.5,0.1,0.0,2\nt,dfa,1,2,1.5,0.1,0.0,2\n" * 2,
             "line 4 (t/dfa) repeats run 0 of line 2",
         ),
+        # read as the last column, the second cost would rank y first
+        (
+            CSV_HEADER.replace("\n", ",cost\n") + "t,x,0,1,1.0,0.1,0.0,2,9.0\nt,y,0,2,2.0,0.1,0.0,2,0.5\n",
+            "the header has 2 'cost' columns, not one",
+        ),
     ],
     ids=[
         "no-cost-column", "cost-not-a-number", "cost-nan", "cost-inf", "not-utf-8", "time-inf",
-        "header-only", "short-row", "repeated-run",
+        "header-only", "short-row", "repeated-run", "repeated-cost-column",
     ],
 )
 def test_stats_rejects_malformed_csv(tmp_path, capsys, content, named):
@@ -654,6 +659,21 @@ def test_stats_rejects_malformed_csv(tmp_path, capsys, content, named):
     path = tmp_path / "runs.csv"
     path.write_bytes(content if isinstance(content, bytes) else content.encode())
     assert named in _assert_one_io_error(main(["stats", str(path)]), capsys, path)
+
+
+def test_stats_prints_each_cells_own_times(tmp_path, capsys):
+    # the cells (a/b, c) and (a, b/c) share the report.json key a/b/c, but
+    # each keeps its own times in the results table
+    path = tmp_path / "runs.csv"
+    path.write_text(CSV_HEADER + "a/b,c,0,1,5.0,1.0,1.0,2\na,b/c,0,2,6.0,9.0,9.0,2\n")
+    assert main(["stats", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("Instance"))
+    assert [line.split() for line in lines[start : start + 3]] == [
+        ["Instance", "c:avg", "c:sd", "c:time", "c:conv", "b/c:avg", "b/c:sd", "b/c:time", "b/c:conv"],
+        ["a/b", "5.0", "0.0", "1.0", "1.0", "-", "-", "-", "-"],
+        ["a", "-", "-", "-", "-", "6.0", "0.0", "9.0", "9.0"],
+    ]
 
 
 @MALFORMED_INSTANCES

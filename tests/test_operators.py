@@ -19,9 +19,9 @@ from rvrp.operators import (
     hamming_distance,
     insertion_move,
     move_firefly,
-    movement_length,
     random_solution,
 )
+from rvrp.solvers import GAMMA, movement_length
 
 import spec
 from conftest import rising_loads
@@ -91,13 +91,13 @@ def test_hamming_is_a_metric_on_random_triples(seeds):
 
 def test_movement_length_clamps_to_two():
     rng = np.random.default_rng(0)
-    assert all(movement_length(4, 0.95, 200, rng) == 2 for _ in range(50))
-    assert movement_length(0, 0.95, 1, rng) == 2
+    assert all(movement_length(4, 200, rng) == 2 for _ in range(50))
+    assert movement_length(0, 1, rng) == 2
 
 
 def test_movement_length_uniform_on_range():
     rng = np.random.default_rng(42)
-    draws = [movement_length(20, 0.95, 1, rng) for _ in range(100_000)]
+    draws = [movement_length(20, 1, rng) for _ in range(100_000)]
     # floor(20 * 0.95) = 19 -> uniform over the 18 integers [2, 19]
     counts = {v: 0 for v in range(2, 20)}
     for d in draws:
@@ -109,10 +109,13 @@ def test_movement_length_uniform_on_range():
 
 
 def test_movement_length_upper_bound_shrinks_with_generation():
-    bounds = [
-        max(2, math.floor(30 * 0.95**g)) for g in range(1, 80)
-    ]
+    rng = np.random.default_rng(3)
+    bounds = [max(2, math.floor(30 * GAMMA**g)) for g in range(1, 80)]
     assert all(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:]))
+    for g, bound in enumerate(bounds, start=1):
+        draws = [movement_length(30, g, rng) for _ in range(300)]
+        # every draw lies within the generation's bound, and 300 draws reach it
+        assert min(draws) >= 2 and max(draws) == bound, g
 
 
 def test_insertion_move_identity_on_single_node_clusters():

@@ -1,10 +1,11 @@
 import csv
 import io
+import math
 from dataclasses import replace
 
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rvrp import generator, jsonio, stats
@@ -39,6 +40,12 @@ def test_mean_sd_hand_arithmetic():
 
 def test_mean_sd_single_run():
     assert mean_sd([7.0]) == (7.0, 0.0)
+
+
+def test_mean_sd_spread_beyond_the_float_range():
+    # the squared deviation overflows; every report cell is aggregated as the
+    # report is built, so this must not raise
+    assert mean_sd([0.0, 1.7976931348623157e308]) == (8.988465674311579e307, math.inf)
 
 
 def test_mean_sd_empty_rejected():
@@ -285,10 +292,9 @@ def test_experiment_best_found_is_cell_minimum(small_experiment):
     instances, report = small_experiment
     cells = report.cells
     for inst in instances:
-        best = report.best_run(inst.name)
-        assert best is not None
-        assert best.cost == min(r.cost for label in report.labels for r in cells[(inst.name, label)])
-        assert best.vehicles == best.encoding.count(0) + 1
+        best = report.best_found[inst.name]
+        assert best["cost"] == min(r.cost for label in report.labels for r in cells[(inst.name, label)])
+        assert best["vehicles"] == best["encoding"].count(0) + 1
 
 
 def test_experiment_single_algorithm_skips_tests():
@@ -394,6 +400,60 @@ def test_from_csv_reads_back_the_successful_runs(runs):
         if r.error is None
     ]
     assert read.base_seed is None
+
+
+# a tie for a's best run, cells that "/"-joined keys would sort otherwise, a
+# failed run and a deviation beyond the float range
+TIE_AND_ORDER = [
+    replace(_run(*args), time_s=0.5, convergence_s=0.25)
+    for args in (
+        ("a b", "x", 0, 1.0), ("a", "x", 0, 2.0), ("a", "y", 0, 2.0), ("a", "y", 1), ("a", "y", 2, 1e308),
+    )
+]
+
+
+@given(GRID_RUNS)
+@example(TIE_AND_ORDER)
+@settings(max_examples=80, deadline=None)
+def test_report_views_match_a_plain_recount_of_the_runs(runs):
+    # every cell of every (instance, label) pair, in the order of the pairs
+    # as tuples (a space, "," or '"' sorts below "/", so joined keys would
+    # sort differently); a tie for the best run goes to the first in the grid
+    report = ExperimentReport(runs)
+    names = list(dict.fromkeys(r.instance for r in runs))
+    labels = list(dict.fromkeys(r.label for r in runs))
+    cells, timing = {}, {}
+    for name, label in sorted((name, label) for name in names for label in labels):
+        mine = [r for r in runs if (r.instance, r.label) == (name, label)]
+        done = [r for r in mine if r.error is None]
+        costs = [r.cost for r in done]
+        cells[f"{name}/{label}"] = {
+            "runs": len(done),
+            "mean_cost": mean_sd(costs)[0] if done else None,
+            "sd_cost": mean_sd(costs)[1] if done else None,
+            "best_cost": min(costs) if done else None,
+            "vehicles": [r.vehicles for r in done],
+            "seeds": [r.seed for r in done],
+            "evaluations": [r.evaluations for r in done],
+            "errors": [f"run {r.run} (seed {r.seed}): {r.error}" for r in mine if r.error is not None],
+        }
+        if done:
+            timing[(name, label)] = {
+                "mean_time_s": round(sum(r.time_s for r in done) / len(done), 3),
+                "mean_convergence_s": round(sum(r.convergence_s for r in done) / len(done), 3),
+            }
+    best = {}
+    for name in names:
+        done = sorted((r for r in runs if r.instance == name and r.error is None), key=lambda r: r.cost)
+        if done:
+            best[name] = {
+                "cost": done[0].cost, "vehicles": done[0].vehicles, "algorithm": done[0].label,
+                "encoding": done[0].encoding,
+            }
+    data = report.to_dict()
+    assert list(data["cells"].items()) == list(cells.items())
+    assert list(data["best_found"].items()) == list(best.items())
+    assert list(report.timing.items()) == list(timing.items())
 
 
 def test_experiment_csv_layout(small_experiment):
