@@ -169,15 +169,21 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise CommandError(EXIT_IO, f"invalid experiment settings: {exc}")
+    try:
+        suite_seed, files = generator.read_manifest(args.suite)
+    except (OSError, ValueError) as exc:
+        raise CommandError(EXIT_IO, f"cannot load suite {args.suite}: {exc}")
     out_dir = Path(args.out)
     _print_header(
         "experiment",
         suite=args.suite,
+        suite_seed=suite_seed,
         algorithms=",".join(configs),
         runs=args.runs,
         seed=seed,
         jobs=args.jobs,
         population=args.population,
+        enable_cluster_relocation=args.enable_cluster_relocation,
         out=out_dir,
     )
     # checked before any solve, so that no grid's results are lost to a path
@@ -186,7 +192,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     if not existing.is_dir():
         raise CommandError(EXIT_IO, f"cannot write to {out_dir}: {existing} is not a directory")
     try:
-        instances = generator.load_suite(args.suite)
+        instances = [Instance.load(path) for path in files]
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise CommandError(EXIT_IO, f"cannot load suite {args.suite}: {exc}")
     try:

@@ -264,14 +264,35 @@ def write_suite(instances: Sequence[Instance], out_dir: str | Path, seed: int) -
     return write_json(out / "suite-manifest.json", {"seed": seed, "instances": entries})
 
 
-def load_suite(suite_dir: str | Path) -> list[Instance]:
-    """Load every instance listed by a directory's manifest."""
+def read_manifest(suite_dir: str | Path) -> tuple[int | None, list[Path]]:
+    """The seed (None when absent) and the instance files that a directory's
+    ``suite-manifest.json`` lists. A manifest that is not JSON, not an
+    object, has a seed that is not an integer, or has no ``instances`` list
+    of ``{"file": <name>}`` objects is a ValueError naming it and the defect."""
     suite_dir = Path(suite_dir)
     manifest = suite_dir / "suite-manifest.json"
     if not manifest.exists():
         raise FileNotFoundError(f"no suite-manifest.json in {suite_dir}")
-    data = json.loads(manifest.read_text(encoding="utf-8"))
-    return [Instance.load(suite_dir / entry["file"]) for entry in data["instances"]]
+    try:
+        data = json.loads(manifest.read_text(encoding="utf-8"))
+    except ValueError as exc:  # also a UnicodeDecodeError
+        raise ValueError(f"{manifest} is not JSON: {exc}") from None
+    if type(data) is not dict:
+        raise ValueError(f"{manifest} is not a JSON object")
+    seed, entries = data.get("seed"), data.get("instances")
+    if seed is not None and type(seed) is not int:
+        raise ValueError(f"{manifest} has seed {seed!r}, not an integer")
+    if type(entries) is not list:
+        raise ValueError(f"{manifest} has no 'instances' list")
+    for k, entry in enumerate(entries):
+        if type(entry) is not dict or type(entry.get("file")) is not str:
+            raise ValueError(f"{manifest} instance {k} is not a {{\"file\": <name>}} object")
+    return seed, [suite_dir / entry["file"] for entry in entries]
+
+
+def load_suite(suite_dir: str | Path) -> list[Instance]:
+    """Load every instance listed by a directory's manifest."""
+    return [Instance.load(path) for path in read_manifest(suite_dir)[1]]
 
 
 # ------------------------------------------------------------- small instances

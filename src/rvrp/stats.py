@@ -32,7 +32,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .evaluation import check_feasible
 from .instance import Instance, encode, validate_instance
@@ -202,6 +202,14 @@ class Run:
     error: str | None = None
 
 
+def check_labels(labels: Iterable[str]) -> None:
+    """``report.json`` keys a cell ``<instance>/<label>``, a key that names one
+    cell only while no label holds a ``/``: such a label is a ValueError."""
+    for label in labels:
+        if "/" in label:
+            raise ValueError(f"label {label!r} holds a '/', which joins report.json's cell keys")
+
+
 CSV_COLUMNS = ("instance", "algorithm", "run", "seed", "cost", "time_s", "convergence_s", "vehicles")
 
 
@@ -221,7 +229,8 @@ class ExperimentReport:
     the best (lowest) average rank. ``friedman`` (with ``instances_ranked``)
     and ``holm`` are the entries ``report.json`` holds, both None below two
     labels or two such instances. ``base_seed`` is None when the grid's seed is
-    unknown, as for a report read from ``runs.csv``."""
+    unknown, as for a report read from ``runs.csv``. A label that holds a
+    ``/`` is a ValueError (``check_labels``)."""
 
     runs: list[Run]
     base_seed: int | None = None
@@ -238,6 +247,7 @@ class ExperimentReport:
     def __post_init__(self) -> None:
         self.instance_names = list(dict.fromkeys(r.instance for r in self.runs))
         self.labels = list(dict.fromkeys(r.label for r in self.runs))
+        check_labels(self.labels)
         self.runs_per_cell = max((r.run for r in self.runs), default=-1) + 1
         self.cells = {key: [] for key in sorted(product(self.instance_names, self.labels))}
         errors: dict[tuple[str, str], list[str]] = {key: [] for key in self.cells}
@@ -397,16 +407,18 @@ def run_experiment(
 
     Run ``k`` of a label on an instance solves the label's config with the
     seed ``run_seed(base_seed, instance, label, k)``, whatever seed the config
-    carries. The settings are checked before any solve: no config, fewer than
-    one run or job, a config that ``SolverConfig.validate`` rejects, or an
-    instance listed twice is a ValueError that names it. Each instance is
-    read back from its file form once, before any solve; every run solves
-    that one object, which is validated once: an invalid one is never
-    solved, and each of its runs records the issues as its error."""
+    carries. The settings are checked before any solve: no config, a label
+    that holds a ``/``, fewer than one run or job, a config that
+    ``SolverConfig.validate`` rejects, or an instance listed twice is a
+    ValueError that names it. Each instance is read back from its file form
+    once, before any solve; every run solves that one object, which is
+    validated once: an invalid one is never solved, and each of its runs
+    records the issues as its error."""
     if not instances:
         raise ValueError("suite must be nonempty")
     if not configs:
         raise ValueError("no algorithm given")
+    check_labels(configs)
     if runs_per_cell < 1:
         raise ValueError(f"runs_per_cell must be positive, not {runs_per_cell}")
     if jobs < 1:

@@ -1,10 +1,13 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from rvrp import Instance, check_feasible, decode
 from rvrp import generator, stats
-from rvrp.cli import main
+from rvrp.cli import build_parser, main
 
 from conftest import make_joint_infeasible_instance
 
@@ -225,6 +228,72 @@ def test_experiment_single_algorithm_has_no_tests(tmp_path, small_suite_dir):
 
 def test_experiment_missing_manifest(tmp_path):
     assert main(["experiment", "--suite", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_experiment_states_the_seed_of_a_generated_suite(tmp_path, capsys):
+    # the README's study as two commands, at a small scale; the header names
+    # the seed that generated the suite beside the seed of the runs
+    suite, out = tmp_path / "suite", tmp_path / "results"
+    assert main(["generate", "--seed", "3", "--out", str(suite)]) == 0
+    assert main(
+        ["experiment", "--suite", str(suite), "--runs", "1", "--population", "2", "--jobs", "1",
+         "--seed", "7", "--out", str(out)]
+    ) == 0
+    header = capsys.readouterr().out.splitlines()
+    assert "#   suite_seed = 3" in header and "#   seed = 7" in header
+    report = json.loads((out / "report.json").read_text())
+    assert report["algorithms"] == ["dfa", "ea", "esa"]
+    assert len(report["cells"]) == 45
+
+
+@pytest.mark.parametrize("drop_seed", [False, True], ids=["seeded", "no-seed"])
+def test_experiment_header_states_the_suite_seed_and_relocation(
+    tmp_path, small_suite_dir, capsys, drop_seed
+):
+    # a suite without a seed states None; an --out under a file stops the
+    # command after its header, before any solve
+    manifest = small_suite_dir / "suite-manifest.json"
+    if drop_seed:
+        data = json.loads(manifest.read_text())
+        del data["seed"]
+        manifest.write_text(json.dumps(data))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    code = main(
+        ["experiment", "--suite", str(small_suite_dir), "--enable-cluster-relocation",
+         "--out", str(blocker / "exp")]
+    )
+    assert code == 2
+    header = capsys.readouterr().out.splitlines()
+    assert f"#   suite_seed = {None if drop_seed else 5}" in header
+    assert "#   enable_cluster_relocation = True" in header
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("{not json", "is not JSON"),
+        ("[7]", "is not a JSON object"),
+        ('{"seed": 1}', "has no 'instances' list"),
+        ('{"instances": {"file": "a.json"}}', "has no 'instances' list"),
+        ('{"instances": [{"file": "a.json"}, 7]}', "instance 1 is not"),
+        ('{"instances": [{"name": "a"}]}', "instance 0 is not"),
+        ('{"seed": "7", "instances": []}', "has seed '7', not an integer"),
+        ('{"seed": true, "instances": []}', "has seed True, not an integer"),
+    ],
+    ids=[
+        "not-json", "array", "no-instances", "instances-object", "entry-not-object",
+        "entry-without-file", "seed-string", "seed-bool",
+    ],
+)
+def test_experiment_rejects_a_bad_manifest(tmp_path, capsys, text, named):
+    suite, out = tmp_path / "suite", tmp_path / "results"
+    suite.mkdir()
+    manifest = suite / "suite-manifest.json"
+    manifest.write_text(text)
+    code = main(["experiment", "--suite", str(suite), "--out", str(out)])
+    assert named in _assert_one_io_error(code, capsys, manifest)
+    assert not out.exists()
 
 
 def test_solve_rejects_invalid_population(tmp_path, toy_instance_file, capsys):
@@ -648,10 +717,12 @@ NON_FINITE_RUNS = CSV_HEADER + (
             CSV_HEADER.replace("\n", ",cost\n") + "t,x,0,1,1.0,0.1,0.0,2,9.0\nt,y,0,2,2.0,0.1,0.0,2,0.5\n",
             "the header has 2 'cost' columns, not one",
         ),
+        # the cells (a/b, c) and (a, b/c) would share the report.json key a/b/c
+        (CSV_HEADER + "a/b,c,0,1,5.0,1.0,1.0,2\na,b/c,0,2,6.0,9.0,9.0,2\n", "label 'b/c'"),
     ],
     ids=[
         "no-cost-column", "cost-not-a-number", "cost-nan", "cost-inf", "not-utf-8", "time-inf",
-        "header-only", "short-row", "repeated-run", "repeated-cost-column",
+        "header-only", "short-row", "repeated-run", "repeated-cost-column", "slash-in-label",
     ],
 )
 def test_stats_rejects_malformed_csv(tmp_path, capsys, content, named):
@@ -659,21 +730,6 @@ def test_stats_rejects_malformed_csv(tmp_path, capsys, content, named):
     path = tmp_path / "runs.csv"
     path.write_bytes(content if isinstance(content, bytes) else content.encode())
     assert named in _assert_one_io_error(main(["stats", str(path)]), capsys, path)
-
-
-def test_stats_prints_each_cells_own_times(tmp_path, capsys):
-    # the cells (a/b, c) and (a, b/c) share the report.json key a/b/c, but
-    # each keeps its own times in the results table
-    path = tmp_path / "runs.csv"
-    path.write_text(CSV_HEADER + "a/b,c,0,1,5.0,1.0,1.0,2\na,b/c,0,2,6.0,9.0,9.0,2\n")
-    assert main(["stats", str(path)]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    start = next(i for i, line in enumerate(lines) if line.startswith("Instance"))
-    assert [line.split() for line in lines[start : start + 3]] == [
-        ["Instance", "c:avg", "c:sd", "c:time", "c:conv", "b/c:avg", "b/c:sd", "b/c:time", "b/c:conv"],
-        ["a/b", "5.0", "0.0", "1.0", "1.0", "-", "-", "-", "-"],
-        ["a", "-", "-", "-", "-", "6.0", "0.0", "9.0", "9.0"],
-    ]
 
 
 @MALFORMED_INSTANCES
@@ -865,3 +921,19 @@ def test_solve_emit_history(tmp_path, toy_instance_file):
     assert history and history[-1][1] == data["cost"]
     costs = [c for _, c in history]
     assert all(b < a for a, b in zip(costs, costs[1:]))
+
+
+def test_readme_commands_parse(capsys):
+    # every `rvrp ...` line of the README's bash blocks is a command the CLI
+    # takes, so the documented study cannot go stale
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```bash\n(.*?)^```", readme, re.M | re.S)
+    lines = [line for block in blocks for line in block.splitlines() if line.startswith("rvrp ")]
+    parser = build_parser()
+    refused = []
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            refused.append(line)
+    assert lines and not refused, capsys.readouterr().err

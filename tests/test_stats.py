@@ -336,8 +336,9 @@ def test_experiment_rejects_a_name_listed_twice(seeds, named):
         ({"jobs": 0}, "jobs"),
         ({"configs": {"dfa": SolverConfig("dfa", population_size=0)}}, "population_size"),
         ({"configs": {"dfa": SolverConfig("dfa"), "nope": SolverConfig("nope")}}, "'nope'"),
+        ({"configs": {"dfa": SolverConfig("dfa"), "dfa/x": SolverConfig("dfa")}}, "'dfa/x'"),
     ],
-    ids=["no-algorithm", "runs-0", "jobs-0", "population-0", "unknown-algorithm"],
+    ids=["no-algorithm", "runs-0", "jobs-0", "population-0", "unknown-algorithm", "slash-in-label"],
 )
 def test_experiment_rejects_invalid_settings_before_any_solve(monkeypatch, settings, named):
     solved = []
@@ -370,6 +371,12 @@ def test_rank_tests_rank_only_instances_where_every_algorithm_ran():
     assert (only_a_c.ranked_instances, only_a_c.friedman, only_a_c.holm) == (["a"], None, None)
     only_x = ExperimentReport([r for r in runs if r.instance in ("a", "b") and r.label == "x"])
     assert (only_x.ranked_instances, only_x.friedman, only_x.holm) == (["a", "b"], None, None)
+
+
+def test_report_rejects_a_label_with_a_slash():
+    # the cells (a/b, c) and (a, b/c) would share the report.json key a/b/c
+    with pytest.raises(ValueError, match="'b/c'"):
+        ExperimentReport([Run("a/b", "c", 0, 1, cost=1.0), Run("a", "b/c", 0, 2, cost=2.0)])
 
 
 NAMES = st.text(alphabet='ab ,"\n', min_size=1, max_size=4)
