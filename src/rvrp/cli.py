@@ -8,8 +8,9 @@ are confined to stdout summaries, timing.json, tables.txt and the time
 columns of runs.csv.
 
 Exit codes: 0 ok (warnings allowed), 1 validation found violations, 2 bad
-input/output, 3 generation infeasibility, 4 infeasible construction while
-solving, 5 every experiment cell failed.
+input/output (a stdout closed by its reader too, with no traceback), 3
+generation infeasibility, 4 infeasible construction while solving, 5 every
+experiment cell failed.
 """
 
 from __future__ import annotations
@@ -55,19 +56,10 @@ class CommandError(Exception):
         super().__init__(message)
 
 
-def _solver_config(**settings) -> SolverConfig:
-    cfg = SolverConfig(**settings)
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise CommandError(EXIT_IO, f"invalid solver settings: {exc}")
-    return cfg
-
-
 def _load_instance(path: str) -> Instance:
     try:
         return Instance.load(path)
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         raise CommandError(EXIT_IO, f"cannot read instance {path}: {exc}")
 
 
@@ -112,12 +104,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
-    cfg = _solver_config(
-        algorithm=args.algorithm,
-        seed=seed,
-        population_size=args.population,
-        enable_cluster_relocation=args.enable_cluster_relocation,
-    )
+    try:
+        cfg = SolverConfig(args.algorithm, args.population, seed, args.enable_cluster_relocation)
+    except ValueError as exc:
+        raise CommandError(EXIT_IO, f"invalid solver settings: {exc}")
     inst = _load_instance(args.instance)
     report = validate_instance(inst)
     if not report.ok:
@@ -193,7 +183,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         raise CommandError(EXIT_IO, f"cannot write to {out_dir}: {existing} is not a directory")
     try:
         instances = [Instance.load(path) for path in files]
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         raise CommandError(EXIT_IO, f"cannot load suite {args.suite}: {exc}")
     try:
         report = stats.run_experiment(
@@ -208,7 +198,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     successes = sum(cell["runs"] for cell in data["cells"].values())
     failures = len(report.runs) - successes
     tables = stats.render_tables(report)
-    print(tables, end="")
+    # written before the tables are printed, so that a reader who closes
+    # stdout early loses no results
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         write_json(out_dir / "report.json", data)
@@ -217,6 +208,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         (out_dir / "tables.txt").write_text(tables, encoding="utf-8")
     except OSError as exc:
         raise CommandError(EXIT_IO, f"cannot write experiment output to {out_dir}: {exc}")
+    print(tables, end="")
     print(f"recorded {successes} run(s), {failures} failure(s) -> {out_dir}")
     if successes == 0:
         return EXIT_ALL_FAILED
@@ -314,10 +306,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
     except CommandError as exc:
         print(exc.message, file=sys.stderr)
         return exc.code
+    except BrokenPipeError:
+        # the reader closed stdout; what is still buffered goes to devnull,
+        # so that Python's flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import reprlib
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, permutations
 from pathlib import Path
@@ -228,7 +229,11 @@ class Instance:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Instance":
-        nodes = tuple(map(_node, _array(data["nodes"], "nodes")))
+        """The instance a file's JSON document holds; a document that is not
+        an object, lacks a required field or holds a malformed value is a
+        ValueError that names the defect."""
+        _require(data, _INSTANCE_FIELDS, "the instance")
+        nodes = tuple(_node(n, f"nodes[{k}]") for k, n in enumerate(_array(data["nodes"], "nodes")))
         if "cost_offpeak" in data and "cost_peak" in data:
             off = [_floats(row, "cost_offpeak") for row in _array(data["cost_offpeak"], "cost_offpeak")]
             peak = [_floats(row, "cost_peak") for row in _array(data["cost_peak"], "cost_peak")]
@@ -267,6 +272,19 @@ class Instance:
 
 # the types json.load gives a JSON number; a boolean is not one of them
 _NUMBER_TYPES = frozenset((int, float))
+# the fields a file must give; every other one has a default
+_INSTANCE_FIELDS = ("name", "nodes", "capacity")
+_NODE_FIELDS = ("id", "x", "y", "delivery", "pickup", "cluster")
+
+
+def _require(value, fields: Sequence[str], what: str) -> None:
+    """A ValueError unless ``value``, which ``what`` names, is a JSON object
+    holding every one of ``fields``; it names each missing field."""
+    if type(value) is not dict:
+        raise ValueError(f"{what} is {reprlib.repr(value)}, not an object")
+    missing = [key for key in fields if key not in value]
+    if missing:
+        raise ValueError(f"{what} has no {', '.join(map(repr, missing))}")
 
 
 def _integer(value, name: str) -> int:
@@ -288,11 +306,10 @@ def _array(value, name: str) -> list:
     return value
 
 
-def _node(n: Mapping) -> Node:
-    """A ``nodes`` entry: a JSON object; anything else is a ValueError that
-    names the field."""
-    if type(n) is not dict:
-        raise ValueError(f"nodes has {n!r}, not an object")
+def _node(n: Mapping, where: str) -> Node:
+    """The ``nodes`` entry ``where``: a JSON object with every node field;
+    anything else is a ValueError that names the entry and the field."""
+    _require(n, _NODE_FIELDS, where)
     return Node(
         id=_integer(n["id"], "id"),
         x=_floats((n["x"],), "x")[0],

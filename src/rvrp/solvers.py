@@ -67,14 +67,17 @@ def termination_budget(n: int) -> int:
     return n + n * (n + 1) // 2
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
+    """One run's settings, checked when built: an unknown algorithm, a
+    population below one or a negative seed is a ValueError."""
+
     algorithm: str = "dfa"
     population_size: int = 100
     seed: int = 0
     enable_cluster_relocation: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.population_size < 1:
@@ -91,8 +94,8 @@ def grid_configs(text: str, **defaults) -> dict[str, SolverConfig]:
     the size of an entry without ``@p``, comes from ``defaults``. Blank
     entries are skipped. A ValueError names an entry whose ``@`` is not
     followed by ``p`` and a positive decimal integer without sign, underscore
-    or leading zero, whose config ``SolverConfig.validate`` rejects, or that
-    an earlier entry repeats.
+    or leading zero, whose settings ``SolverConfig`` rejects, or that an
+    earlier entry repeats.
     """
     configs: dict[str, SolverConfig] = {}
     for label in filter(None, (entry.strip() for entry in text.split(","))):
@@ -105,12 +108,10 @@ def grid_configs(text: str, **defaults) -> dict[str, SolverConfig]:
         if label in configs:
             raise ValueError(f"entry {label!r} is listed twice")
         settings = dict(defaults, population_size=int(size[1:])) if at else defaults
-        cfg = SolverConfig(algorithm, **settings)
         try:
-            cfg.validate()
+            configs[label] = SolverConfig(algorithm, **settings)
         except ValueError as exc:
             raise ValueError(f"entry {label!r}: {exc}") from None
-        configs[label] = cfg
     return configs
 
 
@@ -352,7 +353,6 @@ def solve(inst: Instance, cfg: SolverConfig) -> SolveResult:
     here), the ``Draws`` wrapping and the stop rule. The algorithm itself is
     a generation loop that updates the population it is handed.
     """
-    cfg.validate()
     pop_n = cfg.population_size
     streams = [np.random.default_rng(c) for c in np.random.SeedSequence(cfg.seed).spawn(pop_n + 1)]
     tracker = _Tracker(termination_budget(inst.n_customers))

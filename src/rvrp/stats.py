@@ -408,12 +408,11 @@ def run_experiment(
     Run ``k`` of a label on an instance solves the label's config with the
     seed ``run_seed(base_seed, instance, label, k)``, whatever seed the config
     carries. The settings are checked before any solve: no config, a label
-    that holds a ``/``, fewer than one run or job, a config that
-    ``SolverConfig.validate`` rejects, or an instance listed twice is a
-    ValueError that names it. Each instance is read back from its file form
-    once, before any solve; every run solves that one object, which is
-    validated once: an invalid one is never solved, and each of its runs
-    records the issues as its error."""
+    that holds a ``/``, fewer than one run or job, or an instance listed twice
+    is a ValueError that names it (a ``SolverConfig`` is checked when built).
+    Each instance is read back from its file form once, before any solve;
+    every run solves that one object, which is validated once: an invalid one
+    is never solved, and each of its runs records the issues as its error."""
     if not instances:
         raise ValueError("suite must be nonempty")
     if not configs:
@@ -423,8 +422,6 @@ def run_experiment(
         raise ValueError(f"runs_per_cell must be positive, not {runs_per_cell}")
     if jobs < 1:
         raise ValueError(f"jobs must be positive, not {jobs}")
-    for cfg in configs.values():
-        cfg.validate()
     names = [inst.name for inst in instances]
     twice = next((name for i, name in enumerate(names) if name in names[:i]), None)
     if twice is not None:

@@ -1,10 +1,14 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import rvrp
 from rvrp import Instance, check_feasible, decode
 from rvrp import generator, stats
 from rvrp.cli import build_parser, main
@@ -501,6 +505,52 @@ def test_experiment_reports_a_failed_write(tmp_path, small_suite_dir, capsys):
     _assert_one_io_error(code, capsys, out)
 
 
+@pytest.mark.parametrize("last_read", ["# rvrp experiment", "#   out = "], ids=["first-line", "header"])
+def test_experiment_exits_2_when_its_reader_closes_stdout(tmp_path, last_read):
+    # run unbuffered, so each line reaches the reader as it is printed; the
+    # reader leaves while the grid (some 0.2 s of solves) runs, and the
+    # command's next print finds the pipe closed
+    instance = generator.small_instance(40, cluster_sizes=(4,) * 10, name="forty")
+    generator.write_suite([instance], tmp_path / "suite", seed=5)
+    out = tmp_path / "exp"
+    argv = ["experiment", "--suite", str(tmp_path / "suite"), "--algorithms", "dfa@p10,ea@p10,esa@p10",
+            "--runs", "2", "--jobs", "1", "--seed", "1", "--out", str(out)]
+    env = {**os.environ, "PYTHONPATH": str(Path(rvrp.__file__).parents[1])}
+    with open(tmp_path / "stderr.txt", "w") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-u", "-m", "rvrp.cli", *argv], stdout=subprocess.PIPE, stderr=err,
+            env=env, text=True,
+        )
+        while not proc.stdout.readline().startswith(last_read):
+            pass
+        proc.stdout.close()
+        code = proc.wait(timeout=300)
+    assert code == 2
+    assert (tmp_path / "stderr.txt").read_text() == ""  # no traceback, no flush error at exit
+    if last_read == "#   out = ":  # the results are written before the tables are printed
+        assert sorted(p.name for p in out.iterdir()) == ["report.json", "runs.csv", "tables.txt", "timing.json"]
+
+
+@pytest.mark.parametrize("command", ["generate", "solve", "export-geojson"])
+def test_a_failed_write_is_one_error_line(tmp_path, toy_instance_file, capsys, command):
+    solution = tmp_path / "sol.json"
+    main(["solve", str(toy_instance_file), "--seed", "3", "--population", "5", "--out", str(solution)])
+    capsys.readouterr()
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n")
+    out = blocker / "out.json"
+    argv = {
+        "generate": ["--seed", "7", "--only", "Osaba_50_1_1"],
+        "solve": [str(toy_instance_file), "--seed", "3", "--population", "5"],
+        "export-geojson": [str(toy_instance_file), str(solution)],
+    }[command]
+    code = main([command, *argv, "--out", str(out)])
+    # the error names the file in the way: the OSError of the first
+    # directory that could not be made
+    assert _assert_one_io_error(code, capsys, blocker).startswith("cannot write ")
+    assert blocker.read_text() == "not a directory\n"
+
+
 def test_export_geojson(tmp_path, toy_instance_file, capsys):
     sol_path = tmp_path / "sol.json"
     main(
@@ -574,6 +624,15 @@ def _with_node_field(field, value):
     return edit
 
 
+def _without_node_field(field):
+    def edit(data: dict) -> dict:
+        nodes = [dict(n) for n in data["nodes"]]
+        del nodes[1][field]
+        return {**data, "nodes": nodes}
+
+    return edit
+
+
 def _with_peak_cost(value):
     def edit(data: dict) -> dict:
         peak = [list(row) for row in data["cost_peak"]]
@@ -586,7 +645,7 @@ def _with_peak_cost(value):
 MALFORMED_INSTANCES = pytest.mark.parametrize(
     "edit, named",
     [
-        (lambda data: [1, 2], ""),
+        (lambda data: [1, 2], "the instance is [1, 2], not an object"),
         (lambda data: {**data, "peak_window_s": [7200]}, "peak_window_s"),
         (lambda data: {**data, "peak_window_s": []}, "peak_window_s"),
         (lambda data: {**data, "peak_window_s": [7200, 14400, 20000]}, "peak_window_s"),
@@ -620,6 +679,9 @@ MALFORMED_INSTANCES = pytest.mark.parametrize(
         # node ids index lists: a negative id would wrap, a huge one allocate
         (_with_node_field("id", -1), "nodes"),
         (_with_node_field("id", 10**9), "nodes"),
+        # a required field left out
+        (lambda data: {key: value for key, value in data.items() if key != "capacity"}, "no 'capacity'"),
+        (_without_node_field("x"), "nodes[1] has no 'x'"),
     ],
     ids=["non-object", "window-one-entry", "window-empty", "window-three-entries",
          "capacity-1e400", "delivery-1e400", "x-401-digits", "cost-401-digits",
@@ -627,7 +689,8 @@ MALFORMED_INSTANCES = pytest.mark.parametrize(
          "delivery-true", "cluster-false", "cost-string", "forbidden-true",
          "window-string", "name-list", "cost-row-number", "node-number",
          "forbidden-triple", "nodes-number", "cost-offpeak-number", "cost-peak-number",
-         "forbidden-number", "window-number", "node-id-negative", "node-id-1e9"],
+         "forbidden-number", "window-number", "node-id-negative", "node-id-1e9",
+         "missing-capacity", "missing-node-x"],
 )
 
 

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -194,6 +195,16 @@ def test_unknown_node_rejected(tiny_instance):
             tiny_instance.node(node_id)
 
 
+@pytest.mark.parametrize(
+    "route, message",
+    [([], "route must be nonempty"), ([1, 0, 2], r"the depot \(0\) inside a route")],
+    ids=["empty", "depot-inside"],
+)
+def test_load_profile_rejects_a_route_it_cannot_simulate(tiny_instance, route, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        load_profile(route, tiny_instance)
+
+
 def test_load_profile_hand_simulation(tiny_instance):
     # leaves the depot with 10 + 10 + 5, then -10+5, -10+0, -5+3
     assert load_profile([1, 2, 3], tiny_instance) == [25, 20, 10, 8]
@@ -281,6 +292,25 @@ def test_check_feasible_names_each_overloaded_position(tiny_instance):
         ("capacity-exceeded", "route 0 position -1 load 25"),
         ("capacity-exceeded", "route 0 position 0 load 20"),
     ]
+
+
+@pytest.mark.parametrize(
+    "routes, named",
+    [
+        ([[1, 9, 2], [3, 0]], [("unknown-customer", "0"), ("unknown-customer", "9")]),
+        ([[1, 2], [], [3]], [("empty-route", "route 1")]),
+        ([[], [3, -4, 1, 2]], [("unknown-customer", "-4"), ("empty-route", "route 0")]),
+    ],
+    ids=["unknown-customer", "empty-route", "both"],
+)
+def test_check_feasible_prices_no_route_it_cannot_simulate(tiny_instance, routes, named):
+    # an unknown id (the depot among them) or an empty route is reported
+    # alone: no other check runs and nothing is priced
+    report = check_feasible(Solution.from_routes(routes), tiny_instance)
+    assert [(v.name, v.detail) for v in report.violations] == named
+    assert report.feasible is False
+    assert math.isnan(report.total_cost)
+    assert report.warnings == []
 
 
 def test_day_end_warning_counts_from_the_day_start(tiny_instance):

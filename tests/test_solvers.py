@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -29,13 +30,19 @@ def test_termination_budget_rejects_zero():
 
 
 def test_config_validation():
-    SolverConfig().validate()
-    with pytest.raises(ValueError):
-        SolverConfig(algorithm="tabu").validate()
-    with pytest.raises(ValueError):
-        SolverConfig(population_size=0).validate()
-    with pytest.raises(ValueError, match="seed"):
-        SolverConfig(seed=-1).validate()
+    cfg = SolverConfig()
+    with pytest.raises(ValueError, match="^unknown algorithm 'tabu'$"):
+        SolverConfig(algorithm="tabu")
+    with pytest.raises(ValueError, match="^population_size must be positive$"):
+        SolverConfig(population_size=0)
+    with pytest.raises(ValueError, match="^seed must be non-negative, not -1$"):
+        SolverConfig(seed=-1)
+    # a built config stays valid: it cannot be changed, and a copy with a
+    # changed field is checked again
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.population_size = 0
+    with pytest.raises(ValueError, match="^seed must be non-negative, not -1$"):
+        dataclasses.replace(cfg, seed=-1)
     # the paper's fixed parameters are module constants, not settings
     with pytest.raises(TypeError):
         SolverConfig(gamma=0.9)

@@ -189,8 +189,9 @@ def test_experiment_rejects_a_population_of_zero_beside_a_valid_one(monkeypatch)
     solved = []
     monkeypatch.setattr(stats, "solve", lambda inst, cfg: solved.append(inst.name))
     inst = generator.small_instance(21, cluster_sizes=(3, 3), forbidden_per_cluster=1)
-    configs = {f"pop{size}": SolverConfig("dfa", population_size=size) for size in (10, 0)}
-    with pytest.raises(ValueError, match="population_size"):
+    # the grid's configs are checked as they are built, before any run
+    with pytest.raises(ValueError, match="^population_size must be positive$"):
+        configs = {f"pop{size}": SolverConfig("dfa", population_size=size) for size in (10, 0)}
         run_experiment([inst], configs, runs_per_cell=1)
     assert solved == []
 
@@ -334,9 +335,9 @@ def test_experiment_rejects_a_name_listed_twice(seeds, named):
         ({"configs": {}}, "algorithm"),
         ({"runs_per_cell": 0}, "runs_per_cell"),
         ({"jobs": 0}, "jobs"),
-        ({"configs": {"dfa": SolverConfig("dfa", population_size=0)}}, "population_size"),
-        ({"configs": {"dfa": SolverConfig("dfa"), "nope": SolverConfig("nope")}}, "'nope'"),
-        ({"configs": {"dfa": SolverConfig("dfa"), "dfa/x": SolverConfig("dfa")}}, "'dfa/x'"),
+        ({"configs": {"dfa": ("dfa", 0)}}, "population_size"),
+        ({"configs": {"dfa": ("dfa", 10), "nope": ("nope", 10)}}, "'nope'"),
+        ({"configs": {"dfa": ("dfa", 10), "dfa/x": ("dfa", 10)}}, "'dfa/x'"),
     ],
     ids=["no-algorithm", "runs-0", "jobs-0", "population-0", "unknown-algorithm", "slash-in-label"],
 )
@@ -344,8 +345,12 @@ def test_experiment_rejects_invalid_settings_before_any_solve(monkeypatch, setti
     solved = []
     monkeypatch.setattr(stats, "solve", lambda inst, cfg: solved.append(inst.name))
     instances = [generator.small_instance(21, cluster_sizes=(3, 3))]
+    settings = {"configs": {alg: (alg, 10) for alg in SMALL_CONFIGS}, "runs_per_cell": 1, **settings}
     with pytest.raises(ValueError, match=named):
-        run_experiment(instances, **{"configs": SMALL_CONFIGS, "runs_per_cell": 1, **settings})
+        # each config is built here from its (algorithm, population): an
+        # invalid one fails as it is built
+        configs = {label: SolverConfig(*args) for label, args in settings.pop("configs").items()}
+        run_experiment(instances, configs, **settings)
     assert solved == []
 
 
