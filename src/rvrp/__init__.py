@@ -2,7 +2,6 @@
 simultaneous pickup and delivery, peak-hour arc costs and forbidden paths."""
 
 from .evaluation import (
-    EvaluationReport,
     check_feasible,
     load_profile,
     route_cost,
@@ -40,7 +39,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DecodeError",
-    "EvaluationReport",
     "InfeasibleClusterError",
     "Instance",
     "Node",

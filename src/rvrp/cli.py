@@ -16,7 +16,6 @@ experiment cell failed.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -24,8 +23,8 @@ from pathlib import Path
 from . import generator, stats
 from .evaluation import check_feasible
 from .export import solution_feature_collection
-from .instance import Instance, Solution, decode, encode, validate_instance
-from .jsonio import write_json
+from .instance import Instance, Solution, encode, validate_instance
+from .jsonio import require_directory, write_json
 from .operators import InfeasibleClusterError
 from .solvers import ALGORITHMS, SolverConfig, grid_configs, solve
 
@@ -94,7 +93,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     _print_header("validate", instance=args.instance)
     inst = _load_instance(args.instance)
     report = validate_instance(inst)
-    if report.ok:
+    if report.feasible:
         print(f"{inst.name}: ok")
         return EXIT_OK
     for issue in report.violations:
@@ -110,8 +109,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         raise CommandError(EXIT_IO, f"invalid solver settings: {exc}")
     inst = _load_instance(args.instance)
     report = validate_instance(inst)
-    if not report.ok:
-        raise CommandError(EXIT_IO, f"invalid instance {inst.name}: {report.names}")
+    if not report.feasible:
+        raise CommandError(EXIT_IO, f"invalid instance {inst.name}: {report.violation_tags}")
     out_path = Path(args.out) if args.out else Path(args.instance).with_suffix(f".{args.algorithm}.solution.json")
     _print_header(
         "solve",
@@ -142,10 +141,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def _load_solution(path: str, inst: Instance) -> Solution:
     try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        return decode(data["encoding"], inst)
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+        return Solution.load(path, inst)
+    except (OSError, ValueError) as exc:
         raise CommandError(EXIT_IO, f"cannot read solution {path}: {exc}")
 
 
@@ -178,9 +175,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     )
     # checked before any solve, so that no grid's results are lost to a path
     # that cannot be made a directory
-    existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
-    if not existing.is_dir():
-        raise CommandError(EXIT_IO, f"cannot write to {out_dir}: {existing} is not a directory")
+    try:
+        require_directory(out_dir)
+    except OSError as exc:
+        raise CommandError(EXIT_IO, f"cannot write to {out_dir}: {exc}")
     try:
         instances = [Instance.load(path) for path in files]
     except (OSError, ValueError) as exc:
@@ -201,8 +199,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     # written before the tables are printed, so that a reader who closes
     # stdout early loses no results
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_json(out_dir / "report.json", data)
+        write_json(out_dir / "report.json", data)  # makes out_dir
         write_json(out_dir / "timing.json", report.timing_dict())
         (out_dir / "runs.csv").write_text(report.csv_text(), encoding="utf-8")
         (out_dir / "tables.txt").write_text(tables, encoding="utf-8")

@@ -4,22 +4,20 @@ Every vehicle leaves the depot at ``day_start_s`` (06:00, t = 0 s, on every
 generated instance). An arc is priced from the peak matrix when the departure
 time from its origin falls inside the half-open peak window [08:00, 10:00),
 otherwise from the off-peak matrix; travel time equals travel cost and
-service times are zero. :func:`route_cost` is the one route simulator: the
-solvers price with it, and so does :func:`check_feasible`, which takes a
-route's end time as ``day_start_s`` + its cost. Loads are simulated exactly:
-the vehicle leaves the depot carrying the sum of the route's deliveries and
-each visit applies ``-delivery +pickup``.
+service times are zero. :func:`route_cost` is the one route simulator and
+:func:`solution_cost` the one pricing of a solution; :func:`check_feasible`
+only checks the rules and prices nothing. Loads are simulated exactly: the
+vehicle leaves the depot carrying the sum of the route's deliveries and each
+visit applies ``-delivery +pickup``.
 
-Routes that run past ``day_end_s`` (15:00) only add a line to
-``EvaluationReport.warnings``; the working day informs pricing, not
-feasibility, and no command prints those lines.
+The working day bounds only the peak window (``validate_instance``); no
+route is checked against ``day_end_s`` (15:00), so one that runs past it is
+feasible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .instance import Instance, Solution, ValidationIssue
+from .instance import Instance, Solution, ValidationIssue, ValidationReport
 
 COST_EQ_TOL = 1e-6  # absolute tolerance for cost equality in tests/reports
 
@@ -43,9 +41,8 @@ def route_cost(route, inst: Instance) -> float:
     ``negative-cost``), so no later departure falls back inside the window; a
     NaN clock never passes the test, so it prices as a moving clock does.
 
-    It trusts its ids to be customers of ``inst``, as ``decode``,
-    ``check_feasible``'s unknown-customer check and the operators guarantee;
-    an unknown id may raise or price a wrong arc.
+    It trusts its ids to be customers of ``inst``, as ``decode`` and the
+    operators guarantee; an unknown id may raise or price a wrong arc.
     """
     index = inst.index
     off, peak = inst.cost_offpeak, inst.cost_peak
@@ -91,27 +88,15 @@ def load_profile(route, inst: Instance) -> list[int]:
     return loads
 
 
-@dataclass
-class EvaluationReport:
-    total_cost: float
-    feasible: bool
-    violations: list[ValidationIssue]
-    warnings: list[str]
-
-    @property
-    def violation_tags(self) -> list[str]:
-        return [v.name for v in self.violations]
-
-
-def check_feasible(sol: Solution, inst: Instance) -> EvaluationReport:
-    """Evaluate an arbitrary candidate and enumerate all constraint breaches.
+def check_feasible(sol: Solution, inst: Instance) -> ValidationReport:
+    """Check an arbitrary candidate and enumerate all constraint breaches;
+    it prices no route (:func:`solution_cost` does).
 
     Issue names: visit-count, cluster-split, cluster-noncontiguous,
     capacity-exceeded, forbidden-arc-used, empty-route, unknown-customer.
     Degree/flow constraints hold by construction of the route representation.
     """
     violations: list[ValidationIssue] = []
-    warnings: list[str] = []
 
     known = set(inst.customers)
     unknown = sorted({c for c in sol.customers() if c not in known})
@@ -121,7 +106,7 @@ def check_feasible(sol: Solution, inst: Instance) -> EvaluationReport:
         if not route:
             violations.append(ValidationIssue("empty-route", f"route {r}"))
     if unknown or any(not route for route in sol.routes):
-        return EvaluationReport(float("nan"), False, violations, warnings)
+        return ValidationReport(violations)
 
     counts: dict[int, int] = {}
     for c in sol.customers():
@@ -155,7 +140,6 @@ def check_feasible(sol: Solution, inst: Instance) -> EvaluationReport:
                 )
             cluster_route.setdefault(label, r)
 
-    costs: list[float] = []
     for r, route in enumerate(sol.routes):
         # position -1 is the load leaving the depot
         for pos, load in enumerate(load_profile(route, inst), start=-1):
@@ -167,15 +151,5 @@ def check_feasible(sol: Solution, inst: Instance) -> EvaluationReport:
         for i, j in arcs:
             if (i, j) in inst.forbidden:
                 violations.append(ValidationIssue("forbidden-arc-used", f"route {r} arc ({i},{j})"))
-        cost = route_cost(route, inst)  # the ids are known customers: checked above
-        costs.append(cost)
-        end_s = inst.day_start_s + cost  # travel time equals cost
-        if end_s > inst.day_end_s:
-            warnings.append(f"route {r} ends at {end_s:.0f}s, past the working day")
 
-    return EvaluationReport(
-        total_cost=sum(costs),
-        feasible=not violations,
-        violations=violations,
-        warnings=warnings,
-    )
+    return ValidationReport(violations)

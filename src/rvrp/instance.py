@@ -97,6 +97,16 @@ class Solution:
         for route in self.routes:
             yield from route
 
+    @classmethod
+    def load(cls, path: str | Path, inst: Instance) -> "Solution":
+        """The solution in a solution file: its ``encoding``, decoded on
+        ``inst``. A document that is not an object or has no ``encoding``
+        array is a ValueError that names the defect, as a DecodeError is."""
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        _require(data, ("encoding",), "the solution")
+        return decode(_array(data["encoding"], "encoding"), inst)
+
 
 class DecodeError(ValueError):
     """Flat encoding cannot be decoded; ``reason`` is a stable tag."""
@@ -429,11 +439,17 @@ class ValidationIssue:
 
 @dataclass
 class ValidationReport:
-    ok: bool
+    """The findings of :func:`validate_instance` on an instance or of
+    ``evaluation.check_feasible`` on a solution; none means feasible."""
+
     violations: list[ValidationIssue]
 
     @property
-    def names(self) -> list[str]:
+    def feasible(self) -> bool:
+        return not self.violations
+
+    @property
+    def violation_tags(self) -> list[str]:
         return [v.name for v in self.violations]
 
 
@@ -644,4 +660,4 @@ def validate_instance(inst: Instance) -> ValidationReport:
             # each rule admits an order on its own, but no order keeps both
             add("cluster-order-infeasible", f"cluster {label}")
 
-    return ValidationReport(ok=not issues, violations=issues)
+    return ValidationReport(issues)

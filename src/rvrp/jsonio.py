@@ -56,10 +56,21 @@ def dumps(value) -> str:
     return _encode(value, "")
 
 
+def require_directory(path: str | Path) -> Path:
+    """``path`` as a Path, unless it cannot be made a directory because it,
+    or the nearest of its parents that exists, is not one: that is a
+    NotADirectoryError ending ``<that path> is not a directory``."""
+    path = Path(path)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(f"{existing} is not a directory")
+    return path
+
+
 def write_json(path: str | Path, value) -> Path:
     """Write ``value`` as indented JSON plus a final newline, creating the
-    parent directories."""
+    parent directories (:func:`require_directory`'s rule)."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    require_directory(path.parent).mkdir(parents=True, exist_ok=True)
     path.write_text(dumps(value) + "\n", encoding="utf-8")
     return path

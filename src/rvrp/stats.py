@@ -430,7 +430,7 @@ def run_experiment(
     grid = []
     for inst in instances:
         inst = Instance.from_dict(inst.to_dict())  # the instance its file would give
-        issues = validate_instance(inst).names
+        issues = validate_instance(inst).violation_tags
         for label, cfg in configs.items():
             for run in range(runs_per_cell):
                 seed = run_seed(base_seed, inst.name, label, run)

@@ -9,7 +9,7 @@ from typing import Collection
 
 import pytest
 
-from rvrp import Instance, Node, Solution, check_feasible
+from rvrp import Instance, Node, Solution, check_feasible, solution_cost
 from rvrp import generator
 
 SUITE_SEED = 7
@@ -98,11 +98,11 @@ def enumerate_two_cluster_optimum(inst: Instance) -> tuple[Solution, float, int]
         for bo in b_orders:
             for routes in ([ao + bo], [bo + ao], [ao, bo]):
                 sol = Solution.from_routes(routes)
-                report = check_feasible(sol, inst)
-                if report.feasible:
+                if check_feasible(sol, inst).feasible:
                     feasible += 1
-                    if report.total_cost < best_cost:
-                        best, best_cost = sol, report.total_cost
+                    cost = solution_cost(sol, inst)
+                    if cost < best_cost:
+                        best, best_cost = sol, cost
     assert best is not None
     return best, best_cost, feasible
 

@@ -531,11 +531,13 @@ def test_experiment_exits_2_when_its_reader_closes_stdout(tmp_path, last_read):
         assert sorted(p.name for p in out.iterdir()) == ["report.json", "runs.csv", "tables.txt", "timing.json"]
 
 
-@pytest.mark.parametrize("command", ["generate", "solve", "export-geojson"])
+@pytest.mark.parametrize("command", ["generate", "solve", "export-geojson", "stats"])
 def test_a_failed_write_is_one_error_line(tmp_path, toy_instance_file, capsys, command):
     solution = tmp_path / "sol.json"
     main(["solve", str(toy_instance_file), "--seed", "3", "--population", "5", "--out", str(solution)])
     capsys.readouterr()
+    runs = tmp_path / "runs.csv"
+    runs.write_text(",".join(stats.CSV_COLUMNS) + "\ntoy,dfa,0,1,100.0,0.1,0.1,2\n")
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory\n")
     out = blocker / "out.json"
@@ -543,11 +545,13 @@ def test_a_failed_write_is_one_error_line(tmp_path, toy_instance_file, capsys, c
         "generate": ["--seed", "7", "--only", "Osaba_50_1_1"],
         "solve": [str(toy_instance_file), "--seed", "3", "--population", "5"],
         "export-geojson": [str(toy_instance_file), str(solution)],
+        "stats": [str(runs)],
     }[command]
     code = main([command, *argv, "--out", str(out)])
-    # the error names the file in the way: the OSError of the first
-    # directory that could not be made
-    assert _assert_one_io_error(code, capsys, blocker).startswith("cannot write ")
+    # the error names the file in the way, by jsonio.require_directory's rule
+    err = _assert_one_io_error(code, capsys, blocker)
+    assert err.startswith("cannot write ")
+    assert err.endswith(f": {blocker} is not a directory\n")
     assert blocker.read_text() == "not a directory\n"
 
 
@@ -720,14 +724,22 @@ def test_validate_accepts_integral_float_in_integer_field(tmp_path, toy_instance
     assert Instance.load(path).capacity == 240
 
 
-@pytest.mark.parametrize("content", ['{"encoding": 5}', "[1, 2]"], ids=["encoding-int", "list"])
-def test_export_geojson_rejects_malformed_solution(tmp_path, toy_instance_file, capsys, content):
+@pytest.mark.parametrize(
+    "content, named",
+    [
+        ('{"encoding": 5}', "encoding is 5, not an array"),
+        ("[1, 2]", "the solution is [1, 2], not an object"),
+        ("{}", "the solution has no 'encoding'"),
+    ],
+    ids=["encoding-int", "list", "no-encoding"],
+)
+def test_export_geojson_rejects_malformed_solution(tmp_path, toy_instance_file, capsys, content, named):
     sol_path = tmp_path / "sol.json"
     sol_path.write_text(content + "\n")
     code = main(
         ["export-geojson", str(toy_instance_file), str(sol_path), "--out", str(tmp_path / "x.json")]
     )
-    _assert_one_io_error(code, capsys, sol_path)
+    assert _assert_one_io_error(code, capsys, sol_path).endswith(f": {named}\n")
 
 
 @pytest.mark.parametrize(

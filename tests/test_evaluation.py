@@ -1,4 +1,3 @@
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +13,7 @@ from rvrp import (
     route_cost,
     solution_cost,
 )
-from rvrp import generator
+from rvrp import evaluation, generator
 from rvrp.instance import OFFPEAK, PEAK, PEAK_END_S, PEAK_START_S, validate_instance
 from rvrp.operators import random_solution
 
@@ -143,7 +142,7 @@ def test_listing_order_and_ids_do_not_change_a_price(seed):
     # route_cost and the spec's timeline both look ids up in the instance, so
     # their agreement cannot show it; the relabelled, reordered copy must price every route
     # of the original as the original does
-    assert validate_instance(REORDERED_61).ok
+    assert validate_instance(REORDERED_61).feasible
     sol = random_solution(SMALL_61, np.random.default_rng(seed))
     for route in sol.routes:
         twin = [3 * c for c in route]
@@ -305,30 +304,46 @@ def test_check_feasible_names_each_overloaded_position(tiny_instance):
 )
 def test_check_feasible_prices_no_route_it_cannot_simulate(tiny_instance, routes, named):
     # an unknown id (the depot among them) or an empty route is reported
-    # alone: no other check runs and nothing is priced
+    # alone: no other check runs
     report = check_feasible(Solution.from_routes(routes), tiny_instance)
     assert [(v.name, v.detail) for v in report.violations] == named
     assert report.feasible is False
-    assert math.isnan(report.total_cost)
-    assert report.warnings == []
 
 
-def test_day_end_warning_counts_from_the_day_start(tiny_instance):
-    # from a 5000 s day start the route costs 12900 s: less than the 15000 s
-    # day end, but it ends at 17900 s, past it
-    route = Solution.from_routes([[1, 2, 3]])
+def test_check_feasible_prices_no_route(tiny_instance, monkeypatch):
+    # the same findings with a route_cost that refuses every call: on a
+    # feasible solution, on infeasible ones and on the early-return cases
+    squeezed = replace(tiny_instance, capacity=19)
+    cases = [
+        (tiny_instance, [[1, 2, 3]]),
+        (squeezed, [[1, 2, 3]]),
+        (tiny_instance, [[1, 2, 2]]),
+        (tiny_instance, [[1, 9, 2], [3, 0]]),
+        (tiny_instance, [[1, 2], [], [3]]),
+    ]
+
+    def findings():
+        return [check_feasible(Solution.from_routes(routes), inst).violations for inst, routes in cases]
+
+    expected = findings()
+    assert [not violations for violations in expected] == [True, False, False, False, False]
+
+    def refuse(route, inst):
+        raise AssertionError("check_feasible priced a route")
+
+    monkeypatch.setattr(evaluation, "route_cost", refuse)
+    assert findings() == expected
+
+
+def test_a_route_past_the_day_end_stays_feasible(tiny_instance):
+    # no route is checked against the working day. From a 5000 s day start
+    # the route costs 12900 s: less than the 15000 s day end, but it ends at
+    # 17900 s, past it; at ten times the costs it ends past the default day
+    # end from the default day start
     late = replace(tiny_instance, day_start_s=5000, day_end_s=15000)
     cost = route_cost([1, 2, 3], late)
     assert cost < late.day_end_s < late.day_start_s + cost
-    report = check_feasible(route, late)
-    assert report.feasible
-    assert report.warnings == ["route 0 ends at 17900s, past the working day"]
     assert route_timeline([1, 2, 3], late).end_time_s == 17900.0
-    # from a 0 s day start the same route ends at 12420 s, in time
-    assert check_feasible(route, replace(late, day_start_s=0)).warnings == []
-
-
-def test_long_route_warns_but_stays_feasible(tiny_instance):
     stretched = type(tiny_instance)(
         name="slow",
         nodes=tiny_instance.nodes,
@@ -336,9 +351,9 @@ def test_long_route_warns_but_stays_feasible(tiny_instance):
         cost_offpeak=[[c * 10 for c in row] for row in tiny_instance.cost_offpeak],
         cost_peak=[[c * 10 for c in row] for row in tiny_instance.cost_peak],
     )
-    report = check_feasible(Solution.from_routes([[1, 2, 3]]), stretched)
-    assert report.feasible
-    assert report.warnings
+    assert stretched.day_start_s + route_cost([1, 2, 3], stretched) > stretched.day_end_s
+    for inst in (late, stretched):
+        assert check_feasible(Solution.from_routes([[1, 2, 3]]), inst).feasible
 
 
 def test_feasible_report_for_random_solutions(oracle_instances):

@@ -166,7 +166,7 @@ def test_selection_rules(benchmark_by_name):
 def test_all_instances_validate_and_construct(benchmark_suite):
     rng = np.random.default_rng(0)
     for inst in benchmark_suite:
-        assert validate_instance(inst).ok
+        assert validate_instance(inst).feasible
         random_solution(inst, rng)
 
 
@@ -273,6 +273,6 @@ def test_only_subset_matches_full_generation(tmp_path, benchmark_by_name):
 
 def test_small_instance_is_valid_and_forced_split():
     inst = generator.small_instance(21, cluster_sizes=(3, 3), forbidden_per_cluster=1)
-    assert validate_instance(inst).ok
+    assert validate_instance(inst).feasible
     total = sum(inst.delivery[c] for c in inst.customers)
     assert total > inst.capacity  # both clusters cannot share one vehicle

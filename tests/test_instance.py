@@ -95,7 +95,7 @@ def test_id_lookups_hold_every_node_and_forbidden_arc(benchmark_by_name):
 
 
 def test_validate_accepts_tiny(tiny_instance):
-    assert validate_instance(tiny_instance).ok
+    assert validate_instance(tiny_instance).feasible
 
 
 def test_validate_rejects_cross_cluster_forbidden_arc():
@@ -111,7 +111,7 @@ def test_validate_rejects_cross_cluster_forbidden_arc():
         forbidden=frozenset({(members_a[0], members_b[0])}),
     )
     report = validate_instance(broken)
-    assert "forbidden-arc-crosses-clusters" in report.names
+    assert "forbidden-arc-crosses-clusters" in report.violation_tags
 
 
 def test_validate_rejects_depot_forbidden_arc(tiny_instance):
@@ -123,7 +123,7 @@ def test_validate_rejects_depot_forbidden_arc(tiny_instance):
         cost_peak=tiny_instance.cost_peak,
         forbidden=frozenset({(0, 1)}),
     )
-    assert "forbidden-arc-touches-depot" in validate_instance(broken).names
+    assert "forbidden-arc-touches-depot" in validate_instance(broken).violation_tags
 
 
 def test_validate_rejects_symmetric_matrix(tiny_instance):
@@ -135,7 +135,7 @@ def test_validate_rejects_symmetric_matrix(tiny_instance):
         cost_offpeak=symmetric,
         cost_peak=tiny_instance.cost_peak,
     )
-    assert "asymmetry-violated" in validate_instance(broken).names
+    assert "asymmetry-violated" in validate_instance(broken).violation_tags
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -150,7 +150,7 @@ def test_validate_rejects_non_finite_cost(tiny_instance, bad):
         cost_peak=tiny_instance.cost_peak,
     )
     report = validate_instance(broken)
-    assert report.names == ["non-finite-cost"]
+    assert report.violation_tags == ["non-finite-cost"]
     assert report.violations[0].detail == "offpeak[2][1]"
 
 
@@ -164,9 +164,9 @@ def test_validate_rejects_all_nan_instance(tiny_instance):
         cost_peak=nan,
     )
     report = validate_instance(broken)
-    assert not report.ok
+    assert not report.feasible
     # one issue per matrix, with the count and the first entry
-    assert report.names == ["non-finite-cost"] * 2
+    assert report.violation_tags == ["non-finite-cost"] * 2
     assert [v.detail for v in report.violations] == [
         "16 entries, first offpeak[0][0]",
         "16 entries, first peak[0][0]",
@@ -193,7 +193,7 @@ def test_validate_rejects_invalid_peak_window(tiny_instance, window, names):
         cost_peak=tiny_instance.cost_peak,
         peak_window_s=window,
     )
-    assert validate_instance(broken).names == names
+    assert validate_instance(broken).violation_tags == names
 
 
 def test_validate_rejects_blocked_cluster(tiny_instance):
@@ -207,7 +207,7 @@ def test_validate_rejects_blocked_cluster(tiny_instance):
         cost_peak=tiny_instance.cost_peak,
         forbidden=frozenset(arcs),
     )
-    assert "cluster-path-infeasible" in validate_instance(broken).names
+    assert "cluster-path-infeasible" in validate_instance(broken).violation_tags
 
 
 def test_validate_rejects_undersized_capacity(tiny_instance):
@@ -218,7 +218,7 @@ def test_validate_rejects_undersized_capacity(tiny_instance):
         cost_offpeak=tiny_instance.cost_offpeak,
         cost_peak=tiny_instance.cost_peak,
     )
-    assert "cluster-load-exceeds-capacity" in validate_instance(broken).names
+    assert "cluster-load-exceeds-capacity" in validate_instance(broken).violation_tags
 
 
 def test_validate_rejects_cluster_whose_rules_admit_no_common_order():
@@ -227,7 +227,7 @@ def test_validate_rejects_cluster_whose_rules_admit_no_common_order():
     # each rule alone admits an order, so only the joint check can flag it
     assert cluster_order(members, inst.forbidden) is not None
     assert route_load_ok((1, 2, 3), inst) is not None
-    assert validate_instance(inst).names == ["cluster-order-infeasible"]
+    assert validate_instance(inst).violation_tags == ["cluster-order-infeasible"]
     with pytest.raises(InfeasibleClusterError):
         random_solution(inst, np.random.default_rng(0))
 
@@ -242,7 +242,7 @@ def test_validate_rejects_non_positive_capacity(tiny_instance, capacity):
         cost_peak=tiny_instance.cost_peak,
     )
     report = validate_instance(broken)
-    assert report.names == ["capacity-invalid"]
+    assert report.violation_tags == ["capacity-invalid"]
     assert report.violations[0].detail == str(capacity)
 
 
@@ -258,7 +258,7 @@ def test_validate_reports_one_issue_per_matrix_and_name(tiny_instance):
         cost_peak=tiny_instance.cost_peak,
     )
     report = validate_instance(broken)
-    assert report.names == ["negative-cost", "asymmetry-violated"]
+    assert report.violation_tags == ["negative-cost", "asymmetry-violated"]
     assert [v.detail for v in report.violations] == [
         "3 entries, first offpeak[1][2]",
         "offpeak arc (1,2)",
@@ -273,7 +273,7 @@ def test_validate_rejects_bad_depot_demands():
     off = [[0.0, 10.0], [12.0, 0.0]]
     peak = [[0.0, 13.0], [15.0, 0.0]]
     broken = Instance(name="broken", nodes=nodes, capacity=50, cost_offpeak=off, cost_peak=peak)
-    assert "depot-invalid" in validate_instance(broken).names
+    assert "depot-invalid" in validate_instance(broken).violation_tags
 
 
 def test_json_round_trip(tmp_path, tiny_instance):
@@ -328,7 +328,7 @@ def test_json_recomputes_missing_matrices(tmp_path):
     rebuilt = Instance.from_dict(data)
     # full-precision regeneration from coordinates, not the rounded file values
     assert rebuilt.cost_offpeak[0][1] == pytest.approx(inst.cost_offpeak[0][1], abs=1e-9)
-    assert validate_instance(rebuilt).ok
+    assert validate_instance(rebuilt).feasible
 
 
 def test_save_is_deterministic(tmp_path):

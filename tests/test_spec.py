@@ -31,7 +31,7 @@ CASES = [(name, 10) for name in SMALL] + [("Osaba_50_2_4", 4), ("Osaba_50_1_1", 
 @pytest.mark.parametrize("name, population", CASES, ids=[name for name, _ in CASES])
 def test_solve_is_the_spec(benchmark_by_name, name, population, algorithm, relocation):
     inst = SMALL.get(name) or benchmark_by_name[name]
-    assert validate_instance(inst).ok
+    assert validate_instance(inst).feasible
     cfg = SolverConfig(algorithm, population, seed=3, enable_cluster_relocation=relocation)
     result = solve(inst, cfg)
     run = spec.solve(inst, algorithm, population, seed=3, relocation=relocation)

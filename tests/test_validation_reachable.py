@@ -73,10 +73,10 @@ def test_table_covers_every_issue_name():
 
 
 def test_tiny_instance_round_trips_valid():
-    assert validate_instance(Instance.from_dict(_edited([]))).ok
+    assert validate_instance(Instance.from_dict(_edited([]))).feasible
 
 
 @pytest.mark.parametrize("name", sorted(EDITS))
 def test_issue_is_reachable_from_a_file(name):
     inst = Instance.from_dict(_edited(EDITS[name]))
-    assert name in validate_instance(inst).names
+    assert name in validate_instance(inst).violation_tags
