@@ -335,15 +335,20 @@ def test_check_feasible_prices_no_route(tiny_instance, monkeypatch):
     assert findings() == expected
 
 
-def test_a_route_past_the_day_end_stays_feasible(tiny_instance):
-    # no route is checked against the working day. From a 5000 s day start
-    # the route costs 12900 s: less than the 15000 s day end, but it ends at
-    # 17900 s, past it; at ten times the costs it ends past the default day
-    # end from the default day start
+def test_day_end_warning_counts_from_the_day_start(tiny_instance):
+    # no route is checked against the working day, so no warning is left to
+    # count. From a 5000 s day start the route costs 12900 s: less than the
+    # 15000 s day end, but it ends at 17900 s, past it, and stays feasible
     late = replace(tiny_instance, day_start_s=5000, day_end_s=15000)
     cost = route_cost([1, 2, 3], late)
     assert cost < late.day_end_s < late.day_start_s + cost
+    assert check_feasible(Solution.from_routes([[1, 2, 3]]), late).feasible
     assert route_timeline([1, 2, 3], late).end_time_s == 17900.0
+
+
+def test_long_route_warns_but_stays_feasible(tiny_instance):
+    # at ten times the costs the route ends past the default day end from the
+    # default day start; it draws no warning now, and stays feasible
     stretched = type(tiny_instance)(
         name="slow",
         nodes=tiny_instance.nodes,
@@ -352,8 +357,7 @@ def test_a_route_past_the_day_end_stays_feasible(tiny_instance):
         cost_peak=[[c * 10 for c in row] for row in tiny_instance.cost_peak],
     )
     assert stretched.day_start_s + route_cost([1, 2, 3], stretched) > stretched.day_end_s
-    for inst in (late, stretched):
-        assert check_feasible(Solution.from_routes([[1, 2, 3]]), inst).feasible
+    assert check_feasible(Solution.from_routes([[1, 2, 3]]), stretched).feasible
 
 
 def test_feasible_report_for_random_solutions(oracle_instances):
