@@ -9,8 +9,7 @@ columns of runs.csv.
 
 Exit codes: 0 ok (warnings allowed), 1 validation found violations, 2 bad
 input/output (a stdout closed by its reader too, with no traceback), 3
-generation infeasibility, 4 infeasible construction while solving, 5 every
-experiment cell failed.
+generation infeasibility, 5 every experiment cell failed. Code 4 is unassigned.
 """
 
 from __future__ import annotations
@@ -25,14 +24,12 @@ from .evaluation import check_feasible
 from .export import solution_feature_collection
 from .instance import Instance, Solution, encode, validate_instance
 from .jsonio import require_directory, write_json
-from .operators import InfeasibleClusterError
 from .solvers import ALGORITHMS, SolverConfig, grid_configs, solve
 
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_IO = 2
 EXIT_GENERATION = 3
-EXIT_CONSTRUCTION = 4
 EXIT_ALL_FAILED = 5
 
 
@@ -55,7 +52,7 @@ class CommandError(Exception):
         super().__init__(message)
 
 
-def _load_instance(path: str) -> Instance:
+def _load_instance(path: str | Path) -> Instance:
     try:
         return Instance.load(path)
     except (OSError, ValueError) as exc:
@@ -121,10 +118,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         enable_cluster_relocation=args.enable_cluster_relocation,
         out=out_path,
     )
-    try:
-        result = solve(inst, cfg)
-    except InfeasibleClusterError as exc:
-        raise CommandError(EXIT_CONSTRUCTION, f"construction failed: {exc}")
+    # a valid instance cannot fail construction: each cluster fits a fresh route
+    result = solve(inst, cfg)
     data = result.to_dict(include_history=args.emit_history)
     data["instance"] = inst.name
     data["encoding"] = encode(result.best_solution)
@@ -179,10 +174,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         require_directory(out_dir)
     except OSError as exc:
         raise CommandError(EXIT_IO, f"cannot write to {out_dir}: {exc}")
-    try:
-        instances = [Instance.load(path) for path in files]
-    except (OSError, ValueError) as exc:
-        raise CommandError(EXIT_IO, f"cannot load suite {args.suite}: {exc}")
+    instances = [_load_instance(path) for path in files]
     try:
         report = stats.run_experiment(
             instances, configs, runs_per_cell=args.runs, base_seed=seed, jobs=args.jobs

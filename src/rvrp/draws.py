@@ -2,9 +2,10 @@
 
 A scalar ``Generator.integers`` call costs about a microsecond, most of it
 call overhead, and every search candidate makes at least two. ``Draws`` reads
-the same 64-bit outputs in blocks (``random_raw``) and replays numpy's
-arithmetic on them in Python, so every value, and the position in the stream,
-equals what the wrapped ``Generator`` would have given:
+the same 64-bit outputs as one endless stream, fetched in blocks
+(``random_raw``), and replays numpy's arithmetic on them in Python, so every
+value, and the position in the stream, equals what the wrapped ``Generator``
+would have given:
 
 - ``integers(low, high)`` over a range n < 2**32 is Lemire's multiply-shift
   with rejection ("Fast random integer generation in an interval", ACM TOMACS
@@ -22,9 +23,11 @@ again. ``tests/test_draws.py`` pins the replay against numpy.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
-BLOCK = 256  # raw outputs fetched per refill
+BLOCK = 256  # raw outputs fetched at a time
 _MASK32 = 0xFFFFFFFF
 _SCALE53 = 1.0 / 9007199254740992.0  # 2**-53
 
@@ -33,20 +36,16 @@ class Draws:
     """``integers`` and ``random`` of a PCG64 ``Generator``, replayed from its
     raw output; the generator must not be used once wrapped."""
 
-    __slots__ = ("_bit_generator", "_next", "_pending")
+    __slots__ = ("_next", "_pending")
 
     def __init__(self, rng: np.random.Generator):
         bit_generator = rng.bit_generator
         if not isinstance(bit_generator, np.random.PCG64):
             raise TypeError(f"Draws replays PCG64 only, not {type(bit_generator).__name__}")
         state = bit_generator.state
-        self._bit_generator = bit_generator
         self._pending = state["uinteger"] if state["has_uint32"] else None
-        self._next = iter(()).__next__  # the first draw fetches a block
-
-    def _refill(self) -> int:
-        self._next = iter(self._bit_generator.random_raw(BLOCK).tolist()).__next__
-        return self._next()
+        blocks = iter(lambda: bit_generator.random_raw(BLOCK).tolist(), None)
+        self._next = chain.from_iterable(blocks).__next__
 
     def integers(self, low: int, high: int | None = None) -> int:
         """Uniform integer in [low, high), or in [0, low) without ``high``."""
@@ -60,10 +59,7 @@ class Draws:
         while True:
             half = self._pending
             if half is None:
-                try:
-                    u = self._next()
-                except StopIteration:
-                    u = self._refill()
+                u = self._next()
                 self._pending = u >> 32
                 half = u & _MASK32
             else:
@@ -75,11 +71,7 @@ class Draws:
 
     def random(self) -> float:
         """Uniform float in [0, 1)."""
-        try:
-            u = self._next()
-        except StopIteration:
-            u = self._refill()
-        return (u >> 11) * _SCALE53
+        return (self._next() >> 11) * _SCALE53
 
 
 Rng = Draws | np.random.Generator

@@ -395,11 +395,13 @@ def encode(sol: Solution) -> list[int]:
     return flat
 
 
-def decode(flat: Sequence[int], inst: Instance) -> Solution:
+def decode(flat: list[int] | tuple[int, ...], inst: Instance) -> Solution:
     """Inverse of :func:`encode`; rejects non-canonical or invalid input.
 
-    Every entry must be an ``int``: a float, a boolean or a string is no
-    customer id, even where it compares equal to one."""
+    ``flat`` must be a list or a tuple, and every entry an ``int``: a float, a
+    boolean or a string is no customer id, even where it compares equal to one."""
+    if not isinstance(flat, (list, tuple)):
+        raise DecodeError("non-array-encoding", f"{reprlib.repr(flat)} is not a list or a tuple")
     for pos, value in enumerate(flat):
         if type(value) is not int:
             raise DecodeError("non-integer-entry", f"entry {pos} is {value!r}, not an integer")
@@ -590,7 +592,9 @@ def validate_instance(inst: Instance) -> ValidationReport:
     for node in inst.nodes:
         if not (math.isfinite(node.x) and math.isfinite(node.y)):
             add("non-finite-coordinate", f"node {node.id}: ({node.x}, {node.y})")
-    for node in inst.nodes[1:]:
+    for node in inst.nodes:
+        if node.id == 0:  # the depot, wherever it is listed
+            continue
         if node.delivery <= 0 or node.pickup < 0:
             add("customer-demand-invalid", f"node {node.id}: d={node.delivery} p={node.pickup}")
         if node.cluster <= 0:

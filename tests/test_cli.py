@@ -10,7 +10,7 @@ import pytest
 
 import rvrp
 from rvrp import Instance, check_feasible, decode
-from rvrp import generator, stats
+from rvrp import cli, generator, stats
 from rvrp.cli import build_parser, main
 
 from conftest import make_joint_infeasible_instance
@@ -812,7 +812,8 @@ def test_experiment_rejects_malformed_instance_file(tmp_path, small_suite_dir, c
     path = small_suite_dir / "toy_a.json"
     _write_edited(path, path, edit)
     code = main(["experiment", "--suite", str(small_suite_dir), "--out", str(tmp_path / "o")])
-    assert named in _assert_one_io_error(code, capsys, small_suite_dir)
+    # the error line names the malformed file, not just its suite
+    assert named in _assert_one_io_error(code, capsys, f"cannot read instance {path}: ")
     assert not (tmp_path / "o").exists()
 
 
@@ -826,7 +827,7 @@ def test_header_prints_resolved_seed(tmp_path, toy_instance_file, capsys):
 
 def test_experiment_all_cells_failed_exit_code(tmp_path):
     # a cluster whose every internal arc is forbidden cannot be ordered, so
-    # every construction (and hence every cell) fails
+    # validation fails every run (and hence every cell)
     inst = generator.small_instance(27, cluster_sizes=(3, 3), name="doomed")
     data = inst.to_dict()
     members = list(inst.clusters[1])
@@ -998,10 +999,13 @@ def test_solve_emit_history(tmp_path, toy_instance_file):
     assert all(b < a for a, b in zip(costs, costs[1:]))
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 def test_readme_commands_parse(capsys):
     # every `rvrp ...` line of the README's bash blocks is a command the CLI
     # takes, so the documented study cannot go stale
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     blocks = re.findall(r"^```bash\n(.*?)^```", readme, re.M | re.S)
     lines = [line for block in blocks for line in block.splitlines() if line.startswith("rvrp ")]
     parser = build_parser()
@@ -1012,3 +1016,18 @@ def test_readme_commands_parse(capsys):
         except SystemExit:
             refused.append(line)
     assert lines and not refused, capsys.readouterr().err
+
+
+def _exit_codes(text: str) -> list[int]:
+    """The codes of a text's ``Exit codes:`` list, which ends at its first
+    full stop: each number that opens the list or follows one of its commas."""
+    listing = re.search(r"Exit codes:(.*?)\.(?:\s|$)", text, re.S).group(1)
+    return [int(code) for code in re.findall(r"(?:^|,)\s*(\d+)\s", listing)]
+
+
+@pytest.mark.parametrize("source", ["cli-docstring", "README"])
+def test_documented_exit_codes_are_the_cli_constants(source):
+    # a code that no command returns, or one that the docs leave out, fails here
+    text = cli.__doc__ if source == "cli-docstring" else README.read_text(encoding="utf-8")
+    constants = sorted(value for name, value in vars(cli).items() if name.startswith("EXIT_"))
+    assert _exit_codes(text) == constants

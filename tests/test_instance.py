@@ -12,6 +12,7 @@ from rvrp import (
     Instance,
     Node,
     Solution,
+    check_feasible,
     decode,
     encode,
     validate_instance,
@@ -66,6 +67,15 @@ def test_decode_rejects_invalid_forms(tiny_instance, flat, reason):
     with pytest.raises(DecodeError) as exc:
         decode(flat, tiny_instance)
     assert exc.value.reason == reason
+
+
+@pytest.mark.parametrize("flat", [5, None, "12", {1: 2}, range(1, 4), b"\x01\x02"])
+def test_decode_rejects_an_encoding_that_is_not_an_array(tiny_instance, flat):
+    # a string or a range iterates, but is no list of customer ids
+    with pytest.raises(DecodeError) as exc:
+        decode(flat, tiny_instance)
+    assert exc.value.reason == "non-array-encoding"
+    assert repr(flat) in str(exc.value)
 
 
 @given(data=st.data())
@@ -230,6 +240,41 @@ def test_validate_rejects_cluster_whose_rules_admit_no_common_order():
     assert validate_instance(inst).violation_tags == ["cluster-order-infeasible"]
     with pytest.raises(InfeasibleClusterError):
         random_solution(inst, np.random.default_rng(0))
+
+
+@given(
+    seed=st.integers(0, 2**16),
+    sizes=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+    arc_share=st.sampled_from([0.0, 0.3, 0.6, 0.9, 1.0]),
+    slack=st.integers(-10, 20),
+    rising=st.booleans(),
+)
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_a_valid_instance_is_always_constructed(seed, sizes, arc_share, slack, rising):
+    # validation proves each cluster on a fresh route, which is where
+    # construction falls back to, so only an instance with a cluster finding
+    # can fail construction; capacities near the cluster loads, random
+    # forbidden subsets and rising clusters make both outcomes common
+    inst = generator.small_instance(seed, cluster_sizes=sizes)
+    pick = np.random.default_rng(seed)
+    arcs = [(i, j) for ms in inst.clusters.values() for i in ms for j in ms if i != j]
+    loads = [sum(inst.delivery[c] for c in ms) for ms in inst.clusters.values()]
+    inst = dataclasses.replace(
+        inst,
+        capacity=max(1, max(loads) + slack),
+        forbidden=frozenset(arc for arc in arcs if pick.random() < arc_share),
+    )
+    if rising:
+        inst = rising_loads(inst)
+    report = validate_instance(inst)
+    for rng_seed in range(3):
+        try:
+            sol = random_solution(inst, np.random.default_rng(rng_seed))
+        except InfeasibleClusterError:
+            assert any(tag.startswith("cluster-") for tag in report.violation_tags)
+            continue
+        if report.feasible:
+            assert check_feasible(sol, inst).feasible
 
 
 @pytest.mark.parametrize("capacity", [0, -5])

@@ -253,6 +253,25 @@ def test_cluster_relocation_reaches_both_assignments_on_two_clusters():
     assert seen_structures == {1, 2}
 
 
+def test_cluster_relocation_gives_up_when_no_draw_fits():
+    # 30 single-customer clusters that each fill the vehicle: only a new route
+    # fits a moved block, one slot in 61, so some seeds never draw it in
+    # MAX_RESAMPLES tries and get their parent back
+    data = generator.small_instance(80, cluster_sizes=(1,) * 30).to_dict()
+    for node in data["nodes"][1:]:
+        node["delivery"], node["pickup"] = 10, 0
+    inst = Instance.from_dict({**data, "capacity": 10})
+    sol = Solution.from_routes([[c] for c in inst.customers])
+    gave_up = 0
+    for seed in range(20):
+        out = cluster_relocation(sol, inst, np.random.default_rng(seed))
+        if out is sol:
+            gave_up += 1
+        else:
+            assert out.vehicles == 30 and check_feasible(out, inst).feasible
+    assert 0 < gave_up < 20
+
+
 def test_cluster_relocation_preserves_block_order(two_cluster_instance):
     inst = two_cluster_instance
     order = list(inst.clusters[1])

@@ -6,6 +6,7 @@ Each row edits the JSON dict of the tiny instance, loads it with
 that no file can trigger fails here.
 """
 
+import json
 import re
 from pathlib import Path
 
@@ -80,3 +81,18 @@ def test_tiny_instance_round_trips_valid():
 def test_issue_is_reachable_from_a_file(name):
     inst = Instance.from_dict(_edited(EDITS[name]))
     assert name in validate_instance(inst).violation_tags
+
+
+@pytest.mark.parametrize("order", [[1, 2, 3, 0], [1, 2, 3]], ids=["depot-last", "no-node-0"])
+def test_a_misplaced_or_missing_depot_is_its_only_issue(tmp_path, order):
+    # the customer checks pick customers by id, so neither a depot listed
+    # last nor the customer listed in its place is misread as the other
+    data = _edited([])
+    costs = {key: [[data[key][a][b] for b in order] for a in order] for key in ("cost_offpeak", "cost_peak")}
+    data = {**data, "nodes": [data["nodes"][k] for k in order], **costs}
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    report = validate_instance(Instance.load(path))
+    assert [(issue.name, issue.detail) for issue in report.violations] == [
+        ("depot-invalid", "node 0 must exist and come first")
+    ]
