@@ -8,8 +8,9 @@ are confined to stdout summaries, timing.json, tables.txt and the time
 columns of runs.csv.
 
 Exit codes: 0 ok (warnings allowed), 1 validation found violations, 2 bad
-input/output (a stdout closed by its reader too, with no traceback), 3
-generation infeasibility, 5 every experiment cell failed. Code 4 is unassigned.
+input/output (an instance that solve or export-geojson finds invalid too; a
+stdout closed by its reader, with no traceback), 3 generation infeasibility,
+5 every experiment cell failed. Code 4 is unassigned.
 """
 
 from __future__ import annotations
@@ -59,6 +60,15 @@ def _load_instance(path: str | Path) -> Instance:
         raise CommandError(EXIT_IO, f"cannot read instance {path}: {exc}")
 
 
+def _valid_instance(path: str) -> Instance:
+    """The instance in ``path``; any :func:`validate_instance` finding exits 2 naming the file."""
+    inst = _load_instance(path)
+    report = validate_instance(inst)
+    if not report.feasible:
+        raise CommandError(EXIT_IO, f"invalid instance {path}: {report.violation_tags}")
+    return inst
+
+
 # ---------------------------------------------------------------- subcommands
 
 
@@ -104,10 +114,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         cfg = SolverConfig(args.algorithm, args.population, seed, args.enable_cluster_relocation)
     except ValueError as exc:
         raise CommandError(EXIT_IO, f"invalid solver settings: {exc}")
-    inst = _load_instance(args.instance)
-    report = validate_instance(inst)
-    if not report.feasible:
-        raise CommandError(EXIT_IO, f"invalid instance {inst.name}: {report.violation_tags}")
+    inst = _valid_instance(args.instance)
     out_path = Path(args.out) if args.out else Path(args.instance).with_suffix(f".{args.algorithm}.solution.json")
     _print_header(
         "solve",
@@ -120,7 +127,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     )
     # a valid instance cannot fail construction: each cluster fits a fresh route
     result = solve(inst, cfg)
-    data = result.to_dict(include_history=args.emit_history)
+    data = result.to_dict()
     data["instance"] = inst.name
     data["encoding"] = encode(result.best_solution)
     try:
@@ -132,13 +139,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         f"{result.wall_time_s:.3f} {result.convergence_time_s:.3f} {seed}"
     )
     return EXIT_OK
-
-
-def _load_solution(path: str, inst: Instance) -> Solution:
-    try:
-        return Solution.load(path, inst)
-    except (OSError, ValueError) as exc:
-        raise CommandError(EXIT_IO, f"cannot read solution {path}: {exc}")
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
@@ -222,12 +222,12 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_export_geojson(args: argparse.Namespace) -> int:
     _print_header("export-geojson", instance=args.instance, solution=args.solution, out=args.out)
-    inst = _load_instance(args.instance)
-    sol = _load_solution(args.solution, inst)
+    inst = _valid_instance(args.instance)
     try:
-        collection = solution_feature_collection(inst, sol)
-    except ValueError as exc:
-        raise CommandError(EXIT_IO, f"cannot export {args.solution} on {args.instance}: {exc}")
+        sol = Solution.load(args.solution, inst)
+    except (OSError, ValueError) as exc:
+        raise CommandError(EXIT_IO, f"cannot read solution {args.solution}: {exc}")
+    collection = solution_feature_collection(inst, sol)
     feasibility = check_feasible(sol, inst)
     if not feasibility.feasible:
         print(f"warning: exported solution is infeasible: {feasibility.violation_tags}", file=sys.stderr)
@@ -262,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--population", type=int, default=100)
     p.add_argument("--enable-cluster-relocation", action="store_true")
-    p.add_argument("--emit-history", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_solve)
 

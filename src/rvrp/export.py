@@ -7,21 +7,16 @@ instance's planar travel-second units.
 
 from __future__ import annotations
 
-import math
-
 from .evaluation import load_profile, route_cost
 from .instance import Instance, Solution
 
 
 def solution_feature_collection(inst: Instance, sol: Solution) -> dict:
-    visited = sorted(sol.customers())
-    if visited != sorted(inst.customers):
-        raise ValueError("solution does not cover exactly the instance's customers")
-
+    """``sol`` on ``inst`` as a FeatureCollection, trusting ``inst`` to pass
+    ``validate_instance`` (node 0, the depot, comes first; every coordinate is
+    finite, as JSON needs) and ``sol`` to be decoded on it, as the CLI checks."""
     features: list[dict] = []
     for node in inst.nodes:
-        if not (math.isfinite(node.x) and math.isfinite(node.y)):  # JSON has no NaN or inf
-            raise ValueError(f"node {node.id} has a non-finite coordinate ({node.x}, {node.y})")
         features.append(
             {
                 "type": "Feature",

@@ -34,7 +34,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .instance import Instance, Node, cluster_order, label_clusters, validate_instance
-from .jsonio import require_directory, write_json
+from .jsonio import write_json
 from .operators import random_solution
 
 BOX_W = 20000.0
@@ -251,8 +251,7 @@ def generate_suite(seed: int, only: Iterable[str] | None = None) -> list[Instanc
 
 def write_suite(instances: Sequence[Instance], out_dir: str | Path, seed: int) -> Path:
     """Write one JSON file per instance plus ``suite-manifest.json``."""
-    out = require_directory(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(out_dir)
     row_index = {row.name: idx for idx, row in enumerate(SUITE)}
     entries = []
     for inst in instances:

@@ -131,8 +131,8 @@ class SolveResult:
         """The evaluations made when the best cost was last improved."""
         return self.cost_history[-1][0]
 
-    def to_dict(self, include_history: bool = False) -> dict:
-        data = {
+    def to_dict(self) -> dict:
+        return {
             "algorithm": self.algorithm,
             "seed": self.seed,
             "cost": self.best_cost,
@@ -140,10 +140,8 @@ class SolveResult:
             "routes": [list(r) for r in self.best_solution.routes],
             "evaluations": self.evaluations_total,
             "convergence_evaluations": self.convergence_evaluations,
+            "cost_history": [[e, c] for e, c in self.cost_history],
         }
-        if include_history:
-            data["cost_history"] = [[e, c] for e, c in self.cost_history]
-        return data
 
 
 class BudgetExhausted(Exception):

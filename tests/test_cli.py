@@ -1,12 +1,16 @@
+import argparse
 import json
 import os
 import re
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import rvrp
 from rvrp import Instance, check_feasible, decode
@@ -62,6 +66,17 @@ def test_generate_unknown_name_fails(tmp_path, capsys):
     assert main(["generate", "--seed", "7", "--out", str(out), "--only", "nope"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "'nope'" in err[0]
+    assert not out.exists()
+
+
+def test_generate_exits_3_when_generation_fails(tmp_path, capsys, monkeypatch):
+    def fail(seed, only=None):
+        raise generator.GenerationError("cluster 1: no feasible forbidden set found")
+
+    monkeypatch.setattr(generator, "generate_suite", fail)
+    out = tmp_path / "bench"
+    assert main(["generate", "--seed", "7", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "generation failed: cluster 1: no feasible forbidden set found\n"
     assert not out.exists()
 
 
@@ -794,10 +809,12 @@ NON_FINITE_RUNS = CSV_HEADER + (
         ),
         # the cells (a/b, c) and (a, b/c) would share the report.json key a/b/c
         (CSV_HEADER + "a/b,c,0,1,5.0,1.0,1.0,2\na,b/c,0,2,6.0,9.0,9.0,2\n", "label 'b/c'"),
+        (CSV_HEADER + "t" * 200_000 + ",dfa,0,1,1.5,0.1,0.0,2\n", "line 2: field larger than field limit (131072)"),
     ],
     ids=[
         "no-cost-column", "cost-not-a-number", "cost-nan", "cost-inf", "not-utf-8", "time-inf",
         "header-only", "short-row", "repeated-run", "repeated-cost-column", "slash-in-label",
+        "field-too-large",
     ],
 )
 def test_stats_rejects_malformed_csv(tmp_path, capsys, content, named):
@@ -982,15 +999,96 @@ def test_export_geojson_rejects_non_finite_coordinates(tmp_path, capsys):
     capsys.readouterr()
     geo = tmp_path / "routes.geojson"
     code = main(["export-geojson", str(path), str(sol), "--out", str(geo)])
-    assert "node 1 has a non-finite coordinate (nan, " in _assert_one_io_error(code, capsys, path)
+    assert "non-finite-coordinate" in _assert_one_io_error(code, capsys, path)
+    assert not geo.exists()
+
+
+# what the property sets a node field to: numbers out of range, not integral
+# or not finite, and a JSON value of every other type
+NODE_FIELD_VALUES = [-1, 0, 2.5, 10**9, HUGE, float("nan"), INF, "1", True, None, [], {}]
+
+
+@st.composite
+def _mutated(draw, data: dict) -> dict:
+    """``data`` with one of five edits: the depot moved last, one node field
+    set to one of NODE_FIELD_VALUES, a node dropped, a node duplicated at the
+    end, or the values of two top-level fields swapped."""
+    nodes = [dict(n) for n in data["nodes"]]
+    k = draw(st.integers(0, len(nodes) - 1))
+    kind = draw(st.sampled_from(["depot-last", "node-field", "drop-node", "duplicate-node", "swap-fields"]))
+    if kind == "swap-fields":
+        a, b = draw(st.lists(st.sampled_from(sorted(data)), min_size=2, max_size=2, unique=True))
+        return {**data, a: data[b], b: data[a]}
+    if kind == "depot-last":
+        nodes.append(nodes.pop(0))
+    elif kind == "node-field":
+        nodes[k][draw(st.sampled_from(sorted(nodes[k])))] = draw(st.sampled_from(NODE_FIELD_VALUES))
+    elif kind == "drop-node":
+        del nodes[k]
+    else:
+        nodes.append(nodes[k])
+    return {**data, "nodes": nodes}
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_solve_and_export_take_only_what_validate_accepts(data):
+    # every file ends in a documented exit, never a traceback; the files of an
+    # example go to a temporary directory, since a function-scoped fixture
+    # would be shared by all examples
+    clean = generator.small_instance(21, cluster_sizes=(3, 3), forbidden_per_cluster=1)
+    mutated = data.draw(_mutated(clean.to_dict()))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        clean_path = clean.save(tmp / "clean.json")
+        clean_solution = tmp / "clean.solution.json"
+        assert main(["solve", str(clean_path), "--population", "3", "--seed", "1", "--out", str(clean_solution)]) == 0
+        path = tmp / "mutated.json"
+        _write_edited(clean_path, path, lambda _: mutated)
+        validated = main(["validate", str(path)])
+        solution = tmp / "mutated.solution.json"
+        solved = main(["solve", str(path), "--population", "3", "--seed", "1", "--out", str(solution)])
+        geo = tmp / "routes.geojson"
+        exported = main(["export-geojson", str(path), str(clean_solution), "--out", str(geo)])
+        event(f"validate {validated}, solve {solved}, export-geojson {exported}")
+        assert {validated, solved, exported} <= {0, 1, 2}
+        if validated != 0:
+            assert solved != 0 and exported != 0
+        assert geo.exists() == (exported == 0)
+        if solved == 0:
+            inst = Instance.load(path)
+            assert check_feasible(decode(json.loads(solution.read_text())["encoding"], inst), inst).feasible
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda nodes: [*nodes[1:], nodes[0]], "depot-invalid"),
+        (lambda nodes: [*nodes, nodes[0]], "duplicate-node-id"),
+        (lambda nodes: nodes[1:], "depot-invalid"),
+    ],
+    ids=["depot-last", "depot-duplicated-at-end", "depot-removed"],
+)
+def test_export_geojson_refuses_a_misplaced_depot(tmp_path, capsys, edit, named):
+    # the renderer draws each route from the first node listed, so a file
+    # whose first node is not the one depot must not reach it
+    clean = generator.small_instance(21, cluster_sizes=(3, 3), forbidden_per_cluster=1).save(tmp_path / "clean.json")
+    sol = tmp_path / "sol.json"
+    assert main(["solve", str(clean), "--seed", "3", "--population", "5", "--out", str(sol)]) == 0
+    path = tmp_path / "bad.json"
+    _write_edited(clean, path, lambda data: {**data, "nodes": edit(data["nodes"])})
+    capsys.readouterr()
+    geo = tmp_path / "routes.geojson"
+    code = main(["export-geojson", str(path), str(sol), "--out", str(geo)])
+    err = _assert_one_io_error(code, capsys, path)
+    assert err.startswith(f"invalid instance {path}: [") and named in err
     assert not geo.exists()
 
 
 def test_solve_emit_history(tmp_path, toy_instance_file):
     out = tmp_path / "sol.json"
     assert main(
-        ["solve", str(toy_instance_file), "--seed", "3", "--population", "15",
-         "--emit-history", "--out", str(out)]
+        ["solve", str(toy_instance_file), "--seed", "3", "--population", "15", "--out", str(out)]
     ) == 0
     data = json.loads(out.read_text())
     history = data["cost_history"]
@@ -1016,6 +1114,21 @@ def test_readme_commands_parse(capsys):
         except SystemExit:
             refused.append(line)
     assert lines and not refused, capsys.readouterr().err
+
+
+def test_every_cli_option_is_in_the_readme():
+    # an option the README never names is one its reader cannot find
+    readme = README.read_text(encoding="utf-8")
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        option
+        for parser in commands.choices.values()
+        for action in parser._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
+    undocumented = [o for o in sorted(options) if not re.search(re.escape(o) + r"(?![\w-])", readme)]
+    assert options and not undocumented
 
 
 def _exit_codes(text: str) -> list[int]:

@@ -246,6 +246,17 @@ def test_select_forbidden_rejects_impossible_count():
         select_forbidden({1: (1, 2)}, 5, rng)
 
 
+def test_select_forbidden_gives_up_on_a_cluster_with_no_free_order():
+    # forbidding both arcs of a pair leaves no order, however often it redraws
+    with pytest.raises(GenerationError, match="^cluster 1: no feasible forbidden set found$"):
+        select_forbidden({1: (1, 2)}, 2, np.random.default_rng(0))
+
+
+def test_small_instance_that_fails_validation_is_a_generation_error():
+    with pytest.raises(GenerationError, match=r"^small_21: invalid instance: .*'cluster-load-exceeds-capacity'"):
+        generator.small_instance(21, cluster_sizes=(3, 3), capacity=10)
+
+
 def test_row_seed_stability():
     assert row_seed(7, 0) == row_seed(7, 0)
     assert row_seed(7, 0) != row_seed(7, 1)
@@ -262,6 +273,13 @@ def test_suite_files_are_byte_identical(tmp_path):
     ma = (a_dir / "suite-manifest.json").read_bytes()
     mb = (b_dir / "suite-manifest.json").read_bytes()
     assert ma == mb
+
+
+def test_load_suite_reads_back_what_write_suite_wrote(tmp_path):
+    written = [generator.small_instance(seed, cluster_sizes=(3, 3), forbidden_per_cluster=1) for seed in (21, 22)]
+    generator.write_suite(written, tmp_path / "suite", seed=1)
+    loaded = generator.load_suite(tmp_path / "suite")
+    assert [inst.to_dict() for inst in loaded] == [inst.to_dict() for inst in written]
 
 
 def test_only_subset_matches_full_generation(tmp_path, benchmark_by_name):

@@ -206,7 +206,7 @@ def test_relocation_flag_keeps_runs_feasible(algorithm):
 
 def test_result_dict_shape(oracle_instances):
     result = solve(oracle_instances[0], SolverConfig(algorithm="dfa", seed=1, population_size=8))
-    data = result.to_dict(include_history=True)
+    data = result.to_dict()
     assert data["vehicles"] == result.best_solution.vehicles
     assert data["evaluations"] == result.evaluations_total
     assert data["cost_history"] == [list(point) for point in result.cost_history]

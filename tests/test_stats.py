@@ -8,7 +8,8 @@ import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rvrp import generator, jsonio, stats
+from rvrp import ValidationReport, generator, jsonio, stats
+from rvrp.instance import ValidationIssue
 from rvrp.solvers import SolverConfig
 from rvrp.stats import (
     ExperimentReport,
@@ -26,6 +27,25 @@ from rvrp.stats import (
 )
 
 REFERENCE_RANKS = (1.2, 2.0667, 2.7333)
+
+
+@pytest.mark.parametrize(
+    "call, named",
+    [
+        (lambda: average_ranks([]), "empty matrix"),
+        (lambda: chi2_sf(1.0, 0), "df must be a positive integer"),
+        (lambda: chi2_sf(1.0, 1.5), "df must be a positive integer"),
+        (lambda: chi2_sf(-1.0, 2), "x must be non-negative"),
+        (lambda: friedman_from_ranks([1.0], 3), "need at least two algorithms and one instance"),
+        (lambda: friedman_from_ranks([1.0, 2.0], 0), "need at least two algorithms and one instance"),
+        (lambda: friedman([[1.0, 2.0]]), "need at least two instances"),
+    ],
+    ids=["ranks-no-rows", "chi2-df-0", "chi2-df-1.5", "chi2-x-negative", "friedman-one-algorithm",
+         "friedman-no-instance", "friedman-one-row"],
+)
+def test_rank_statistics_reject_what_they_cannot_test(call, named):
+    with pytest.raises(ValueError, match=f"^{named}$"):
+        call()
 
 
 def test_mean_sd_constant():
@@ -318,6 +338,15 @@ def test_experiment_validates_the_instance_it_solves():
     off[2][1] = off[1][2] + 0.004
     report = run_experiment([replace(inst, cost_offpeak=off)], SMALL_CONFIGS, runs_per_cell=1)
     assert [r.error for r in report.runs] == ["invalid instance: ['asymmetry-violated']"] * 3
+
+
+def test_experiment_records_an_infeasible_solution_as_the_runs_error(monkeypatch):
+    # a solver bug must not be ranked as a result
+    issue = ValidationIssue("cluster-split", "cluster 1 spans routes [0, 1]")
+    monkeypatch.setattr(stats, "check_feasible", lambda sol, inst: ValidationReport([issue]))
+    inst = generator.small_instance(21, cluster_sizes=(3, 3), forbidden_per_cluster=1)
+    report = run_experiment([inst], {"dfa": SolverConfig("dfa", population_size=5)}, runs_per_cell=1, jobs=1)
+    assert [r.error for r in report.runs] == ["RuntimeError: solver emitted infeasible solution: ['cluster-split']"]
 
 
 @pytest.mark.parametrize("seeds, named", [((21, 30, 21), "'small_21'")], ids=["instance"])
