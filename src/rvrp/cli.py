@@ -270,7 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithms", default="dfa,ea,esa")
     p.add_argument("--runs", type=int, default=20)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    # one worker per CPU this process may run on, not per CPU of the machine
+    jobs = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    p.add_argument("--jobs", type=int, default=jobs)
     p.add_argument("--population", type=int, default=100)
     p.add_argument("--enable-cluster-relocation", action="store_true")
     p.add_argument("--out", default="experiment")

@@ -240,19 +240,12 @@ class Instance:
     @classmethod
     def from_dict(cls, data: Mapping) -> "Instance":
         """The instance a file's JSON document holds; a document that is not
-        an object, lacks a required field or holds a malformed value is a
-        ValueError that names the defect."""
-        _require(data, _INSTANCE_FIELDS, "the instance")
+        an object, lacks a required field, holds an unknown one or holds a
+        malformed value is a ValueError that names the defect."""
+        _require(data, _INSTANCE_FIELDS, "the instance", _INSTANCE_KEYS)
         nodes = tuple(_node(n, f"nodes[{k}]") for k, n in enumerate(_array(data["nodes"], "nodes")))
-        if "cost_offpeak" in data and "cost_peak" in data:
-            off = [_floats(row, "cost_offpeak") for row in _array(data["cost_offpeak"], "cost_offpeak")]
-            peak = [_floats(row, "cost_peak") for row in _array(data["cost_peak"], "cost_peak")]
-        else:
-            # matrices are optional in the file schema; rebuild them from the
-            # coordinates with the benchmark cost rules
-            from .generator import assign_costs
-
-            off, peak = assign_costs(nodes)
+        off = [_floats(row, "cost_offpeak") for row in _array(data["cost_offpeak"], "cost_offpeak")]
+        peak = [_floats(row, "cost_peak") for row in _array(data["cost_peak"], "cost_peak")]
         window = _array(data.get("peak_window_s", [PEAK_START_S, PEAK_END_S]), "peak_window_s")
         if len(window) != 2:
             raise ValueError(f"peak_window_s has {len(window)} entries, not 2")
@@ -282,19 +275,23 @@ class Instance:
 
 # the types json.load gives a JSON number; a boolean is not one of them
 _NUMBER_TYPES = frozenset((int, float))
-# the fields a file must give; every other one has a default
-_INSTANCE_FIELDS = ("name", "nodes", "capacity")
+# the fields a file must give, and every field it may give
+_INSTANCE_FIELDS = ("name", "nodes", "capacity", "cost_offpeak", "cost_peak")
+_INSTANCE_KEYS = frozenset((*_INSTANCE_FIELDS, "forbidden", "day_start_s", "peak_window_s", "day_end_s"))
 _NODE_FIELDS = ("id", "x", "y", "delivery", "pickup", "cluster")
 
 
-def _require(value, fields: Sequence[str], what: str) -> None:
-    """A ValueError unless ``value``, which ``what`` names, is a JSON object
-    holding every one of ``fields``; it names each missing field."""
+def _require(value, fields: Sequence[str], what: str, known: Collection[str] | None = None) -> None:
+    """A ValueError naming the defect unless ``value``, which ``what`` names,
+    is a JSON object holding every one of ``fields`` and, given ``known``, no other key."""
     if type(value) is not dict:
         raise ValueError(f"{what} is {reprlib.repr(value)}, not an object")
     missing = [key for key in fields if key not in value]
     if missing:
         raise ValueError(f"{what} has no {', '.join(map(repr, missing))}")
+    unknown = [key for key in value if key not in known] if known is not None else []
+    if unknown:
+        raise ValueError(f"{what} has the unknown field {unknown[0]!r}")
 
 
 def _integer(value, name: str) -> int:
@@ -319,7 +316,7 @@ def _array(value, name: str) -> list:
 def _node(n: Mapping, where: str) -> Node:
     """The ``nodes`` entry ``where``: a JSON object with every node field;
     anything else is a ValueError that names the entry and the field."""
-    _require(n, _NODE_FIELDS, where)
+    _require(n, _NODE_FIELDS, where, _NODE_FIELDS)
     return Node(
         id=_integer(n["id"], "id"),
         x=_floats((n["x"],), "x")[0],

@@ -250,7 +250,7 @@ def cluster_relocation(sol: Solution, inst: Instance, rng: Rng) -> Solution:
     ``sol`` must keep each cluster in one block, as every solver state does.
     """
     state = _with_search_state(sol, inst)
-    labels = sorted(inst.clusters)
+    labels = list(inst.clusters)
     label = labels[int(rng.integers(len(labels)))]
     src, start, end = state.blocks[label]
     block = state.routes[src][start:end]
@@ -353,7 +353,7 @@ def random_solution(inst: Instance, rng: np.random.Generator) -> Solution:
     falling back to a randomized exact order search when resampling fails.
     The solution carries its search state.
     """
-    labels = sorted(inst.clusters)
+    labels = list(inst.clusters)
     order = [labels[i] for i in rng.permutation(len(labels))]
     routes: list[tuple[int, ...]] = []
     blocks: dict[int, Block] = {}

@@ -223,6 +223,16 @@ def test_experiment_header_states_the_default_population(tmp_path, small_suite_d
     assert "#   population = 100" in capsys.readouterr().out.splitlines()
 
 
+def test_experiment_jobs_default_counts_the_cpus_this_process_may_use(monkeypatch):
+    # an affinity mask of two CPUs on a 64-CPU machine gets two workers; where
+    # the platform has no mask, every CPU counts. Parsing starts no pool
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    assert build_parser().parse_args(["experiment"]).jobs == 2
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert build_parser().parse_args(["experiment"]).jobs == 64
+
+
 def test_experiment_report_deterministic(tmp_path, small_suite_dir):
     reports = []
     for sub in ("e1", "e2"):
@@ -643,6 +653,10 @@ def _with_node_field(field, value):
     return edit
 
 
+def _without_field(field):
+    return lambda data: {key: value for key, value in data.items() if key != field}
+
+
 def _without_node_field(field):
     def edit(data: dict) -> dict:
         nodes = [dict(n) for n in data["nodes"]]
@@ -699,8 +713,15 @@ MALFORMED_INSTANCES = pytest.mark.parametrize(
         (_with_node_field("id", -1), "nodes"),
         (_with_node_field("id", 10**9), "nodes"),
         # a required field left out
-        (lambda data: {key: value for key, value in data.items() if key != "capacity"}, "no 'capacity'"),
+        (_without_field("capacity"), "no 'capacity'"),
         (_without_node_field("x"), "nodes[1] has no 'x'"),
+        # an instance file holds its own costs; nothing rebuilds them
+        (_without_field("cost_offpeak"), "the instance has no 'cost_offpeak'"),
+        (_without_field("cost_peak"), "the instance has no 'cost_peak'"),
+        # a misspelled field is refused, not read as its default or ignored
+        (lambda data: {**_without_field("forbidden")(data), "forbiden": data["forbidden"]},
+         "the instance has the unknown field 'forbiden'"),
+        (_with_node_field("pick_up", 3), "nodes[1] has the unknown field 'pick_up'"),
     ],
     ids=["non-object", "window-one-entry", "window-empty", "window-three-entries",
          "capacity-1e400", "delivery-1e400", "x-401-digits", "cost-401-digits",
@@ -709,7 +730,8 @@ MALFORMED_INSTANCES = pytest.mark.parametrize(
          "window-string", "name-list", "cost-row-number", "node-number",
          "forbidden-triple", "nodes-number", "cost-offpeak-number", "cost-peak-number",
          "forbidden-number", "window-number", "node-id-negative", "node-id-1e9",
-         "missing-capacity", "missing-node-x"],
+         "missing-capacity", "missing-node-x", "missing-cost-offpeak", "missing-cost-peak",
+         "unknown-field", "unknown-node-field"],
 )
 
 

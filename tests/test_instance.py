@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import tempfile
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +31,7 @@ from rvrp.instance import (
 )
 from rvrp.operators import InfeasibleClusterError, random_solution
 
-from conftest import make_joint_infeasible_instance, make_tiny_instance, rising_loads
+from conftest import SUITE_SEED, make_joint_infeasible_instance, make_tiny_instance, rising_loads
 
 def test_encode_two_routes():
     sol = Solution.from_routes([[1, 2, 3], [4, 5]])
@@ -365,17 +367,6 @@ def test_round_costs_is_round_bit_for_bit(matrix):
     assert [[_round_exactly(c) for c in row] for row in round_costs(matrix)] == expected
 
 
-def test_json_recomputes_missing_matrices(tmp_path):
-    inst = generator.small_instance(50, cluster_sizes=(3, 3))
-    data = inst.to_dict()
-    del data["cost_offpeak"]
-    del data["cost_peak"]
-    rebuilt = Instance.from_dict(data)
-    # full-precision regeneration from coordinates, not the rounded file values
-    assert rebuilt.cost_offpeak[0][1] == pytest.approx(inst.cost_offpeak[0][1], abs=1e-9)
-    assert validate_instance(rebuilt).feasible
-
-
 def test_save_is_deterministic(tmp_path):
     inst = generator.small_instance(51, cluster_sizes=(3, 3))
     a = inst.save(tmp_path / "a.json").read_bytes()
@@ -394,20 +385,47 @@ def test_decode_never_crashes_with_other_errors(flat):
     assert decode(encode(sol), inst) == sol
 
 
-def test_matrix_recompute_preserves_parity_on_derived_instance(benchmark_by_name):
-    # Osaba_50_2_1 keeps original ids 11..20, 31..40, ...: the odd/even cost
-    # rules must key on those ids when matrices are rebuilt from coordinates
-    inst = benchmark_by_name["Osaba_50_2_1"]
-    data = inst.to_dict()
-    del data["cost_offpeak"]
-    del data["cost_peak"]
-    rebuilt = Instance.from_dict(data)
-    for a in (0, 1, 7, 25):
-        for b in (3, 12, 40):
-            assert rebuilt.cost_offpeak[a][b] == pytest.approx(
-                inst.cost_offpeak[a][b], rel=1e-12
-            )
-            assert rebuilt.cost_peak[a][b] == pytest.approx(inst.cost_peak[a][b], rel=1e-12)
+def test_derived_instance_keeps_the_skeleton_arc_costs(benchmark_suite):
+    # rows keep their original ids (Osaba_50_2_1 keeps 11..20, 31..40, ...,
+    # Osaba_50_1_3 keeps 1..5, 11..15, ...): the odd/even cost rules key on
+    # those ids, so every arc a row keeps costs what it costs over the whole
+    # skeleton. Keyed on matrix positions instead, a row that keeps five
+    # members of each cluster would flip the parity of every other cluster
+    base = generator.generate_base(SUITE_SEED)
+    off, peak = generator.assign_costs(base)
+    for inst in benchmark_suite:
+        kept = [base.index(node) for node in inst.nodes]
+        assert inst.cost_offpeak == [[off[a][b] for b in kept] for a in kept], inst.name
+        assert inst.cost_peak == [[peak[a][b] for b in kept] for a in kept], inst.name
+
+
+def _assert_file_round_trips(inst: Instance, directory: Path) -> None:
+    """save -> load -> save writes the same bytes, and the second load equals
+    the first: its costs, forbidden arcs, window and every other field."""
+    written = inst.save(directory / "first.json")
+    first = Instance.load(written)
+    rewritten = first.save(directory / "second.json")
+    assert rewritten.read_bytes() == written.read_bytes()
+    assert Instance.load(rewritten) == first
+
+
+@pytest.mark.parametrize("name", [row.name for row in generator.SUITE])
+def test_suite_instance_file_round_trips(benchmark_by_name, tmp_path, name):
+    _assert_file_round_trips(benchmark_by_name[name], tmp_path)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.lists(st.integers(2, 6), min_size=1, max_size=4),
+    forbidden_per_cluster=st.integers(0, 1),
+)
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_small_instance_file_round_trips(seed, sizes, forbidden_per_cluster):
+    # a temporary directory per example: a function-scoped fixture would be
+    # shared by all of them
+    inst = generator.small_instance(seed, cluster_sizes=sizes, forbidden_per_cluster=forbidden_per_cluster)
+    with tempfile.TemporaryDirectory() as tmp:
+        _assert_file_round_trips(inst, Path(tmp))
 
 
 LOAD_NODES = generator.small_instance(83, cluster_sizes=(3, 3, 2)).nodes

@@ -290,6 +290,23 @@ def test_random_solution_deterministic(two_cluster_instance):
     assert a != c
 
 
+def test_clusters_are_drawn_in_label_order_whatever_the_node_order():
+    # random_solution and cluster_relocation draw over Instance.clusters as it
+    # stands, so it must list the labels ascending however the file lists the
+    # nodes: here cluster 3's nodes come first, then 1's, then 2's
+    inst = generator.small_instance(72, cluster_sizes=(2, 3, 2), capacity=1000)
+    depot, *customers = inst.nodes
+    nodes = [depot, *sorted(customers, key=lambda node: node.cluster % 3)]
+    shuffled = Instance("shuffled", nodes, inst.capacity, *generator.assign_costs(nodes), inst.forbidden)
+    assert [node.cluster for node in shuffled.nodes[1:]] == [3, 3, 1, 1, 2, 2, 2]
+    assert list(shuffled.clusters.items()) == list(inst.clusters.items())
+    for seed in range(5):
+        sol = random_solution(shuffled, np.random.default_rng(seed))
+        assert sol == random_solution(inst, np.random.default_rng(seed))
+        moved = cluster_relocation(sol, shuffled, np.random.default_rng(seed))
+        assert moved == cluster_relocation(sol, inst, np.random.default_rng(seed))
+
+
 def test_random_solution_splits_when_capacity_forces_it(two_cluster_instance):
     # cluster pair sums exceed capacity: every route holds exactly one cluster
     rng = np.random.default_rng(7)
