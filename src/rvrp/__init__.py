@@ -3,7 +3,6 @@ simultaneous pickup and delivery, peak-hour arc costs and forbidden paths."""
 
 from .evaluation import (
     check_feasible,
-    load_profile,
     route_cost,
     solution_cost,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "esa_initial_temperature",
     "hamming_distance",
     "insertion_move",
-    "load_profile",
     "metropolis_accept",
     "move_firefly",
     "movement_length",

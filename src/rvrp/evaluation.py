@@ -6,9 +6,8 @@ time from its origin falls inside the half-open peak window [08:00, 10:00),
 otherwise from the off-peak matrix; travel time equals travel cost and
 service times are zero. :func:`route_cost` is the one route simulator and
 :func:`solution_cost` the one pricing of a solution; :func:`check_feasible`
-only checks the rules and prices nothing. Loads are simulated exactly: the
-vehicle leaves the depot carrying the sum of the route's deliveries and each
-visit applies ``-delivery +pickup``.
+only checks the rules and prices nothing. Its capacity rule reads the one
+load walk, ``instance.route_load``, as ``instance.route_load_ok`` does.
 
 The working day bounds only the peak window (``validate_instance``); no
 route is checked against ``day_end_s`` (15:00), so one that runs past it is
@@ -17,16 +16,9 @@ feasible.
 
 from __future__ import annotations
 
-from .instance import Instance, Solution, ValidationIssue, ValidationReport
+from .instance import Instance, Solution, ValidationIssue, ValidationReport, route_load
 
 COST_EQ_TOL = 1e-6  # absolute tolerance for cost equality in tests/reports
-
-
-def _require_known(route, inst: Instance) -> None:
-    for node_id in route:
-        if node_id == 0:
-            raise ValueError("the depot (0) inside a route")
-        inst.position(node_id)  # a ValueError for an id no node has
 
 
 def route_cost(route, inst: Instance) -> float:
@@ -73,27 +65,13 @@ def solution_cost(sol: Solution, inst: Instance) -> float:
     return sum(route_cost(route, inst) for route in sol.routes)
 
 
-def load_profile(route, inst: Instance) -> list[int]:
-    """Exact load simulation: the load leaving the depot (all the route's
-    deliveries), then the load after each visit (-d+p)."""
-    if not route:
-        raise ValueError("route must be nonempty")
-    _require_known(route, inst)
-    change = inst.load_change
-    load = sum(inst.delivery[c] for c in route)
-    loads = [load]
-    for c in route:
-        load += change[c]
-        loads.append(load)
-    return loads
-
-
 def check_feasible(sol: Solution, inst: Instance) -> ValidationReport:
     """Check an arbitrary candidate and enumerate all constraint breaches;
     it prices no route (:func:`solution_cost` does).
 
     Issue names: visit-count, cluster-split, cluster-noncontiguous,
-    capacity-exceeded, forbidden-arc-used, empty-route, unknown-customer.
+    capacity-exceeded (per route, its peak load from ``route_load``),
+    forbidden-arc-used, empty-route, unknown-customer.
     Degree/flow constraints hold by construction of the route representation.
     """
     violations: list[ValidationIssue] = []
@@ -141,12 +119,9 @@ def check_feasible(sol: Solution, inst: Instance) -> ValidationReport:
             cluster_route.setdefault(label, r)
 
     for r, route in enumerate(sol.routes):
-        # position -1 is the load leaving the depot
-        for pos, load in enumerate(load_profile(route, inst), start=-1):
-            if load > inst.capacity:
-                violations.append(
-                    ValidationIssue("capacity-exceeded", f"route {r} position {pos} load {load}")
-                )
+        total, _, peak = route_load(route, inst)
+        if total + peak > inst.capacity:
+            violations.append(ValidationIssue("capacity-exceeded", f"route {r} peak load {total + peak}"))
         arcs = zip((0, *route), (*route, 0))
         for i, j in arcs:
             if (i, j) in inst.forbidden:

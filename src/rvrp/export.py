@@ -7,8 +7,8 @@ instance's planar travel-second units.
 
 from __future__ import annotations
 
-from .evaluation import load_profile, route_cost
-from .instance import Instance, Solution
+from .evaluation import route_cost
+from .instance import Instance, Solution, route_load
 
 
 def solution_feature_collection(inst: Instance, sol: Solution) -> dict:
@@ -39,6 +39,7 @@ def solution_feature_collection(inst: Instance, sol: Solution) -> dict:
         coords.append([depot.x, depot.y])
         cost = route_cost(route, inst)
         total += cost
+        delivered, _, peak = route_load(route, inst)
         features.append(
             {
                 "type": "Feature",
@@ -46,7 +47,7 @@ def solution_feature_collection(inst: Instance, sol: Solution) -> dict:
                 "properties": {
                     "route_index": r,
                     "cost_s": round(cost, 2),
-                    "max_load": max(load_profile(route, inst)),
+                    "max_load": delivered + peak,
                 },
             }
         )

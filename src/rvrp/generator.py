@@ -34,7 +34,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .instance import Instance, Node, cluster_order, label_clusters, validate_instance
-from .jsonio import write_json
+from .jsonio import read_json, write_json
 from .operators import random_solution
 
 BOX_W = 20000.0
@@ -265,17 +265,19 @@ def write_suite(instances: Sequence[Instance], out_dir: str | Path, seed: int) -
 
 def read_manifest(suite_dir: str | Path) -> tuple[int | None, list[Path]]:
     """The seed (None when absent) and the instance files that a directory's
-    ``suite-manifest.json`` lists. A manifest that is not JSON, not an
-    object, has a seed that is not an integer, or has no ``instances`` list
-    of ``{"file": <name>}`` objects is a ValueError naming it and the defect."""
+    ``suite-manifest.json`` lists. A manifest that is not JSON, repeats a key,
+    is not an object, has a non-integer seed or no ``instances`` list of
+    ``{"file": <name>}`` objects is a ValueError naming it and the defect."""
     suite_dir = Path(suite_dir)
     manifest = suite_dir / "suite-manifest.json"
     if not manifest.exists():
         raise FileNotFoundError(f"no suite-manifest.json in {suite_dir}")
     try:
-        data = json.loads(manifest.read_text(encoding="utf-8"))
-    except ValueError as exc:  # also a UnicodeDecodeError
+        data = read_json(manifest)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"{manifest} is not JSON: {exc}") from None
+    except ValueError as exc:  # a repeated key
+        raise ValueError(f"{manifest}: {exc}") from None
     if type(data) is not dict:
         raise ValueError(f"{manifest} is not a JSON object")
     seed, entries = data.get("seed"), data.get("instances")

@@ -17,7 +17,6 @@ no leading/trailing zeros, so empty routes are unrepresentable.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import reprlib
 from dataclasses import dataclass, field
@@ -27,7 +26,7 @@ from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .jsonio import write_json
+from .jsonio import read_json, write_json
 
 DAY_START_S = 0
 PEAK_START_S = 7200
@@ -100,10 +99,10 @@ class Solution:
     @classmethod
     def load(cls, path: str | Path, inst: Instance) -> "Solution":
         """The solution in a solution file: its ``encoding``, decoded on
-        ``inst``. A document that is not an object or has no ``encoding``
-        array is a ValueError that names the defect, as a DecodeError is."""
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+        ``inst``. A document that is not an object, repeats a key or has no
+        ``encoding`` array is a ValueError that names the defect, as a
+        DecodeError is."""
+        data = read_json(path)
         _require(data, ("encoding",), "the solution")
         return decode(_array(data["encoding"], "encoding"), inst)
 
@@ -269,8 +268,7 @@ class Instance:
 
     @classmethod
     def load(cls, path: str | Path) -> "Instance":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(read_json(path))
 
 
 # the types json.load gives a JSON number; a boolean is not one of them
@@ -456,31 +454,34 @@ LoadSummary = tuple[int, int, int]  # total delivery, net change, peak net chang
 EMPTY_LOAD: LoadSummary = (0, 0, 0)
 
 
-def route_load_ok(
-    route: Sequence[int], inst: Instance, prefix: LoadSummary = EMPTY_LOAD
-) -> LoadSummary | None:
-    """Exact load check of one route: the vehicle leaves the depot with every
-    delivery on board and each visit applies ``-delivery +pickup``; None as
-    soon as the load exceeds the capacity.
+def route_load(route: Sequence[int], inst: Instance, prefix: LoadSummary = EMPTY_LOAD) -> LoadSummary:
+    """The program's one load walk: the load summary of ``route`` after
+    ``prefix``, within the capacity or not. The vehicle leaves the depot with
+    every delivery on board and each visit applies ``-delivery +pickup``, so
+    its highest load is total + peak.
 
-    ``prefix`` summarises the customers the vehicle serves before ``route``:
-    their total delivery, their net change ``pickup - delivery`` and the peak
-    of that net change over every prefix (0 for none). A route that fits
-    returns the same summary of the whole visit sequence.
+    ``prefix`` summarises the customers served before ``route``: their total
+    delivery, their net change ``pickup - delivery`` and the peak of that net
+    change over every prefix (0 for none). It trusts its ids, as
+    ``route_cost`` does; an id no node has is a KeyError.
     """
-    delivery, change, capacity = inst.delivery, inst.load_change, inst.capacity
+    change = inst.load_change
     total, net, peak = prefix
-    total += sum(map(delivery.__getitem__, route))
-    # the load at a position is total + net; it only needs checking at a new peak
-    if total + peak > capacity:
-        return None
+    total += sum(map(inst.delivery.__getitem__, route))
     for c in route:
         net += change[c]
         if net > peak:
-            if total + net > capacity:
-                return None
             peak = net
     return total, net, peak
+
+
+def route_load_ok(
+    route: Sequence[int], inst: Instance, prefix: LoadSummary = EMPTY_LOAD
+) -> LoadSummary | None:
+    """The capacity rule over :func:`route_load`: its summary when the
+    highest load fits the capacity, else None."""
+    total, net, peak = route_load(route, inst, prefix)
+    return (total, net, peak) if total + peak <= inst.capacity else None
 
 
 @functools.cache
@@ -507,9 +508,9 @@ def free_orders(members: Sequence[int], inst: Instance) -> np.ndarray | None:
     m! orders free of forbidden arcs, and not in ``inst.rising_clusters``;
     else None, the exact shuffle loop. True marks each free order's code: the
     positions into the members it visits them in, read as a base-m number. A
-    free order fits once the order-free test of :func:`route_load_ok` passes
-    (peak <= room): a load summary keeps net <= peak, and a block that only
-    sheds load never rises above the load it starts at."""
+    free order fits once ``_shuffled_block``'s order-free test passes (peak
+    <= room): a load summary keeps net <= peak, and a block that only sheds
+    load never rises above the load it starts at."""
     m = len(members)
     if m > ORDER_TABLE_MAX_MEMBERS or inst.cluster_of[members[0]] in inst.rising_clusters:
         return None

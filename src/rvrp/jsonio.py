@@ -1,5 +1,7 @@
-"""The one JSON writer of rvrp: instance files, the suite manifest, solutions,
-experiment reports, timing files and GeoJSON.
+"""The one JSON reader and writer of rvrp. :func:`read_json` reads instance
+files, solutions and the suite manifest, and refuses an object that repeats
+a key. :func:`write_json` writes those and experiment reports, timing files
+and GeoJSON.
 
 :func:`dumps` returns exactly ``json.dumps(value, indent=1)``. The standard
 library encodes any ``indent`` in pure Python; here every container that
@@ -54,6 +56,24 @@ def _encode(value, indent: str) -> str:
 def dumps(value) -> str:
     """``json.dumps(value, indent=1)``, encoded mostly in C."""
     return _encode(value, "")
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's ``(key, value)`` pairs as a dict; a ValueError naming
+    the first key that comes twice, which ``json`` would read as its last."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        key = next(k for pos, k in enumerate(keys) if k in keys[:pos])
+        raise ValueError(f"the document repeats the key {key!r}")
+    return obj
+
+
+def read_json(path: str | Path):
+    """The JSON document in the UTF-8 file ``path``; a document that is not
+    JSON, or has an object that repeats a key, is a ValueError."""
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh, object_pairs_hook=_unique_keys)
 
 
 def require_directory(path: str | Path) -> Path:

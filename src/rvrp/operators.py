@@ -309,12 +309,13 @@ def _shuffled_block(
     no forbidden arc and fits the capacity when appended to a route whose
     load summary is ``prefix``, with the summary of the extended route.
 
-    When the deliveries alone overflow (the order-free first test of
-    ``route_load_ok``), no order can fit: the shuffles are drawn in one call
-    that leaves ``rng`` as the loop would, and none is checked. A tight
-    cluster (``Instance.tight_orders``), whose shuffles mostly fail, has all
-    of them drawn and looked up in its free-order mask at once; the generator
-    is then rewound and advanced by the orders the loop would have drawn."""
+    When the deliveries alone overflow (an order-free test: the peak that
+    ``route_load`` walks never falls below ``prefix``'s), no order can fit:
+    the shuffles are drawn in one call that leaves ``rng`` as the loop would,
+    and none is checked. A tight cluster (``Instance.tight_orders``), whose
+    shuffles mostly fail, has all of them drawn and looked up in its
+    free-order mask at once; the generator is then rewound and advanced by
+    the orders the loop would have drawn."""
     total, _, peak = prefix
     room = inst.capacity - total - sum(map(inst.delivery.__getitem__, members))
     m = len(members)

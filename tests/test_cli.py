@@ -13,11 +13,12 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import rvrp
-from rvrp import Instance, check_feasible, decode
+from rvrp import Instance, check_feasible, decode, route_cost
 from rvrp import cli, generator, stats
 from rvrp.cli import build_parser, main
 
 from conftest import make_joint_infeasible_instance
+from spec import route_loads
 
 
 @pytest.fixture()
@@ -309,10 +310,11 @@ def test_experiment_header_states_the_suite_seed_and_relocation(
         ('{"instances": [{"name": "a"}]}', "instance 0 is not"),
         ('{"seed": "7", "instances": []}', "has seed '7', not an integer"),
         ('{"seed": true, "instances": []}', "has seed True, not an integer"),
+        ('{"seed": 1, "instances": [], "seed": 2}', "repeats the key 'seed'"),
     ],
     ids=[
         "not-json", "array", "no-instances", "instances-object", "entry-not-object",
-        "entry-without-file", "seed-string", "seed-bool",
+        "entry-without-file", "seed-string", "seed-bool", "repeated-seed",
     ],
 )
 def test_experiment_rejects_a_bad_manifest(tmp_path, capsys, text, named):
@@ -600,8 +602,30 @@ def test_export_geojson(tmp_path, toy_instance_file, capsys):
     depot_points = [p for p in points if p["properties"]["is_depot"]]
     assert len(depot_points) == 1 and depot_points[0]["properties"]["cluster"] == 0
     sol = decode(json.loads(sol_path.read_text())["encoding"], inst)
-    for line, route in zip(lines, sol.routes):
+    for r, (line, route) in enumerate(zip(lines, sol.routes)):
         assert len(line["geometry"]["coordinates"]) == len(route) + 2
+        assert line["properties"] == {
+            "route_index": r,
+            "cost_s": round(route_cost(route, inst), 2),
+            "max_load": max(route_loads(route, inst)),
+        }
+
+
+def test_export_geojson_writes_the_load_of_an_overloaded_route(tmp_path, toy_instance_file, capsys):
+    # the toy's capacity holds one cluster per route; both on one route overflow it
+    inst = Instance.load(toy_instance_file)
+    route = [c for members in inst.clusters.values() for c in members]
+    sol_path = tmp_path / "sol.json"
+    sol_path.write_text(json.dumps({"encoding": route}))
+    geo_path = tmp_path / "routes.geojson"
+    assert main(
+        ["export-geojson", str(toy_instance_file), str(sol_path), "--out", str(geo_path)]
+    ) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning: exported solution is infeasible: ") and "capacity-exceeded" in err
+    features = json.loads(geo_path.read_text())["features"]
+    (line,) = [f for f in features if f["geometry"]["type"] == "LineString"]
+    assert line["properties"]["max_load"] == max(route_loads(route, inst)) > inst.capacity
 
 
 def test_export_geojson_warns_of_an_infeasible_solution(tmp_path, toy_instance_file, capsys):
@@ -666,6 +690,11 @@ def _without_node_field(field):
     return edit
 
 
+# a key that _write_edited writes without this prefix, so that it repeats a
+# key the document already holds
+AGAIN = "<again>"
+
+
 def _with_peak_cost(value):
     def edit(data: dict) -> dict:
         peak = [list(row) for row in data["cost_peak"]]
@@ -722,6 +751,9 @@ MALFORMED_INSTANCES = pytest.mark.parametrize(
         (lambda data: {**_without_field("forbidden")(data), "forbiden": data["forbidden"]},
          "the instance has the unknown field 'forbiden'"),
         (_with_node_field("pick_up", 3), "nodes[1] has the unknown field 'pick_up'"),
+        # a repeated key is refused, not read as its last value
+        (lambda data: {AGAIN + "capacity": 5, **data}, "the document repeats the key 'capacity'"),
+        (_with_node_field(AGAIN + "pickup", 99), "the document repeats the key 'pickup'"),
     ],
     ids=["non-object", "window-one-entry", "window-empty", "window-three-entries",
          "capacity-1e400", "delivery-1e400", "x-401-digits", "cost-401-digits",
@@ -731,13 +763,13 @@ MALFORMED_INSTANCES = pytest.mark.parametrize(
          "forbidden-triple", "nodes-number", "cost-offpeak-number", "cost-peak-number",
          "forbidden-number", "window-number", "node-id-negative", "node-id-1e9",
          "missing-capacity", "missing-node-x", "missing-cost-offpeak", "missing-cost-peak",
-         "unknown-field", "unknown-node-field"],
+         "unknown-field", "unknown-node-field", "repeated-key", "repeated-node-key"],
 )
 
 
 def _write_edited(source, path, edit) -> None:
     data = edit(json.loads(source.read_text()))
-    path.write_text(json.dumps(data).replace(f'"{INF}"', "1e400") + "\n")
+    path.write_text(json.dumps(data).replace(f'"{INF}"', "1e400").replace(f'"{AGAIN}', '"') + "\n")
 
 
 @MALFORMED_INSTANCES
@@ -767,8 +799,9 @@ def test_validate_accepts_integral_float_in_integer_field(tmp_path, toy_instance
         ('{"encoding": 5}', "encoding is 5, not an array"),
         ("[1, 2]", "the solution is [1, 2], not an object"),
         ("{}", "the solution has no 'encoding'"),
+        ('{"encoding": [1], "encoding": [2]}', "the document repeats the key 'encoding'"),
     ],
-    ids=["encoding-int", "list", "no-encoding"],
+    ids=["encoding-int", "list", "no-encoding", "repeated-encoding"],
 )
 def test_export_geojson_rejects_malformed_solution(tmp_path, toy_instance_file, capsys, content, named):
     sol_path = tmp_path / "sol.json"

@@ -9,16 +9,15 @@ from rvrp import (
     Instance,
     Solution,
     check_feasible,
-    load_profile,
     route_cost,
     solution_cost,
 )
 from rvrp import evaluation, generator
-from rvrp.instance import OFFPEAK, PEAK, PEAK_END_S, PEAK_START_S, validate_instance
+from rvrp.instance import OFFPEAK, PEAK, PEAK_END_S, PEAK_START_S, route_load, validate_instance
 from rvrp.operators import random_solution
 
-from conftest import make_tiny_instance
-from spec import route_timeline
+from conftest import make_tiny_instance, rising_loads
+from spec import route_loads, route_timeline
 
 TOL = 1e-6
 
@@ -189,24 +188,14 @@ def test_unknown_node_rejected(tiny_instance):
         with pytest.raises(ValueError):
             route_timeline([1, node_id], tiny_instance)
         with pytest.raises(ValueError):
-            load_profile([1, node_id], tiny_instance)
-        with pytest.raises(ValueError):
             tiny_instance.node(node_id)
 
 
-@pytest.mark.parametrize(
-    "route, message",
-    [([], "route must be nonempty"), ([1, 0, 2], r"the depot \(0\) inside a route")],
-    ids=["empty", "depot-inside"],
-)
-def test_load_profile_rejects_a_route_it_cannot_simulate(tiny_instance, route, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        load_profile(route, tiny_instance)
-
-
 def test_load_profile_hand_simulation(tiny_instance):
-    # leaves the depot with 10 + 10 + 5, then -10+5, -10+0, -5+3
-    assert load_profile([1, 2, 3], tiny_instance) == [25, 20, 10, 8]
+    # leaves the depot with 10 + 10 + 5, then -10+5, -10+0, -5+3: the net
+    # change ends at -17 and never rises above 0, so the peak load is 25
+    assert route_loads([1, 2, 3], tiny_instance) == [25, 20, 10, 8]
+    assert route_load([1, 2, 3], tiny_instance) == (25, -17, 0)
 
 
 def test_load_profile_boundary_at_capacity():
@@ -217,7 +206,7 @@ def test_load_profile_boundary_at_capacity():
     exact = type(inst)(
         name="exact",
         nodes=inst.nodes,
-        capacity=load_profile(route, inst)[0],
+        capacity=route_loads(route, inst)[0],
         cost_offpeak=inst.cost_offpeak,
         cost_peak=inst.cost_peak,
     )
@@ -228,9 +217,10 @@ def test_load_profile_boundary_at_capacity():
 
 
 def test_zero_pickup_route_is_monotone(tiny_instance):
-    profile = load_profile([2], tiny_instance)  # pickup 0
+    profile = route_loads([2], tiny_instance)  # pickup 0
     assert profile[1:] == [0]
     assert profile[0] >= profile[1]
+    assert route_load([2], tiny_instance) == (10, -10, 0)
 
 
 def test_check_feasible_flags_cluster_split():
@@ -274,7 +264,7 @@ def test_check_feasible_flags_capacity():
     squeezed = type(inst)(
         name="squeezed",
         nodes=inst.nodes,
-        capacity=load_profile(merged, inst)[0] - 1,
+        capacity=route_loads(merged, inst)[0] - 1,
         cost_offpeak=inst.cost_offpeak,
         cost_peak=inst.cost_peak,
     )
@@ -282,15 +272,27 @@ def test_check_feasible_flags_capacity():
     assert "capacity-exceeded" in report.violation_tags
 
 
-def test_check_feasible_names_each_overloaded_position(tiny_instance):
-    # loads [25, 20, 10, 8] against capacity 19: the load leaving the depot
-    # (position -1) and the load after the first visit are over
-    squeezed = replace(tiny_instance, capacity=19)
-    report = check_feasible(Solution.from_routes([[1, 2, 3]]), squeezed)
-    assert [(v.name, v.detail) for v in report.violations] == [
-        ("capacity-exceeded", "route 0 position -1 load 25"),
-        ("capacity-exceeded", "route 0 position 0 load 20"),
-    ]
+@pytest.mark.parametrize(
+    "rising, capacity, routes, named",
+    [
+        # loads [25, 20, 10, 8]: two positions are over, the route is named once
+        (False, 19, [[1, 2, 3]], [("capacity-exceeded", "route 0 peak load 25")]),
+        # route 0 carries 5; route 1 leaves the depot with 20
+        (
+            False,
+            19,
+            [[3], [1, 2]],
+            [("cluster-split", "cluster 1 in routes 0 and 1"), ("capacity-exceeded", "route 1 peak load 20")],
+        ),
+        # pickups 17/0/12 against deliveries 10/10/5: loads [25, 32, 22, 29]
+        (True, 30, [[1, 2, 3]], [("capacity-exceeded", "route 0 peak load 32")]),
+    ],
+    ids=["one-route", "only-route-1", "peak-en-route"],
+)
+def test_check_feasible_names_each_overloaded_route(tiny_instance, rising, capacity, routes, named):
+    inst = replace(rising_loads(tiny_instance) if rising else tiny_instance, capacity=capacity)
+    report = check_feasible(Solution.from_routes(routes), inst)
+    assert [(v.name, v.detail) for v in report.violations] == named
 
 
 @pytest.mark.parametrize(

@@ -20,18 +20,19 @@ from rvrp import (
     validate_instance,
 )
 from rvrp import generator
-from rvrp.evaluation import load_profile
 from rvrp.instance import (
     EMPTY_LOAD,
     ORDER_TABLE_MAX_MEMBERS,
     cluster_order,
     free_orders,
     round_costs,
+    route_load,
     route_load_ok,
 )
 from rvrp.operators import InfeasibleClusterError, random_solution
 
 from conftest import SUITE_SEED, make_joint_infeasible_instance, make_tiny_instance, rising_loads
+from spec import route_loads
 
 def test_encode_two_routes():
     sol = Solution.from_routes([[1, 2, 3], [4, 5]])
@@ -428,37 +429,42 @@ def test_small_instance_file_round_trips(seed, sizes, forbidden_per_cluster):
         _assert_file_round_trips(inst, Path(tmp))
 
 
-LOAD_NODES = generator.small_instance(83, cluster_sizes=(3, 3, 2)).nodes
+LOAD_INSTANCE = generator.small_instance(83, cluster_sizes=(3, 3, 2))
 
 
 @given(
     seed=st.integers(0, 2**32 - 1),
     capacity=st.integers(1, 400),
     cuts=st.lists(st.integers(0, 8), max_size=3),
+    rising=st.booleans(),
 )
 @settings(max_examples=200, deadline=None)
-def test_route_load_ok_chains_summaries_exactly(seed, capacity, cuts):
-    # reference verdict: the per-position load simulation of check_feasible;
-    # checking the pieces of a route one after another from the previous
-    # piece's summary must give the verdict and summary of the whole route
+def test_route_load_ok_chains_summaries_exactly(seed, capacity, cuts, rising):
+    # reference: the executable spec's load walk. Walking the pieces of a
+    # route one after another from the previous piece's summary must give the
+    # summary of the whole route, within the capacity or not, and checking
+    # them must give the whole route's verdict
+    nodes = (rising_loads(LOAD_INSTANCE) if rising else LOAD_INSTANCE).nodes
     inst = Instance(
         name="load",
-        nodes=LOAD_NODES,
+        nodes=nodes,
         capacity=capacity,
-        cost_offpeak=[[1.0] * len(LOAD_NODES)] * len(LOAD_NODES),
-        cost_peak=[[2.0] * len(LOAD_NODES)] * len(LOAD_NODES),
+        cost_offpeak=[[1.0] * len(nodes)] * len(nodes),
+        cost_peak=[[2.0] * len(nodes)] * len(nodes),
     )
     route = [int(c) for c in np.random.default_rng(seed).permutation(inst.customers)]
-    fits = max(load_profile(route, inst)) <= capacity
-    whole = route_load_ok(route, inst)
-    assert (whole is not None) == fits
-    summary, start = EMPTY_LOAD, 0
+    whole = route_load(route, inst)
+    total, _, peak = whole
+    assert total + peak == max(route_loads(route, inst))
+    verdict = route_load_ok(route, inst)
+    assert verdict == (whole if total + peak <= capacity else None)
+    summary, checked, start = EMPTY_LOAD, EMPTY_LOAD, 0
     for cut in sorted(cuts) + [len(route)]:
-        summary = route_load_ok(route[start:cut], inst, summary)
-        if summary is None:
-            break
+        summary = route_load(route[start:cut], inst, summary)
+        checked = checked and route_load_ok(route[start:cut], inst, checked)
         start = cut
     assert summary == whole
+    assert checked == verdict
 
 
 def _rising(inst, members):

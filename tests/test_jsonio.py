@@ -1,10 +1,13 @@
 import json
+import tempfile
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rvrp import generator
-from rvrp.jsonio import dumps, write_json
+from rvrp.jsonio import dumps, read_json, write_json
 
 SCALARS = (
     st.none()
@@ -49,3 +52,30 @@ def test_write_json_matches_stdlib_bytes(tmp_path):
     data = inst.to_dict()
     path = write_json(tmp_path / "sub" / "inst.json", data)
     assert path.read_bytes() == (json.dumps(data, indent=1) + "\n").encode()
+
+
+@given(JSON_TREES)
+@settings(max_examples=100, deadline=None)
+def test_read_json_reads_what_write_json_writes(value):
+    # the reference is json.loads; a NaN compares unequal to itself, so the
+    # two readings are compared as text
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_json(Path(tmp) / "value.json", value)
+        assert json.dumps(read_json(path)) == json.dumps(json.loads(path.read_text(encoding="utf-8")))
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"x": 1, "y": 2, "y": 3, "x": 4}', "y"),
+        ('[{"a": {"b": 1, "c": 2, "b": 3}}]', "b"),
+        ('{"a": 1, "a": 1}', "a"),
+    ],
+    ids=["first-repeat", "nested", "same-value"],
+)
+def test_read_json_refuses_a_repeated_key(tmp_path, text, key):
+    # json.loads would read each of these as the key's last value
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^the document repeats the key '{key}'$"):
+        read_json(path)
