@@ -25,7 +25,7 @@ from .evaluation import check_feasible
 from .export import solution_feature_collection
 from .instance import Instance, Solution, encode, validate_instance
 from .jsonio import require_directory, write_json
-from .solvers import ALGORITHMS, SolverConfig, grid_configs, solve
+from .solvers import grid_configs, solve
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -111,17 +111,20 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_solve(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     try:
-        cfg = SolverConfig(args.algorithm, args.population, seed, args.enable_cluster_relocation)
+        configs = grid_configs(args.algorithm, seed=seed, enable_cluster_relocation=args.enable_cluster_relocation)
+        if len(configs) != 1:
+            raise ValueError(f"--algorithm {args.algorithm!r} holds {len(configs)} entries, not one")
     except ValueError as exc:
         raise CommandError(EXIT_IO, f"invalid solver settings: {exc}")
+    [(label, cfg)] = configs.items()
     inst = _valid_instance(args.instance)
-    out_path = Path(args.out) if args.out else Path(args.instance).with_suffix(f".{args.algorithm}.solution.json")
+    out_path = Path(args.out) if args.out else Path(args.instance).with_suffix(f".{label}.solution.json")
     _print_header(
         "solve",
         instance=args.instance,
-        algorithm=args.algorithm,
+        algorithm=label,
         seed=seed,
-        population=args.population,
+        population=cfg.population_size,
         enable_cluster_relocation=args.enable_cluster_relocation,
         out=out_path,
     )
@@ -135,7 +138,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise CommandError(EXIT_IO, f"cannot write solution: {exc}")
     print(
-        f"{inst.name} {args.algorithm} {result.best_cost:.2f} {result.best_solution.vehicles} "
+        f"{inst.name} {label} {result.best_cost:.2f} {result.best_solution.vehicles} "
         f"{result.wall_time_s:.3f} {result.convergence_time_s:.3f} {seed}"
     )
     return EXIT_OK
@@ -144,11 +147,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_experiment(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     try:
-        configs = grid_configs(
-            args.algorithms,
-            population_size=args.population,
-            enable_cluster_relocation=args.enable_cluster_relocation,
-        )
+        configs = grid_configs(args.algorithms, enable_cluster_relocation=args.enable_cluster_relocation)
     except ValueError as exc:
         raise CommandError(EXIT_IO, f"invalid experiment settings: {exc}")
     try:
@@ -164,7 +163,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         runs=args.runs,
         seed=seed,
         jobs=args.jobs,
-        population=args.population,
         enable_cluster_relocation=args.enable_cluster_relocation,
         out=out_dir,
     )
@@ -258,9 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run one solver on one instance")
     p.add_argument("instance")
-    p.add_argument("--algorithm", choices=ALGORITHMS, default="dfa")
+    p.add_argument("--algorithm", default="dfa")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--population", type=int, default=100)
     p.add_argument("--enable-cluster-relocation", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_solve)
@@ -273,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     # one worker per CPU this process may run on, not per CPU of the machine
     jobs = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     p.add_argument("--jobs", type=int, default=jobs)
-    p.add_argument("--population", type=int, default=100)
     p.add_argument("--enable-cluster-relocation", action="store_true")
     p.add_argument("--out", default="experiment")
     p.set_defaults(func=cmd_experiment)

@@ -244,8 +244,8 @@ def cluster_relocation(sol: Solution, inst: Instance, rng: Rng) -> Solution:
 
     The block's internal order is preserved, so the candidate keeps its
     parent's visit order; the target route is re-checked with the exact load
-    simulation and infeasible draws are resampled. This operator is an
-    extension: it is only used when explicitly enabled.
+    simulation, unless its deliveries alone overflow, and infeasible draws
+    are resampled. This operator is an extension, used only when enabled.
 
     ``sol`` must keep each cluster in one block, as every solver state does.
     """
@@ -269,9 +269,12 @@ def cluster_relocation(sol: Solution, inst: Instance, rng: Rng) -> Solution:
     slots = [(r, start) for r, start, _ in _block_index(remaining, inst).values()]
     slots += [(r, len(route)) for r, route in enumerate(remaining)]
     options = sorted([(-1, 0), *slots])
+    room = inst.capacity - sum(map(inst.delivery.__getitem__, block))
 
     for _ in range(MAX_RESAMPLES):
         r, b = options[int(rng.integers(len(options)))]
+        if r >= 0 and sum(map(inst.delivery.__getitem__, remaining[r])) > room:
+            continue  # the deliveries alone overflow, as in _shuffled_block: no walk
         new_routes = list(remaining)
         costs = list(remaining_costs)
         if r < 0:

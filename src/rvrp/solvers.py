@@ -90,9 +90,9 @@ def grid_configs(text: str, **defaults) -> dict[str, SolverConfig]:
     """The label -> config map of a comma-separated list of grid entries.
 
     An entry is ``<algorithm>[@p<size>]`` and is its own label. ``@p<size>``
-    sets the entry's population size; every other ``SolverConfig`` field, and
-    the size of an entry without ``@p``, comes from ``defaults``. Blank
-    entries are skipped. A ValueError names an entry whose ``@`` is not
+    sets the entry's population size; every other field, and the size of an
+    entry without ``@p``, comes from ``defaults``, else from ``SolverConfig``.
+    Blank entries are skipped. A ValueError names an entry whose ``@`` is not
     followed by ``p`` and a positive decimal integer without sign, underscore
     or leading zero, whose settings ``SolverConfig`` rejects, or that an
     earlier entry repeats.

@@ -341,13 +341,13 @@ def test_criterion_09_byte_determinism(tmp_path):
                      "--only", "Osaba_50_1_2", "--only", "Osaba_50_2_1"]) == 0
         sol = root / "sol.json"
         assert main(["solve", str(bench / "Osaba_50_1_2.json"), "--seed", "4",
-                     "--population", "30", "--out", str(sol)]) == 0
+                     "--algorithm", "dfa@p30", "--out", str(sol)]) == 0
         geo = root / "routes.geojson"
         assert main(["export-geojson", str(bench / "Osaba_50_1_2.json"), str(sol),
                      "--out", str(geo)]) == 0
         exp = root / "exp"
-        assert main(["experiment", "--suite", str(bench), "--runs", "1", "--seed", "6",
-                     "--jobs", "1", "--population", "20", "--out", str(exp)]) == 0
+        assert main(["experiment", "--suite", str(bench), "--algorithms", "dfa@p20,ea@p20,esa@p20",
+                     "--runs", "1", "--seed", "6", "--jobs", "1", "--out", str(exp)]) == 0
         runs[tag] = {
             "instance": _sha(bench / "Osaba_50_1_2.json"),
             "instance2": _sha(bench / "Osaba_50_2_1.json"),

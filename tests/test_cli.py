@@ -110,8 +110,8 @@ def test_cluster_without_a_joint_order_is_invalid(tmp_path, capsys):
 def test_solve_writes_feasible_solution(tmp_path, toy_instance_file, capsys):
     out = tmp_path / "sol.json"
     code = main(
-        ["solve", str(toy_instance_file), "--algorithm", "dfa", "--seed", "3",
-         "--population", "15", "--out", str(out)]
+        ["solve", str(toy_instance_file), "--algorithm", "dfa@p15", "--seed", "3",
+         "--out", str(out)]
     )
     assert code == 0
     data = json.loads(out.read_text())
@@ -122,7 +122,7 @@ def test_solve_writes_feasible_solution(tmp_path, toy_instance_file, capsys):
     assert data["routes"] == [list(r) for r in sol.routes]
     summary = capsys.readouterr().out.strip().splitlines()[-1]
     fields = summary.split()
-    assert fields[0] == "toy" and fields[1] == "dfa"
+    assert fields[0] == "toy" and fields[1] == "dfa@p15"
     assert len(fields) == 7
 
 
@@ -131,7 +131,7 @@ def test_solve_deterministic_bytes(tmp_path, toy_instance_file):
     for name in ("s1.json", "s2.json"):
         out = tmp_path / name
         assert main(
-            ["solve", str(toy_instance_file), "--seed", "3", "--population", "15",
+            ["solve", str(toy_instance_file), "--seed", "3", "--algorithm", "dfa@p15",
              "--out", str(out)]
         ) == 0
         outs.append(out.read_bytes())
@@ -164,7 +164,7 @@ def test_solve_loads_and_capacity_beyond_int64(
     for seed in range(3):
         out = tmp_path / f"sol-{seed}.json"
         code = main(
-            ["solve", str(path), "--algorithm", algorithm, "--seed", str(seed), "--population", "3",
+            ["solve", str(path), "--algorithm", f"{algorithm}@p3", "--seed", str(seed),
              "--out", str(out)]
         )
         assert code == 0, capsys.readouterr().err
@@ -181,8 +181,8 @@ def test_solve_rejects_invalid_instance(tmp_path):
 def test_experiment_end_to_end(tmp_path, small_suite_dir, capsys):
     out = tmp_path / "exp"
     code = main(
-        ["experiment", "--suite", str(small_suite_dir), "--runs", "2", "--seed", "5",
-         "--jobs", "1", "--population", "10", "--out", str(out)]
+        ["experiment", "--suite", str(small_suite_dir), "--algorithms", "dfa@p10,ea@p10,esa@p10",
+         "--runs", "2", "--seed", "5", "--jobs", "1", "--out", str(out)]
     )
     assert code == 0
     report = json.loads((out / "report.json").read_text())
@@ -211,17 +211,19 @@ def test_experiment_runs_one_cell_per_instance_and_entry(tmp_path, small_suite_d
     assert "Friedman statistic" in capsys.readouterr().out
 
 
-def test_experiment_header_states_the_default_population(tmp_path, small_suite_dir, capsys):
-    # an entry without @p runs at --population's default, which the header
-    # states; an --out under a file stops the command before any solve
-    blocker = tmp_path / "blocker"
-    blocker.write_text("")
-    code = main(
-        ["experiment", "--suite", str(small_suite_dir), "--algorithms", "dfa@p2,dfa@p3",
-         "--runs", "1", "--out", str(blocker / "exp")]
-    )
-    assert code == 2
-    assert "#   population = 100" in capsys.readouterr().out.splitlines()
+@pytest.mark.parametrize("entry, size", [("esa", 100), ("esa@p25", 25)], ids=["esa", "esa@p25"])
+def test_solve_header_states_the_entry_population(
+    tmp_path, toy_instance_file, capsys, monkeypatch, entry, size
+):
+    # an entry without @p runs at SolverConfig's default; the header states
+    # the size that ran, and the default solution path carries the entry
+    sizes = []
+    monkeypatch.setattr(cli, "solve", lambda inst, cfg: sizes.append(cfg.population_size) or rvrp.solve(inst, cfg))
+    assert main(["solve", str(toy_instance_file), "--algorithm", entry, "--seed", "3"]) == 0
+    assert sizes == [size]
+    header = capsys.readouterr().out.splitlines()
+    assert f"#   population = {size}" in header
+    assert (tmp_path / f"toy.{entry}.solution.json").exists()
 
 
 def test_experiment_jobs_default_counts_the_cpus_this_process_may_use(monkeypatch):
@@ -239,8 +241,8 @@ def test_experiment_report_deterministic(tmp_path, small_suite_dir):
     for sub in ("e1", "e2"):
         out = tmp_path / sub
         assert main(
-            ["experiment", "--suite", str(small_suite_dir), "--runs", "1", "--seed", "5",
-             "--jobs", "1", "--population", "8", "--out", str(out)]
+            ["experiment", "--suite", str(small_suite_dir), "--algorithms", "dfa@p8,ea@p8,esa@p8",
+             "--runs", "1", "--seed", "5", "--jobs", "1", "--out", str(out)]
         ) == 0
         reports.append((out / "report.json").read_bytes())
     assert reports[0] == reports[1]
@@ -249,8 +251,8 @@ def test_experiment_report_deterministic(tmp_path, small_suite_dir):
 def test_experiment_single_algorithm_has_no_tests(tmp_path, small_suite_dir):
     out = tmp_path / "exp"
     assert main(
-        ["experiment", "--suite", str(small_suite_dir), "--algorithms", "dfa", "--runs", "1",
-         "--seed", "5", "--jobs", "1", "--population", "8", "--out", str(out)]
+        ["experiment", "--suite", str(small_suite_dir), "--algorithms", "dfa@p8", "--runs", "1",
+         "--seed", "5", "--jobs", "1", "--out", str(out)]
     ) == 0
     report = json.loads((out / "report.json").read_text())
     assert "friedman" not in report
@@ -266,13 +268,13 @@ def test_experiment_states_the_seed_of_a_generated_suite(tmp_path, capsys):
     suite, out = tmp_path / "suite", tmp_path / "results"
     assert main(["generate", "--seed", "3", "--out", str(suite)]) == 0
     assert main(
-        ["experiment", "--suite", str(suite), "--runs", "1", "--population", "2", "--jobs", "1",
-         "--seed", "7", "--out", str(out)]
+        ["experiment", "--suite", str(suite), "--algorithms", "dfa@p2,ea@p2,esa@p2", "--runs", "1",
+         "--jobs", "1", "--seed", "7", "--out", str(out)]
     ) == 0
     header = capsys.readouterr().out.splitlines()
     assert "#   suite_seed = 3" in header and "#   seed = 7" in header
     report = json.loads((out / "report.json").read_text())
-    assert report["algorithms"] == ["dfa", "ea", "esa"]
+    assert report["algorithms"] == ["dfa@p2", "ea@p2", "esa@p2"]
     assert len(report["cells"]) == 45
 
 
@@ -297,6 +299,7 @@ def test_experiment_header_states_the_suite_seed_and_relocation(
     header = capsys.readouterr().out.splitlines()
     assert f"#   suite_seed = {None if drop_seed else 5}" in header
     assert "#   enable_cluster_relocation = True" in header
+    assert not any(line.startswith("#   population") for line in header)  # each entry states its own
 
 
 @pytest.mark.parametrize(
@@ -329,10 +332,54 @@ def test_experiment_rejects_a_bad_manifest(tmp_path, capsys, text, named):
 
 def test_solve_rejects_invalid_population(tmp_path, toy_instance_file, capsys):
     out = tmp_path / "sol.json"
-    assert main(["solve", str(toy_instance_file), "--population", "0", "--out", str(out)]) == 2
+    assert main(["solve", str(toy_instance_file), "--algorithm", "dfa@p0", "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "population_size" in err[0]
+    assert len(err) == 1 and "'dfa@p0'" in err[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "entries, named",
+    [("dfa,ea", "'dfa,ea' holds 2 entries"), (" , ", "' , ' holds 0 entries"), ("nope", "'nope'")],
+    ids=["two-entries", "no-entry", "unknown-algorithm"],
+)
+def test_solve_takes_one_valid_entry(tmp_path, toy_instance_file, capsys, entries, named):
+    out = tmp_path / "sol.json"
+    assert main(["solve", str(toy_instance_file), "--algorithm", entries, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and named in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "experiment"])
+def test_population_is_not_an_option(toy_instance_file, capsys, command):
+    # a population size is an entry's @p<size>, in both commands
+    argv = [command, *([str(toy_instance_file)] if command == "solve" else []), "--population", "5"]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --population 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("relocation", [False, True], ids=["insertion", "relocation"])
+def test_every_runs_csv_row_reruns_through_solve(tmp_path, small_suite_dir, capsys, relocation):
+    # a row's label is an --algorithm entry and its seed a --seed, so the
+    # row's run is one rvrp solve of the suite's instance file
+    flag = ["--enable-cluster-relocation"] if relocation else []
+    out = tmp_path / "exp"
+    assert main(
+        ["experiment", "--suite", str(small_suite_dir), "--algorithms", "dfa@p5,ea@p4,esa",
+         "--runs", "2", "--seed", "5", "--jobs", "1", "--out", str(out), *flag]
+    ) == 0
+    rows = stats.ExperimentReport.from_csv((out / "runs.csv").read_text()).runs
+    assert len(rows) == 12
+    for row in rows:
+        solution = tmp_path / "rerun.json"
+        assert main(
+            ["solve", str(small_suite_dir / f"{row.instance}.json"), "--algorithm", row.label,
+             "--seed", str(row.seed), "--out", str(solution), *flag]
+        ) == 0
+        assert json.loads(solution.read_text())["cost"] == row.cost
 
 
 def test_generate_rejects_a_negative_seed(tmp_path, capsys):
@@ -365,8 +412,8 @@ def test_experiment_accepts_a_negative_base_seed(tmp_path, small_suite_dir):
     # the runs' seeds come from run_seed, which hashes the base seed
     out = tmp_path / "exp"
     assert main(
-        ["experiment", "--suite", str(small_suite_dir), "--algorithms", "esa", "--runs", "1",
-         "--seed", "-1", "--jobs", "1", "--population", "4", "--out", str(out)]
+        ["experiment", "--suite", str(small_suite_dir), "--algorithms", "esa@p4", "--runs", "1",
+         "--seed", "-1", "--jobs", "1", "--out", str(out)]
     ) == 0
     runs = stats.ExperimentReport.from_csv((out / "runs.csv").read_text()).runs
     assert len(runs) == 2 and all(run.error is None and run.seed >= 0 for run in runs)
@@ -375,8 +422,6 @@ def test_experiment_accepts_a_negative_base_seed(tmp_path, small_suite_dir):
 @pytest.mark.parametrize(
     "settings, named",
     [
-        (["--population", "0"], "population_size"),
-        (["--population", "-3"], "population_size"),
         (["--runs", "0"], "runs"),
         (["--runs", "-1"], "runs"),
         (["--algorithms", "dfa,nope"], "nope"),
@@ -398,7 +443,7 @@ def test_experiment_accepts_a_negative_base_seed(tmp_path, small_suite_dir):
         (["--algorithms", "dfa@p25,dfa@p50", "--runs", "0"], "runs"),
     ],
     ids=[
-        "population-0", "population-negative", "runs-0", "runs-negative", "unknown-algorithm",
+        "runs-0", "runs-negative", "unknown-algorithm",
         "no-algorithm", "duplicate-algorithm", "jobs-0", "jobs-negative", "at-only", "size-missing",
         "size-x", "size-0", "size-leading-zero", "size-signed", "size-underscore", "not-p",
         "unknown-algorithm-with-size", "repeated-label", "blank-entries", "runs-0-with-sizes",
@@ -442,8 +487,8 @@ def test_experiment_rejects_an_empty_suite(tmp_path, capsys):
 def test_stats_recomputes_from_csv(tmp_path, small_suite_dir, capsys):
     out = tmp_path / "exp"
     main(
-        ["experiment", "--suite", str(small_suite_dir), "--runs", "2", "--seed", "5",
-         "--jobs", "1", "--population", "10", "--out", str(out)]
+        ["experiment", "--suite", str(small_suite_dir), "--algorithms", "dfa@p10,ea@p10,esa@p10",
+         "--runs", "2", "--seed", "5", "--jobs", "1", "--out", str(out)]
     )
     capsys.readouterr()
     stats_json = tmp_path / "stats.json"
@@ -455,7 +500,7 @@ def test_stats_recomputes_from_csv(tmp_path, small_suite_dir, capsys):
 
 
 @pytest.mark.parametrize(
-    "algorithms", ["dfa,esa", "dfa", "dfa@p2,dfa@p3"], ids=["tests", "no-tests", "sizes"]
+    "algorithms", ["dfa@p10,esa@p10", "dfa@p10", "dfa@p2,dfa@p3"], ids=["tests", "no-tests", "sizes"]
 )
 def test_stats_prints_the_experiments_rank_section(tmp_path, small_suite_dir, capsys, algorithms):
     # rvrp stats prints all of tables.txt; runs.csv keeps times to 3
@@ -463,7 +508,7 @@ def test_stats_prints_the_experiments_rank_section(tmp_path, small_suite_dir, ca
     out = tmp_path / "exp"
     main(
         ["experiment", "--suite", str(small_suite_dir), "--algorithms", algorithms, "--runs", "2",
-         "--seed", "5", "--jobs", "1", "--population", "10", "--out", str(out)]
+         "--seed", "5", "--jobs", "1", "--out", str(out)]
     )
     capsys.readouterr()
     assert main(["stats", str(out / "runs.csv")]) == 0
@@ -486,8 +531,8 @@ def test_stats_prints_the_experiments_rank_section(tmp_path, small_suite_dir, ca
 def test_stats_out_without_tests_writes_nulls(tmp_path, small_suite_dir, capsys):
     out = tmp_path / "exp"
     main(
-        ["experiment", "--suite", str(small_suite_dir), "--algorithms", "dfa", "--runs", "1",
-         "--seed", "5", "--jobs", "1", "--population", "8", "--out", str(out)]
+        ["experiment", "--suite", str(small_suite_dir), "--algorithms", "dfa@p8", "--runs", "1",
+         "--seed", "5", "--jobs", "1", "--out", str(out)]
     )
     stats_json = tmp_path / "stats.json"
     assert main(["stats", str(out / "runs.csv"), "--out", str(stats_json)]) == 0
@@ -498,8 +543,8 @@ def test_stats_out_without_tests_writes_nulls(tmp_path, small_suite_dir, capsys)
 def test_stats_out_to_an_unwritable_path(tmp_path, small_suite_dir, capsys):
     out = tmp_path / "exp"
     main(
-        ["experiment", "--suite", str(small_suite_dir), "--algorithms", "dfa", "--runs", "1",
-         "--seed", "5", "--jobs", "1", "--population", "8", "--out", str(out)]
+        ["experiment", "--suite", str(small_suite_dir), "--algorithms", "dfa@p8", "--runs", "1",
+         "--seed", "5", "--jobs", "1", "--out", str(out)]
     )
     capsys.readouterr()
     stats_json = out / "runs.csv" / "stats.json"  # under a file
@@ -526,8 +571,8 @@ def test_experiment_reports_a_failed_write(tmp_path, small_suite_dir, capsys):
     out = tmp_path / "exp"
     (out / "report.json").mkdir(parents=True)
     code = main(
-        ["experiment", "--suite", str(small_suite_dir), "--algorithms", "dfa", "--runs", "1",
-         "--seed", "5", "--jobs", "1", "--population", "8", "--out", str(out)]
+        ["experiment", "--suite", str(small_suite_dir), "--algorithms", "dfa@p8", "--runs", "1",
+         "--seed", "5", "--jobs", "1", "--out", str(out)]
     )
     _assert_one_io_error(code, capsys, out)
 
@@ -561,7 +606,7 @@ def test_experiment_exits_2_when_its_reader_closes_stdout(tmp_path, last_read):
 @pytest.mark.parametrize("command", ["generate", "solve", "export-geojson", "stats"])
 def test_a_failed_write_is_one_error_line(tmp_path, toy_instance_file, capsys, command):
     solution = tmp_path / "sol.json"
-    main(["solve", str(toy_instance_file), "--seed", "3", "--population", "5", "--out", str(solution)])
+    main(["solve", str(toy_instance_file), "--seed", "3", "--algorithm", "dfa@p5", "--out", str(solution)])
     capsys.readouterr()
     runs = tmp_path / "runs.csv"
     runs.write_text(",".join(stats.CSV_COLUMNS) + "\ntoy,dfa,0,1,100.0,0.1,0.1,2\n")
@@ -570,7 +615,7 @@ def test_a_failed_write_is_one_error_line(tmp_path, toy_instance_file, capsys, c
     out = blocker / "out.json"
     argv = {
         "generate": ["--seed", "7", "--only", "Osaba_50_1_1"],
-        "solve": [str(toy_instance_file), "--seed", "3", "--population", "5"],
+        "solve": [str(toy_instance_file), "--seed", "3", "--algorithm", "dfa@p5"],
         "export-geojson": [str(toy_instance_file), str(solution)],
         "stats": [str(runs)],
     }[command]
@@ -585,7 +630,7 @@ def test_a_failed_write_is_one_error_line(tmp_path, toy_instance_file, capsys, c
 def test_export_geojson(tmp_path, toy_instance_file, capsys):
     sol_path = tmp_path / "sol.json"
     main(
-        ["solve", str(toy_instance_file), "--seed", "3", "--population", "15",
+        ["solve", str(toy_instance_file), "--seed", "3", "--algorithm", "dfa@p15",
          "--out", str(sol_path)]
     )
     geo_path = tmp_path / "routes.geojson"
@@ -648,7 +693,7 @@ def test_export_geojson_rejects_mismatched_solution(tmp_path, toy_instance_file)
     other = generator.small_instance(26, cluster_sizes=(3, 4), name="other")
     other_path = other.save(tmp_path / "other.json")
     sol_path = tmp_path / "sol.json"
-    main(["solve", str(other_path), "--seed", "1", "--population", "10", "--out", str(sol_path)])
+    main(["solve", str(other_path), "--seed", "1", "--algorithm", "dfa@p10", "--out", str(sol_path)])
     assert main(
         ["export-geojson", str(toy_instance_file), str(sol_path), "--out", str(tmp_path / "x.json")]
     ) == 2
@@ -823,7 +868,7 @@ def test_export_geojson_rejects_malformed_solution(tmp_path, toy_instance_file, 
 )
 def test_export_geojson_rejects_non_integer_encoding(tmp_path, toy_instance_file, capsys, bad, named):
     sol_path = tmp_path / "sol.json"
-    main(["solve", str(toy_instance_file), "--seed", "3", "--population", "5", "--out", str(sol_path)])
+    main(["solve", str(toy_instance_file), "--seed", "3", "--algorithm", "dfa@p5", "--out", str(sol_path)])
     data = json.loads(sol_path.read_text())
     encoding = data["encoding"]
     data["encoding"] = bad(encoding)
@@ -890,7 +935,7 @@ def test_experiment_rejects_malformed_instance_file(tmp_path, small_suite_dir, c
 
 
 def test_header_prints_resolved_seed(tmp_path, toy_instance_file, capsys):
-    main(["solve", str(toy_instance_file), "--population", "10", "--out", str(tmp_path / "s.json")])
+    main(["solve", str(toy_instance_file), "--algorithm", "dfa@p10", "--out", str(tmp_path / "s.json")])
     captured = capsys.readouterr().out
     header_line = next(l for l in captured.splitlines() if "seed =" in l)
     seed = int(header_line.split("=")[1])
@@ -911,8 +956,8 @@ def test_experiment_all_cells_failed_exit_code(tmp_path):
         json.dumps({"seed": 1, "instances": [{"name": "doomed", "file": "doomed.json"}]})
     )
     code = main(
-        ["experiment", "--suite", str(broken_dir), "--runs", "1", "--seed", "2",
-         "--jobs", "1", "--population", "5", "--out", str(tmp_path / "out")]
+        ["experiment", "--suite", str(broken_dir), "--algorithms", "dfa@p5,ea@p5,esa@p5", "--runs", "1",
+         "--seed", "2", "--jobs", "1", "--out", str(tmp_path / "out")]
     )
     assert code == 5
 
@@ -941,14 +986,14 @@ def test_experiment_partial_failure_still_reports(tmp_path):
         ]})
     )
     code = main(
-        ["experiment", "--suite", str(suite), "--runs", "1", "--seed", "2", "--jobs", "1",
-         "--population", "5", "--out", str(tmp_path / "out")]
+        ["experiment", "--suite", str(suite), "--algorithms", "dfa@p5,ea@p5,esa@p5", "--runs", "1",
+         "--seed", "2", "--jobs", "1", "--out", str(tmp_path / "out")]
     )
     assert code == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert report["cells"]["good/dfa"]["runs"] == 1
-    assert report["cells"]["doomed/dfa"]["runs"] == 0
-    assert report["cells"]["doomed/dfa"]["errors"]
+    assert report["cells"]["good/dfa@p5"]["runs"] == 1
+    assert report["cells"]["doomed/dfa@p5"]["runs"] == 0
+    assert report["cells"]["doomed/dfa@p5"]["errors"]
 
 
 def test_experiment_never_solves_an_invalid_instance(tmp_path, monkeypatch):
@@ -963,14 +1008,14 @@ def test_experiment_never_solves_an_invalid_instance(tmp_path, monkeypatch):
     real_solve = stats.solve
     monkeypatch.setattr(stats, "solve", lambda inst, cfg: solved.append(inst.name) or real_solve(inst, cfg))
     code = main(
-        ["experiment", "--suite", str(tmp_path / "suite"), "--algorithms", "dfa,esa",
-         "--runs", "2", "--seed", "2", "--jobs", "1", "--population", "5",
+        ["experiment", "--suite", str(tmp_path / "suite"), "--algorithms", "dfa@p5,esa@p5",
+         "--runs", "2", "--seed", "2", "--jobs", "1",
          "--out", str(tmp_path / "out")]
     )
     assert code == 0
     assert set(solved) == {"good"}
     report = json.loads((tmp_path / "out" / "report.json").read_text())
-    for alg in ("dfa", "esa"):
+    for alg in ("dfa@p5", "esa@p5"):
         cell = report["cells"][f"neg/{alg}"]
         assert cell["runs"] == 0 and cell["mean_cost"] is None
         assert len(cell["errors"]) == 2
@@ -999,12 +1044,12 @@ def test_depot_only_instance_is_invalid(tmp_path, capsys, monkeypatch):
     real_solve = stats.solve
     monkeypatch.setattr(stats, "solve", lambda inst, cfg: solved.append(inst.name) or real_solve(inst, cfg))
     code = main(
-        ["experiment", "--suite", str(manifest.parent), "--algorithms", "dfa,esa", "--runs", "1", "--seed", "2",
-         "--jobs", "1", "--population", "5", "--out", str(tmp_path / "out")]
+        ["experiment", "--suite", str(manifest.parent), "--algorithms", "dfa@p5,esa@p5", "--runs", "1", "--seed", "2",
+         "--jobs", "1", "--out", str(tmp_path / "out")]
     )
     assert code == 0 and solved == ["good", "good"]
     report = json.loads((tmp_path / "out" / "report.json").read_text())
-    for alg in ("dfa", "esa"):
+    for alg in ("dfa@p5", "esa@p5"):
         assert report["cells"][f"empty/{alg}"]["errors"][0].endswith("invalid instance: ['no-customers']")
 
 
@@ -1035,20 +1080,20 @@ def test_non_finite_coordinates_are_invalid(tmp_path, capsys, monkeypatch):
     real_solve = stats.solve
     monkeypatch.setattr(stats, "solve", lambda inst, cfg: solved.append(inst.name) or real_solve(inst, cfg))
     code = main(
-        ["experiment", "--suite", str(manifest.parent), "--algorithms", "dfa", "--runs", "1", "--seed", "2",
-         "--jobs", "1", "--population", "5", "--out", str(tmp_path / "out")]
+        ["experiment", "--suite", str(manifest.parent), "--algorithms", "dfa@p5", "--runs", "1", "--seed", "2",
+         "--jobs", "1", "--out", str(tmp_path / "out")]
     )
     assert code == 0 and solved == ["good"]
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     issues = "invalid instance: ['non-finite-coordinate', 'non-finite-coordinate']"
-    assert report["cells"]["bad/dfa"]["errors"][0].endswith(issues)
+    assert report["cells"]["bad/dfa@p5"]["errors"][0].endswith(issues)
 
 
 def test_export_geojson_rejects_non_finite_coordinates(tmp_path, capsys):
     # GeoJSON is JSON (RFC 8259), which has no NaN or Infinity token
     clean = generator.small_instance(21, cluster_sizes=(3, 3)).save(tmp_path / "clean.json")
     sol = tmp_path / "sol.json"
-    assert main(["solve", str(clean), "--seed", "3", "--population", "5", "--out", str(sol)]) == 0
+    assert main(["solve", str(clean), "--seed", "3", "--algorithm", "dfa@p5", "--out", str(sol)]) == 0
     path = tmp_path / "bad.json"
     _write_edited(clean, path, _with_non_finite_coordinates)
     capsys.readouterr()
@@ -1097,12 +1142,12 @@ def test_solve_and_export_take_only_what_validate_accepts(data):
         tmp = Path(tmp)
         clean_path = clean.save(tmp / "clean.json")
         clean_solution = tmp / "clean.solution.json"
-        assert main(["solve", str(clean_path), "--population", "3", "--seed", "1", "--out", str(clean_solution)]) == 0
+        assert main(["solve", str(clean_path), "--algorithm", "dfa@p3", "--seed", "1", "--out", str(clean_solution)]) == 0
         path = tmp / "mutated.json"
         _write_edited(clean_path, path, lambda _: mutated)
         validated = main(["validate", str(path)])
         solution = tmp / "mutated.solution.json"
-        solved = main(["solve", str(path), "--population", "3", "--seed", "1", "--out", str(solution)])
+        solved = main(["solve", str(path), "--algorithm", "dfa@p3", "--seed", "1", "--out", str(solution)])
         geo = tmp / "routes.geojson"
         exported = main(["export-geojson", str(path), str(clean_solution), "--out", str(geo)])
         event(f"validate {validated}, solve {solved}, export-geojson {exported}")
@@ -1129,7 +1174,7 @@ def test_export_geojson_refuses_a_misplaced_depot(tmp_path, capsys, edit, named)
     # whose first node is not the one depot must not reach it
     clean = generator.small_instance(21, cluster_sizes=(3, 3), forbidden_per_cluster=1).save(tmp_path / "clean.json")
     sol = tmp_path / "sol.json"
-    assert main(["solve", str(clean), "--seed", "3", "--population", "5", "--out", str(sol)]) == 0
+    assert main(["solve", str(clean), "--seed", "3", "--algorithm", "dfa@p5", "--out", str(sol)]) == 0
     path = tmp_path / "bad.json"
     _write_edited(clean, path, lambda data: {**data, "nodes": edit(data["nodes"])})
     capsys.readouterr()
@@ -1143,7 +1188,7 @@ def test_export_geojson_refuses_a_misplaced_depot(tmp_path, capsys, edit, named)
 def test_solve_emit_history(tmp_path, toy_instance_file):
     out = tmp_path / "sol.json"
     assert main(
-        ["solve", str(toy_instance_file), "--seed", "3", "--population", "15", "--out", str(out)]
+        ["solve", str(toy_instance_file), "--seed", "3", "--algorithm", "dfa@p15", "--out", str(out)]
     ) == 0
     data = json.loads(out.read_text())
     history = data["cost_history"]
@@ -1171,19 +1216,32 @@ def test_readme_commands_parse(capsys):
     assert lines and not refused, capsys.readouterr().err
 
 
-def test_every_cli_option_is_in_the_readme():
-    # an option the README never names is one its reader cannot find
-    readme = README.read_text(encoding="utf-8")
+def _cli_options() -> set[str]:
+    """Every ``--option`` that some subcommand takes, ``--help`` aside."""
     commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    options = {
+    return {
         option
         for parser in commands.choices.values()
         for action in parser._actions
         for option in action.option_strings
         if option.startswith("--") and option != "--help"
     }
+
+
+def test_every_cli_option_is_in_the_readme():
+    # an option the README never names is one its reader cannot find
+    readme = README.read_text(encoding="utf-8")
+    options = _cli_options()
     undocumented = [o for o in sorted(options) if not re.search(re.escape(o) + r"(?![\w-])", readme)]
     assert options and not undocumented
+
+
+def test_every_readme_option_is_a_cli_option():
+    # an option the README names from its CLI section on, where no other
+    # tool's options appear, must be one that some subcommand takes
+    readme = README.read_text(encoding="utf-8")
+    named = set(re.findall(r"--[a-z][\w-]*", readme[readme.index("\n## CLI\n") :]))
+    assert named and not named - _cli_options()
 
 
 def _exit_codes(text: str) -> list[int]:

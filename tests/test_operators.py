@@ -5,11 +5,11 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from rvrp import Instance, Solution, check_feasible, solution_cost
-from rvrp import generator
+from rvrp import Instance, Solution, SolverConfig, check_feasible, solution_cost, solve
+from rvrp import generator, instance
 from rvrp.evaluation import route_cost
 from rvrp.draws import Draws
-from rvrp.instance import route_load_ok
+from rvrp.instance import EMPTY_LOAD, route_load_ok
 from rvrp.operators import (
     MAX_RESAMPLES,
     _insertion,
@@ -270,6 +270,24 @@ def test_cluster_relocation_gives_up_when_no_draw_fits():
         else:
             assert out.vehicles == 30 and check_feasible(out, inst).feasible
     assert 0 < gave_up < 20
+
+
+def test_cluster_relocation_walks_no_route_its_deliveries_overflow(monkeypatch, benchmark_by_name):
+    # a target route whose deliveries and the block's exceed the capacity is
+    # skipped before its load walk, as _shuffled_block skips a doomed block;
+    # the draw stays, so the run is the spec's (test_spec). Here the skip cut
+    # the walks from 5,998 (2,104 of them over the capacity) to 3,894
+    inst = benchmark_by_name["Osaba_50_1_1"]
+    walks = []
+    walk = instance.route_load
+
+    def counted(route, inst, prefix=EMPTY_LOAD):
+        walks.append(walk(route, inst, prefix))
+        return walks[-1]
+
+    monkeypatch.setattr(instance, "route_load", counted)
+    solve(inst, SolverConfig("dfa", 10, seed=1, enable_cluster_relocation=True))
+    assert walks and all(total <= inst.capacity for total, _, _ in walks)
 
 
 def test_cluster_relocation_preserves_block_order(two_cluster_instance):

@@ -1,10 +1,17 @@
 """``rvrp.solve`` against the executable specification (``spec.py``): the
 same evaluation count, best cost to the bit, cost history and best solution,
-for each search with cluster relocation off and on."""
+for each search with cluster relocation off and on, on five fixed instances
+and on drawn ones."""
+
+import dataclasses
+import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from rvrp import Solution, SolverConfig, encode, generator, solve, validate_instance
+from rvrp import Instance, Solution, SolverConfig, encode, generator, operators, solve, validate_instance
+from rvrp.solvers import ALGORITHMS
 
 import spec
 from conftest import rising_loads
@@ -26,19 +33,25 @@ SMALL = {
 CASES = [(name, 10) for name in SMALL] + [("Osaba_50_2_4", 4), ("Osaba_50_1_1", 4)]
 
 
+def _assert_solve_is_the_spec(
+    inst: Instance, algorithm: str, population: int, seed: int, relocation: bool
+) -> None:
+    cfg = SolverConfig(algorithm, population, seed, enable_cluster_relocation=relocation)
+    result = solve(inst, cfg)
+    run = spec.solve(inst, algorithm, population, seed=seed, relocation=relocation)
+    assert result.evaluations_total == run.evaluations
+    assert repr(result.best_cost) == repr(run.best_cost)
+    assert result.cost_history == run.history
+    assert encode(result.best_solution) == encode(Solution.from_routes(run.best_routes))
+
+
 @pytest.mark.parametrize("relocation", [False, True], ids=["insertion", "relocation"])
 @pytest.mark.parametrize("algorithm", ["dfa", "ea", "esa"])
 @pytest.mark.parametrize("name, population", CASES, ids=[name for name, _ in CASES])
 def test_solve_is_the_spec(benchmark_by_name, name, population, algorithm, relocation):
     inst = SMALL.get(name) or benchmark_by_name[name]
     assert validate_instance(inst).feasible
-    cfg = SolverConfig(algorithm, population, seed=3, enable_cluster_relocation=relocation)
-    result = solve(inst, cfg)
-    run = spec.solve(inst, algorithm, population, seed=3, relocation=relocation)
-    assert result.evaluations_total == run.evaluations
-    assert repr(result.best_cost) == repr(run.best_cost)
-    assert result.cost_history == run.history
-    assert encode(result.best_solution) == encode(Solution.from_routes(run.best_routes))
+    _assert_solve_is_the_spec(inst, algorithm, population, 3, relocation)
 
 
 def test_the_small_instances_reach_the_branches_they_are_named_for(monkeypatch):
@@ -50,3 +63,76 @@ def test_the_small_instances_reach_the_branches_they_are_named_for(monkeypatch):
     monkeypatch.setattr(spec, "depth_first_order", lambda *args: calls.append(args) or order(*args))
     spec.solve(fallback, "ea", 10, seed=3)
     assert calls
+
+
+@st.composite
+def drawn_runs(draw) -> tuple[Instance, str, int, int, bool]:
+    """A small instance and the settings of one run on it. The capacity is
+    the largest cluster's delivery sum plus 0-2, so loads meet it exactly
+    and most blocks cannot join an open route; a 4-6-member cluster may get
+    dense forbidden arcs, all but those of one drawn order, so it stays
+    valid and is mostly tight; some clusters may pick up more than they
+    deliver."""
+    sizes = draw(st.lists(st.integers(1, 7), min_size=2, max_size=5))
+    ids = iter(range(1, sum(sizes) + 1))  # small_instance's ids, cluster by cluster
+    loads = [sum(generator.demand_for(next(ids))[0] for _ in range(m)) for m in sizes]
+    capacity = max(loads) + draw(st.integers(0, 2))
+    inst = generator.small_instance(draw(st.integers(0, 2**16)), cluster_sizes=sizes, capacity=capacity)
+    forbidden = set()
+    for members in inst.clusters.values():
+        if 4 <= len(members) <= 6 and draw(st.booleans()):
+            free = draw(st.permutations(members))
+            arcs = [(a, b) for a in members for b in members if a != b and (a, b) not in zip(free, free[1:])]
+            forbidden.update(draw(st.lists(st.sampled_from(arcs), min_size=len(arcs) // 2, unique=True)))
+    inst = dataclasses.replace(inst, forbidden=frozenset(forbidden))
+    rising = draw(st.lists(st.sampled_from(list(inst.clusters)), unique=True, max_size=2))
+    if rising:
+        inst = rising_loads(inst, rising)
+    algorithm, population = draw(st.sampled_from(ALGORITHMS)), draw(st.integers(1, 10))
+    return inst, algorithm, population, draw(st.integers(0, 2**16)), draw(st.booleans())
+
+
+@given(drawn_runs())
+@settings(max_examples=50, deadline=None, derandomize=True)
+def test_solve_is_the_spec_on_drawn_instances(run):
+    assume(validate_instance(run[0]).feasible)
+    _assert_solve_is_the_spec(*run)
+
+
+def test_the_drawn_instances_reach_the_branches_of_the_fixed_ones(monkeypatch):
+    # the property's own examples (the same derandomized draws, with the
+    # comparison replaced by a list), solved once by rvrp under wrappers that
+    # note each branch: a tight cluster's free-order mask, a doomed block, the
+    # depth-first fallback and an insertion's load check on a rising cluster
+    runs = []
+    monkeypatch.setitem(globals(), "_assert_solve_is_the_spec", lambda *run: runs.append(run))
+    test_solve_is_the_spec_on_drawn_instances()
+    reached = dict.fromkeys(["tight mask", "doomed block", "depth-first fallback", "rising check"], 0)
+    shuffled_block, cluster_order, route_load_ok = (
+        operators._shuffled_block, operators.cluster_order, operators.route_load_ok,
+    )
+
+    def noted_block(members, prefix, inst, rng):
+        total, _, peak = prefix
+        if total + sum(map(inst.delivery.__getitem__, members)) + peak > inst.capacity:
+            reached["doomed block"] += 1
+        elif inst.tight_orders.get(members) is not None:
+            reached["tight mask"] += 1
+        return shuffled_block(members, prefix, inst, rng)
+
+    def noted_order(*args, **kwargs):
+        reached["depth-first fallback"] += 1
+        return cluster_order(*args, **kwargs)
+
+    def noted_load(route, inst, *prefix):
+        fits = route_load_ok(route, inst, *prefix)
+        if fits is None and sys._getframe(1).f_code is operators._insertion.__code__:
+            reached["rising check"] += 1  # a candidate that the check refused
+        return fits
+
+    monkeypatch.setattr(operators, "_shuffled_block", noted_block)
+    monkeypatch.setattr(operators, "cluster_order", noted_order)
+    monkeypatch.setattr(operators, "route_load_ok", noted_load)
+    for inst, algorithm, population, seed, relocation in runs:
+        solve(inst, SolverConfig(algorithm, population, seed, enable_cluster_relocation=relocation))
+    assert len(runs) == 50 and all(reached.values()), reached
