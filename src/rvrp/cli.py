@@ -7,6 +7,11 @@ Output files are byte-reproducible for a fixed seed; wall-clock measurements
 are confined to stdout summaries, timing.json, tables.txt and the time
 columns of runs.csv.
 
+A solver config has one name, its entry <algorithm>[@p<size>][+reloc]
+(solvers.grid_configs): solve --algorithm takes one entry and experiment
+--algorithms a comma-separated list of them. The entry is the solution
+file's algorithm, and the label of the experiment's cells and runs.csv rows.
+
 Exit codes: 0 ok (warnings allowed), 1 validation found violations, 2 bad
 input/output (an instance that solve or export-geojson finds invalid too; a
 stdout closed by its reader, with no traceback), 3 generation infeasibility,
@@ -18,6 +23,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import generator, stats
@@ -111,28 +117,24 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_solve(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     try:
-        configs = grid_configs(args.algorithm, seed=seed, enable_cluster_relocation=args.enable_cluster_relocation)
+        configs = grid_configs(args.algorithm)
         if len(configs) != 1:
             raise ValueError(f"--algorithm {args.algorithm!r} holds {len(configs)} entries, not one")
+        [(label, cfg)] = configs.items()
+        cfg = replace(cfg, seed=seed)
     except ValueError as exc:
         raise CommandError(EXIT_IO, f"invalid solver settings: {exc}")
-    [(label, cfg)] = configs.items()
-    inst = _valid_instance(args.instance)
     out_path = Path(args.out) if args.out else Path(args.instance).with_suffix(f".{label}.solution.json")
     _print_header(
-        "solve",
-        instance=args.instance,
-        algorithm=label,
-        seed=seed,
-        population=cfg.population_size,
-        enable_cluster_relocation=args.enable_cluster_relocation,
+        "solve", instance=args.instance, algorithm=label, seed=seed, population=cfg.population_size,
         out=out_path,
     )
+    inst = _valid_instance(args.instance)
     # a valid instance cannot fail construction: each cluster fits a fresh route
     result = solve(inst, cfg)
-    data = result.to_dict()
-    data["instance"] = inst.name
-    data["encoding"] = encode(result.best_solution)
+    # the entry, not cfg.algorithm, so that the file names its whole config
+    data = {"algorithm": label, "seed": seed, **result.to_dict(), "instance": inst.name,
+            "encoding": encode(result.best_solution)}
     try:
         write_json(out_path, data)
     except OSError as exc:
@@ -147,7 +149,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_experiment(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     try:
-        configs = grid_configs(args.algorithms, enable_cluster_relocation=args.enable_cluster_relocation)
+        configs = grid_configs(args.algorithms)
     except ValueError as exc:
         raise CommandError(EXIT_IO, f"invalid experiment settings: {exc}")
     try:
@@ -163,7 +165,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         runs=args.runs,
         seed=seed,
         jobs=args.jobs,
-        enable_cluster_relocation=args.enable_cluster_relocation,
         out=out_dir,
     )
     # checked before any solve, so that no grid's results are lost to a path
@@ -258,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--algorithm", default="dfa")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--enable-cluster-relocation", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_solve)
 
@@ -270,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     # one worker per CPU this process may run on, not per CPU of the machine
     jobs = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     p.add_argument("--jobs", type=int, default=jobs)
-    p.add_argument("--enable-cluster-relocation", action="store_true")
     p.add_argument("--out", default="experiment")
     p.set_defaults(func=cmd_experiment)
 

@@ -86,30 +86,31 @@ class SolverConfig:
             raise ValueError(f"seed must be non-negative, not {self.seed}")
 
 
-def grid_configs(text: str, **defaults) -> dict[str, SolverConfig]:
+def grid_configs(text: str) -> dict[str, SolverConfig]:
     """The label -> config map of a comma-separated list of grid entries.
 
-    An entry is ``<algorithm>[@p<size>]`` and is its own label. ``@p<size>``
-    sets the entry's population size; every other field, and the size of an
-    entry without ``@p``, comes from ``defaults``, else from ``SolverConfig``.
-    Blank entries are skipped. A ValueError names an entry whose ``@`` is not
-    followed by ``p`` and a positive decimal integer without sign, underscore
-    or leading zero, whose settings ``SolverConfig`` rejects, or that an
-    earlier entry repeats.
+    An entry is ``<algorithm>[@p<size>][+reloc]``, in that order, and is its
+    own label. ``@p<size>`` sets the entry's population size and ``+reloc``
+    turns cluster relocation on; every other field comes from
+    ``SolverConfig``. Blank entries are skipped. A ValueError names an entry
+    that is not of that form, with ``<size>`` a positive decimal integer
+    without sign, underscore or leading zero; whose settings ``SolverConfig``
+    rejects; or that an earlier entry repeats.
     """
     configs: dict[str, SolverConfig] = {}
     for label in filter(None, (entry.strip() for entry in text.split(","))):
-        algorithm, at, size = label.partition("@")
-        if at and not re.fullmatch("p[1-9][0-9]*", size):
+        match = re.fullmatch(r"([^@+]*)(?:@p([1-9][0-9]*))?(\+reloc)?", label)
+        if match is None:
             raise ValueError(
-                f"entry {label!r}: '@' must be followed by 'p' and a positive integer"
-                " with no sign, underscore or leading zero"
+                f"entry {label!r} is not <algorithm>[@p<size>][+reloc], with <size> a positive"
+                " integer with no sign, underscore or leading zero"
             )
         if label in configs:
             raise ValueError(f"entry {label!r} is listed twice")
-        settings = dict(defaults, population_size=int(size[1:])) if at else defaults
+        algorithm, size, reloc = match.groups()
+        settings = {"population_size": int(size)} if size else {}
         try:
-            configs[label] = SolverConfig(algorithm, **settings)
+            configs[label] = SolverConfig(algorithm, enable_cluster_relocation=bool(reloc), **settings)
         except ValueError as exc:
             raise ValueError(f"entry {label!r}: {exc}") from None
     return configs
@@ -117,8 +118,6 @@ def grid_configs(text: str, **defaults) -> dict[str, SolverConfig]:
 
 @dataclass
 class SolveResult:
-    algorithm: str
-    seed: int
     best_solution: Solution
     best_cost: float
     evaluations_total: int
@@ -133,8 +132,6 @@ class SolveResult:
 
     def to_dict(self) -> dict:
         return {
-            "algorithm": self.algorithm,
-            "seed": self.seed,
             "cost": self.best_cost,
             "vehicles": self.best_solution.vehicles,
             "routes": [list(r) for r in self.best_solution.routes],
@@ -196,12 +193,10 @@ class _Tracker:
         self.end_proposal(sol)
         return cost
 
-    def result(self, algorithm: str, seed: int) -> SolveResult:
+    def result(self) -> SolveResult:
         assert self.best_solution is not None, "no evaluation was recorded"
         wall = time.monotonic() - self.started
         return SolveResult(
-            algorithm=algorithm,
-            seed=seed,
             best_solution=self.best_solution,
             best_cost=self.best_cost,
             evaluations_total=self.evaluations,
@@ -362,4 +357,4 @@ def solve(inst: Instance, cfg: SolverConfig) -> SolveResult:
         _LOOPS[cfg.algorithm](inst, tracker, pop, costs, draws, streams[pop_n], relocation)
     except BudgetExhausted:
         pass
-    return tracker.result(cfg.algorithm, cfg.seed)
+    return tracker.result()

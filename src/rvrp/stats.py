@@ -7,8 +7,8 @@ cell's entry (``mean_cost``, ``sd_cost``, ``best_cost``, ``vehicles``,
 ``seeds``, ``evaluations``, ``errors``) and each instance's best run
 (``best_found``). The cells' mean costs feed a Friedman rank test followed by
 a Holm step-down post-hoc against a control label (the best-ranked one). The
-CLI's labels are its ``--algorithms`` entries, such as ``dfa`` or
-``dfa@p25`` (``solvers.grid_configs``). The rank tests return
+CLI's labels are its ``--algorithms`` entries, such as ``dfa``, ``dfa@p25``
+or ``dfa+reloc`` (``solvers.grid_configs``). The rank tests return
 ``report.json``'s own entries: ``friedman`` its ``friedman`` dict and ``holm``
 its ``holm`` dict, which the report and ``rvrp stats --out`` write as they are.
 
@@ -297,8 +297,9 @@ class ExperimentReport:
         """The report of the successful runs that ``csv_text`` wrote: times
         at its 3 decimals, no evaluations or encodings, no base seed. A
         missing or repeated column, a row of the wrong length, a number that
-        does not parse, a non-finite cost or time, or a run that an earlier
-        row already holds is a ValueError naming it."""
+        does not parse, a non-finite cost or time, a negative run, seed, cost
+        or time, fewer than one vehicle, or a run that an earlier row already
+        holds is a ValueError naming it."""
         reader = csv.reader(io.StringIO(text))
         try:
             rows = [(reader.line_num, row) for row in reader]
@@ -325,6 +326,9 @@ class ExperimentReport:
                     raise ValueError(f"{where} has {column} {value!r}, not {wanted}") from None
                 if kind is float and not math.isfinite(values[column]):
                     raise ValueError(f"{where} has {column} {value}, not a finite number")
+                least = 1 if column == "vehicles" else 0  # csv_text writes no smaller value
+                if values[column] < least:
+                    raise ValueError(f"{where} has {column} {value}, below {least}")
             key = (fields["instance"], fields["algorithm"], values["run"])
             if first_line.setdefault(key, line) != line:
                 raise ValueError(f"{where} repeats run {values['run']} of line {first_line[key]}")

@@ -226,6 +226,38 @@ def test_solve_header_states_the_entry_population(
     assert (tmp_path / f"toy.{entry}.solution.json").exists()
 
 
+def test_solve_runs_the_config_its_entry_names(tmp_path, toy_instance_file):
+    # +reloc is the config's relocation, and the solution file names the entry
+    out = tmp_path / "sol.json"
+    argv = ["solve", str(toy_instance_file), "--algorithm", "dfa@p5+reloc", "--seed", "3", "--out", str(out)]
+    assert main(argv) == 0
+    data = json.loads(out.read_text())
+    inst = Instance.load(toy_instance_file)
+    result = rvrp.solve(inst, rvrp.SolverConfig("dfa", 5, 3, True))
+    assert (data["algorithm"], data["seed"]) == ("dfa@p5+reloc", 3)
+    assert data["cost"] == result.best_cost and data["evaluations"] == result.evaluations_total
+    assert data["encoding"] == rvrp.encode(result.best_solution)
+
+
+def test_solve_prints_its_header_before_refusing_an_instance(tmp_path, toy_instance_file):
+    # the header states the drawn seed even of a run that never starts; run
+    # unbuffered, with stderr on stdout, so the lines keep their order
+    path = tmp_path / "bad.json"
+    _write_edited(toy_instance_file, path, lambda data: {**data, "capacity": -1})
+    out = tmp_path / "sol.json"
+    env = {**os.environ, "PYTHONPATH": str(Path(rvrp.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-u", "-m", "rvrp.cli", "solve", str(path), "--out", str(out)],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=env, text=True,
+    )
+    *header, error = proc.stdout.splitlines()
+    assert proc.returncode == 2
+    assert header[0] == "# rvrp solve" and all(line.startswith("#   ") for line in header[1:])
+    assert any(re.fullmatch(r"#   seed = \d+", line) for line in header)
+    assert error == f"invalid instance {path}: ['capacity-invalid']"
+    assert not out.exists()
+
+
 def test_experiment_jobs_default_counts_the_cpus_this_process_may_use(monkeypatch):
     # an affinity mask of two CPUs on a 64-CPU machine gets two workers; where
     # the platform has no mask, every CPU counts. Parsing starts no pool
@@ -283,7 +315,8 @@ def test_experiment_header_states_the_suite_seed_and_relocation(
     tmp_path, small_suite_dir, capsys, drop_seed
 ):
     # a suite without a seed states None; an --out under a file stops the
-    # command after its header, before any solve
+    # command after its header, before any solve. Relocation is stated by the
+    # entries that carry +reloc, not by a line of its own
     manifest = small_suite_dir / "suite-manifest.json"
     if drop_seed:
         data = json.loads(manifest.read_text())
@@ -292,13 +325,14 @@ def test_experiment_header_states_the_suite_seed_and_relocation(
     blocker = tmp_path / "blocker"
     blocker.write_text("")
     code = main(
-        ["experiment", "--suite", str(small_suite_dir), "--enable-cluster-relocation",
+        ["experiment", "--suite", str(small_suite_dir), "--algorithms", "dfa,dfa+reloc",
          "--out", str(blocker / "exp")]
     )
     assert code == 2
     header = capsys.readouterr().out.splitlines()
     assert f"#   suite_seed = {None if drop_seed else 5}" in header
-    assert "#   enable_cluster_relocation = True" in header
+    assert "#   algorithms = dfa,dfa+reloc" in header
+    assert not any("relocation" in line for line in header)
     assert not any(line.startswith("#   population") for line in header)  # each entry states its own
 
 
@@ -340,8 +374,13 @@ def test_solve_rejects_invalid_population(tmp_path, toy_instance_file, capsys):
 
 @pytest.mark.parametrize(
     "entries, named",
-    [("dfa,ea", "'dfa,ea' holds 2 entries"), (" , ", "' , ' holds 0 entries"), ("nope", "'nope'")],
-    ids=["two-entries", "no-entry", "unknown-algorithm"],
+    [
+        ("dfa,ea", "'dfa,ea' holds 2 entries"), (" , ", "' , ' holds 0 entries"), ("nope", "'nope'"),
+        ("dfa+", "'dfa+'"), ("dfa+Reloc", "'dfa+Reloc'"), ("dfa+reloc@p5", "'dfa+reloc@p5'"),
+        ("dfa@p5+reloc+reloc", "'dfa@p5+reloc+reloc'"),
+    ],
+    ids=["two-entries", "no-entry", "unknown-algorithm", "suffix-empty", "suffix-capital",
+         "suffix-before-size", "suffix-twice"],
 )
 def test_solve_takes_one_valid_entry(tmp_path, toy_instance_file, capsys, entries, named):
     out = tmp_path / "sol.json"
@@ -353,23 +392,27 @@ def test_solve_takes_one_valid_entry(tmp_path, toy_instance_file, capsys, entrie
 
 @pytest.mark.parametrize("command", ["solve", "experiment"])
 def test_population_is_not_an_option(toy_instance_file, capsys, command):
-    # a population size is an entry's @p<size>, in both commands
-    argv = [command, *([str(toy_instance_file)] if command == "solve" else []), "--population", "5"]
-    with pytest.raises(SystemExit) as exit_:
-        main(argv)
-    assert exit_.value.code == 2
-    assert "unrecognized arguments: --population 5" in capsys.readouterr().err
+    # a population size is an entry's @p<size>, and relocation its +reloc,
+    # in both commands
+    for option in (["--population", "5"], ["--enable-cluster-relocation"]):
+        argv = [command, *([str(toy_instance_file)] if command == "solve" else []), *option]
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("relocation", [False, True], ids=["insertion", "relocation"])
-def test_every_runs_csv_row_reruns_through_solve(tmp_path, small_suite_dir, capsys, relocation):
+@pytest.mark.parametrize(
+    "algorithms", ["dfa@p5,ea@p4,esa", "dfa@p5+reloc,ea@p4+reloc,esa+reloc"], ids=["insertion", "relocation"]
+)
+def test_every_runs_csv_row_reruns_through_solve(tmp_path, small_suite_dir, capsys, algorithms):
     # a row's label is an --algorithm entry and its seed a --seed, so the
-    # row's run is one rvrp solve of the suite's instance file
-    flag = ["--enable-cluster-relocation"] if relocation else []
+    # row's run is one rvrp solve of the suite's instance file, whose
+    # solution file names the entry
     out = tmp_path / "exp"
     assert main(
-        ["experiment", "--suite", str(small_suite_dir), "--algorithms", "dfa@p5,ea@p4,esa",
-         "--runs", "2", "--seed", "5", "--jobs", "1", "--out", str(out), *flag]
+        ["experiment", "--suite", str(small_suite_dir), "--algorithms", algorithms,
+         "--runs", "2", "--seed", "5", "--jobs", "1", "--out", str(out)]
     ) == 0
     rows = stats.ExperimentReport.from_csv((out / "runs.csv").read_text()).runs
     assert len(rows) == 12
@@ -377,9 +420,10 @@ def test_every_runs_csv_row_reruns_through_solve(tmp_path, small_suite_dir, caps
         solution = tmp_path / "rerun.json"
         assert main(
             ["solve", str(small_suite_dir / f"{row.instance}.json"), "--algorithm", row.label,
-             "--seed", str(row.seed), "--out", str(solution), *flag]
+             "--seed", str(row.seed), "--out", str(solution)]
         ) == 0
-        assert json.loads(solution.read_text())["cost"] == row.cost
+        rerun = json.loads(solution.read_text())
+        assert rerun["cost"] == row.cost and rerun["algorithm"] == row.label
 
 
 def test_generate_rejects_a_negative_seed(tmp_path, capsys):
@@ -441,12 +485,17 @@ def test_experiment_accepts_a_negative_base_seed(tmp_path, small_suite_dir):
         (["--algorithms", "dfa@p25,dfa@p25"], "'dfa@p25'"),
         (["--algorithms", " , ,"], "no algorithm given"),
         (["--algorithms", "dfa@p25,dfa@p50", "--runs", "0"], "runs"),
+        (["--algorithms", "dfa,dfa+"], "'dfa+'"),
+        (["--algorithms", "dfa,dfa+Reloc"], "'dfa+Reloc'"),
+        (["--algorithms", "dfa,dfa+reloc@p5"], "'dfa+reloc@p5'"),
+        (["--algorithms", "dfa,dfa@p5+reloc+reloc"], "'dfa@p5+reloc+reloc'"),
     ],
     ids=[
         "runs-0", "runs-negative", "unknown-algorithm",
         "no-algorithm", "duplicate-algorithm", "jobs-0", "jobs-negative", "at-only", "size-missing",
         "size-x", "size-0", "size-leading-zero", "size-signed", "size-underscore", "not-p",
         "unknown-algorithm-with-size", "repeated-label", "blank-entries", "runs-0-with-sizes",
+        "suffix-empty", "suffix-capital", "suffix-before-size", "suffix-twice",
     ],
 )
 def test_experiment_rejects_invalid_settings(
@@ -910,11 +959,21 @@ NON_FINITE_RUNS = CSV_HEADER + (
         # the cells (a/b, c) and (a, b/c) would share the report.json key a/b/c
         (CSV_HEADER + "a/b,c,0,1,5.0,1.0,1.0,2\na,b/c,0,2,6.0,9.0,9.0,2\n", "label 'b/c'"),
         (CSV_HEADER + "t" * 200_000 + ",dfa,0,1,1.5,0.1,0.0,2\n", "line 2: field larger than field limit (131072)"),
+        # values csv_text never writes: read, they gave runs_per_cell -2 and
+        # a best found with -2 vehicles
+        (CSV_HEADER + "t,dfa,-3,-1,1.5,0.1,0.0,-2\n", "line 2 (t/dfa) has run -3, below 0"),
+        (CSV_HEADER + "t,dfa,0,-1,1.5,0.1,0.0,2\n", "line 2 (t/dfa) has seed -1, below 0"),
+        (CSV_HEADER + "t,dfa,0,1,-1.5,0.1,0.0,2\n", "line 2 (t/dfa) has cost -1.5, below 0"),
+        (CSV_HEADER + "t,dfa,0,1,1.5,-0.1,0.0,2\n", "line 2 (t/dfa) has time_s -0.1, below 0"),
+        (CSV_HEADER + "t,dfa,0,1,1.5,0.1,-0.001,2\n", "line 2 (t/dfa) has convergence_s -0.001, below 0"),
+        (CSV_HEADER + "t,dfa,0,1,1.5,0.1,0.0,2\nt,dfa,1,2,1.5,0.1,0.0,0\n", "line 3 (t/dfa) has vehicles 0, below 1"),
+        (CSV_HEADER + "t,dfa,0,1,1.5,0.1,0.0,-2\n", "line 2 (t/dfa) has vehicles -2, below 1"),
     ],
     ids=[
         "no-cost-column", "cost-not-a-number", "cost-nan", "cost-inf", "not-utf-8", "time-inf",
         "header-only", "short-row", "repeated-run", "repeated-cost-column", "slash-in-label",
-        "field-too-large",
+        "field-too-large", "run-negative", "seed-negative", "cost-negative", "time-negative",
+        "convergence-negative", "vehicles-0", "vehicles-negative",
     ],
 )
 def test_stats_rejects_malformed_csv(tmp_path, capsys, content, named):
@@ -1108,26 +1167,52 @@ def test_export_geojson_rejects_non_finite_coordinates(tmp_path, capsys):
 NODE_FIELD_VALUES = [-1, 0, 2.5, 10**9, HUGE, float("nan"), INF, "1", True, None, [], {}]
 
 
+MUTATIONS = [
+    "depot-last", "node-field", "drop-node", "duplicate-node", "swap-fields", "id-clash", "cluster-merge",
+    "extra-forbidden",
+]
+
+
 @st.composite
 def _mutated(draw, data: dict) -> dict:
-    """``data`` with one of five edits: the depot moved last, one node field
-    set to one of NODE_FIELD_VALUES, a node dropped, a node duplicated at the
-    end, or the values of two top-level fields swapped."""
+    """``data`` with one of the MUTATIONS: the depot moved last, one node
+    field set to one of NODE_FIELD_VALUES, a node dropped, a node duplicated
+    at the end, the values of two top-level fields swapped, one node given
+    another's id, one cluster's nodes relabelled as another's, or one more
+    ``forbidden`` pair drawn over the node ids and an unknown id (a self-pair
+    and the depot included)."""
     nodes = [dict(n) for n in data["nodes"]]
     k = draw(st.integers(0, len(nodes) - 1))
-    kind = draw(st.sampled_from(["depot-last", "node-field", "drop-node", "duplicate-node", "swap-fields"]))
+    kind = draw(st.sampled_from(MUTATIONS))
+    event(f"mutation {kind}")
     if kind == "swap-fields":
         a, b = draw(st.lists(st.sampled_from(sorted(data)), min_size=2, max_size=2, unique=True))
         return {**data, a: data[b], b: data[a]}
+    if kind == "extra-forbidden":
+        ids = [n["id"] for n in nodes]
+        pair = draw(st.lists(st.sampled_from([*ids, max(ids) + 1]), min_size=2, max_size=2))
+        return {**data, "forbidden": [*data["forbidden"], pair]}
     if kind == "depot-last":
         nodes.append(nodes.pop(0))
     elif kind == "node-field":
         nodes[k][draw(st.sampled_from(sorted(nodes[k])))] = draw(st.sampled_from(NODE_FIELD_VALUES))
     elif kind == "drop-node":
         del nodes[k]
-    else:
+    elif kind == "duplicate-node":
         nodes.append(nodes[k])
+    elif kind == "id-clash":
+        j = draw(st.integers(0, len(nodes) - 2))
+        nodes[k]["id"] = nodes[j + (j >= k)]["id"]  # any node but k
+    else:  # cluster-merge: no cluster of these shapes grows past 8 members
+        labels = sorted({n["cluster"] for n in nodes[1:]})
+        gone, kept = draw(st.lists(st.sampled_from(labels), min_size=2, max_size=2, unique=True))
+        for n in nodes:
+            n["cluster"] = kept if n["cluster"] == gone else n["cluster"]
     return {**data, "nodes": nodes}
+
+
+# the clean files the property mutates: (seed, cluster sizes) of small_instance
+CLEAN_SHAPES = [(21, (3, 3)), (8, (4, 2, 2))]
 
 
 @given(st.data())
@@ -1136,18 +1221,20 @@ def test_solve_and_export_take_only_what_validate_accepts(data):
     # every file ends in a documented exit, never a traceback; the files of an
     # example go to a temporary directory, since a function-scoped fixture
     # would be shared by all examples
-    clean = generator.small_instance(21, cluster_sizes=(3, 3), forbidden_per_cluster=1)
+    seed, sizes = data.draw(st.sampled_from(CLEAN_SHAPES))
+    clean = generator.small_instance(seed, cluster_sizes=sizes, forbidden_per_cluster=1)
     mutated = data.draw(_mutated(clean.to_dict()))
+    entry = data.draw(st.sampled_from(["dfa@p3", "esa@p3+reloc"]))
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         clean_path = clean.save(tmp / "clean.json")
         clean_solution = tmp / "clean.solution.json"
-        assert main(["solve", str(clean_path), "--algorithm", "dfa@p3", "--seed", "1", "--out", str(clean_solution)]) == 0
+        assert main(["solve", str(clean_path), "--algorithm", entry, "--seed", "1", "--out", str(clean_solution)]) == 0
         path = tmp / "mutated.json"
         _write_edited(clean_path, path, lambda _: mutated)
         validated = main(["validate", str(path)])
         solution = tmp / "mutated.solution.json"
-        solved = main(["solve", str(path), "--algorithm", "dfa@p3", "--seed", "1", "--out", str(solution)])
+        solved = main(["solve", str(path), "--algorithm", entry, "--seed", "1", "--out", str(solution)])
         geo = tmp / "routes.geojson"
         exported = main(["export-geojson", str(path), str(clean_solution), "--out", str(geo)])
         event(f"validate {validated}, solve {solved}, export-geojson {exported}")

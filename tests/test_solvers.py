@@ -50,10 +50,12 @@ def test_config_validation():
 
 def test_grid_configs_label_each_entry():
     assert grid_configs("dfa,ea,esa") == {alg: SolverConfig(alg) for alg in ("dfa", "ea", "esa")}
-    configs = grid_configs(" dfa , ea@p30,,", population_size=7, enable_cluster_relocation=True)
+    # every field but the seed is in the entry; the seed is the caller's
+    configs = grid_configs(" dfa+reloc , ea@p30,esa@p7+reloc,,")
     assert configs == {
-        "dfa": SolverConfig("dfa", population_size=7, enable_cluster_relocation=True),
-        "ea@p30": SolverConfig("ea", population_size=30, enable_cluster_relocation=True),
+        "dfa+reloc": SolverConfig("dfa", enable_cluster_relocation=True),
+        "ea@p30": SolverConfig("ea", population_size=30),
+        "esa@p7+reloc": SolverConfig("esa", population_size=7, enable_cluster_relocation=True),
     }
 
 
