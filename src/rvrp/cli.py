@@ -206,7 +206,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     _print_header("stats", runs=args.runs_csv)
     try:
-        with open(args.runs_csv, encoding="utf-8", newline="") as fh:
+        with open(args.runs_csv, encoding="utf-8-sig", newline="") as fh:
             report = stats.ExperimentReport.from_csv(fh.read())
     except (OSError, ValueError) as exc:
         raise CommandError(EXIT_IO, f"cannot read {args.runs_csv}: {exc}")

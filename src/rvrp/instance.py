@@ -64,7 +64,7 @@ class Node:
     cluster: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Solution:
     """Ordered routes over customer ids; the depot is implicit at both ends.
 
@@ -479,7 +479,11 @@ def route_load_ok(
     route: Sequence[int], inst: Instance, prefix: LoadSummary = EMPTY_LOAD
 ) -> LoadSummary | None:
     """The capacity rule over :func:`route_load`: its summary when the
-    highest load fits the capacity, else None."""
+    highest load fits the capacity, else None. The search's load rule: a
+    block (or route) with no member in ``inst.rising_clusters`` only sheds
+    load, and a summary's net change never exceeds its peak, so once its
+    deliveries fit after ``prefix`` it fits in every order, keeping the peak
+    of ``prefix``; the search walks only the orders of a rising block."""
     total, net, peak = route_load(route, inst, prefix)
     return (total, net, peak) if total + peak <= inst.capacity else None
 
@@ -507,10 +511,8 @@ def free_orders(members: Sequence[int], inst: Instance) -> np.ndarray | None:
     tight: at most ORDER_TABLE_MAX_MEMBERS, fewer than TIGHT_SHARE of their
     m! orders free of forbidden arcs, and not in ``inst.rising_clusters``;
     else None, the exact shuffle loop. True marks each free order's code: the
-    positions into the members it visits them in, read as a base-m number. A
-    free order fits once ``_shuffled_block``'s order-free test passes (peak
-    <= room): a load summary keeps net <= peak, and a block that only sheds
-    load never rises above the load it starts at."""
+    positions into the members it visits them in, read as a base-m number. No
+    loads: a free order fits once its deliveries do (``route_load_ok``)."""
     m = len(members)
     if m > ORDER_TABLE_MAX_MEMBERS or inst.cluster_of[members[0]] in inst.rising_clusters:
         return None

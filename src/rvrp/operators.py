@@ -114,11 +114,8 @@ def _insertion(sol: Solution, inst: Instance, rng: Rng) -> Insertion | None:
     block it changed, or None when the draw degenerates to the identity
     (single-member block or resampling exhausted). Only what the move changes
     is checked: the parent's block uses no forbidden arc, so only the arcs
-    the move adds can. The load is checked (:func:`route_load_ok`) only for a
-    block in ``inst.rising_clusters``: any other block only sheds load from
-    what the feasible parent had on board when the block starts, so every
-    order of it fits.
-    """
+    the move adds can. The load is walked only for a rising block (the rule
+    at :func:`route_load_ok`), as the feasible parent's order of it fits."""
     customers = inst.customers
     customer = customers[rng.integers(len(customers))]
     label = inst.cluster_of[customer]
@@ -243,9 +240,8 @@ def cluster_relocation(sol: Solution, inst: Instance, rng: Rng) -> Solution:
     """Move one whole cluster block between routes (or into a new route).
 
     The block's internal order is preserved, so the candidate keeps its
-    parent's visit order; the target route is re-checked with the exact load
-    simulation, unless its deliveries alone overflow, and infeasible draws
-    are resampled. This operator is an extension, used only when enabled.
+    parent's visit order; a target fits by :func:`route_load_ok`'s rule, and
+    infeasible draws are resampled. This extension is used only when enabled.
 
     ``sol`` must keep each cluster in one block, as every solver state does.
     """
@@ -273,8 +269,8 @@ def cluster_relocation(sol: Solution, inst: Instance, rng: Rng) -> Solution:
 
     for _ in range(MAX_RESAMPLES):
         r, b = options[int(rng.integers(len(options)))]
-        if r >= 0 and sum(map(inst.delivery.__getitem__, remaining[r])) > room:
-            continue  # the deliveries alone overflow, as in _shuffled_block: no walk
+        if sum(map(inst.delivery.__getitem__, remaining[r] if r >= 0 else ())) > room:
+            continue  # the deliveries alone overflow: no order fits
         new_routes = list(remaining)
         costs = list(remaining_costs)
         if r < 0:
@@ -282,7 +278,7 @@ def cluster_relocation(sol: Solution, inst: Instance, rng: Rng) -> Solution:
             costs.append(0.0)  # priced below once the route fits
         else:
             new_routes[r] = (*remaining[r][:b], *block, *remaining[r][b:])
-        if route_load_ok(new_routes[r], inst):
+        if not inst.rising_clusters or route_load_ok(new_routes[r], inst):
             costs[r] = route_cost(new_routes[r], inst)
             blocks = _block_index(new_routes, inst)
             return Solution(tuple(new_routes), blocks, tuple(costs), state.visits)
@@ -312,19 +308,21 @@ def _shuffled_block(
     no forbidden arc and fits the capacity when appended to a route whose
     load summary is ``prefix``, with the summary of the extended route.
 
-    When the deliveries alone overflow (an order-free test: the peak that
-    ``route_load`` walks never falls below ``prefix``'s), no order can fit:
-    the shuffles are drawn in one call that leaves ``rng`` as the loop would,
-    and none is checked. A tight cluster (``Instance.tight_orders``), whose
-    shuffles mostly fail, has all of them drawn and looked up in its
-    free-order mask at once; the generator is then rewound and advanced by
-    the orders the loop would have drawn."""
-    total, _, peak = prefix
-    room = inst.capacity - total - sum(map(inst.delivery.__getitem__, members))
+    The load follows :func:`route_load_ok`'s rule: when the deliveries alone
+    overflow, no order fits, and the shuffles are drawn in one call that
+    leaves ``rng`` as the loop would; else only a rising block's orders are
+    walked. A tight cluster (``Instance.tight_orders``), whose shuffles
+    mostly fail, has all of them drawn and looked up in its free-order mask
+    at once; the generator is then rewound and advanced by the orders the
+    loop would have drawn."""
+    total, net, peak = prefix
+    total += sum(map(inst.delivery.__getitem__, members))
     m = len(members)
-    if peak > room:
+    if total + peak > inst.capacity:
         _draw_orders(rng, MAX_RESAMPLES, m)
         return None
+    rising = inst.cluster_of[members[0]] in inst.rising_clusters
+    shed = None if rising else (total, net + sum(map(inst.load_change.__getitem__, members)), peak)
     free = inst.tight_orders.get(members)
     if free is not None:
         state = rng.bit_generator.state
@@ -335,14 +333,13 @@ def _shuffled_block(
             return None
         rng.bit_generator.state = state
         _draw_orders(rng, k + 1, m)
-        block = [members[i] for i in orders[k].tolist()]
-        return block, route_load_ok(block, inst, prefix)
+        return [members[i] for i in orders[k].tolist()], shed  # a tight cluster never rises
     forbidden = inst.forbidden
     for _ in range(MAX_RESAMPLES):
         block = list(members)
         rng.shuffle(block)
         if forbidden.isdisjoint(zip(block, block[1:])):
-            summary = route_load_ok(block, inst, prefix)
+            summary = shed or route_load_ok(block, inst, prefix)
             if summary is not None:
                 return block, summary
     return None
@@ -352,11 +349,10 @@ def random_solution(inst: Instance, rng: np.random.Generator) -> Solution:
     """Random feasible construction shared by all solvers.
 
     Clusters are shuffled and greedily appended to the current route whenever
-    a random intra-cluster order passes the exact load simulation and avoids
-    forbidden arcs (up to 50 order resamples); otherwise a new route is opened,
-    falling back to a randomized exact order search when resampling fails.
-    The solution carries its search state.
-    """
+    a random intra-cluster order fits the capacity and avoids forbidden arcs
+    (up to 50 order resamples, ``_shuffled_block``); otherwise a new route is
+    opened, falling back to a randomized exact order search when resampling
+    fails. The solution carries its search state."""
     labels = list(inst.clusters)
     order = [labels[i] for i in rng.permutation(len(labels))]
     routes: list[tuple[int, ...]] = []

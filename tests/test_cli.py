@@ -548,6 +548,23 @@ def test_stats_recomputes_from_csv(tmp_path, small_suite_dir, capsys):
     assert json.loads(stats_json.read_text()) == {"friedman": report["friedman"], "holm": report["holm"]}
 
 
+def test_stats_reads_a_runs_csv_saved_with_a_bom(tmp_path, small_suite_dir, capsys):
+    # a spreadsheet may re-save runs.csv with a UTF-8 byte-order mark, which
+    # must not glue itself to the first column's name
+    out = tmp_path / "exp"
+    main(
+        ["experiment", "--suite", str(small_suite_dir), "--algorithms", "dfa@p10,esa@p10",
+         "--runs", "2", "--seed", "5", "--jobs", "1", "--out", str(out)]
+    )
+    capsys.readouterr()
+    saved = tmp_path / "saved.csv"
+    saved.write_bytes(b"\xef\xbb\xbf" + (out / "runs.csv").read_bytes())
+    assert main(["stats", str(out / "runs.csv")]) == 0
+    plain = capsys.readouterr().out.split("\n", 2)[2]  # after the two header lines
+    assert main(["stats", str(saved)]) == 0
+    assert capsys.readouterr().out.split("\n", 2)[2] == plain
+
+
 @pytest.mark.parametrize(
     "algorithms", ["dfa@p10,esa@p10", "dfa@p10", "dfa@p2,dfa@p3"], ids=["tests", "no-tests", "sizes"]
 )

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from rvrp import Instance, Solution, SolverConfig, check_feasible, solution_cost
 from rvrp import generator, instance
 from rvrp.evaluation import route_cost
 from rvrp.draws import Draws
-from rvrp.instance import EMPTY_LOAD, route_load_ok
+from rvrp.instance import EMPTY_LOAD, route_load, route_load_ok
 from rvrp.operators import (
     MAX_RESAMPLES,
     _insertion,
@@ -275,9 +276,12 @@ def test_cluster_relocation_gives_up_when_no_draw_fits():
 def test_cluster_relocation_walks_no_route_its_deliveries_overflow(monkeypatch, benchmark_by_name):
     # a target route whose deliveries and the block's exceed the capacity is
     # skipped before its load walk, as _shuffled_block skips a doomed block;
-    # the draw stays, so the run is the spec's (test_spec). Here the skip cut
-    # the walks from 5,998 (2,104 of them over the capacity) to 3,894
-    inst = benchmark_by_name["Osaba_50_1_1"]
+    # the draw stays, so the run is the spec's (test_spec). Where no cluster
+    # rises the deliveries decide (the rule at route_load_ok), so nothing is
+    # walked: the skip cut this solve's walks from 5,998 (2,104 of them over
+    # the capacity) to 3,894, and the rule to none. With rising loads every
+    # target that passes the skip is walked (26,522 walks), none over it
+    generated = benchmark_by_name["Osaba_50_1_1"]
     walks = []
     walk = instance.route_load
 
@@ -286,8 +290,24 @@ def test_cluster_relocation_walks_no_route_its_deliveries_overflow(monkeypatch, 
         return walks[-1]
 
     monkeypatch.setattr(instance, "route_load", counted)
-    solve(inst, SolverConfig("dfa", 10, seed=1, enable_cluster_relocation=True))
-    assert walks and all(total <= inst.capacity for total, _, _ in walks)
+    config = SolverConfig("dfa", 10, seed=1, enable_cluster_relocation=True)
+    solve(generated, config)
+    assert not generated.rising_clusters and walks == []
+    rising = rising_loads(generated)
+    solve(rising, config)
+    assert walks and all(total <= rising.capacity for total, _, _ in walks)
+
+
+@pytest.mark.parametrize("rises", [False, True], ids=["sheds", "rises"])
+def test_cluster_relocation_opens_no_route_its_deliveries_overflow(tiny_instance, rises):
+    # the one cluster delivers 25 into a vehicle of 24: the new-route slot,
+    # the only one, refuses it by its deliveries, as the walk did, and the
+    # draw gives up (the instance is not validated, which would refuse it)
+    inst = replace(rising_loads(tiny_instance) if rises else tiny_instance, capacity=24)
+    assert bool(inst.rising_clusters) == rises
+    sol = Solution.from_routes([[1, 2, 3]])
+    for seed in range(5):
+        assert cluster_relocation(sol, inst, np.random.default_rng(seed)) is sol
 
 
 def test_cluster_relocation_preserves_block_order(two_cluster_instance):
@@ -443,7 +463,8 @@ def test_doomed_block_draws_the_loops_shuffles(m, pending):
         assert fast.bit_generator.state == loop.bit_generator.state
 
 
-RISING_84 = rising_loads(generator.small_instance(84, cluster_sizes=(1, 5, 3), capacity=60))
+PLAIN_84 = generator.small_instance(84, cluster_sizes=(1, 5, 3), capacity=60)
+RISING_84 = rising_loads(PLAIN_84)
 # every cluster tight (Instance.tight_orders): 1 of 24, 6 of 120 and 76 of 720
 # orders free of forbidden arcs
 TIGHT_90 = generator.small_instance(90, cluster_sizes=(4, 5, 6), forbidden_per_cluster=9)
@@ -533,6 +554,29 @@ def test_shuffled_block_matches_the_shuffle_loop(
             outcome = "no fit" if found is None else f"a fit on {outcome}"
             event(f"batched: {outcome}, {'a' if pending else 'no'} pending half")
     event("fits" if found is not None else "no order")
+
+
+@pytest.mark.parametrize(
+    "inst, tight",
+    [(PLAIN_84, False), (RISING_84, False), (TIGHT_90, True), (rising_loads(TIGHT_90), False)],
+    ids=["loop", "loop-rising", "tight-mask", "loop-rising-tight"],
+)
+@pytest.mark.parametrize("slack", [0, 4], ids=["peak-equals-room", "room-to-spare"])
+def test_shuffled_block_summary_is_the_walks(inst, tight, slack):
+    # a block that does not rise returns one summary for every order, with no
+    # walk (the rule at route_load_ok); it must be the summary route_load
+    # walks, as must a rising block's, on the loop and on the tight-mask path
+    for members in inst.clusters.values():
+        assert (inst.tight_orders[members] is not None) == tight
+        deliveries = sum(inst.delivery[c] for c in members)
+        peak = min(10, inst.capacity - deliveries - slack)
+        # a net change far enough below the peak that a rising block fits too
+        prefix = (inst.capacity - deliveries - peak - slack, peak - 7 * len(members), peak)
+        found = [_shuffled_block(members, prefix, inst, np.random.default_rng(s)) for s in range(8)]
+        assert peak >= 0 and any(found)
+        for block, summary in filter(None, found):
+            assert summary == route_load(block, inst, prefix)
+            assert summary[0] + summary[2] == inst.capacity - slack
 
 
 # ------------------------------------------------ move-local checks
