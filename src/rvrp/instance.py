@@ -160,8 +160,8 @@ class Instance:
     clusters: dict[int, tuple[int, ...]] = field(init=False, repr=False)
     # label -> where the cluster's block starts in ``Solution.visits``
     cluster_offset: dict[int, int] = field(init=False, repr=False)
-    # a cluster's members -> their free-order mask (``free_orders``) or None
-    tight_orders: dict[tuple[int, ...], np.ndarray | None] = field(
+    # label -> the cluster's free-order mask (``free_orders``) or None
+    tight_orders: dict[int, np.ndarray | None] = field(
         init=False, compare=False, repr=False
     )
 
@@ -191,7 +191,7 @@ class Instance:
         self.clusters = label_clusters(self.nodes)
         sizes = [len(members) for members in self.clusters.values()]
         self.cluster_offset = dict(zip(self.clusters, accumulate(sizes, initial=0)))
-        self.tight_orders = {members: free_orders(members, self) for members in self.clusters.values()}
+        self.tight_orders = {label: free_orders(members, self) for label, members in self.clusters.items()}
 
     @property
     def n_customers(self) -> int:

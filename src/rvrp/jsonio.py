@@ -70,9 +70,9 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 def read_json(path: str | Path):
-    """The JSON document in the UTF-8 file ``path``; a document that is not
-    JSON, or has an object that repeats a key, is a ValueError."""
-    with open(path, encoding="utf-8") as fh:
+    """The JSON document in the UTF-8 file ``path``, less a leading byte-order
+    mark (RFC 8259 8.1); not JSON, or an object repeating a key, is a ValueError."""
+    with open(path, encoding="utf-8-sig") as fh:
         return json.load(fh, object_pairs_hook=_unique_keys)
 
 

@@ -33,6 +33,7 @@ from .instance import (
     Solution,
     _code_weights,
     cluster_order,
+    route_load,
     route_load_ok,
 )
 
@@ -302,47 +303,55 @@ def _positions(m: int) -> np.ndarray:
 
 
 def _shuffled_block(
-    members: Sequence[int], prefix: LoadSummary, inst: Instance, rng: np.random.Generator
+    label: int, prefix: LoadSummary | None, inst: Instance, rng: np.random.Generator
 ) -> tuple[list[int], LoadSummary] | None:
-    """Up to MAX_RESAMPLES random orders of ``members``; the first that uses
-    no forbidden arc and fits the capacity when appended to a route whose
-    load summary is ``prefix``, with the summary of the extended route.
+    """Up to MAX_RESAMPLES random orders of cluster ``label``'s members; the
+    first that uses no forbidden arc and fits the capacity when appended to
+    a route whose load summary is ``prefix``, with the summary of the
+    extended route. A fresh route (``prefix`` None) then falls back to the
+    randomized :func:`cluster_order`, or raises InfeasibleClusterError.
 
     The load follows :func:`route_load_ok`'s rule: when the deliveries alone
     overflow, no order fits, and the shuffles are drawn in one call that
     leaves ``rng`` as the loop would; else only a rising block's orders are
-    walked. A tight cluster (``Instance.tight_orders``), whose shuffles
-    mostly fail, has all of them drawn and looked up in its free-order mask
-    at once; the generator is then rewound and advanced by the orders the
-    loop would have drawn."""
-    total, net, peak = prefix
+    walked (a rising fallback order for its summary alone, as
+    ``cluster_order`` proves it fits). A tight cluster
+    (``Instance.tight_orders``), whose shuffles mostly fail, has all of them
+    drawn and looked up in its free-order mask at once; the generator is
+    then rewound and advanced by the orders the loop would have drawn."""
+    members = inst.clusters[label]
+    before = prefix or EMPTY_LOAD
+    total, net, peak = before
     total += sum(map(inst.delivery.__getitem__, members))
     m = len(members)
+    rising = label in inst.rising_clusters
+    shed = None if rising else (total, net + sum(map(inst.load_change.__getitem__, members)), peak)
     if total + peak > inst.capacity:
         _draw_orders(rng, MAX_RESAMPLES, m)
-        return None
-    rising = inst.cluster_of[members[0]] in inst.rising_clusters
-    shed = None if rising else (total, net + sum(map(inst.load_change.__getitem__, members)), peak)
-    free = inst.tight_orders.get(members)
-    if free is not None:
+    elif (free := inst.tight_orders[label]) is not None:
         state = rng.bit_generator.state
         orders = _draw_orders(rng, MAX_RESAMPLES, m)
         fits = free[orders @ _code_weights(m)]
         k = int(fits.argmax())
-        if not fits[k]:
-            return None
-        rng.bit_generator.state = state
-        _draw_orders(rng, k + 1, m)
-        return [members[i] for i in orders[k].tolist()], shed  # a tight cluster never rises
-    forbidden = inst.forbidden
-    for _ in range(MAX_RESAMPLES):
-        block = list(members)
-        rng.shuffle(block)
-        if forbidden.isdisjoint(zip(block, block[1:])):
-            summary = shed or route_load_ok(block, inst, prefix)
-            if summary is not None:
-                return block, summary
-    return None
+        if fits[k]:
+            rng.bit_generator.state = state
+            _draw_orders(rng, k + 1, m)
+            return [members[i] for i in orders[k].tolist()], shed  # a tight cluster never rises
+    else:
+        forbidden = inst.forbidden
+        for _ in range(MAX_RESAMPLES):
+            block = list(members)
+            rng.shuffle(block)
+            if forbidden.isdisjoint(zip(block, block[1:])):
+                summary = shed or route_load_ok(block, inst, before)
+                if summary is not None:
+                    return block, summary
+    if prefix is not None:
+        return None
+    block = cluster_order(members, inst.forbidden, rng=rng, inst=inst)
+    if block is None:
+        raise InfeasibleClusterError(f"cluster {label} admits no feasible order")
+    return block, shed or route_load(block, inst)
 
 
 def random_solution(inst: Instance, rng: np.random.Generator) -> Solution:
@@ -351,31 +360,22 @@ def random_solution(inst: Instance, rng: np.random.Generator) -> Solution:
     Clusters are shuffled and greedily appended to the current route whenever
     a random intra-cluster order fits the capacity and avoids forbidden arcs
     (up to 50 order resamples, ``_shuffled_block``); otherwise a new route is
-    opened, falling back to a randomized exact order search when resampling
-    fails. The solution carries its search state."""
+    opened, where ``_shuffled_block`` falls back to a randomized exact order
+    search when resampling fails. The solution carries its search state."""
     labels = list(inst.clusters)
     order = [labels[i] for i in rng.permutation(len(labels))]
     routes: list[tuple[int, ...]] = []
     blocks: dict[int, Block] = {}
     current: list[int] = []
-    load = EMPTY_LOAD  # the load summary of ``current``
+    load = None  # the load summary of ``current``, None while it is fresh
     for label in order:
-        members = inst.clusters[label]
-        if current:
-            found = _shuffled_block(members, load, inst, rng)
-            if found is not None:
-                block, load = found
-                blocks[label] = (len(routes), len(current), len(current) + len(block))
-                current.extend(block)
-                continue
+        found = _shuffled_block(label, load, inst, rng)
+        if found is None:  # only an open route refuses a block
             routes.append(tuple(current))
-        found = _shuffled_block(members, EMPTY_LOAD, inst, rng)
-        if found is None:
-            block = cluster_order(members, inst.forbidden, rng=rng, inst=inst)
-            if block is None:
-                raise InfeasibleClusterError(f"cluster {label} admits no feasible order")
-            found = block, route_load_ok(block, inst)
-        current, load = found
-        blocks[label] = (len(routes), 0, len(current))
+            current = []
+            found = _shuffled_block(label, None, inst, rng)
+        block, load = found
+        blocks[label] = (len(routes), len(current), len(current) + len(block))
+        current.extend(block)
     routes.append(tuple(current))
     return Solution(tuple(routes), blocks, tuple(route_cost(route, inst) for route in routes))

@@ -86,6 +86,13 @@ def test_validate_ok(toy_instance_file, capsys):
     assert ": ok" in capsys.readouterr().out
 
 
+def test_validate_reads_an_instance_saved_with_a_byte_order_mark(tmp_path, toy_instance_file, capsys):
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xef\xbb\xbf" + toy_instance_file.read_bytes())
+    assert main(["validate", str(path)]) == 0
+    assert ": ok" in capsys.readouterr().out
+
+
 def test_validate_flags_violations(tmp_path, toy_instance_file, capsys):
     data = json.loads(toy_instance_file.read_text())
     data["nodes"][1]["cluster"] = 2  # break cluster contiguity of ids

@@ -492,9 +492,9 @@ def test_free_order_mask_marks_exactly_the_forbidden_free_orders_of_a_tight_clus
     osaba_50 = [inst for name, inst in benchmark_by_name.items() if name.startswith("Osaba_50")]
     assert all(_rising(RISING_90, members) for members in RISING_90.clusters.values())
     for inst in TABLE_INSTANCES + osaba_50:
-        for members in inst.clusters.values():
+        for label, members in inst.clusters.items():
             m = len(members)
-            masks = free_orders(members, inst), inst.tight_orders[members]
+            masks = free_orders(members, inst), inst.tight_orders[label]
             if m > ORDER_TABLE_MAX_MEMBERS or _rising(inst, members):
                 assert masks == (None, None)
                 continue
@@ -513,8 +513,17 @@ def test_free_order_mask_marks_exactly_the_forbidden_free_orders_of_a_tight_clus
                     assert mask is None
 
 
+def test_tight_orders_are_keyed_by_label(benchmark_suite):
+    # every per-cluster table is keyed by label, in ``clusters`` order
+    for inst in TABLE_INSTANCES + benchmark_suite:
+        assert list(inst.tight_orders) == list(inst.clusters)
+        for label, members in inst.clusters.items():
+            mask, expected = inst.tight_orders[label], free_orders(members, inst)
+            assert mask is expected is None or np.array_equal(mask, expected)
+
+
 def test_tight_clusters_of_the_suite_are_those_of_the_two_tight_instances(benchmark_suite):
     for inst in benchmark_suite:
-        tight = [inst.tight_orders[members] is not None for members in inst.clusters.values()]
+        tight = [inst.tight_orders[label] is not None for label in inst.clusters]
         assert tight == [inst.name in ("Osaba_50_1_4", "Osaba_50_2_4")] * len(tight)
-    assert all(TIGHT_90.tight_orders[members] is not None for members in TIGHT_90.clusters.values())
+    assert all(TIGHT_90.tight_orders[label] is not None for label in TIGHT_90.clusters)

@@ -64,6 +64,18 @@ def test_read_json_reads_what_write_json_writes(value):
         assert json.dumps(read_json(path)) == json.dumps(json.loads(path.read_text(encoding="utf-8")))
 
 
+def test_read_json_ignores_a_byte_order_mark(tmp_path):
+    # a UTF-8 byte-order mark, as some editors save one, is not part of the
+    # document (RFC 8259 8.1); a second one inside it is not JSON
+    value = {"name": "caf\u00e9", "nodes": [[1, 2.5], None]}
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xef\xbb\xbf" + dumps(value).encode())
+    assert read_json(path) == value
+    path.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbf" + dumps(value).encode())
+    with pytest.raises(ValueError):
+        read_json(path)
+
+
 @pytest.mark.parametrize(
     "text, key",
     [

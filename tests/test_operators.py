@@ -7,7 +7,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from rvrp import Instance, Solution, SolverConfig, check_feasible, solution_cost, solve
-from rvrp import generator, instance
+from rvrp import generator, instance, operators
 from rvrp.evaluation import route_cost
 from rvrp.draws import Draws
 from rvrp.instance import EMPTY_LOAD, route_load, route_load_ok
@@ -457,7 +457,7 @@ def test_doomed_block_draws_the_loops_shuffles(m, pending):
             fast.integers(7)
             loop.integers(7)
             assert fast.bit_generator.state["has_uint32"] == 1
-        assert _shuffled_block(members, (inst.capacity + 1, 0, 0), inst, fast) is None
+        assert _shuffled_block(1, (inst.capacity + 1, 0, 0), inst, fast) is None
         for _ in range(MAX_RESAMPLES):
             loop.shuffle(list(members))
         assert fast.bit_generator.state == loop.bit_generator.state
@@ -513,7 +513,8 @@ def test_shuffled_block_matches_the_shuffle_loop(
 ):
     inst = SHUFFLE_INSTANCES[which]
     labels = sorted(inst.clusters)
-    members = inst.clusters[labels[pick % len(labels)]]
+    label = labels[pick % len(labels)]
+    members = inst.clusters[label]
     deliveries = sum(inst.delivery[c] for c in members)
     # the prefix's total either overflows alone or leaves the members within
     # a few units of the capacity at the prefix's peak, where the verdict
@@ -528,7 +529,7 @@ def test_shuffled_block_matches_the_shuffle_loop(
     if pending:
         fast.integers(7)
         loop.integers(7)
-    found = _shuffled_block(members, prefix, inst, fast)
+    found = _shuffled_block(label, prefix, inst, fast)
 
     def fits(block):  # the load summary stands for a route the spec cannot see
         return inst.forbidden.isdisjoint(zip(block, block[1:])) and route_load_ok(
@@ -548,7 +549,7 @@ def test_shuffled_block_matches_the_shuffle_loop(
     else:
         if found is None and route_load_ok(members, inst, prefix) is None:
             event("fails at a later peak")
-        if inst.tight_orders[members] is not None:
+        if inst.tight_orders[label] is not None:
             row = len(drawn) - 1
             outcome = {0: "row 0", MAX_RESAMPLES - 1: "the last row"}.get(row, "a middle row")
             outcome = "no fit" if found is None else f"a fit on {outcome}"
@@ -566,17 +567,65 @@ def test_shuffled_block_summary_is_the_walks(inst, tight, slack):
     # a block that does not rise returns one summary for every order, with no
     # walk (the rule at route_load_ok); it must be the summary route_load
     # walks, as must a rising block's, on the loop and on the tight-mask path
-    for members in inst.clusters.values():
-        assert (inst.tight_orders[members] is not None) == tight
+    for label, members in inst.clusters.items():
+        assert (inst.tight_orders[label] is not None) == tight
         deliveries = sum(inst.delivery[c] for c in members)
         peak = min(10, inst.capacity - deliveries - slack)
         # a net change far enough below the peak that a rising block fits too
         prefix = (inst.capacity - deliveries - peak - slack, peak - 7 * len(members), peak)
-        found = [_shuffled_block(members, prefix, inst, np.random.default_rng(s)) for s in range(8)]
+        found = [_shuffled_block(label, prefix, inst, np.random.default_rng(s)) for s in range(8)]
         assert peak >= 0 and any(found)
         for block, summary in filter(None, found):
             assert summary == route_load(block, inst, prefix)
             assert summary[0] + summary[2] == inst.capacity - slack
+
+
+def test_fresh_route_falls_back_to_the_depth_first_order():
+    # 10 forbidden arcs per 5-member cluster, and loads that rise: on a fresh
+    # route (prefix None) most seeds' draws all fail, and _shuffled_block
+    # itself then gives the depth-first order, with the summary route_load
+    # walks from an empty route, leaving the generator where the spec does
+    inst = rising_loads(generator.small_instance(77, cluster_sizes=(5, 5), forbidden_per_cluster=10))
+    assert inst.rising_clusters == set(inst.clusters)
+
+    def fits(block):
+        return inst.forbidden.isdisjoint(zip(block, block[1:])) and route_load_ok(block, inst) is not None
+
+    for label, members in inst.clusters.items():
+        fell = 0
+        for seed in range(20):
+            fast, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+            found = _shuffled_block(label, None, inst, fast)
+            block = spec.draw_block(members, fits, loop)
+            if block is None:
+                fell += 1
+                block = spec.depth_first_order(members, inst, loop)
+            assert found == (block, route_load(block, inst))
+            assert fast.bit_generator.state == loop.bit_generator.state
+        assert 0 < fell < 20
+
+
+def test_construction_walks_no_load_on_the_tight_suite_instance(monkeypatch, benchmark_by_name):
+    # no suite cluster rises, so every block construction places fits once
+    # its deliveries do (the rule at route_load_ok): the tight instance's
+    # fresh routes fall back to the depth-first order, which proves its own
+    # fit, and an ESA solve walks no load at all
+    generated = benchmark_by_name["Osaba_50_1_4"]
+    walks = []
+    walk = instance.route_load
+
+    def counted(route, inst, prefix=EMPTY_LOAD):
+        walks.append(walk(route, inst, prefix))
+        return walks[-1]
+
+    fallbacks = []
+    order = operators.cluster_order
+    monkeypatch.setattr(instance, "route_load", counted)
+    monkeypatch.setattr(operators, "route_load", counted)
+    monkeypatch.setattr(operators, "cluster_order", lambda *a, **k: fallbacks.append(a) or order(*a, **k))
+    for seed in range(3):
+        solve(generated, SolverConfig("esa", 10, seed=seed))
+    assert not generated.rising_clusters and fallbacks and walks == []
 
 
 # ------------------------------------------------ move-local checks

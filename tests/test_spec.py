@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rvrp import Instance, Solution, SolverConfig, encode, generator, operators, solve, validate_instance
+from rvrp.instance import EMPTY_LOAD
 from rvrp.solvers import ALGORITHMS
 
 import spec
@@ -56,7 +57,7 @@ def test_solve_is_the_spec(benchmark_by_name, name, population, algorithm, reloc
 
 def test_the_small_instances_reach_the_branches_they_are_named_for(monkeypatch):
     fallback, tight, rising = SMALL.values()
-    assert all(tight.tight_orders[members] is not None for members in tight.clusters.values())
+    assert all(tight.tight_orders[label] is not None for label in tight.clusters)
     assert rising.rising_clusters
     calls = []
     order = spec.depth_first_order
@@ -112,13 +113,13 @@ def test_the_drawn_instances_reach_the_branches_of_the_fixed_ones(monkeypatch):
         operators._shuffled_block, operators.cluster_order, operators.route_load_ok,
     )
 
-    def noted_block(members, prefix, inst, rng):
-        total, _, peak = prefix
-        if total + sum(map(inst.delivery.__getitem__, members)) + peak > inst.capacity:
+    def noted_block(label, prefix, inst, rng):
+        total, _, peak = prefix or EMPTY_LOAD
+        if total + sum(map(inst.delivery.__getitem__, inst.clusters[label])) + peak > inst.capacity:
             reached["doomed block"] += 1
-        elif inst.tight_orders.get(members) is not None:
+        elif inst.tight_orders[label] is not None:
             reached["tight mask"] += 1
-        return shuffled_block(members, prefix, inst, rng)
+        return shuffled_block(label, prefix, inst, rng)
 
     def noted_order(*args, **kwargs):
         reached["depth-first fallback"] += 1
