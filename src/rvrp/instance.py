@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import math
 import reprlib
+import sys
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, permutations
 from pathlib import Path
@@ -41,6 +42,10 @@ COST_DECIMALS = 2  # serialized cost precision; files are the reproducibility gr
 # node ids index lists (``Instance.index``, ``Instance.forbidden_after``), so
 # they are bounded; the benchmark skeleton's ids are 0..100
 MAX_NODE_ID = 65_535
+
+# the route clock is a float from ``day_start_s``, exact to the second up to
+# 2**53 s; a day that reaches past it is refused
+MAX_DAY_S = 2**53
 
 # a cluster of at most this many members (at most 720 orders to enumerate) is
 # tight when fewer than TIGHT_SHARE of its orders use no forbidden arc
@@ -220,17 +225,7 @@ class Instance:
             "day_start_s": int(self.day_start_s),
             "peak_window_s": [int(self.peak_window_s[0]), int(self.peak_window_s[1])],
             "day_end_s": int(self.day_end_s),
-            "nodes": [
-                {
-                    "id": n.id,
-                    "x": n.x,
-                    "y": n.y,
-                    "delivery": n.delivery,
-                    "pickup": n.pickup,
-                    "cluster": n.cluster,
-                }
-                for n in self.nodes
-            ],
+            "nodes": [{key: getattr(n, key) for key in _NODE_FIELDS} for n in self.nodes],
             "forbidden": sorted([i, j] for i, j in self.forbidden),
             "cost_offpeak": round_costs(self.cost_offpeak),
             "cost_peak": round_costs(self.cost_peak),
@@ -539,6 +534,10 @@ def cluster_order(
     With ``rng`` the candidates are shuffled at every step, so the order found
     is random. With ``inst`` the order must also keep the load of a fresh
     route that serves ``members`` alone within the capacity.
+
+    Without ``rng`` each (last member, members left) state that gave no
+    order is recorded and never searched again, so at most m * 2**m states
+    test at most m arcs each; with ``rng`` nothing is recorded.
     """
     if inst is None:
         load, capacity, change = 0, math.inf, dict.fromkeys(members, 0)
@@ -547,10 +546,13 @@ def cluster_order(
         change = inst.load_change
     if load > capacity:
         return None
+    dead: set[tuple[int, frozenset[int]]] | None = set() if rng is None else None
 
     def extend(path: list[int], remaining: list[int], load: int) -> list[int] | None:
         if not remaining:
             return path
+        if dead and (path[-1], frozenset(remaining)) in dead:  # empty at the first, pathless call
+            return None
         order = list(remaining)
         if rng is not None:
             rng.shuffle(order)
@@ -561,6 +563,8 @@ def cluster_order(
             found = extend(path + [nxt], rest, load + change[nxt])
             if found is not None:
                 return found
+        if dead is not None and path:
+            dead.add((path[-1], frozenset(remaining)))
         return None
 
     return extend([], list(members), load)
@@ -606,11 +610,18 @@ def validate_instance(inst: Instance) -> ValidationReport:
     lo, hi = inst.peak_window_s
     if not inst.day_start_s <= lo < hi <= inst.day_end_s:
         add("peak-window-invalid", f"[{lo}, {hi}) not inside [{inst.day_start_s}, {inst.day_end_s}]")
+    far = [name for name in ("day_start_s", "day_end_s") if abs(getattr(inst, name)) > MAX_DAY_S]
+    if far:
+        add("day-out-of-range", f"{' and '.join(far)} beyond ±2**53 s")
 
     if inst.capacity <= 0:
         add("capacity-invalid", str(inst.capacity))
 
     size = len(inst.nodes)
+    # a solution has fewer than 2 * size arcs: with every entry below this
+    # ceiling its cost stays below half the largest float, and a route's
+    # clock, which starts at most MAX_DAY_S in, stays finite
+    ceiling = sys.float_info.max / (4 * max(size, 1))
     for tag, matrix in ((OFFPEAK, inst.cost_offpeak), (PEAK, inst.cost_peak)):
         if len(matrix) != size or any(len(row) != size for row in matrix):
             add("matrix-shape-invalid", tag)
@@ -625,9 +636,11 @@ def validate_instance(inst: Instance) -> ValidationReport:
             row = matrix[a]
             for b in range(size):
                 # one comparison per entry; it is False for NaN too
-                if not 0.0 <= row[b] < math.inf:
+                if not 0.0 <= row[b] < ceiling:
                     if not math.isfinite(row[b]):
                         flag("non-finite-cost", f"{tag}[{ids[a]}][{ids[b]}]")
+                    elif row[b] > 0.0:
+                        flag("cost-overflow", f"{tag}[{ids[a]}][{ids[b]}]")
                     elif a != b:
                         flag("negative-cost", f"{tag}[{ids[a]}][{ids[b]}]")
             for b in range(a + 1, size):
@@ -646,6 +659,10 @@ def validate_instance(inst: Instance) -> ValidationReport:
             add("forbidden-arc-crosses-clusters", f"({i},{j})")
 
     for label, members in inst.clusters.items():
+        # does an order keep both rules on a fresh route, as construction
+        # needs? Only a cluster without one has its failing rule named
+        if cluster_order(members, inst.forbidden, inst=inst) is not None:
+            continue
         path = cluster_order(members, inst.forbidden)
         if path is None:
             add("cluster-path-infeasible", f"cluster {label}")
@@ -656,11 +673,7 @@ def validate_instance(inst: Instance) -> ValidationReport:
         by_net_drop = sorted(members, key=inst.load_change.__getitem__)
         if not route_load_ok(by_net_drop, inst):
             add("cluster-load-exceeds-capacity", f"cluster {label}")
-        elif (
-            path is not None
-            and not route_load_ok(path, inst)  # a path that fits proves both
-            and cluster_order(members, inst.forbidden, inst=inst) is None
-        ):
+        elif path is not None:
             # each rule admits an order on its own, but no order keeps both
             add("cluster-order-infeasible", f"cluster {label}")
 

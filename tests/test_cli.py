@@ -903,6 +903,34 @@ def test_validate_and_solve_reject_malformed_instance_file(
     assert not out.exists()
 
 
+def _with_costs_near_the_float_limit(data: dict) -> dict:
+    # finite entries whose sums are not: every route would price inf
+    size = len(data["nodes"])
+    costs = [[0.0 if a == b else 1e308 + (a * size + b) * 1e292 for b in range(size)] for a in range(size)]
+    return {**data, "cost_offpeak": costs, "cost_peak": costs}
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (_with_costs_near_the_float_limit, "['cost-overflow', 'cost-overflow']"),
+        (lambda data: {**data, "day_start_s": HUGE, "peak_window_s": [HUGE + 1, HUGE + 2], "day_end_s": HUGE + 3},
+         "['day-out-of-range']"),
+    ],
+    ids=["costs-near-1e308", "day-start-1e400"],
+)
+def test_solve_refuses_numbers_that_overflow_the_clock_or_the_costs(tmp_path, capsys, edit, named):
+    # both files passed validation, and solve then died with a traceback
+    # (no route priced below inf, or the clock could not start)
+    clean = generator.small_instance(3, cluster_sizes=(2, 2)).save(tmp_path / "clean.json")
+    path = tmp_path / "bad.json"
+    _write_edited(clean, path, edit)
+    out = tmp_path / "sol.json"
+    code = main(["solve", str(path), "--algorithm", "esa@p3", "--seed", "1", "--out", str(out)])
+    assert _assert_one_io_error(code, capsys, path).rstrip() == f"invalid instance {path}: {named}"
+    assert not out.exists()
+
+
 def test_validate_accepts_integral_float_in_integer_field(tmp_path, toy_instance_file, capsys):
     path = tmp_path / "float.json"
     _write_edited(toy_instance_file, path, lambda data: {**data, "capacity": 240.0})

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from rvrp import (
@@ -243,6 +243,72 @@ def test_validate_rejects_cluster_whose_rules_admit_no_common_order():
     assert validate_instance(inst).violation_tags == ["cluster-order-infeasible"]
     with pytest.raises(InfeasibleClusterError):
         random_solution(inst, np.random.default_rng(0))
+
+
+def _brute_force_cluster_findings(inst: Instance) -> list[tuple[str, str]]:
+    """The cluster findings by enumeration: each cluster's orders, each
+    tested for a forbidden arc and walked by the spec's load simulation."""
+    findings = []
+    for label, members in inst.clusters.items():
+        orders = list(permutations(members))
+        free = [all(arc not in inst.forbidden for arc in zip(o, o[1:])) for o in orders]
+        fits = [max(route_loads(o, inst)) <= inst.capacity for o in orders]
+        if not any(free):
+            findings.append(("cluster-path-infeasible", f"cluster {label}"))
+        if not any(fits):
+            findings.append(("cluster-load-exceeds-capacity", f"cluster {label}"))
+        elif any(free) and not any(map(all, zip(free, fits))):
+            findings.append(("cluster-order-infeasible", f"cluster {label}"))
+    return findings
+
+
+@given(
+    seed=st.integers(0, 2**16),
+    sizes=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+    arc_share=st.sampled_from([0.3, 0.5, 0.7, 0.9]),
+    slack=st.integers(-3, 10),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_cluster_findings_match_brute_force(seed, sizes, arc_share, slack):
+    # dense forbidden arcs, rising clusters and a capacity near the lowest
+    # peak load a cluster can reach make each finding, and none, common
+    inst = rising_loads(generator.small_instance(seed, cluster_sizes=sizes))
+    pick = np.random.default_rng(seed)
+    arcs = [(i, j) for ms in inst.clusters.values() for i in ms for j in ms if i != j]
+    lowest = min(max(route_loads(sorted(ms, key=inst.load_change.get), inst)) for ms in inst.clusters.values())
+    inst = dataclasses.replace(
+        inst,
+        capacity=max(1, lowest + slack),
+        forbidden=frozenset(arc for arc in arcs if pick.random() < arc_share),
+    )
+    found = [(v.name, v.detail) for v in validate_instance(inst).violations if v.name.startswith("cluster-")]
+    expected = _brute_force_cluster_findings(inst)
+    for name, _ in expected:
+        event(name)
+    assert found == expected
+
+
+def test_cluster_order_proof_is_bounded_by_its_states():
+    # member 1 of 10 has every in-arc and out-arc forbidden, so no order
+    # exists; a search that forgets its dead ends tries every order of the
+    # other nine (1,972,818 arc tests), one that records each dead (last
+    # member, members left) state searches it once: at most m * m * 2**m
+    class CountingArcs(frozenset):
+        tests = 0
+
+        def __contains__(self, arc):
+            CountingArcs.tests += 1
+            return frozenset.__contains__(self, arc)
+
+    inst = generator.small_instance(0, cluster_sizes=(10,))
+    members = inst.clusters[1]
+    m = len(members)
+    arcs = CountingArcs((i, j) for i in members for j in members if i != j and members[0] in (i, j))
+    for with_loads in (None, inst):
+        CountingArcs.tests = 0
+        assert cluster_order(members, arcs, inst=with_loads) is None
+        assert 0 < CountingArcs.tests <= m * m * 2**m
+    assert validate_instance(dataclasses.replace(inst, forbidden=arcs)).violation_tags == ["cluster-path-infeasible"]
 
 
 @given(

@@ -29,10 +29,14 @@ EDITS = {
     "non-finite-coordinate": [("nodes.1.x", float("nan"))],
     "no-customers": [("nodes", [DEPOT]), ("cost_offpeak", [[0.0]]), ("cost_peak", [[0.0]])],
     "peak-window-invalid": [("peak_window_s", [14400, 7200])],
+    # past 2**53 s the float route clock no longer counts whole seconds
+    "day-out-of-range": [("day_end_s", 2**53 + 1)],
     "capacity-invalid": [("capacity", 0)],
     "matrix-shape-invalid": [("cost_peak", [[0.0] * 4] * 3)],
     "non-finite-cost": [("cost_offpeak.0.1", 1e400)],  # how JSON spells infinity
     "negative-cost": [("cost_offpeak.0.1", -1.0)],
+    # 8 arcs of 1e308 overflow a float: no route could be priced
+    "cost-overflow": [("cost_offpeak.0.1", 1e308)],
     "asymmetry-violated": [("cost_offpeak.0.1", 3600.0)],  # equals cost_offpeak[1][0]
     "forbidden-arc-touches-depot": [("forbidden", [[0, 1]])],
     "forbidden-arc-invalid": [("forbidden", [[1, 1]])],
