@@ -8,10 +8,6 @@ service times are zero. :func:`route_cost` is the one route simulator and
 :func:`solution_cost` the one pricing of a solution; :func:`check_feasible`
 only checks the rules and prices nothing. Its capacity rule reads the one
 load walk, ``instance.route_load``, as ``instance.route_load_ok`` does.
-
-The working day bounds only the peak window (``validate_instance``); no
-route is checked against ``day_end_s`` (15:00), so one that runs past it is
-feasible.
 """
 
 from __future__ import annotations

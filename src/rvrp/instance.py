@@ -20,6 +20,7 @@ import functools
 import math
 import reprlib
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, permutations
 from pathlib import Path
@@ -32,7 +33,6 @@ from .jsonio import read_json, write_json
 DAY_START_S = 0
 PEAK_START_S = 7200
 PEAK_END_S = 14400
-DAY_END_S = 32400
 
 OFFPEAK = "offpeak"
 PEAK = "peak"
@@ -44,7 +44,7 @@ COST_DECIMALS = 2  # serialized cost precision; files are the reproducibility gr
 MAX_NODE_ID = 65_535
 
 # the route clock is a float from ``day_start_s``, exact to the second up to
-# 2**53 s; a day that reaches past it is refused
+# 2**53 s; a day start past it is refused
 MAX_DAY_S = 2**53
 
 # a cluster of at most this many members (at most 720 orders to enumerate) is
@@ -150,7 +150,6 @@ class Instance:
     forbidden: frozenset[tuple[int, int]] = frozenset()
     day_start_s: int = DAY_START_S
     peak_window_s: tuple[int, int] = (PEAK_START_S, PEAK_END_S)
-    day_end_s: int = DAY_END_S
 
     # derived lookups, built once; treat the instance as immutable afterwards
     index: list[int | None] = field(init=False, repr=False)
@@ -224,7 +223,6 @@ class Instance:
             "capacity": int(self.capacity),
             "day_start_s": int(self.day_start_s),
             "peak_window_s": [int(self.peak_window_s[0]), int(self.peak_window_s[1])],
-            "day_end_s": int(self.day_end_s),
             "nodes": [{key: getattr(n, key) for key in _NODE_FIELDS} for n in self.nodes],
             "forbidden": sorted([i, j] for i, j in self.forbidden),
             "cost_offpeak": round_costs(self.cost_offpeak),
@@ -233,14 +231,14 @@ class Instance:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Instance":
-        """The instance a file's JSON document holds; a document that is not
-        an object, lacks a required field, holds an unknown one or holds a
-        malformed value is a ValueError that names the defect."""
-        _require(data, _INSTANCE_FIELDS, "the instance", _INSTANCE_KEYS)
+        """The instance a file's JSON document holds, which gives every field
+        ``to_dict`` writes and no other; a document that is not an object, or
+        lacks, adds or malforms a field, is a ValueError that names the defect."""
+        _require(data, _INSTANCE_FIELDS, "the instance", exact=True)
         nodes = tuple(_node(n, f"nodes[{k}]") for k, n in enumerate(_array(data["nodes"], "nodes")))
         off = [_floats(row, "cost_offpeak") for row in _array(data["cost_offpeak"], "cost_offpeak")]
         peak = [_floats(row, "cost_peak") for row in _array(data["cost_peak"], "cost_peak")]
-        window = _array(data.get("peak_window_s", [PEAK_START_S, PEAK_END_S]), "peak_window_s")
+        window = _array(data["peak_window_s"], "peak_window_s")
         if len(window) != 2:
             raise ValueError(f"peak_window_s has {len(window)} entries, not 2")
         name = data["name"]
@@ -252,10 +250,9 @@ class Instance:
             capacity=_integer(data["capacity"], "capacity"),
             cost_offpeak=off,
             cost_peak=peak,
-            forbidden=frozenset(map(_arc, _array(data.get("forbidden", []), "forbidden"))),
-            day_start_s=_integer(data.get("day_start_s", DAY_START_S), "day_start_s"),
+            forbidden=frozenset(map(_arc, _array(data["forbidden"], "forbidden"))),
+            day_start_s=_integer(data["day_start_s"], "day_start_s"),
             peak_window_s=(_integer(window[0], "peak_window_s"), _integer(window[1], "peak_window_s")),
-            day_end_s=_integer(data.get("day_end_s", DAY_END_S), "day_end_s"),
         )
 
     def save(self, path: str | Path) -> Path:
@@ -268,23 +265,22 @@ class Instance:
 
 # the types json.load gives a JSON number; a boolean is not one of them
 _NUMBER_TYPES = frozenset((int, float))
-# the fields a file must give, and every field it may give
-_INSTANCE_FIELDS = ("name", "nodes", "capacity", "cost_offpeak", "cost_peak")
-_INSTANCE_KEYS = frozenset((*_INSTANCE_FIELDS, "forbidden", "day_start_s", "peak_window_s", "day_end_s"))
+_INSTANCE_FIELDS = ("name", "capacity", "day_start_s", "peak_window_s", "nodes", "forbidden",
+                    "cost_offpeak", "cost_peak")
 _NODE_FIELDS = ("id", "x", "y", "delivery", "pickup", "cluster")
 
 
-def _require(value, fields: Sequence[str], what: str, known: Collection[str] | None = None) -> None:
-    """A ValueError naming the defect unless ``value``, which ``what`` names,
-    is a JSON object holding every one of ``fields`` and, given ``known``, no other key."""
+def _require(value, fields: Sequence[str], what: str, exact: bool = False) -> None:
+    """A ValueError naming the defect unless ``value`` (``what``) is a JSON object holding
+    every one of ``fields`` and, if ``exact``, no other key; an unknown key is named first."""
     if type(value) is not dict:
         raise ValueError(f"{what} is {reprlib.repr(value)}, not an object")
+    unknown = [key for key in value if key not in fields] if exact else []
+    if unknown:
+        raise ValueError(f"{what} has the unknown field {unknown[0]!r}")
     missing = [key for key in fields if key not in value]
     if missing:
         raise ValueError(f"{what} has no {', '.join(map(repr, missing))}")
-    unknown = [key for key in value if key not in known] if known is not None else []
-    if unknown:
-        raise ValueError(f"{what} has the unknown field {unknown[0]!r}")
 
 
 def _integer(value, name: str) -> int:
@@ -309,7 +305,7 @@ def _array(value, name: str) -> list:
 def _node(n: Mapping, where: str) -> Node:
     """The ``nodes`` entry ``where``: a JSON object with every node field;
     anything else is a ValueError that names the entry and the field."""
-    _require(n, _NODE_FIELDS, where, _NODE_FIELDS)
+    _require(n, _NODE_FIELDS, where, exact=True)
     return Node(
         id=_integer(n["id"], "id"),
         x=_floats((n["x"],), "x")[0],
@@ -608,11 +604,10 @@ def validate_instance(inst: Instance) -> ValidationReport:
         add("no-customers", "no node other than the depot")
 
     lo, hi = inst.peak_window_s
-    if not inst.day_start_s <= lo < hi <= inst.day_end_s:
-        add("peak-window-invalid", f"[{lo}, {hi}) not inside [{inst.day_start_s}, {inst.day_end_s}]")
-    far = [name for name in ("day_start_s", "day_end_s") if abs(getattr(inst, name)) > MAX_DAY_S]
-    if far:
-        add("day-out-of-range", f"{' and '.join(far)} beyond ±2**53 s")
+    if not inst.day_start_s <= lo < hi:
+        add("peak-window-invalid", f"[{lo}, {hi}) empty or before day_start_s {inst.day_start_s}")
+    if abs(inst.day_start_s) > MAX_DAY_S:
+        add("day-out-of-range", "day_start_s beyond ±2**53 s")
 
     if inst.capacity <= 0:
         add("capacity-invalid", str(inst.capacity))
@@ -650,6 +645,9 @@ def validate_instance(inst: Instance) -> ValidationReport:
             add(name, first if count == 1 else f"{count} entries, first {first}")
 
     known = set(inst.customers)
+    # (label, member) -> how many other members may not precede it, and not
+    # follow it; keyed by label too, since a repeated id has one cluster_of
+    barred_in, barred_out = Counter(), Counter()
     for i, j in sorted(inst.forbidden):
         if i == 0 or j == 0:
             add("forbidden-arc-touches-depot", f"({i},{j})")
@@ -657,13 +655,23 @@ def validate_instance(inst: Instance) -> ValidationReport:
             add("forbidden-arc-invalid", f"({i},{j})")
         elif inst.cluster_of[i] != inst.cluster_of[j]:
             add("forbidden-arc-crosses-clusters", f"({i},{j})")
+        else:
+            barred_out[inst.cluster_of[i], i] += 1
+            barred_in[inst.cluster_of[j], j] += 1
 
     for label, members in inst.clusters.items():
+        # a member that no other may precede can only come first, one that
+        # none may follow only last: two of either, or one of both, leave no
+        # path, and neither search runs
+        m = len(members)
+        firsts = {x for x in members if barred_in[label, x] == m - 1}
+        lasts = {x for x in members if barred_out[label, x] == m - 1}
+        blocked = m > 1 and (len(firsts) > 1 or len(lasts) > 1 or not firsts.isdisjoint(lasts))
         # does an order keep both rules on a fresh route, as construction
         # needs? Only a cluster without one has its failing rule named
-        if cluster_order(members, inst.forbidden, inst=inst) is not None:
+        if not blocked and cluster_order(members, inst.forbidden, inst=inst) is not None:
             continue
-        path = cluster_order(members, inst.forbidden)
+        path = None if blocked else cluster_order(members, inst.forbidden)
         if path is None:
             add("cluster-path-infeasible", f"cluster {label}")
         if inst.capacity <= 0:

@@ -20,6 +20,7 @@ from rvrp import (
     validate_instance,
 )
 from rvrp import generator
+from rvrp import instance as instance_module
 from rvrp.instance import (
     EMPTY_LOAD,
     ORDER_TABLE_MAX_MEMBERS,
@@ -192,9 +193,10 @@ def test_validate_rejects_all_nan_instance(tiny_instance):
         ((14400, 7200), ["peak-window-invalid"]),
         ((7200, 7200), ["peak-window-invalid"]),
         ((-1, 7200), ["peak-window-invalid"]),
-        ((7200, 32401), ["peak-window-invalid"]),
-        ((40000, 50000), ["peak-window-invalid"]),
-        ((0, 32400), []),  # the whole day is a valid window
+        # no working day bounds the window from above
+        ((7200, 32401), []),
+        ((40000, 50000), []),
+        ((0, 32400), []),
     ],
 )
 def test_validate_rejects_invalid_peak_window(tiny_instance, window, names):
@@ -309,6 +311,81 @@ def test_cluster_order_proof_is_bounded_by_its_states():
         assert cluster_order(members, arcs, inst=with_loads) is None
         assert 0 < CountingArcs.tests <= m * m * 2**m
     assert validate_instance(dataclasses.replace(inst, forbidden=arcs)).violation_tags == ["cluster-path-infeasible"]
+
+
+def _count_cluster_orders(monkeypatch) -> list:
+    """The member tuples that ``validate_instance`` asks ``cluster_order``
+    about from now on, one entry per call."""
+    calls = []
+    search = instance_module.cluster_order
+
+    def counting(members, *args, **kwargs):
+        calls.append(tuple(members))
+        return search(members, *args, **kwargs)
+
+    monkeypatch.setattr(instance_module, "cluster_order", counting)
+    return calls
+
+
+def test_a_member_that_can_only_come_first_and_last_is_refused_without_a_search(monkeypatch):
+    # the hang case at 18 members: member 1 has every in-arc and out-arc
+    # forbidden. Both memoized searches fail after about 18 * 18 * 2**18
+    # arc tests (about 45 s); the degree test runs neither
+    inst = generator.small_instance(0, cluster_sizes=(18,))
+    members = inst.clusters[1]
+    arcs = frozenset((i, j) for i in members for j in members if i != j and members[0] in (i, j))
+    calls = _count_cluster_orders(monkeypatch)
+    for capacity, tags in (
+        (inst.capacity, ["cluster-path-infeasible"]),
+        (1, ["cluster-path-infeasible", "cluster-load-exceeds-capacity"]),
+    ):
+        blocked = dataclasses.replace(inst, forbidden=arcs, capacity=capacity)
+        assert validate_instance(blocked).violation_tags == tags
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "firsts, lasts, searched",
+    [
+        ((0, 1), (), False),  # two members that no other may precede
+        ((), (2, 3), False),  # two that none may follow
+        ((1,), (1,), False),  # one member that is both
+        ((0,), (3,), True),  # one of each: 0 first and 3 last is a path
+    ],
+    ids=["two-firsts", "two-lasts", "first-and-last", "one-of-each"],
+)
+@pytest.mark.parametrize("capacity", [None, 1])
+def test_degree_test_skips_only_a_cluster_without_a_path(monkeypatch, firsts, lasts, searched, capacity):
+    # forbid every arc into the members at positions ``firsts`` and out of
+    # those at ``lasts`` of a 4-member cluster; the findings stay those of
+    # the searches (the enumeration), and a search runs only where the
+    # degree test cannot rule out a path
+    inst = generator.small_instance(5, cluster_sizes=(4, 3))
+    members = inst.clusters[1]
+    arcs = {(i, members[k]) for k in firsts for i in members if i != members[k]}
+    arcs |= {(members[k], j) for k in lasts for j in members if j != members[k]}
+    inst = dataclasses.replace(inst, forbidden=frozenset(arcs), capacity=capacity or inst.capacity)
+    calls = _count_cluster_orders(monkeypatch)
+    found = [(v.name, v.detail) for v in validate_instance(inst).violations if v.name.startswith("cluster-")]
+    assert found == _brute_force_cluster_findings(inst)
+    assert (members in calls) == searched
+
+
+def test_degree_test_counts_a_repeated_id_in_its_own_cluster():
+    # id 5 is listed in cluster 1 and again in cluster 2, where its arcs are
+    # forbidden from 7 and to 8; those arcs do not bar it in cluster 1,
+    # whose two members still have a path
+    nodes = (
+        Node(0, 0.0, 0.0, 0, 0, 0),
+        Node(5, 1.0, 0.0, 1, 0, 1),
+        Node(6, 2.0, 0.0, 1, 0, 1),
+        Node(5, 3.0, 0.0, 1, 0, 2),
+        Node(7, 4.0, 0.0, 1, 0, 2),
+        Node(8, 5.0, 0.0, 1, 0, 2),
+    )
+    costs = [[0.0 if a == b else float(10 * a + b + 1) for b in range(6)] for a in range(6)]
+    inst = Instance("repeated", nodes, 10, costs, costs, frozenset({(7, 5), (5, 8)}))
+    assert validate_instance(inst).violation_tags == ["duplicate-node-id"]
 
 
 @given(

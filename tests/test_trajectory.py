@@ -21,7 +21,7 @@ from conftest import SUITE_SEED
 # Osaba_50_1_4 and Osaba_50_2_4 need the exact-search fallback of
 # random_solution within these draws
 PINNED_INSTANCES = ["Osaba_50_1_4", "Osaba_50_2_4", "Osaba_80_3", "Osaba_100_1"]
-EXPECTED_DIGEST = "3ab064559487f841684feca9b320da750348f934f7bd1b6b1661e376f1ba9013"
+EXPECTED_DIGEST = "328032e7f9c2937e7e6ba090369c9eddb057550681b0f3c2ef0f100335afc58f"
 # the EA and the cluster-relocation extension, which trajectory_digest leaves out
 EXPECTED_EXTENSIONS_DIGEST = "921d983228d339617990bae65cd222878278ef46c0b4aa1789b1d5c3d2631ede"
 # relocation inside the EA and ESA, which neither digest above reaches
@@ -30,7 +30,7 @@ EXPECTED_DRAW_PATHS_DIGEST = "1f4b25a34e6660f86b6d5d1b616959666d8c2a9e48543c0a70
 EXPECTED_REPORT_DIGEST = "4d54518bc2fd9944ffc6aa54a763310180835b82d004647deba03a9260815aea"
 # every byte write_suite writes for the whole suite: 15 instance files and the
 # manifest, each hashed with its file name
-EXPECTED_SUITE_FILES_DIGEST = "0fa02176b7bf7f28f5f7b69364d5fd9c2c33dcfcf3b194fbcc26e98846dcd322"
+EXPECTED_SUITE_FILES_DIGEST = "12951cdac98fc9381b8a0210489b33fc4d376dbcf891b45a31f825db09d9fba5"
 
 
 def trajectory_digest() -> str:
