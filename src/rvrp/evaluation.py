@@ -1,12 +1,13 @@
 """Time-dependent route costing and feasibility checking.
 
-Every vehicle leaves the depot at ``day_start_s`` (06:00, t = 0 s, on every
-generated instance). An arc is priced from the peak matrix when the departure
-time from its origin falls inside the half-open peak window [08:00, 10:00),
-otherwise from the off-peak matrix; travel time equals travel cost and
-service times are zero. :func:`route_cost` is the one route simulator and
-:func:`solution_cost` the one pricing of a solution; :func:`check_feasible`
-only checks the rules and prices nothing. Its capacity rule reads the one
+Every route's clock starts at 0 s when its vehicle leaves the depot (06:00).
+An arc is priced from the peak matrix when the departure time from its origin
+falls inside the half-open ``peak_window_s`` ([08:00, 10:00), in seconds after
+that departure), otherwise from the off-peak matrix; travel time equals
+travel cost and service times are zero, so a route costs its return time.
+:func:`route_cost` is the one route simulator and :func:`solution_cost` the
+one pricing of a solution; :func:`check_feasible` only checks the rules and
+prices nothing. Its capacity rule reads the one
 load walk, ``instance.route_load``, as ``instance.route_load_ok`` does.
 """
 
@@ -19,15 +20,15 @@ COST_EQ_TOL = 1e-6  # absolute tolerance for cost equality in tests/reports
 
 def route_cost(route, inst: Instance) -> float:
     """Cost of one route, depot -> customers -> depot: the program's one
-    route simulator. Each arc is priced from the matrix of its departure time
-    and the clock moves by its cost; ``tests/spec.py`` prices the same floats,
-    in the same order, arc by arc.
+    route simulator. One running sum is the clock and the cost: each arc is
+    priced from the matrix of its departure time and adds its cost;
+    ``tests/spec.py`` prices the same floats, in the same order, arc by arc.
 
     Once the clock reaches the end of the peak window, the remaining arcs are
-    added at off-peak cost without moving or testing the clock. That is exact
-    because costs are non-negative (``validate_instance`` rejects
-    ``negative-cost``), so no later departure falls back inside the window; a
-    NaN clock never passes the test, so it prices as a moving clock does.
+    added at off-peak cost without testing the clock. That is exact because
+    costs are non-negative (``validate_instance`` rejects ``negative-cost``),
+    so no later departure falls back inside the window; a NaN clock never
+    passes the test, so it is tested to the end.
 
     It trusts its ids to be customers of ``inst``, as ``decode`` and the
     operators guarantee; an unknown id may raise or price a wrong arc.
@@ -35,25 +36,22 @@ def route_cost(route, inst: Instance) -> float:
     index = inst.index
     off, peak = inst.cost_offpeak, inst.cost_peak
     lo, hi = inst.peak_window_s
-    t = float(inst.day_start_s)
-    total = 0.0
+    t = 0.0
     prev = depot = index[0]
     stops = iter(route)
     for node_id in stops:
         cur = index[node_id]
-        cost = (peak if lo <= t < hi else off)[prev][cur]
-        t += cost
-        total += cost
+        t += (peak if lo <= t < hi else off)[prev][cur]
         prev = cur
         if t >= hi:
             break
     else:
-        return total + (peak if lo <= t < hi else off)[prev][depot]
+        return t + (peak if lo <= t < hi else off)[prev][depot]
     for node_id in stops:
         cur = index[node_id]
-        total += off[prev][cur]
+        t += off[prev][cur]
         prev = cur
-    return total + off[prev][depot]
+    return t + off[prev][depot]
 
 
 def solution_cost(sol: Solution, inst: Instance) -> float:

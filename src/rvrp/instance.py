@@ -30,7 +30,7 @@ import numpy as np
 
 from .jsonio import read_json, write_json
 
-DAY_START_S = 0
+# the 08:00-10:00 peak, in seconds after the vehicles leave the depot at 06:00
 PEAK_START_S = 7200
 PEAK_END_S = 14400
 
@@ -42,10 +42,6 @@ COST_DECIMALS = 2  # serialized cost precision; files are the reproducibility gr
 # node ids index lists (``Instance.index``, ``Instance.forbidden_after``), so
 # they are bounded; the benchmark skeleton's ids are 0..100
 MAX_NODE_ID = 65_535
-
-# the route clock is a float from ``day_start_s``, exact to the second up to
-# 2**53 s; a day start past it is refused
-MAX_DAY_S = 2**53
 
 # a cluster of at most this many members (at most 720 orders to enumerate) is
 # tight when fewer than TIGHT_SHARE of its orders use no forbidden arc
@@ -148,7 +144,6 @@ class Instance:
     cost_offpeak: list[list[float]]
     cost_peak: list[list[float]]
     forbidden: frozenset[tuple[int, int]] = frozenset()
-    day_start_s: int = DAY_START_S
     peak_window_s: tuple[int, int] = (PEAK_START_S, PEAK_END_S)
 
     # derived lookups, built once; treat the instance as immutable afterwards
@@ -162,6 +157,8 @@ class Instance:
     rising_clusters: frozenset[int] = field(init=False, repr=False)
     cluster_of: dict[int, int] = field(init=False, repr=False)
     clusters: dict[int, tuple[int, ...]] = field(init=False, repr=False)
+    # label -> the cluster's total delivery and net load change
+    cluster_load: dict[int, tuple[int, int]] = field(init=False, repr=False)
     # label -> where the cluster's block starts in ``Solution.visits``
     cluster_offset: dict[int, int] = field(init=False, repr=False)
     # label -> the cluster's free-order mask (``free_orders``) or None
@@ -193,6 +190,10 @@ class Instance:
             node.cluster for node in self.nodes if node.pickup > node.delivery
         )
         self.clusters = label_clusters(self.nodes)
+        self.cluster_load = {
+            label: (sum(self.delivery[c] for c in members), sum(self.load_change[c] for c in members))
+            for label, members in self.clusters.items()
+        }
         sizes = [len(members) for members in self.clusters.values()]
         self.cluster_offset = dict(zip(self.clusters, accumulate(sizes, initial=0)))
         self.tight_orders = {label: free_orders(members, self) for label, members in self.clusters.items()}
@@ -221,7 +222,6 @@ class Instance:
         return {
             "name": self.name,
             "capacity": int(self.capacity),
-            "day_start_s": int(self.day_start_s),
             "peak_window_s": [int(self.peak_window_s[0]), int(self.peak_window_s[1])],
             "nodes": [{key: getattr(n, key) for key in _NODE_FIELDS} for n in self.nodes],
             "forbidden": sorted([i, j] for i, j in self.forbidden),
@@ -251,7 +251,6 @@ class Instance:
             cost_offpeak=off,
             cost_peak=peak,
             forbidden=frozenset(map(_arc, _array(data["forbidden"], "forbidden"))),
-            day_start_s=_integer(data["day_start_s"], "day_start_s"),
             peak_window_s=(_integer(window[0], "peak_window_s"), _integer(window[1], "peak_window_s")),
         )
 
@@ -265,8 +264,7 @@ class Instance:
 
 # the types json.load gives a JSON number; a boolean is not one of them
 _NUMBER_TYPES = frozenset((int, float))
-_INSTANCE_FIELDS = ("name", "capacity", "day_start_s", "peak_window_s", "nodes", "forbidden",
-                    "cost_offpeak", "cost_peak")
+_INSTANCE_FIELDS = ("name", "capacity", "peak_window_s", "nodes", "forbidden", "cost_offpeak", "cost_peak")
 _NODE_FIELDS = ("id", "x", "y", "delivery", "pickup", "cluster")
 
 
@@ -604,18 +602,15 @@ def validate_instance(inst: Instance) -> ValidationReport:
         add("no-customers", "no node other than the depot")
 
     lo, hi = inst.peak_window_s
-    if not inst.day_start_s <= lo < hi:
-        add("peak-window-invalid", f"[{lo}, {hi}) empty or before day_start_s {inst.day_start_s}")
-    if abs(inst.day_start_s) > MAX_DAY_S:
-        add("day-out-of-range", "day_start_s beyond ±2**53 s")
+    if not 0 <= lo < hi:
+        add("peak-window-invalid", f"[{lo}, {hi}) empty or before the departure")
 
     if inst.capacity <= 0:
         add("capacity-invalid", str(inst.capacity))
 
     size = len(inst.nodes)
     # a solution has fewer than 2 * size arcs: with every entry below this
-    # ceiling its cost stays below half the largest float, and a route's
-    # clock, which starts at most MAX_DAY_S in, stays finite
+    # ceiling its cost stays below half the largest float
     ceiling = sys.float_info.max / (4 * max(size, 1))
     for tag, matrix in ((OFFPEAK, inst.cost_offpeak), (PEAK, inst.cost_peak)):
         if len(matrix) != size or any(len(row) != size for row in matrix):

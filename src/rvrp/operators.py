@@ -266,7 +266,7 @@ def cluster_relocation(sol: Solution, inst: Instance, rng: Rng) -> Solution:
     slots = [(r, start) for r, start, _ in _block_index(remaining, inst).values()]
     slots += [(r, len(route)) for r, route in enumerate(remaining)]
     options = sorted([(-1, 0), *slots])
-    room = inst.capacity - sum(map(inst.delivery.__getitem__, block))
+    room = inst.capacity - inst.cluster_load[label][0]
 
     for _ in range(MAX_RESAMPLES):
         r, b = options[int(rng.integers(len(options)))]
@@ -321,11 +321,12 @@ def _shuffled_block(
     then rewound and advanced by the orders the loop would have drawn."""
     members = inst.clusters[label]
     before = prefix or EMPTY_LOAD
+    delivery, change = inst.cluster_load[label]
     total, net, peak = before
-    total += sum(map(inst.delivery.__getitem__, members))
+    total += delivery
     m = len(members)
     rising = label in inst.rising_clusters
-    shed = None if rising else (total, net + sum(map(inst.load_change.__getitem__, members)), peak)
+    shed = None if rising else (total, net + change, peak)
     if total + peak > inst.capacity:
         _draw_orders(rng, MAX_RESAMPLES, m)
     elif (free := inst.tight_orders[label]) is not None:

@@ -63,7 +63,8 @@ class Timeline(NamedTuple):
 
 
 def route_timeline(route: Sequence[int], inst: Instance) -> Timeline:
-    """Drive one route depot -> customers -> depot from ``day_start_s``.
+    """Drive one route depot -> customers -> depot; the clock reads 0 s at
+    the departure, as ``peak_window_s`` counts from it.
 
     An arc costs its peak price when its departure lies in the half-open peak
     window, else its off-peak price; travel time equals cost. A ValueError
@@ -76,7 +77,7 @@ def route_timeline(route: Sequence[int], inst: Instance) -> Timeline:
     nodes = (0, *route, 0)
     at = [inst.position(i) for i in nodes]
     lo, hi = inst.peak_window_s
-    t = float(inst.day_start_s)
+    t = 0.0
     total = 0.0
     steps: list[TimelineStep] = []
     for k in range(len(route) + 1):

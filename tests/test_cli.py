@@ -865,13 +865,13 @@ MALFORMED_INSTANCES = pytest.mark.parametrize(
         # an instance file holds its own costs; nothing rebuilds them
         (_without_field("cost_offpeak"), "the instance has no 'cost_offpeak'"),
         (_without_field("cost_peak"), "the instance has no 'cost_peak'"),
-        # no field has a default: a file gives its forbidden arcs, day start
-        # and peak window
+        # no field has a default: a file gives its forbidden arcs and peak window
         (_without_field("forbidden"), "the instance has no 'forbidden'"),
-        (_without_field("day_start_s"), "the instance has no 'day_start_s'"),
         (_without_field("peak_window_s"), "the instance has no 'peak_window_s'"),
-        # a file written while instances had a working day is refused by name
+        # a file written while instances had a working day, or a day start, is
+        # refused by name
         (lambda data: {**data, "day_end_s": 32400}, "the instance has the unknown field 'day_end_s'"),
+        (lambda data: {**data, "day_start_s": 0}, "the instance has the unknown field 'day_start_s'"),
         # a misspelled field is refused, not read as its default or ignored
         (lambda data: {**_without_field("forbidden")(data), "forbiden": data["forbidden"]},
          "the instance has the unknown field 'forbiden'"),
@@ -888,7 +888,7 @@ MALFORMED_INSTANCES = pytest.mark.parametrize(
          "forbidden-triple", "nodes-number", "cost-offpeak-number", "cost-peak-number",
          "forbidden-number", "window-number", "node-id-negative", "node-id-1e9",
          "missing-capacity", "missing-node-x", "missing-cost-offpeak", "missing-cost-peak",
-         "missing-forbidden", "missing-day-start", "missing-peak-window", "day-end",
+         "missing-forbidden", "missing-peak-window", "day-end", "day-start",
          "unknown-field", "unknown-node-field", "repeated-key", "repeated-node-key"],
 )
 
@@ -922,14 +922,12 @@ def _with_costs_near_the_float_limit(data: dict) -> dict:
     "edit, named",
     [
         (_with_costs_near_the_float_limit, "['cost-overflow', 'cost-overflow']"),
-        (lambda data: {**data, "day_start_s": HUGE, "peak_window_s": [HUGE + 1, HUGE + 2]},
-         "['day-out-of-range']"),
     ],
-    ids=["costs-near-1e308", "day-start-1e400"],
+    ids=["costs-near-1e308"],
 )
 def test_solve_refuses_numbers_that_overflow_the_clock_or_the_costs(tmp_path, capsys, edit, named):
-    # both files passed validation, and solve then died with a traceback
-    # (no route priced below inf, or the clock could not start)
+    # the file passed validation, and solve then died with a traceback (no
+    # route priced below inf)
     clean = generator.small_instance(3, cluster_sizes=(2, 2)).save(tmp_path / "clean.json")
     path = tmp_path / "bad.json"
     _write_edited(clean, path, edit)

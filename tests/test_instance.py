@@ -108,6 +108,27 @@ def test_id_lookups_hold_every_node_and_forbidden_arc(benchmark_by_name):
     assert len(after) == len(inst.index) and len({id(ids) for ids in after if not ids}) == 1
 
 
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+    rising=st.booleans(),
+)
+@settings(max_examples=25, deadline=None)
+def test_cluster_load_sums_each_clusters_members(seed, sizes, rising):
+    inst = generator.small_instance(seed, cluster_sizes=sizes)
+    if rising:
+        inst = rising_loads(inst)
+        assert inst.rising_clusters
+    nodes = [inst.node(c) for c in inst.customers]
+    assert inst.cluster_load == {
+        label: (
+            sum(n.delivery for n in nodes if n.cluster == label),
+            sum(n.pickup - n.delivery for n in nodes if n.cluster == label),
+        )
+        for label in inst.clusters
+    }
+
+
 def test_validate_accepts_tiny(tiny_instance):
     assert validate_instance(tiny_instance).feasible
 

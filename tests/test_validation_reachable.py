@@ -28,9 +28,8 @@ EDITS = {
     "customer-in-depot-cluster": [("nodes.1.cluster", 0)],
     "non-finite-coordinate": [("nodes.1.x", float("nan"))],
     "no-customers": [("nodes", [DEPOT]), ("cost_offpeak", [[0.0]]), ("cost_peak", [[0.0]])],
-    "peak-window-invalid": [("peak_window_s", [14400, 7200])],
-    # past 2**53 s the float route clock no longer counts whole seconds
-    "day-out-of-range": [("day_start_s", -(2**53) - 1)],
+    # a window that starts before the vehicles leave the depot
+    "peak-window-invalid": [("peak_window_s", [-1, 7200])],
     "capacity-invalid": [("capacity", 0)],
     "matrix-shape-invalid": [("cost_peak", [[0.0] * 4] * 3)],
     "non-finite-cost": [("cost_offpeak.0.1", 1e400)],  # how JSON spells infinity
