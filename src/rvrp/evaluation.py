@@ -2,8 +2,8 @@
 
 Every route's clock starts at 0 s when its vehicle leaves the depot (06:00).
 An arc is priced from the peak matrix when the departure time from its origin
-falls inside the half-open ``peak_window_s`` ([08:00, 10:00), in seconds after
-that departure), otherwise from the off-peak matrix; travel time equals
+falls inside the peak window, the half-open [PEAK_START_S, PEAK_END_S) of
+every instance, otherwise from the off-peak matrix; travel time equals
 travel cost and service times are zero, so a route costs its return time.
 :func:`route_cost` is the one route simulator and :func:`solution_cost` the
 one pricing of a solution; :func:`check_feasible` only checks the rules and
@@ -17,12 +17,17 @@ from .instance import Instance, Solution, ValidationIssue, ValidationReport, rou
 
 COST_EQ_TOL = 1e-6  # absolute tolerance for cost equality in tests/reports
 
+# the 08:00-10:00 peak, in seconds after the vehicles leave the depot at 06:00
+PEAK_START_S = 7200
+PEAK_END_S = 14400
+
 
 def route_cost(route, inst: Instance) -> float:
     """Cost of one route, depot -> customers -> depot: the program's one
     route simulator. One running sum is the clock and the cost: each arc is
-    priced from the matrix of its departure time and adds its cost;
-    ``tests/spec.py`` prices the same floats, in the same order, arc by arc.
+    priced from the matrix of its departure time (peak inside [PEAK_START_S,
+    PEAK_END_S)) and adds its cost; ``tests/spec.py`` prices the same floats,
+    in the same order, arc by arc.
 
     Once the clock reaches the end of the peak window, the remaining arcs are
     added at off-peak cost without testing the clock. That is exact because
@@ -35,7 +40,7 @@ def route_cost(route, inst: Instance) -> float:
     """
     index = inst.index
     off, peak = inst.cost_offpeak, inst.cost_peak
-    lo, hi = inst.peak_window_s
+    lo, hi = PEAK_START_S, PEAK_END_S
     t = 0.0
     prev = depot = index[0]
     stops = iter(route)

@@ -30,10 +30,6 @@ import numpy as np
 
 from .jsonio import read_json, write_json
 
-# the 08:00-10:00 peak, in seconds after the vehicles leave the depot at 06:00
-PEAK_START_S = 7200
-PEAK_END_S = 14400
-
 OFFPEAK = "offpeak"
 PEAK = "peak"
 
@@ -47,6 +43,10 @@ MAX_NODE_ID = 65_535
 # tight when fewer than TIGHT_SHARE of its orders use no forbidden arc
 ORDER_TABLE_MAX_MEMBERS = 6
 TIGHT_SHARE = 1 / 8
+
+# validation proves a cluster of at most this many members has an order; the
+# searches are exponential, and a larger cluster is reported, not searched
+MAX_PROVED_MEMBERS = 16
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,6 @@ class Instance:
     cost_offpeak: list[list[float]]
     cost_peak: list[list[float]]
     forbidden: frozenset[tuple[int, int]] = frozenset()
-    peak_window_s: tuple[int, int] = (PEAK_START_S, PEAK_END_S)
 
     # derived lookups, built once; treat the instance as immutable afterwards
     index: list[int | None] = field(init=False, repr=False)
@@ -177,11 +176,13 @@ class Instance:
         self.index = [None] * (highest + 1)
         for pos, node_id in enumerate(ids):
             self.index[node_id] = pos
-        # one shared empty set; ``|=`` on a frozenset binds a new one
-        self.forbidden_after = [frozenset()] * (highest + 1)
+        successors: dict[int, set[int]] = {}
         for i, j in self.forbidden:
             if 0 <= i <= highest:  # an arc from an id no node has is never tested
-                self.forbidden_after[i] |= {j}
+                successors.setdefault(i, set()).add(j)
+        self.forbidden_after = [frozenset()] * (highest + 1)  # one shared empty set
+        for i, js in successors.items():
+            self.forbidden_after[i] = frozenset(js)
         self.customers = tuple(node.id for node in self.nodes if node.id != 0)
         self.delivery = {node.id: node.delivery for node in self.nodes}
         self.load_change = {node.id: node.pickup - node.delivery for node in self.nodes}
@@ -222,7 +223,6 @@ class Instance:
         return {
             "name": self.name,
             "capacity": int(self.capacity),
-            "peak_window_s": [int(self.peak_window_s[0]), int(self.peak_window_s[1])],
             "nodes": [{key: getattr(n, key) for key in _NODE_FIELDS} for n in self.nodes],
             "forbidden": sorted([i, j] for i, j in self.forbidden),
             "cost_offpeak": round_costs(self.cost_offpeak),
@@ -238,9 +238,6 @@ class Instance:
         nodes = tuple(_node(n, f"nodes[{k}]") for k, n in enumerate(_array(data["nodes"], "nodes")))
         off = [_floats(row, "cost_offpeak") for row in _array(data["cost_offpeak"], "cost_offpeak")]
         peak = [_floats(row, "cost_peak") for row in _array(data["cost_peak"], "cost_peak")]
-        window = _array(data["peak_window_s"], "peak_window_s")
-        if len(window) != 2:
-            raise ValueError(f"peak_window_s has {len(window)} entries, not 2")
         name = data["name"]
         if type(name) is not str:
             raise ValueError(f"name is {name!r}, not a string")
@@ -251,7 +248,6 @@ class Instance:
             cost_offpeak=off,
             cost_peak=peak,
             forbidden=frozenset(map(_arc, _array(data["forbidden"], "forbidden"))),
-            peak_window_s=(_integer(window[0], "peak_window_s"), _integer(window[1], "peak_window_s")),
         )
 
     def save(self, path: str | Path) -> Path:
@@ -264,7 +260,7 @@ class Instance:
 
 # the types json.load gives a JSON number; a boolean is not one of them
 _NUMBER_TYPES = frozenset((int, float))
-_INSTANCE_FIELDS = ("name", "capacity", "peak_window_s", "nodes", "forbidden", "cost_offpeak", "cost_peak")
+_INSTANCE_FIELDS = ("name", "capacity", "nodes", "forbidden", "cost_offpeak", "cost_peak")
 _NODE_FIELDS = ("id", "x", "y", "delivery", "pickup", "cluster")
 
 
@@ -577,8 +573,8 @@ def validate_instance(inst: Instance) -> ValidationReport:
         issues.append(ValidationIssue(name, detail))
 
     ids = [n.id for n in inst.nodes]
-    if len(set(ids)) != len(ids):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
+    dupes = sorted(i for i, k in Counter(ids).items() if k > 1)
+    if dupes:
         add("duplicate-node-id", str(dupes))
     if not inst.nodes or inst.nodes[0].id != 0:
         add("depot-invalid", "node 0 must exist and come first")
@@ -600,10 +596,6 @@ def validate_instance(inst: Instance) -> ValidationReport:
 
     if not inst.customers:
         add("no-customers", "no node other than the depot")
-
-    lo, hi = inst.peak_window_s
-    if not 0 <= lo < hi:
-        add("peak-window-invalid", f"[{lo}, {hi}) empty or before the departure")
 
     if inst.capacity <= 0:
         add("capacity-invalid", str(inst.capacity))
@@ -657,18 +649,23 @@ def validate_instance(inst: Instance) -> ValidationReport:
     for label, members in inst.clusters.items():
         # a member that no other may precede can only come first, one that
         # none may follow only last: two of either, or one of both, leave no
-        # path, and neither search runs
+        # path; neither search runs then, nor on a cluster too large to prove
         m = len(members)
         firsts = {x for x in members if barred_in[label, x] == m - 1}
         lasts = {x for x in members if barred_out[label, x] == m - 1}
-        blocked = m > 1 and (len(firsts) > 1 or len(lasts) > 1 or not firsts.isdisjoint(lasts))
+        path = None
+        if m > 1 and (len(firsts) > 1 or len(lasts) > 1 or not firsts.isdisjoint(lasts)):
+            add("cluster-path-infeasible", f"cluster {label}")
+        elif m > MAX_PROVED_MEMBERS:
+            add("cluster-too-large-to-prove", f"cluster {label} has {m} members, more than {MAX_PROVED_MEMBERS}")
         # does an order keep both rules on a fresh route, as construction
         # needs? Only a cluster without one has its failing rule named
-        if not blocked and cluster_order(members, inst.forbidden, inst=inst) is not None:
+        elif cluster_order(members, inst.forbidden, inst=inst) is not None:
             continue
-        path = None if blocked else cluster_order(members, inst.forbidden)
-        if path is None:
-            add("cluster-path-infeasible", f"cluster {label}")
+        else:
+            path = cluster_order(members, inst.forbidden)
+            if path is None:
+                add("cluster-path-infeasible", f"cluster {label}")
         if inst.capacity <= 0:
             continue
         # ascending (pickup - delivery) keeps every prefix load minimal, so

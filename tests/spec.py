@@ -31,6 +31,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from rvrp.evaluation import PEAK_END_S, PEAK_START_S
 from rvrp.instance import OFFPEAK, PEAK, Instance
 
 Route = tuple[int, ...]
@@ -64,10 +65,11 @@ class Timeline(NamedTuple):
 
 def route_timeline(route: Sequence[int], inst: Instance) -> Timeline:
     """Drive one route depot -> customers -> depot; the clock reads 0 s at
-    the departure, as ``peak_window_s`` counts from it.
+    the departure, as the peak window counts from it.
 
     An arc costs its peak price when its departure lies in the half-open peak
-    window, else its off-peak price; travel time equals cost. A ValueError
+    window [PEAK_START_S, PEAK_END_S), else its off-peak price; travel time
+    equals cost. A ValueError
     for an empty route, the depot inside one, or an id no node has.
     """
     if not route:
@@ -76,12 +78,11 @@ def route_timeline(route: Sequence[int], inst: Instance) -> Timeline:
         raise ValueError("the depot (0) inside a route")
     nodes = (0, *route, 0)
     at = [inst.position(i) for i in nodes]
-    lo, hi = inst.peak_window_s
     t = 0.0
     total = 0.0
     steps: list[TimelineStep] = []
     for k in range(len(route) + 1):
-        in_peak = lo <= t < hi
+        in_peak = PEAK_START_S <= t < PEAK_END_S
         cost = (inst.cost_peak if in_peak else inst.cost_offpeak)[at[k]][at[k + 1]]
         steps.append(TimelineStep(nodes[k], t, cost, PEAK if in_peak else OFFPEAK))
         t += cost

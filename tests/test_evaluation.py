@@ -13,7 +13,8 @@ from rvrp import (
     solution_cost,
 )
 from rvrp import evaluation, generator
-from rvrp.instance import OFFPEAK, PEAK, PEAK_END_S, PEAK_START_S, route_load, validate_instance
+from rvrp.evaluation import PEAK_END_S, PEAK_START_S
+from rvrp.instance import OFFPEAK, PEAK, route_load, validate_instance
 from rvrp.operators import random_solution
 
 from conftest import make_tiny_instance, rising_loads
@@ -82,31 +83,28 @@ PRICED_INSTANCES = [
 ]
 
 
-WINDOW_S = PEAK_END_S - PEAK_START_S
-
-
 @given(
     which=st.integers(0, len(PRICED_INSTANCES) - 1),
     seed=st.integers(0, 2**32 - 1),
     length=st.integers(1, 40),
-    # the window's start, in seconds after the departure at 0; the last two
-    # cases start it before the departure, which only validation refuses
-    lo=st.one_of(
-        st.integers(1, PEAK_START_S),  # the departure before the window
-        st.sampled_from([0, -WINDOW_S]),  # on either edge
-        st.integers(-WINDOW_S + 1, -1),  # inside
-        st.integers(-WINDOW_S - 20000, -WINDOW_S - 1),  # after
+    # the first arc's cost, which is the second departure; None keeps the
+    # instance's own
+    first_arc=st.one_of(
+        st.none(),
+        st.integers(0, PEAK_START_S - 1),  # before the window
+        st.sampled_from([PEAK_START_S, PEAK_END_S]),  # on either edge
+        st.integers(PEAK_START_S + 1, PEAK_END_S - 1),  # inside
+        st.integers(PEAK_END_S + 1, PEAK_END_S + 20000),  # after
     ),
-    land_on=st.sampled_from([None, 0, 1]),
     zero_arcs=st.lists(st.integers(0, 40), max_size=6),
 )
 @settings(max_examples=300, deadline=None)
 def test_route_cost_matches_timeline_bit_for_bit(
-    benchmark_by_name, which, seed, length, lo, land_on, zero_arcs
+    benchmark_by_name, which, seed, length, first_arc, zero_arcs
 ):
     # route_cost stops testing the clock once a departure is past the peak
     # window; the timeline always tests it, so their totals must agree to
-    # the last bit wherever the window lies and however a route crosses it
+    # the last bit wherever a route enters and however it crosses the window
     name, inst = PRICED_INSTANCES[which]
     inst = inst or benchmark_by_name[name]
     customers = np.random.default_rng(seed).permutation(inst.customers)
@@ -121,25 +119,17 @@ def test_route_cost_matches_timeline_bit_for_bit(
 
     for k in zero_arcs:
         set_cost(arcs[k % len(arcs)], 0.0)
-    window = (lo, lo + WINDOW_S)
-    if land_on is not None and window[land_on] > 0:
-        set_cost(arcs[0], float(window[land_on]))  # the second departure is on the edge
-    priced = Instance(
-        name=inst.name,
-        nodes=inst.nodes,
-        capacity=inst.capacity,
-        cost_offpeak=off,
-        cost_peak=peak,
-        peak_window_s=window,
-    )
+    if first_arc is not None:
+        set_cost(arcs[0], float(first_arc))
+    priced = Instance(name=inst.name, nodes=inst.nodes, capacity=inst.capacity, cost_offpeak=off, cost_peak=peak)
     timeline = route_timeline(route, priced)
     cost = route_cost(route, priced).hex()
     assert cost == timeline.total_cost_s.hex()
     assert cost == timeline.end_time_s.hex()  # a route costs its return time
     departures = [step.departure_s for step in timeline.steps]
-    if departures[-1] >= window[1]:
-        event("past the window" if departures[0] < window[1] else "starts past the window")
-    if window[0] in departures or window[1] in departures:
+    if departures[-1] >= PEAK_END_S:
+        event("past the window" if departures[1] < PEAK_END_S else "enters past the window")
+    if PEAK_START_S in departures or PEAK_END_S in departures:
         event("departs on an edge")
 
 
@@ -345,13 +335,13 @@ def test_check_feasible_prices_no_route(tiny_instance, monkeypatch):
     assert findings() == expected
 
 
-def test_day_end_warning_counts_from_the_day_start(tiny_instance):
+def test_day_end_warning_counts_from_the_day_start():
     # an instance has no working day, so nothing bounds when a route ends.
-    # With the window 5000 s earlier the route costs and ends at 12900 s and
-    # is feasible
-    early = replace(tiny_instance, peak_window_s=(PEAK_START_S - 5000, PEAK_END_S - 5000))
-    assert check_feasible(Solution.from_routes([[1, 2, 3]]), early).feasible
-    assert route_timeline([1, 2, 3], early).end_time_s == 12900.0
+    # With the first arc 5000 s longer, customer 1 is left in the peak and 2
+    # after it; the route costs and ends at 17900 s and is feasible
+    late = make_tiny_instance(first_arc=8000.0)
+    assert check_feasible(Solution.from_routes([[1, 2, 3]]), late).feasible
+    assert route_timeline([1, 2, 3], late).end_time_s == 17900.0
 
 
 def test_long_route_warns_but_stays_feasible(tiny_instance):

@@ -257,6 +257,12 @@ def test_small_instance_that_fails_validation_is_a_generation_error():
         generator.small_instance(21, cluster_sizes=(3, 3), capacity=10)
 
 
+def test_small_instance_with_a_cluster_past_the_cap_is_a_generation_error():
+    # validation proves no cluster of more than MAX_PROVED_MEMBERS = 16
+    with pytest.raises(GenerationError, match=r"^small_0: invalid instance: \['cluster-too-large-to-prove'\]$"):
+        generator.small_instance(0, cluster_sizes=(17,))
+
+
 def test_row_seed_stability():
     assert row_seed(7, 0) == row_seed(7, 0)
     assert row_seed(7, 0) != row_seed(7, 1)

@@ -111,6 +111,25 @@ def test_id_lookups_hold_every_node_and_forbidden_arc(benchmark_by_name):
 @given(
     seed=st.integers(0, 2**32 - 1),
     sizes=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+    share=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+)
+@settings(max_examples=50, deadline=None)
+def test_forbidden_after_holds_the_successors_of_each_id(seed, sizes, share):
+    # any arcs, depot and loops included; an arc from an id no node has is
+    # in no entry, and one to such an id is
+    inst = generator.small_instance(seed, cluster_sizes=sizes)
+    pick = np.random.default_rng(seed)
+    ids = [node.id for node in inst.nodes]
+    arcs = {(i, j) for i in ids for j in ids if pick.random() < share}
+    arcs |= {(max(ids) + 1, ids[-1]), (ids[-1], max(ids) + 1)}
+    after = dataclasses.replace(inst, forbidden=frozenset(arcs)).forbidden_after
+    assert after == [frozenset(j for a, j in arcs if a == i) for i in range(max(ids) + 1)]
+    assert len({id(js) for js in after if not js}) <= 1
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.lists(st.integers(1, 6), min_size=1, max_size=4),
     rising=st.booleans(),
 )
 @settings(max_examples=25, deadline=None)
@@ -206,30 +225,6 @@ def test_validate_rejects_all_nan_instance(tiny_instance):
         "16 entries, first offpeak[0][0]",
         "16 entries, first peak[0][0]",
     ]
-
-
-@pytest.mark.parametrize(
-    "window, names",
-    [
-        ((14400, 7200), ["peak-window-invalid"]),
-        ((7200, 7200), ["peak-window-invalid"]),
-        ((-1, 7200), ["peak-window-invalid"]),
-        # no working day bounds the window from above
-        ((7200, 32401), []),
-        ((40000, 50000), []),
-        ((0, 32400), []),
-    ],
-)
-def test_validate_rejects_invalid_peak_window(tiny_instance, window, names):
-    broken = Instance(
-        name="broken",
-        nodes=tiny_instance.nodes,
-        capacity=tiny_instance.capacity,
-        cost_offpeak=tiny_instance.cost_offpeak,
-        cost_peak=tiny_instance.cost_peak,
-        peak_window_s=window,
-    )
-    assert validate_instance(broken).violation_tags == names
 
 
 def test_validate_rejects_blocked_cluster(tiny_instance):
@@ -348,11 +343,20 @@ def _count_cluster_orders(monkeypatch) -> list:
     return calls
 
 
+def _one_cluster(inst: Instance) -> Instance:
+    """``inst`` with every customer in cluster 1 and room for all of them, as
+    ``small_instance`` sizes a vehicle; generation validates, so it makes no
+    cluster past MAX_PROVED_MEMBERS itself."""
+    nodes = tuple(dataclasses.replace(node, cluster=1) if node.id else node for node in inst.nodes)
+    room = sum(node.delivery + node.pickup for node in nodes)
+    return dataclasses.replace(inst, nodes=nodes, capacity=room)
+
+
 def test_a_member_that_can_only_come_first_and_last_is_refused_without_a_search(monkeypatch):
     # the hang case at 18 members: member 1 has every in-arc and out-arc
     # forbidden. Both memoized searches fail after about 18 * 18 * 2**18
     # arc tests (about 45 s); the degree test runs neither
-    inst = generator.small_instance(0, cluster_sizes=(18,))
+    inst = _one_cluster(generator.small_instance(0, cluster_sizes=(9, 9)))
     members = inst.clusters[1]
     arcs = frozenset((i, j) for i in members for j in members if i != j and members[0] in (i, j))
     calls = _count_cluster_orders(monkeypatch)
@@ -363,6 +367,43 @@ def test_a_member_that_can_only_come_first_and_last_is_refused_without_a_search(
         blocked = dataclasses.replace(inst, forbidden=arcs, capacity=capacity)
         assert validate_instance(blocked).violation_tags == tags
     assert calls == []
+
+
+def test_a_cluster_past_the_cap_is_reported_without_a_search(monkeypatch):
+    # members 0 and 1 of 17 may border only member 2: no member is barred
+    # from every other, so the degree test passes, and the proofs took about
+    # 8 s at 16 members and 20 s at 17. The load check still runs
+    inst = _one_cluster(generator.small_instance(0, cluster_sizes=(9, 8)))
+    members = inst.clusters[1]
+    assert len(members) == instance_module.MAX_PROVED_MEMBERS + 1
+    lonely, hub = members[:2], members[2]
+    arcs = frozenset(
+        arc for a in lonely for b in members if b not in (a, hub) for arc in ((a, b), (b, a))
+    )
+    calls = _count_cluster_orders(monkeypatch)
+    for capacity, tags in (
+        (inst.capacity, ["cluster-too-large-to-prove"]),
+        (1, ["cluster-too-large-to-prove", "cluster-load-exceeds-capacity"]),
+    ):
+        report = validate_instance(dataclasses.replace(inst, forbidden=arcs, capacity=capacity))
+        assert report.violation_tags == tags
+        assert report.violations[0].detail == "cluster 1 has 17 members, more than 16"
+    assert calls == []
+
+
+def test_a_cluster_at_the_cap_is_proved(monkeypatch):
+    inst = _one_cluster(generator.small_instance(0, cluster_sizes=(8, 8)))
+    calls = _count_cluster_orders(monkeypatch)
+    assert validate_instance(inst).feasible
+    assert calls == [inst.clusters[1]]
+
+
+def test_duplicate_node_ids_are_named_once_each_ascending():
+    ids = (0, 3, 1, 2, 3, 1, 3)
+    nodes = tuple(Node(i, float(k), 0.0, int(i > 0), 0, int(i > 0)) for k, i in enumerate(ids))
+    costs = [[0.0 if a == b else float(10 * a + b) for b in range(len(ids))] for a in range(len(ids))]
+    report = validate_instance(Instance("repeated", nodes, 10, costs, costs))
+    assert [(v.name, v.detail) for v in report.violations] == [("duplicate-node-id", "[1, 3]")]
 
 
 @pytest.mark.parametrize(
@@ -495,7 +536,6 @@ def test_json_round_trip(tmp_path, tiny_instance):
     assert loaded.nodes == tiny_instance.nodes
     assert loaded.capacity == tiny_instance.capacity
     assert loaded.forbidden == tiny_instance.forbidden
-    assert loaded.peak_window_s == (7200, 14400)
     # costs come back rounded to two decimals
     assert loaded.cost_offpeak[0][1] == round(tiny_instance.cost_offpeak[0][1], 2)
 

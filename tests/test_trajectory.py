@@ -21,7 +21,7 @@ from conftest import SUITE_SEED
 # Osaba_50_1_4 and Osaba_50_2_4 need the exact-search fallback of
 # random_solution within these draws
 PINNED_INSTANCES = ["Osaba_50_1_4", "Osaba_50_2_4", "Osaba_80_3", "Osaba_100_1"]
-EXPECTED_DIGEST = "3a942ca18f708203f58114fcdd2569506f97ac4ba54388d08a40bdd3d889a51e"
+EXPECTED_DIGEST = "682ae3aa56cf79c6d9f11b02badb1fa6d1d361191f907a35cdca986898ff54c2"
 # the EA and the cluster-relocation extension, which trajectory_digest leaves out
 EXPECTED_EXTENSIONS_DIGEST = "921d983228d339617990bae65cd222878278ef46c0b4aa1789b1d5c3d2631ede"
 # relocation inside the EA and ESA, which neither digest above reaches
@@ -30,7 +30,7 @@ EXPECTED_DRAW_PATHS_DIGEST = "1f4b25a34e6660f86b6d5d1b616959666d8c2a9e48543c0a70
 EXPECTED_REPORT_DIGEST = "4d54518bc2fd9944ffc6aa54a763310180835b82d004647deba03a9260815aea"
 # every byte write_suite writes for the whole suite: 15 instance files and the
 # manifest, each hashed with its file name
-EXPECTED_SUITE_FILES_DIGEST = "8868f8379864c908ba4218bf87656b92bc45202ef81f0c6a4d352e55f8324e4c"
+EXPECTED_SUITE_FILES_DIGEST = "4155d052722a2a7f4e1391d0fb6a9e1fbfaea9e57f8d0d04433a60a93b3c11ea"
 
 
 def trajectory_digest() -> str:

@@ -18,6 +18,9 @@ from rvrp import instance as instance_module
 from conftest import make_tiny_instance
 
 DEPOT = {"id": 0, "x": 0.0, "y": 0.0, "delivery": 0, "pickup": 0, "cluster": 0}
+# 17 customers in one cluster, one more than validation proves
+BIG_CLUSTER = [DEPOT, *({**DEPOT, "id": k, "x": float(k), "delivery": 1, "cluster": 1} for k in range(1, 18))]
+BIG_COSTS = [[float(18 * a + b) for b in range(18)] for a in range(18)]
 
 # issue name -> edits to the tiny instance's dict, each (dotted path, value);
 # the tiny instance is customers 1..3 in cluster 1, capacity 100
@@ -28,8 +31,6 @@ EDITS = {
     "customer-in-depot-cluster": [("nodes.1.cluster", 0)],
     "non-finite-coordinate": [("nodes.1.x", float("nan"))],
     "no-customers": [("nodes", [DEPOT]), ("cost_offpeak", [[0.0]]), ("cost_peak", [[0.0]])],
-    # a window that starts before the vehicles leave the depot
-    "peak-window-invalid": [("peak_window_s", [-1, 7200])],
     "capacity-invalid": [("capacity", 0)],
     "matrix-shape-invalid": [("cost_peak", [[0.0] * 4] * 3)],
     "non-finite-cost": [("cost_offpeak.0.1", 1e400)],  # how JSON spells infinity
@@ -42,6 +43,7 @@ EDITS = {
     "forbidden-arc-crosses-clusters": [("nodes.3.cluster", 2), ("forbidden", [[1, 3]])],
     "cluster-path-infeasible": [("forbidden", [[1, 2], [1, 3], [2, 1], [2, 3], [3, 1], [3, 2]])],
     "cluster-load-exceeds-capacity": [("capacity", 20)],
+    "cluster-too-large-to-prove": [("nodes", BIG_CLUSTER), ("cost_offpeak", BIG_COSTS), ("cost_peak", BIG_COSTS)],
     # customer 3 must come first to avoid (1,3) and (2,3), and then its
     # pickup overflows the vehicle
     "cluster-order-infeasible": [
