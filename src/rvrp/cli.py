@@ -132,9 +132,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
     inst = _valid_instance(args.instance)
     # a valid instance cannot fail construction: each cluster fits a fresh route
     result = solve(inst, cfg)
-    # the entry, not cfg.algorithm, so that the file names its whole config
-    data = {"algorithm": label, "seed": seed, **result.to_dict(), "instance": inst.name,
-            "encoding": encode(result.best_solution)}
+    # the entry, not cfg.algorithm, so that the file names its whole config;
+    # the encoding is the file's one statement of the solution
+    data = {"algorithm": label, "seed": seed, "cost": result.best_cost,
+            "vehicles": result.best_solution.vehicles, "evaluations": result.evaluations_total,
+            "convergence_evaluations": result.convergence_evaluations, "cost_history": result.cost_history,
+            "instance": inst.name, "encoding": encode(result.best_solution)}
     try:
         write_json(out_path, data)
     except OSError as exc:

@@ -276,7 +276,7 @@ def read_manifest(suite_dir: str | Path) -> tuple[int | None, list[Path]]:
         data = read_json(manifest)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"{manifest} is not JSON: {exc}") from None
-    except ValueError as exc:  # a repeated key
+    except ValueError as exc:  # a repeated key, or nesting too deep to read
         raise ValueError(f"{manifest}: {exc}") from None
     if type(data) is not dict:
         raise ValueError(f"{manifest} is not a JSON object")

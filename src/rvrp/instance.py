@@ -101,11 +101,11 @@ class Solution:
     def load(cls, path: str | Path, inst: Instance) -> "Solution":
         """The solution in a solution file: its ``encoding``, decoded on
         ``inst``. A document that is not an object, repeats a key or has no
-        ``encoding`` array is a ValueError that names the defect, as a
-        DecodeError is."""
+        ``encoding`` is a ValueError that names the defect, as a DecodeError
+        is; other keys, such as the ``routes`` of older files, are not read."""
         data = read_json(path)
         _require(data, ("encoding",), "the solution")
-        return decode(_array(data["encoding"], "encoding"), inst)
+        return decode(data["encoding"], inst)
 
 
 class DecodeError(ValueError):
@@ -241,6 +241,10 @@ class Instance:
         name = data["name"]
         if type(name) is not str:
             raise ValueError(f"name is {name!r}, not a string")
+        try:  # a lone surrogate, which a JSON \u escape can spell, is no UTF-8 text
+            name.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"name is {name!r}, which UTF-8 cannot encode") from None
         return cls(
             name=name,
             nodes=nodes,

@@ -1,7 +1,7 @@
 """The one JSON reader and writer of rvrp. :func:`read_json` reads instance
 files, solutions and the suite manifest, and refuses an object that repeats
-a key. :func:`write_json` writes those and experiment reports, timing files
-and GeoJSON.
+a key or a document nested too deeply to read. :func:`write_json` writes
+those and experiment reports, timing files and GeoJSON.
 
 :func:`dumps` returns exactly ``json.dumps(value, indent=1)``. The standard
 library encodes any ``indent`` in pure Python; here every container that
@@ -71,9 +71,13 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 def read_json(path: str | Path):
     """The JSON document in the UTF-8 file ``path``, less a leading byte-order
-    mark (RFC 8259 8.1); not JSON, or an object repeating a key, is a ValueError."""
+    mark (RFC 8259 8.1); not JSON, an object repeating a key, or nesting
+    deeper than ``json`` can recurse from the caller's stack is a ValueError."""
     with open(path, encoding="utf-8-sig") as fh:
-        return json.load(fh, object_pairs_hook=_unique_keys)
+        try:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+        except RecursionError:
+            raise ValueError("the document nests its arrays or objects too deeply to read") from None
 
 
 def require_directory(path: str | Path) -> Path:

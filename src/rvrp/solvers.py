@@ -130,16 +130,6 @@ class SolveResult:
         """The evaluations made when the best cost was last improved."""
         return self.cost_history[-1][0]
 
-    def to_dict(self) -> dict:
-        return {
-            "cost": self.best_cost,
-            "vehicles": self.best_solution.vehicles,
-            "routes": [list(r) for r in self.best_solution.routes],
-            "evaluations": self.evaluations_total,
-            "convergence_evaluations": self.convergence_evaluations,
-            "cost_history": [[e, c] for e, c in self.cost_history],
-        }
-
 
 class BudgetExhausted(Exception):
     """Internal control flow: the stall counter reached the budget."""

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import rvrp
 from rvrp import Instance, check_feasible, decode, route_cost
-from rvrp import cli, generator, stats
+from rvrp import cli, generator, jsonio, stats
 from rvrp.cli import build_parser, main
 
 from conftest import make_joint_infeasible_instance
@@ -146,7 +146,6 @@ def test_solve_writes_feasible_solution(tmp_path, toy_instance_file, capsys):
     sol = decode(data["encoding"], inst)
     assert check_feasible(sol, inst).feasible
     assert data["vehicles"] == sol.vehicles
-    assert data["routes"] == [list(r) for r in sol.routes]
     summary = capsys.readouterr().out.strip().splitlines()[-1]
     fields = summary.split()
     assert fields[0] == "toy" and fields[1] == "dfa@p15"
@@ -266,6 +265,44 @@ def test_solve_runs_the_config_its_entry_names(tmp_path, toy_instance_file):
     assert data["encoding"] == rvrp.encode(result.best_solution)
 
 
+SOLUTION_KEYS = [
+    "algorithm", "seed", "cost", "vehicles", "evaluations", "convergence_evaluations", "cost_history", "instance",
+    "encoding",
+]
+
+
+def test_solution_file_states_its_solution_once(tmp_path, toy_instance_file):
+    # the encoding is the solution; every other key is a fact of the run
+    # that found it, and agrees with it
+    out = tmp_path / "sol.json"
+    assert main(["solve", str(toy_instance_file), "--algorithm", "dfa@p8", "--seed", "1", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    result = rvrp.solve(Instance.load(toy_instance_file), rvrp.SolverConfig("dfa", 8, 1))
+    assert list(data) == SOLUTION_KEYS
+    assert data["encoding"] == rvrp.encode(result.best_solution)
+    assert data["vehicles"] == data["encoding"].count(0) + 1 == result.best_solution.vehicles
+    assert data["evaluations"] == result.evaluations_total
+    assert data["cost_history"] == [list(point) for point in result.cost_history]
+    assert data["cost_history"][-1] == [data["convergence_evaluations"], data["cost"]]
+    assert data["cost_history"][-1][1] == result.best_cost
+
+
+def test_export_geojson_reads_a_solution_file_that_lists_its_routes(tmp_path, toy_instance_file):
+    # solution files once stated the solution twice, as routes beside the
+    # encoding; the reader reads the encoding alone
+    current = tmp_path / "sol.json"
+    assert main(["solve", str(toy_instance_file), "--seed", "3", "--algorithm", "dfa@p5", "--out", str(current)]) == 0
+    data = json.loads(current.read_text())
+    routes = [list(route) for route in decode(data["encoding"], Instance.load(toy_instance_file)).routes]
+    items, at = list(data.items()), SOLUTION_KEYS.index("evaluations")
+    older = jsonio.write_json(tmp_path / "older.json", dict(items[:at] + [("routes", routes)] + items[at:]))
+    geo = {}
+    for path in (current, older):
+        geo[path] = tmp_path / f"{path.stem}.geojson"
+        assert main(["export-geojson", str(toy_instance_file), str(path), "--out", str(geo[path])]) == 0
+    assert geo[older].read_bytes() == geo[current].read_bytes()
+
+
 def test_solve_prints_its_header_before_refusing_an_instance(tmp_path, toy_instance_file):
     # the header states the drawn seed even of a run that never starts; run
     # unbuffered, with stderr on stdout, so the lines keep their order
@@ -363,6 +400,13 @@ def test_experiment_header_states_the_suite_seed_and_relocation(
     assert not any(line.startswith("#   population") for line in header)  # each entry states its own
 
 
+# written as 990 nested arrays, about 2 KB: json.loads reads them from a
+# shallow stack, but not from inside the CLI
+DEEP = "<deep>"
+DEEP_TEXT = "[" * 990 + "]" * 990
+NESTED_TOO_DEEPLY = "the document nests its arrays or objects too deeply to read"
+
+
 @pytest.mark.parametrize(
     "text, named",
     [
@@ -375,10 +419,11 @@ def test_experiment_header_states_the_suite_seed_and_relocation(
         ('{"seed": "7", "instances": []}', "has seed '7', not an integer"),
         ('{"seed": true, "instances": []}', "has seed True, not an integer"),
         ('{"seed": 1, "instances": [], "seed": 2}', "repeats the key 'seed'"),
+        (DEEP_TEXT, NESTED_TOO_DEEPLY),
     ],
     ids=[
         "not-json", "array", "no-instances", "instances-object", "entry-not-object",
-        "entry-without-file", "seed-string", "seed-bool", "repeated-seed",
+        "entry-without-file", "seed-string", "seed-bool", "repeated-seed", "nested-990-deep",
     ],
 )
 def test_experiment_rejects_a_bad_manifest(tmp_path, capsys, text, named):
@@ -890,6 +935,10 @@ MALFORMED_INSTANCES = pytest.mark.parametrize(
         # a repeated key is refused, not read as its last value
         (lambda data: {AGAIN + "capacity": 5, **data}, "the document repeats the key 'capacity'"),
         (_with_node_field(AGAIN + "pickup", 99), "the document repeats the key 'pickup'"),
+        # a document too deep for json to recurse into from the CLI, and a
+        # name that cannot be printed as UTF-8 (a lone surrogate)
+        (lambda data: DEEP, NESTED_TOO_DEEPLY),
+        (lambda data: {**data, "name": "\ud800x"}, "name is '\\ud800x', which UTF-8 cannot encode"),
     ],
     ids=["non-object",
          "capacity-1e400", "delivery-1e400", "x-401-digits", "cost-401-digits",
@@ -901,13 +950,15 @@ MALFORMED_INSTANCES = pytest.mark.parametrize(
          "missing-capacity", "missing-node-x", "missing-cost-offpeak", "missing-cost-peak",
          "missing-forbidden", "day-end", "day-start", "peak-window",
          "window-one-entry", "window-empty", "window-three-entries", "window-string", "window-number",
-         "unknown-field", "unknown-node-field", "repeated-key", "repeated-node-key"],
+         "unknown-field", "unknown-node-field", "repeated-key", "repeated-node-key", "nested-990-deep",
+         "name-lone-surrogate"],
 )
 
 
 def _write_edited(source, path, edit) -> None:
     data = edit(json.loads(source.read_text()))
-    path.write_text(json.dumps(data).replace(f'"{INF}"', "1e400").replace(f'"{AGAIN}', '"') + "\n")
+    text = json.dumps(data).replace(f'"{INF}"', "1e400").replace(f'"{AGAIN}', '"').replace(f'"{DEEP}"', DEEP_TEXT)
+    path.write_text(text + "\n")
 
 
 @MALFORMED_INSTANCES
@@ -960,12 +1011,14 @@ def test_validate_accepts_integral_float_in_integer_field(tmp_path, toy_instance
 @pytest.mark.parametrize(
     "content, named",
     [
-        ('{"encoding": 5}', "encoding is 5, not an array"),
+        # decode holds the one shape rule of an encoding
+        ('{"encoding": 5}', "non-array-encoding: 5 is not a list or a tuple"),
         ("[1, 2]", "the solution is [1, 2], not an object"),
         ("{}", "the solution has no 'encoding'"),
         ('{"encoding": [1], "encoding": [2]}', "the document repeats the key 'encoding'"),
+        (DEEP_TEXT, NESTED_TOO_DEEPLY),
     ],
-    ids=["encoding-int", "list", "no-encoding", "repeated-encoding"],
+    ids=["encoding-int", "list", "no-encoding", "repeated-encoding", "nested-990-deep"],
 )
 def test_export_geojson_rejects_malformed_solution(tmp_path, toy_instance_file, capsys, content, named):
     sol_path = tmp_path / "sol.json"
@@ -1273,16 +1326,18 @@ def _mutated(draw, data: dict) -> dict:
     elif kind == "id-clash":
         j = draw(st.integers(0, len(nodes) - 2))
         nodes[k]["id"] = nodes[j + (j >= k)]["id"]  # any node but k
-    else:  # cluster-merge: no cluster of these shapes grows past 8 members
+    else:  # cluster-merge: of CLEAN_SHAPES, (8, 8) merges to the cap of 16 members and (9, 8) past it
         labels = sorted({n["cluster"] for n in nodes[1:]})
         gone, kept = draw(st.lists(st.sampled_from(labels), min_size=2, max_size=2, unique=True))
         for n in nodes:
             n["cluster"] = kept if n["cluster"] == gone else n["cluster"]
+        event(f"merged cluster of {sum(n['cluster'] == kept for n in nodes)} members")
     return {**data, "nodes": nodes}
 
 
-# the clean files the property mutates: (seed, cluster sizes) of small_instance
-CLEAN_SHAPES = [(21, (3, 3)), (8, (4, 2, 2))]
+# the clean files the property mutates: (seed, cluster sizes) of small_instance;
+# the last two merge a cluster at instance.MAX_PROVED_MEMBERS and one past it
+CLEAN_SHAPES = [(21, (3, 3)), (8, (4, 2, 2)), (5, (8, 8)), (9, (9, 8))]
 
 
 @given(st.data())

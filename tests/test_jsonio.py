@@ -91,3 +91,15 @@ def test_read_json_refuses_a_repeated_key(tmp_path, text, key):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError, match=f"^the document repeats the key '{key}'$"):
         read_json(path)
+
+
+@pytest.mark.parametrize(
+    "text", ["[" * 100_000 + "]" * 100_000, '{"a": ' * 100_000 + "0" + "}" * 100_000], ids=["arrays", "objects"]
+)
+def test_read_json_refuses_a_document_nested_too_deeply(tmp_path, text):
+    # json raises a RecursionError at a depth that depends on its caller's
+    # stack; the reader names the defect as it names any other
+    path = tmp_path / "deep.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match="^the document nests its arrays or objects too deeply to read$"):
+        read_json(path)

@@ -204,12 +204,3 @@ def test_relocation_flag_keeps_runs_feasible(algorithm):
     )
     result = solve(inst, cfg)
     assert check_feasible(result.best_solution, inst).feasible
-
-
-def test_result_dict_shape(oracle_instances):
-    result = solve(oracle_instances[0], SolverConfig(algorithm="dfa", seed=1, population_size=8))
-    data = result.to_dict()
-    assert data["vehicles"] == result.best_solution.vehicles
-    assert data["evaluations"] == result.evaluations_total
-    assert data["cost_history"] == [list(point) for point in result.cost_history]
-    assert data["cost_history"][-1][1] == result.best_cost
